@@ -1,0 +1,163 @@
+"""Bound energy, free energy, athermality, and their variational forms.
+
+The primary computation path is the bracketed root solver in `gibbs`; the
+grid-based minimizations are independent verification routes.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .gibbs import (
+    GibbsFamily,
+    boundary_energy,
+    boundary_entropy,
+    gibbs_state,
+    intrinsic_beta,
+    log_partition,
+    spontaneous_beta,
+)
+from .operators import DensityMatrix, entropy, expectation
+
+FREE_ENERGY_SNAP = 1e-12
+
+
+@dataclass(frozen=True)
+class EnergeticsReport:
+    """Every scalar thermodynamic quantity of a state against one family."""
+
+    energy: float
+    entropy: float
+    bound_energy: float
+    free_energy: float
+    intrinsic_beta: float
+    athermality: float
+    spontaneous_beta: float
+
+
+def bound_energy(rho: DensityMatrix, fam: GibbsFamily) -> float:
+    """Minimum energy over iso-entropic states: the energy of gamma(beta(rho)).
+
+    For a degenerate ground space and S(rho) < ln g0 the minimizer sits in
+    the ground subspace and the bound energy is E_min.
+    """
+    beta = intrinsic_beta(fam, entropy(rho))
+    if math.isinf(beta):
+        return fam.energy_min
+    return boundary_energy(fam, beta)
+
+
+def free_energy(rho: DensityMatrix, fam: GibbsFamily) -> float:
+    """F(rho) = E(rho) - B(rho) >= 0; exact zero below 1e-12."""
+    f = expectation(fam.hamiltonian, rho) - bound_energy(rho, fam)
+    return 0.0 if abs(f) < FREE_ENERGY_SNAP else f
+
+
+def _snap(x: float) -> float:
+    return 0.0 if abs(x) < FREE_ENERGY_SNAP else x
+
+
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """D(rho || sigma) = Tr rho (log rho - log sigma), spectral evaluation."""
+    w, v = np.linalg.eigh(sigma.entries)
+    if w.min() <= 0:
+        # support check: rho must live inside supp(sigma)
+        null = v[:, w <= 1e-14]
+        leak = np.linalg.norm(null.conj().T @ rho.entries @ null)
+        if leak > 1e-12:
+            raise ValueError("support of rho not contained in support of sigma")
+        w = np.clip(w, 1e-300, None)
+    log_sigma = (v * np.log(w)) @ v.conj().T
+    cross = -np.trace(rho.entries @ log_sigma).real
+    return float(cross - entropy(rho))
+
+
+def relative_entropy_check(rho: DensityMatrix, fam: GibbsFamily) -> float:
+    """Residual |F(rho) - T(rho) D(rho || gamma(rho))|; expected <= 1e-8."""
+    beta = intrinsic_beta(fam, entropy(rho))
+    f = free_energy(rho, fam)
+    if beta == 0.0:
+        # T = inf limit: a max-entropy state has F = 0 and D = 0
+        return abs(f)
+    if math.isinf(beta):
+        raise ValueError("relative_entropy_check needs finite positive intrinsic beta")
+    gamma = gibbs_state(fam, beta)
+    return abs(f - relative_entropy(rho, gamma) / beta)
+
+
+def beta_free_energy(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float:
+    """Extractable work with an infinite beta-bath:
+    F_beta(rho) - F_beta(gamma(beta)), with F_beta(x) = E(x) - S(x)/beta."""
+    if beta == 0.0:
+        raise ValueError("beta = 0 unsupported (T-form divides by zero)")
+    if math.isinf(beta):
+        raise ValueError("beta_free_energy needs finite beta")
+    e = expectation(fam.hamiltonian, rho)
+    s = entropy(rho)
+    f_rho = e - s / beta
+    f_gamma = boundary_energy(fam, beta) - boundary_entropy(fam, beta) / beta
+    return f_rho - f_gamma
+
+
+def default_beta_grid(n: int = 2001, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
+    return np.geomspace(lo, hi, n)
+
+
+def variational_free_energy(rho: DensityMatrix, fam: GibbsFamily,
+                            beta_grid: np.ndarray | None = None) -> tuple[float, float]:
+    """min over the grid of the beta-bath work; the minimum is F(rho) and the
+    argmin sits at beta(rho)."""
+    if beta_grid is None:
+        beta_grid = default_beta_grid()
+    vals = np.array([beta_free_energy(rho, fam, b) for b in beta_grid])
+    i = int(np.argmin(vals))
+    return float(vals[i]), float(beta_grid[i])
+
+
+def athermality(rho: DensityMatrix, fam: GibbsFamily) -> float:
+    """Entropy the system can still absorb at fixed energy:
+    S(gamma(beta~(rho))) - S(rho)."""
+    beta = spontaneous_beta(fam, expectation(fam.hamiltonian, rho))
+    return boundary_entropy(fam, beta) - entropy(rho)
+
+
+def beta_athermality(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float:
+    """A_beta(rho) = beta E(rho) - S(rho) + ln Z_beta = D(rho || gamma(beta))."""
+    e = expectation(fam.hamiltonian, rho)
+    return beta * e - entropy(rho) + log_partition(fam, beta)
+
+
+def symmetric_beta_grid(n: int = 2001, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
+    """Log-spaced grid over both signs of beta, including 0."""
+    half = np.geomspace(lo, hi, (n - 1) // 2)
+    return np.concatenate([-half[::-1], [0.0], half])
+
+
+def variational_athermality(rho: DensityMatrix, fam: GibbsFamily,
+                            beta_grid: np.ndarray | None = None) -> tuple[float, float]:
+    """min_beta A_beta(rho) over the grid; the minimum equals A(rho) and the
+    argmin sits at beta~(rho)."""
+    if beta_grid is None:
+        beta_grid = symmetric_beta_grid()
+    vals = np.array([beta_athermality(rho, fam, b) for b in beta_grid])
+    i = int(np.argmin(vals))
+    return float(vals[i]), float(beta_grid[i])
+
+
+def report(rho: DensityMatrix, fam: GibbsFamily) -> EnergeticsReport:
+    e = expectation(fam.hamiltonian, rho)
+    s = entropy(rho)
+    b = bound_energy(rho, fam)
+    f = e - b
+    return EnergeticsReport(
+        energy=e,
+        entropy=s,
+        bound_energy=b,
+        free_energy=0.0 if abs(f) < FREE_ENERGY_SNAP else f,
+        intrinsic_beta=intrinsic_beta(fam, s),
+        athermality=_snap(athermality(rho, fam)),
+        spontaneous_beta=spontaneous_beta(fam, e),
+    )

@@ -1,0 +1,156 @@
+"""Mutual equilibrium and the two equilibration maps.
+
+Iso-entropic equilibration releases work at constant total entropy
+(min-energy principle); iso-energetic equilibration produces entropy at
+constant total energy (max-entropy principle). Both treat equilibration as
+a state-to-state map over non-interacting subsystems.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from scipy.optimize import brentq
+
+from .energetics import free_energy
+from .gibbs import GibbsFamily, boundary_energy, boundary_entropy, gibbs_state
+from .operators import (
+    DensityMatrix,
+    SubsystemSplit,
+    entropy,
+    expectation,
+    kron_sum,
+    tensor,
+)
+
+EQUILIBRIUM_FREE_ENERGY_ATOL = 1e-8
+
+
+@dataclass(frozen=True)
+class EquilibrationOutcome:
+    mode: str  # "iso-entropic" | "iso-energetic"
+    beta_joint: float
+    final_state: DensityMatrix  # product of local Gibbs states at beta_joint
+    work_released: float  # iso-entropic: E_initial - E_final
+    entropy_produced: float  # iso-energetic: S_final - S_initial
+    degenerate: bool = False  # sentinel beta (ground-subspace limit)
+
+
+def joint_family(fams: list[GibbsFamily]) -> GibbsFamily:
+    return GibbsFamily(kron_sum(*(f.hamiltonian for f in fams)))
+
+
+def is_equilibrium(rho_joint: DensityMatrix, fams: list[GibbsFamily],
+                   split: SubsystemSplit) -> tuple[bool, float]:
+    """Mutual equilibrium iff the joint free energy (under the Kronecker-sum
+    Hamiltonian) vanishes."""
+    split.check(rho_joint.dim)
+    f = free_energy(rho_joint, joint_family(fams))
+    return f <= EQUILIBRIUM_FREE_ENERGY_ATOL, f
+
+
+def _totals(pairs, joint_state=None):
+    fams = [fam for _, fam in pairs]
+    e_total = sum(expectation(fam.hamiltonian, rho) for rho, fam in pairs)
+    if joint_state is not None:
+        s_total = entropy(joint_state)
+    else:
+        s_total = sum(entropy(rho) for rho, fam in pairs)
+    return fams, e_total, s_total
+
+
+def _product_gibbs(fams, beta):
+    state = gibbs_state(fams[0], beta)
+    for fam in fams[1:]:
+        state = tensor(state, gibbs_state(fam, beta))
+    return state
+
+
+def equilibrate_isoentropic(pairs, joint_state: DensityMatrix | None = None) -> EquilibrationOutcome:
+    """Joint min-energy state at the initial total entropy.
+
+    `pairs` is a list of (state, family) for uncorrelated local inputs; a
+    correlated joint input is passed via `joint_state` (its entropy is used
+    as the conserved total).
+    """
+    if len(pairs) < 2:
+        raise ValueError("equilibration needs at least two subsystems")
+    fams, e_total, s_total = _totals(pairs, joint_state)
+
+    floor = sum(math.log(fam.ground_degeneracy) for fam in fams)
+    if s_total <= floor + 1e-12:
+        beta = math.inf
+        degenerate = True
+    else:
+        degenerate = False
+
+        def resid(b):
+            return sum(boundary_entropy(fam, b) for fam in fams) - s_total
+
+        if resid(0.0) <= 1e-12:
+            beta = 0.0
+        else:
+            hi = 1.0
+            while resid(hi) > 0:
+                hi *= 2.0
+            beta = brentq(resid, 0.0, hi, xtol=1e-12)
+    final = _product_gibbs(fams, beta)
+    if math.isinf(beta):
+        e_final = sum(fam.energy_min for fam in fams)
+    else:
+        e_final = sum(boundary_energy(fam, beta) for fam in fams)
+    return EquilibrationOutcome(
+        mode="iso-entropic",
+        beta_joint=beta,
+        final_state=final,
+        work_released=e_total - e_final,
+        entropy_produced=0.0,
+        degenerate=degenerate,
+    )
+
+
+def equilibrate_isoenergetic(pairs, joint_state: DensityMatrix | None = None) -> EquilibrationOutcome:
+    """Joint max-entropy state at the initial total energy; beta_E may be
+    negative (inverted populations)."""
+    if len(pairs) < 2:
+        raise ValueError("equilibration needs at least two subsystems")
+    fams, e_total, s_total = _totals(pairs, joint_state)
+    e_min = sum(fam.energy_min for fam in fams)
+    e_max = sum(fam.energy_max for fam in fams)
+    if e_total < e_min - 1e-9 or e_total > e_max + 1e-9:
+        raise ValueError(f"total energy {e_total} outside [{e_min}, {e_max}]")
+
+    def resid(b):
+        return sum(boundary_energy(fam, b) for fam in fams) - e_total
+
+    if abs(resid(0.0)) <= 1e-13:
+        beta = 0.0
+    else:
+        hi = 1.0
+        while resid(hi) > 0:
+            hi *= 2.0
+            if hi > 1e9:
+                break
+        lo = -1.0
+        while resid(lo) < 0:
+            lo *= 2.0
+            if lo < -1e9:
+                break
+        beta = brentq(resid, lo, hi, xtol=1e-12)
+    final = _product_gibbs(fams, beta)
+    s_final = sum(boundary_entropy(fam, beta) for fam in fams)
+    return EquilibrationOutcome(
+        mode="iso-energetic",
+        beta_joint=beta,
+        final_state=final,
+        work_released=0.0,
+        entropy_produced=s_final - s_total,
+    )
+
+
+def lemma3_check(beta_a: float, beta_b: float, outcome: EquilibrationOutcome) -> bool:
+    """The joint temperature of an iso-entropic equilibration of two Gibbs
+    inputs lies between the two input temperatures."""
+    lo, hi = min(beta_a, beta_b), max(beta_a, beta_b)
+    return lo - 1e-9 <= outcome.beta_joint <= hi + 1e-9

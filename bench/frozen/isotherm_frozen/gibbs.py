@@ -1,0 +1,161 @@
+"""Gibbs family of a Hamiltonian: thermal states, boundary curves, root solvers.
+
+All algebra runs in the eigenbasis with a spectral shift, so |beta| * ||H||
+up to ~700 stays finite. Inverse temperatures are plain floats; the limits
+beta -> +inf (ground subspace) and beta -> -inf (top subspace) are encoded
+as math.inf sentinels rather than large caps.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.optimize import brentq
+
+from .operators import DensityMatrix, HermitianOperator, spectrum_entropy
+
+DEGENERACY_ATOL = 1e-10
+BETA_XTOL = 1e-12
+ENTROPY_RTOL = 1e-10
+
+
+@dataclass(frozen=True)
+class GibbsFamily:
+    """The one-parameter family gamma(beta) = e^(-beta H)/Z of a Hamiltonian."""
+
+    hamiltonian: HermitianOperator
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = np.sort(self.hamiltonian.eigenvalues)
+        w.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", w)
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.dim
+
+    @property
+    def energy_min(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def energy_max(self) -> float:
+        return float(self.eigenvalues[-1])
+
+    @property
+    def ground_degeneracy(self) -> int:
+        return int(np.sum(self.eigenvalues <= self.eigenvalues[0] + DEGENERACY_ATOL))
+
+    @property
+    def top_degeneracy(self) -> int:
+        return int(np.sum(self.eigenvalues >= self.eigenvalues[-1] - DEGENERACY_ATOL))
+
+
+def _boltzmann_weights(fam: GibbsFamily, beta: float) -> np.ndarray:
+    """Normalized Gibbs probabilities over the eigenvalues, overflow safe."""
+    x = -beta * fam.eigenvalues
+    x = x - x.max()
+    w = np.exp(x)
+    return w / w.sum()
+
+
+def _limit_weights(fam: GibbsFamily, beta: float) -> np.ndarray:
+    w = np.zeros(fam.dim)
+    if beta > 0:  # +inf: uniform on the ground subspace
+        idx = fam.eigenvalues <= fam.eigenvalues[0] + DEGENERACY_ATOL
+    else:  # -inf: uniform on the top subspace
+        idx = fam.eigenvalues >= fam.eigenvalues[-1] - DEGENERACY_ATOL
+    w[idx] = 1.0 / idx.sum()
+    return w
+
+
+def _weights(fam: GibbsFamily, beta: float) -> np.ndarray:
+    if math.isinf(beta):
+        return _limit_weights(fam, beta)
+    return _boltzmann_weights(fam, beta)
+
+
+def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
+    """gamma(beta) = e^(-beta H)/Z; sentinel +-inf gives the uniform mixture
+    on the ground/top eigenspace."""
+    h = fam.hamiltonian
+    order = np.argsort(h.eigenvalues)
+    v = h.eigenvectors[:, order]
+    w = _weights(fam, beta)
+    return DensityMatrix((v * w) @ v.conj().T)
+
+
+def log_partition(fam: GibbsFamily, beta: float) -> float:
+    """ln Z_beta = ln sum_i e^(-beta eps_i), computed with spectral shift."""
+    if math.isinf(beta):
+        raise ValueError("log_partition needs finite beta")
+    x = -beta * fam.eigenvalues
+    m = x.max()
+    return float(m + np.log(np.sum(np.exp(x - m))))
+
+
+def boundary_entropy(fam: GibbsFamily, beta: float) -> float:
+    """S(gamma(beta)); decreasing in beta."""
+    return spectrum_entropy(_weights(fam, beta))
+
+
+def boundary_energy(fam: GibbsFamily, beta: float) -> float:
+    """E(gamma(beta)); decreasing in beta."""
+    return float(np.dot(_weights(fam, beta), fam.eigenvalues))
+
+
+def intrinsic_beta(fam: GibbsFamily, target_entropy: float) -> float:
+    """The beta* >= 0 with S(gamma(beta*)) = target_entropy.
+
+    Returns math.inf when the target entropy is at or below ln g0 (the
+    entropy floor of the beta >= 0 branch); the bound energy then is E_min.
+    """
+    log_dim = math.log(fam.dim)
+    if target_entropy < -1e-12 or target_entropy > log_dim + 1e-12:
+        raise ValueError(
+            f"target entropy {target_entropy} outside [0, ln {fam.dim}]"
+        )
+    target = min(max(target_entropy, 0.0), log_dim)
+    if log_dim - target <= ENTROPY_RTOL:
+        return 0.0
+    floor = math.log(fam.ground_degeneracy)
+    if target <= floor + 1e-12:
+        return math.inf
+    hi = 1.0
+    while boundary_entropy(fam, hi) > target:
+        hi *= 2.0
+        if hi > 1e18:
+            return math.inf
+    return brentq(lambda b: boundary_entropy(fam, b) - target, 0.0, hi, xtol=BETA_XTOL)
+
+
+def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
+    """The beta~ in R u {+-inf} with E(gamma(beta~)) = target_energy."""
+    e_min, e_max = fam.energy_min, fam.energy_max
+    scale = e_max - e_min
+    if scale <= DEGENERACY_ATOL:
+        if abs(target_energy - e_min) > 1e-9:
+            raise ValueError(f"target energy {target_energy} unattainable for flat spectrum")
+        return 0.0
+    if target_energy < e_min - 1e-9 * scale or target_energy > e_max + 1e-9 * scale:
+        raise ValueError(f"target energy {target_energy} outside [{e_min}, {e_max}]")
+    atol = 1e-10 * scale
+    # floor/ceiling of the finite-beta branch: mean energy of the limit subspaces
+    if target_energy <= np.dot(_limit_weights(fam, 1.0), fam.eigenvalues) + atol:
+        return math.inf
+    if target_energy >= np.dot(_limit_weights(fam, -1.0), fam.eigenvalues) - atol:
+        return -math.inf
+
+    def resid(b):
+        return boundary_energy(fam, b) - target_energy
+
+    hi = 1.0
+    while resid(hi) > 0:
+        hi *= 2.0
+    lo = -1.0
+    while resid(lo) < 0:
+        lo *= 2.0
+    return brentq(resid, lo, hi, xtol=BETA_XTOL)

@@ -1,0 +1,239 @@
+"""Dense Hermitian operators, density matrices, entropy and bipartite reductions.
+
+All logarithms are natural (entropy in nats) and temperature carries energy
+units (k_B = 1). Dimensions are desk-scale (d <= 64); everything is stored
+dense and eigendecomposed with LAPACK.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+HERMITICITY_ATOL = 1e-8
+SYMMETRIZE_ATOL = 1e-10
+EIGENVALUE_CLIP = 1e-12
+
+
+class DimensionMismatchError(ValueError):
+    """Operands live on Hilbert spaces of different dimension."""
+
+
+def _as_square_complex(entries) -> np.ndarray:
+    a = np.asarray(entries, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+@dataclass(frozen=True)
+class HermitianOperator:
+    """A validated Hermitian matrix (observable or Hamiltonian).
+
+    Entries are symmetrized at construction; asymmetry beyond 1e-8 is
+    rejected. Eigenvalues/eigenvectors are cached.
+    """
+
+    entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = _as_square_complex(self.entries)
+        asym = np.max(np.abs(a - a.conj().T))
+        if asym > HERMITICITY_ATOL:
+            raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+        a = (a + a.conj().T) / 2
+        a.setflags(write=False)
+        object.__setattr__(self, "entries", a)
+        w, v = np.linalg.eigh(a)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", v)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    @staticmethod
+    def diagonal(values) -> "HermitianOperator":
+        return HermitianOperator(np.diag(np.asarray(values, dtype=float)))
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A validated quantum state: Hermitian, unit trace, positive.
+
+    Eigenvalues below -1e-12 are rejected; tiny negative residue is clipped
+    to zero and the spectrum renormalized. The descending spectrum is cached
+    for entropy evaluations.
+    """
+
+    entries: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = _as_square_complex(self.entries)
+        asym = np.max(np.abs(a - a.conj().T))
+        if asym > HERMITICITY_ATOL:
+            raise ValueError(f"state is not Hermitian (asymmetry {asym:.3e})")
+        a = (a + a.conj().T) / 2
+        tr = np.trace(a).real
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"state trace is {tr}, expected 1")
+        w, v = np.linalg.eigh(a)
+        if w.min() < -EIGENVALUE_CLIP:
+            raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
+        w = np.clip(w, 0.0, None)
+        w = w / w.sum()
+        order = np.argsort(w)[::-1]
+        spectrum = w[order]
+        a.setflags(write=False)
+        spectrum.setflags(write=False)
+        v = v[:, order]
+        v.setflags(write=False)
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "eigenvectors", v)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    @staticmethod
+    def diagonal(probs) -> "DensityMatrix":
+        return DensityMatrix(np.diag(np.asarray(probs, dtype=float)))
+
+    @staticmethod
+    def maximally_mixed(dim: int) -> "DensityMatrix":
+        return DensityMatrix(np.eye(dim) / dim)
+
+    @staticmethod
+    def pure(vector) -> "DensityMatrix":
+        v = np.asarray(vector, dtype=complex).ravel()
+        v = v / np.linalg.norm(v)
+        return DensityMatrix(np.outer(v, v.conj()))
+
+
+@dataclass(frozen=True)
+class SubsystemSplit:
+    """Ordered tensor-factor dimensions of a composite system."""
+
+    dims: tuple
+
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError(f"invalid subsystem dims {dims}")
+        object.__setattr__(self, "dims", dims)
+
+    @property
+    def joint_dim(self) -> int:
+        return int(np.prod(self.dims))
+
+    def check(self, dim: int):
+        if self.joint_dim != dim:
+            raise DimensionMismatchError(
+                f"split {self.dims} has product {self.joint_dim}, state dim {dim}"
+            )
+
+
+def spectrum_entropy(probs: np.ndarray) -> float:
+    """Shannon entropy of a probability vector in nats, with 0 log 0 = 0."""
+    p = np.asarray(probs, dtype=float)
+    p = p[p > 0]
+    return float(-np.sum(p * np.log(p)))
+
+
+def entropy(rho: DensityMatrix) -> float:
+    """von Neumann entropy S(rho) = -Tr rho log rho, in nats."""
+    return spectrum_entropy(rho.spectrum)
+
+
+def expectation(a: HermitianOperator, rho: DensityMatrix) -> float:
+    """Tr(A rho); the imaginary residue must vanish within 1e-10."""
+    if a.dim != rho.dim:
+        raise DimensionMismatchError(f"operator dim {a.dim} != state dim {rho.dim}")
+    val = np.trace(a.entries @ rho.entries)
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
+    return float(val.real)
+
+
+def tensor(a, b):
+    """Kronecker product of two states or two operators."""
+    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
+        return DensityMatrix(np.kron(a.entries, b.entries))
+    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
+        return HermitianOperator(np.kron(a.entries, b.entries))
+    raise TypeError("tensor expects two DensityMatrix or two HermitianOperator")
+
+
+def kron_sum(*hamiltonians: HermitianOperator) -> HermitianOperator:
+    """Non-interacting joint Hamiltonian sum_X I (x) ... H_X ... (x) I."""
+    dims = [h.dim for h in hamiltonians]
+    total = None
+    for i, h in enumerate(hamiltonians):
+        left = int(np.prod(dims[:i], dtype=int))
+        right = int(np.prod(dims[i + 1:], dtype=int))
+        term = np.kron(np.kron(np.eye(left), h.entries), np.eye(right))
+        total = term if total is None else total + term
+    return HermitianOperator(total)
+
+
+def partial_trace(rho: DensityMatrix, split: SubsystemSplit, keep) -> DensityMatrix:
+    """Trace out every factor not in `keep` (an iterable of factor indices)."""
+    split.check(rho.dim)
+    keep = sorted(set(int(k) for k in keep))
+    n = len(split.dims)
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} factors")
+    dims = list(split.dims)
+    t = rho.entries.reshape(dims + dims)
+    traced = 0
+    for i in range(n):
+        if i not in keep:
+            ax = i - traced
+            nd = t.ndim
+            t = np.trace(t, axis1=ax, axis2=ax + nd // 2)
+            traced += 1
+    d_keep = int(np.prod([dims[k] for k in keep], dtype=int))
+    return DensityMatrix(t.reshape(d_keep, d_keep))
+
+
+def mutual_information(rho_ab: DensityMatrix, split: SubsystemSplit) -> float:
+    """I(A:B) = S(A) + S(B) - S(AB) for a bipartite split."""
+    if len(split.dims) != 2:
+        raise ValueError(f"mutual information needs a bipartite split, got {split.dims}")
+    split.check(rho_ab.dim)
+    s_a = entropy(partial_trace(rho_ab, split, [0]))
+    s_b = entropy(partial_trace(rho_ab, split, [1]))
+    return s_a + s_b - entropy(rho_ab)
+
+
+def ginibre_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    q, r = np.linalg.qr(ginibre_matrix(dim, rng))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
+    """Hilbert-Schmidt random state: G G^dag / Tr for Ginibre G."""
+    g = ginibre_matrix(dim, rng) if rank is None else (
+        rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    )
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def random_hamiltonian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
+    g = ginibre_matrix(dim, rng)
+    return HermitianOperator(scale * (g + g.conj().T) / 2)

@@ -1,0 +1,300 @@
+"""Heat, work, the first law, second-law checks, erasure, and the engine.
+
+A process is an entropy-preserving transformation of a bipartite system
+(A = working system, B = environment) with fixed non-interacting local
+Hamiltonians. Heat is the change in the bound energy of the environment;
+work on A is the global energy cost minus the environment's free-energy
+change. All four law statements below evaluate as numerical identities or
+inequalities on such records.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import quad
+
+from .energetics import bound_energy, free_energy
+from .gibbs import (
+    GibbsFamily,
+    boundary_energy,
+    boundary_entropy,
+    gibbs_state,
+    intrinsic_beta,
+)
+from .operators import (
+    DensityMatrix,
+    SubsystemSplit,
+    entropy,
+    expectation,
+    haar_unitary,
+    kron_sum,
+    mutual_information,
+    partial_trace,
+    random_density,
+    tensor,
+)
+
+GIBBS_ATOL = 1e-8
+
+
+class DegenerateEngineError(ValueError):
+    """Engine run draws no heat from the hot bath; efficiency undefined."""
+
+
+@dataclass(frozen=True)
+class ProcessRecord:
+    """An entropy-preserving transformation rho_AB -> rho'_AB."""
+
+    initial: DensityMatrix
+    final: DensityMatrix
+    split: SubsystemSplit
+    fam_a: GibbsFamily
+    fam_b: GibbsFamily
+
+    def __post_init__(self):
+        if len(self.split.dims) != 2:
+            raise ValueError("ProcessRecord needs a bipartite split")
+        self.split.check(self.initial.dim)
+        self.split.check(self.final.dim)
+        d_a, d_b = self.split.dims
+        if self.fam_a.dim != d_a or self.fam_b.dim != d_b:
+            raise ValueError("local family dimensions do not match the split")
+        ds = entropy(self.final) - entropy(self.initial)
+        if abs(ds) > 1e-9:
+            raise ValueError(f"process is not entropy preserving (dS = {ds:.3e})")
+
+    def marginals(self, which: str = "initial") -> tuple[DensityMatrix, DensityMatrix]:
+        rho = self.initial if which == "initial" else self.final
+        return (partial_trace(rho, self.split, [0]),
+                partial_trace(rho, self.split, [1]))
+
+
+@dataclass(frozen=True)
+class LedgerEntry:
+    """Full energy/entropy bookkeeping of one process."""
+
+    dQ: float       # heat dissipated by A (bound-energy change of B)
+    dQ_A: float     # bound-energy change of A (symmetric counterpart)
+    W: float        # global work cost dE_A + dE_B
+    dW_A: float     # work performed on A: W - dF_B
+    dE_A: float
+    dE_B: float
+    dF_A: float
+    dF_B: float
+    dS_A: float
+    dS_B: float
+    dI: float       # mutual-information change; equals dS_A + dS_B
+
+
+def heat(proc: ProcessRecord) -> float:
+    """dQ = B(rho'_B) - B(rho_B)."""
+    rho_b, rho_b2 = proc.marginals("initial")[1], proc.marginals("final")[1]
+    return bound_energy(rho_b2, proc.fam_b) - bound_energy(rho_b, proc.fam_b)
+
+
+def work_ledger(proc: ProcessRecord) -> LedgerEntry:
+    a0, b0 = proc.marginals("initial")
+    a1, b1 = proc.marginals("final")
+    e_a0 = expectation(proc.fam_a.hamiltonian, a0)
+    e_a1 = expectation(proc.fam_a.hamiltonian, a1)
+    e_b0 = expectation(proc.fam_b.hamiltonian, b0)
+    e_b1 = expectation(proc.fam_b.hamiltonian, b1)
+    ba0 = bound_energy(a0, proc.fam_a)
+    ba1 = bound_energy(a1, proc.fam_a)
+    bb0 = bound_energy(b0, proc.fam_b)
+    bb1 = bound_energy(b1, proc.fam_b)
+    d_e_a, d_e_b = e_a1 - e_a0, e_b1 - e_b0
+    d_q_a, d_q = ba1 - ba0, bb1 - bb0
+    d_f_a = (e_a1 - ba1) - (e_a0 - ba0)
+    d_f_b = (e_b1 - bb1) - (e_b0 - bb0)
+    w = d_e_a + d_e_b
+    d_s_a = entropy(a1) - entropy(a0)
+    d_s_b = entropy(b1) - entropy(b0)
+    return LedgerEntry(
+        dQ=d_q, dQ_A=d_q_a, W=w, dW_A=w - d_f_b,
+        dE_A=d_e_a, dE_B=d_e_b, dF_A=d_f_a, dF_B=d_f_b,
+        dS_A=d_s_a, dS_B=d_s_b,
+        dI=mutual_information(proc.final, proc.split)
+        - mutual_information(proc.initial, proc.split),
+    )
+
+
+def first_law_residual(proc: ProcessRecord) -> float:
+    """dE_A - (dW_A - dQ); an algebraic identity, residual at rounding level."""
+    led = work_ledger(proc)
+    return led.dE_A - (led.dW_A - led.dQ)
+
+
+def intrinsic_temperature_at_entropy(fam: GibbsFamily, s: float) -> float:
+    beta = intrinsic_beta(fam, s)
+    if beta == 0.0:
+        return math.inf
+    return 0.0 if math.isinf(beta) else 1.0 / beta
+
+
+def heat_integral_check(proc: ProcessRecord) -> float:
+    """Quadrature residual of dQ = int_{S_B}^{S'_B} T(s) ds with T the
+    intrinsic temperature of the thermal state of B at entropy s."""
+    s0 = entropy(proc.marginals("initial")[1])
+    s1 = entropy(proc.marginals("final")[1])
+    floor = math.log(proc.fam_b.ground_degeneracy)
+    if min(s0, s1) < floor - 1e-12:
+        raise ValueError("entropy segment crosses the degenerate sentinel region")
+    if abs(s1 - s0) < 1e-14:
+        return abs(heat(proc))
+    val, _ = quad(lambda s: intrinsic_temperature_at_entropy(proc.fam_b, s),
+                  s0, s1, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return abs(val - heat(proc))
+
+
+def is_gibbs(rho: DensityMatrix, fam: GibbsFamily, atol: float = GIBBS_ATOL) -> bool:
+    beta = intrinsic_beta(fam, entropy(rho))
+    gamma = gibbs_state(fam, beta)
+    return bool(np.max(np.abs(rho.entries - gamma.entries)) <= atol)
+
+
+def heat_bounds_check(proc: ProcessRecord) -> bool:
+    """For an initially thermal environment: T dS_B <= dQ <= dE_B."""
+    rho_b = proc.marginals("initial")[1]
+    if not is_gibbs(rho_b, proc.fam_b):
+        raise ValueError("heat_bounds_check requires an initially thermal environment")
+    beta = intrinsic_beta(proc.fam_b, entropy(rho_b))
+    led = work_ledger(proc)
+    t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else math.nan
+    return bool(t_ds <= led.dQ + 1e-9 and led.dQ <= led.dE_B + 1e-9)
+
+
+def extractable_work(rho: DensityMatrix, fam: GibbsFamily) -> tuple[float, DensityMatrix]:
+    """Maximum work under entropy-preserving maps: F(rho), with the witness
+    final state gamma(beta(rho))."""
+    beta = intrinsic_beta(fam, entropy(rho))
+    return free_energy(rho, fam), gibbs_state(fam, beta)
+
+
+def _initial_temperatures(proc: ProcessRecord) -> tuple[float, float]:
+    a0, b0 = proc.marginals("initial")
+    betas = (intrinsic_beta(proc.fam_a, entropy(a0)),
+             intrinsic_beta(proc.fam_b, entropy(b0)))
+    for beta in betas:
+        if math.isinf(beta) or beta == 0.0:
+            raise ValueError("clausius_check needs finite nonzero intrinsic temperatures")
+    return 1.0 / betas[0], 1.0 / betas[1]
+
+
+def clausius_check(proc: ProcessRecord) -> tuple[float, float, bool]:
+    """(T_B - T_A) dS_A >= dF_A + dF_B + T_B dI - W, with the initial
+    intrinsic temperatures."""
+    t_a, t_b = _initial_temperatures(proc)
+    led = work_ledger(proc)
+    lhs = (t_b - t_a) * led.dS_A
+    rhs = led.dF_A + led.dF_B + t_b * led.dI - led.W
+    return lhs, rhs, bool(lhs >= rhs - 1e-9)
+
+
+def kelvin_planck_check(proc: ProcessRecord) -> tuple[float, bool | None]:
+    """Balance dQ_A + dQ_B = -(dF_A + dF_B) + W (identity residual), plus the
+    corollary dQ_A + dQ_B <= W < 0 when both marginals start thermal and the
+    process extracts work."""
+    led = work_ledger(proc)
+    residual = abs((led.dQ_A + led.dQ) - (-(led.dF_A + led.dF_B) + led.W))
+    a0, b0 = proc.marginals("initial")
+    corollary = None
+    if led.W < 0 and is_gibbs(a0, proc.fam_a) and is_gibbs(b0, proc.fam_b):
+        corollary = bool(led.dQ_A + led.dQ <= led.W + 1e-9)
+    return residual, corollary
+
+
+@dataclass(frozen=True)
+class EngineRun:
+    work: float
+    efficiency: float
+    bound_finite: float   # 1 - dB_A / (-dB_B)
+    bound_carnot: float   # 1 - T_A / T_B
+    beta_joint: float
+
+
+def carnot_engine(bath_a: tuple[GibbsFamily, float, int],
+                  bath_b: tuple[GibbsFamily, float, int]) -> EngineRun:
+    """One-shot engine: iso-entropic joint equilibration of a cold bath A
+    (n_A copies at beta_a) and a hot bath B (n_B copies at beta_b).
+
+    Copies enter through multiplicities in the entropy/energy balance; no
+    tensor-power matrices are built.
+    """
+    fam_a, beta_a, n_a = bath_a
+    fam_b, beta_b, n_b = bath_b
+    if beta_a == beta_b:
+        raise DegenerateEngineError("equal bath temperatures: no work, efficiency undefined")
+    if not (beta_a > beta_b > 0):
+        raise ValueError("engine needs beta_a > beta_b > 0 (A cold, B hot)")
+    s_total = n_a * boundary_entropy(fam_a, beta_a) + n_b * boundary_entropy(fam_b, beta_b)
+
+    def resid(b):
+        return (n_a * boundary_entropy(fam_a, b)
+                + n_b * boundary_entropy(fam_b, b) - s_total)
+
+    from scipy.optimize import brentq
+    beta_j = brentq(resid, beta_b, beta_a, xtol=1e-12)
+    d_e_a = n_a * (boundary_energy(fam_a, beta_j) - boundary_energy(fam_a, beta_a))
+    d_e_b = n_b * (boundary_energy(fam_b, beta_j) - boundary_energy(fam_b, beta_b))
+    work = -(d_e_a + d_e_b)
+    if d_e_b >= -1e-15:
+        raise DegenerateEngineError("no heat drawn from the hot bath")
+    # thermal in, thermal out: bound-energy changes equal energy changes
+    bound_finite = 1.0 - d_e_a / (-d_e_b)
+    bound_carnot = 1.0 - beta_b / beta_a
+    return EngineRun(
+        work=work,
+        efficiency=work / (-d_e_b),
+        bound_finite=bound_finite,
+        bound_carnot=bound_carnot,
+        beta_joint=beta_j,
+    )
+
+
+def erasure(rho_s: DensityMatrix, fam_s: GibbsFamily,
+            rho_b: DensityMatrix, fam_b: GibbsFamily) -> tuple[bool, float | None]:
+    """Reset the system to |0><0| by dumping its entropy into a thermal bath.
+
+    Feasible iff S(rho_S) <= ln d_B - S(rho_B); the work cost compares the
+    joint free energies before and after, with the bath ending Gibbs at the
+    entropy-matched temperature.
+    """
+    s_s = entropy(rho_s)
+    s_b = entropy(rho_b)
+    if s_s > math.log(fam_b.dim) - s_b + 1e-12:
+        return False, None
+    beta_final = intrinsic_beta(fam_b, s_b + s_s)
+    rho_b_final = gibbs_state(fam_b, beta_final)
+    target = np.zeros((fam_s.dim, fam_s.dim))
+    target[0, 0] = 1.0
+    joint = GibbsFamily(kron_sum(fam_s.hamiltonian, fam_b.hamiltonian))
+    f_after = free_energy(tensor(DensityMatrix(target), rho_b_final), joint)
+    f_before = free_energy(tensor(rho_s, rho_b), joint)
+    return True, f_after - f_before
+
+
+def random_process(dims: tuple[int, int], rng: np.random.Generator,
+                   thermal_b: bool = False, beta_b: float = 1.0,
+                   fam_a: GibbsFamily | None = None,
+                   fam_b: GibbsFamily | None = None) -> ProcessRecord:
+    """Haar-random entropy-preserving process generator for law sweeps."""
+    from .operators import random_hamiltonian
+
+    d_a, d_b = dims
+    split = SubsystemSplit((d_a, d_b))
+    if fam_a is None:
+        fam_a = GibbsFamily(random_hamiltonian(d_a, rng))
+    if fam_b is None:
+        fam_b = GibbsFamily(random_hamiltonian(d_b, rng))
+    if thermal_b:
+        initial = tensor(random_density(d_a, rng), gibbs_state(fam_b, beta_b))
+    else:
+        initial = random_density(d_a * d_b, rng)
+    u = haar_unitary(d_a * d_b, rng)
+    final = DensityMatrix(u @ initial.entries @ u.conj().T)
+    return ProcessRecord(initial=initial, final=final, split=split,
+                         fam_a=fam_a, fam_b=fam_b)
