@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, entropy, spectrum_entropy
+from .energetics import bound_energy
+from .gibbs import GibbsFamily, gibbs_state, intrinsic_beta
+from .operators import (
+    DensityMatrix,
+    HermitianOperator,
+    entropy,
+    partial_trace,
+    spectrum_entropy,
+)
 
 COMMUTATOR_ATOL = 1e-10
 NEWTON_TOL = 1e-9
@@ -312,9 +320,6 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec,
     """Bound value of the generalized potential V_mu = sum_k mu_k L_k over
     iso-entropic states: treat V_mu as an effective Hamiltonian and apply
     the min-energy principle."""
-    from .energetics import bound_energy as single_bound_energy
-    from .gibbs import GibbsFamily, gibbs_state, intrinsic_beta
-
     mu = np.asarray(mu_vec, dtype=float)
     if np.any(mu < 0):
         raise ValueError("mu components must be nonnegative")
@@ -325,7 +330,7 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec,
     h_eff = HermitianOperator(sum(m * op.entries
                                   for m, op in zip(mu, fam.charge_set.charges)))
     eff = GibbsFamily(h_eff)
-    b_mu = single_bound_energy(rho, eff)
+    b_mu = bound_energy(rho, eff)
     beta = intrinsic_beta(eff, entropy(rho))
     gamma = gge_state(fam, beta * mu) if math.isfinite(beta) else gibbs_state(eff, beta)
     return b_mu, gamma
@@ -335,8 +340,6 @@ def second_law_charges_check(initial: DensityMatrix, final: DensityMatrix,
                              split, fam_b: GGEFamily, beta_vec) -> bool:
     """Second law for a GGE bath: sum_k beta_k dL_k^B >= dS_B, and
     for an entropy-preserving global process also >= -dS_A."""
-    from .operators import partial_trace
-
     beta_vec = np.asarray(beta_vec, dtype=float)
     b0 = partial_trace(initial, split, [1])
     b1 = partial_trace(final, split, [1])

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import charges as charges_mod
 from . import energetics
-from .diagram import export_diagram, sample_boundary
-from .equilibrium import equilibrate_isoenergetic, equilibrate_isoentropic
+from .diagram import _fmt, export_diagram, sample_boundary
+from .equilibrium import equilibrate_isoenergetic, equilibrate_isoentropic, joint_family
 from .gibbs import GibbsFamily, gibbs_state
 from .operators import DensityMatrix, HermitianOperator
 from .processes import (
@@ -123,7 +123,7 @@ def load_state(path, fam: GibbsFamily, gge=None) -> DensityMatrix:
             raise SchemaError(f"{path}.diagonal: expected {dim} probabilities")
         try:
             return DensityMatrix.diagonal([float(x) for x in diag])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}.diagonal: {exc}") from exc
     if "matrix" in data:
         m = data.get("matrix")
@@ -143,7 +143,11 @@ def load_state(path, fam: GibbsFamily, gge=None) -> DensityMatrix:
         g = data["gibbs"]
         if not isinstance(g, dict) or "beta" not in g:
             raise SchemaError(f"{path}.gibbs: needs 'beta'")
-        return gibbs_state(fam, float(g["beta"]))
+        try:
+            beta = float(g["beta"])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}.gibbs.beta: {exc}") from exc
+        return gibbs_state(fam, beta)
     if "gge" in data:
         g = data["gge"]
         if gge is None:
@@ -153,16 +157,12 @@ def load_state(path, fam: GibbsFamily, gge=None) -> DensityMatrix:
         vec = g["beta_vec"]
         if not isinstance(vec, list) or len(vec) != gge.q:
             raise SchemaError(f"{path}.gge.beta_vec: expected {gge.q} reals")
-        return charges_mod.gge_state(gge, [float(x) for x in vec])
+        try:
+            vec = [float(x) for x in vec]
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}.gge.beta_vec: {exc}") from exc
+        return charges_mod.gge_state(gge, vec)
     raise SchemaError(f"{path}: need one of 'diagonal', 'matrix', 'gibbs', 'gge'")
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0:
-        return "0"  # normalize -0.0
-    return f"{x:.12g}"
 
 
 def _json_val(x: float):
@@ -221,12 +221,12 @@ def cmd_rate(args) -> int:
 
 
 def cmd_equilibrate(args) -> int:
+    if len(args.system) != len(args.state):
+        raise SchemaError("need one state file per system file")
     pairs = []
     for sys_path, state_path in zip(args.system, args.state):
         fam, gge = load_system(sys_path)
         pairs.append((load_state(state_path, fam, gge), fam))
-    if len(args.system) != len(args.state):
-        raise SchemaError("need one state file per system file")
     if args.mode == "isoentropic":
         out = equilibrate_isoentropic(pairs)
         print(f"beta_joint = {_fmt(out.beta_joint)}")
@@ -279,7 +279,7 @@ def cmd_laws(args) -> int:
         except ValueError:
             pass  # sentinel temperatures: check not applicable
         led = work_ledger(proc)
-        f_joint, _ = extractable_work(proc.initial, _joint_family(proc))
+        f_joint, _ = extractable_work(proc.initial, joint_family([proc.fam_a, proc.fam_b]))
         checks.append(("work-extraction", -led.W <= f_joint + 1e-9))
         for name, ok in checks:
             if not ok:
@@ -287,11 +287,6 @@ def cmd_laws(args) -> int:
                 print(f"FAIL {name}: {_digest(proc)}")
     print(f"trials = {args.trials}, failures = {failures}")
     return EXIT_OK if failures == 0 else 1
-
-
-def _joint_family(proc):
-    from .equilibrium import joint_family
-    return joint_family([proc.fam_a, proc.fam_b])
 
 
 def cmd_charges(args) -> int:
@@ -315,8 +310,6 @@ def cmd_charges(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="isotherm")
-    p.add_argument("--threads", type=int, default=1,
-                   help="sweep parallelism hint (output is order-deterministic)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("info", help="thermodynamic report for one state")

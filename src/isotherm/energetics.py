@@ -52,8 +52,7 @@ def bound_energy(rho: DensityMatrix, fam: GibbsFamily) -> float:
 
 def free_energy(rho: DensityMatrix, fam: GibbsFamily) -> float:
     """F(rho) = E(rho) - B(rho) >= 0; exact zero below 1e-12."""
-    f = expectation(fam.hamiltonian, rho) - bound_energy(rho, fam)
-    return 0.0 if abs(f) < FREE_ENERGY_SNAP else f
+    return _snap(expectation(fam.hamiltonian, rho) - bound_energy(rho, fam))
 
 
 def _snap(x: float) -> float:
@@ -148,16 +147,18 @@ def variational_athermality(rho: DensityMatrix, fam: GibbsFamily,
 
 
 def report(rho: DensityMatrix, fam: GibbsFamily) -> EnergeticsReport:
+    """Every EnergeticsReport field, solving for each temperature once."""
     e = expectation(fam.hamiltonian, rho)
     s = entropy(rho)
-    b = bound_energy(rho, fam)
-    f = e - b
+    beta = intrinsic_beta(fam, s)
+    beta_spont = spontaneous_beta(fam, e)
+    b = fam.energy_min if math.isinf(beta) else boundary_energy(fam, beta)
     return EnergeticsReport(
         energy=e,
         entropy=s,
         bound_energy=b,
-        free_energy=0.0 if abs(f) < FREE_ENERGY_SNAP else f,
-        intrinsic_beta=intrinsic_beta(fam, s),
-        athermality=_snap(athermality(rho, fam)),
-        spontaneous_beta=spontaneous_beta(fam, e),
+        free_energy=_snap(e - b),
+        intrinsic_beta=beta,
+        athermality=_snap(boundary_entropy(fam, beta_spont) - s),
+        spontaneous_beta=beta_spont,
     )

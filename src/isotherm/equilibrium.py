@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .energetics import free_energy
-from .gibbs import GibbsFamily, boundary_energy, boundary_entropy, gibbs_state
+from .gibbs import GibbsFamily, boundary_energy, boundary_entropy, decreasing_root, gibbs_state
 from .operators import (
     DensityMatrix,
     SubsystemSplit,
@@ -88,13 +86,7 @@ def equilibrate_isoentropic(pairs, joint_state: DensityMatrix | None = None) -> 
         def resid(b):
             return sum(boundary_entropy(fam, b) for fam in fams) - s_total
 
-        if resid(0.0) <= 1e-12:
-            beta = 0.0
-        else:
-            hi = 1.0
-            while resid(hi) > 0:
-                hi *= 2.0
-            beta = brentq(resid, 0.0, hi, xtol=1e-12)
+        beta = 0.0 if resid(0.0) <= 1e-12 else decreasing_root(resid, 0.0, 1.0)
     final = _product_gibbs(fams, beta)
     if math.isinf(beta):
         e_final = sum(fam.energy_min for fam in fams)
@@ -124,20 +116,7 @@ def equilibrate_isoenergetic(pairs, joint_state: DensityMatrix | None = None) ->
     def resid(b):
         return sum(boundary_energy(fam, b) for fam in fams) - e_total
 
-    if abs(resid(0.0)) <= 1e-13:
-        beta = 0.0
-    else:
-        hi = 1.0
-        while resid(hi) > 0:
-            hi *= 2.0
-            if hi > 1e9:
-                break
-        lo = -1.0
-        while resid(lo) < 0:
-            lo *= 2.0
-            if lo < -1e9:
-                break
-        beta = brentq(resid, lo, hi, xtol=1e-12)
+    beta = 0.0 if abs(resid(0.0)) <= 1e-13 else decreasing_root(resid, -1.0, 1.0)
     final = _product_gibbs(fams, beta)
     s_final = sum(boundary_entropy(fam, beta) for fam in fams)
     return EquilibrationOutcome(

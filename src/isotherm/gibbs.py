@@ -12,13 +12,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .operators import DensityMatrix, HermitianOperator, spectrum_entropy
 
 DEGENERACY_ATOL = 1e-10
 BETA_XTOL = 1e-12
 ENTROPY_RTOL = 1e-10
+BRACKET_CAP = 1e18
+
+
+class BracketError(ValueError):
+    """A monotone residual kept its sign out to BRACKET_CAP: no root to bracket."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,29 @@ def boundary_energy(fam: GibbsFamily, beta: float) -> float:
     return float(np.dot(_weights(fam, beta), fam.eigenvalues))
 
 
+def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL) -> float:
+    """Root of a decreasing residual f, with the bracket [lo, hi] grown by doubling.
+
+    `hi` (> 0) doubles while f(hi) > 0; `lo` doubles only while it is negative
+    and f(lo) < 0, so a bracket starting at lo >= 0 costs no evaluation there.
+    Raises BracketError once either end passes BRACKET_CAP in magnitude.
+    scipy is imported here, on the first solve, not with the package.
+    """
+    from scipy.optimize import brentq
+
+    if not hi > 0:
+        raise ValueError(f"bracket needs hi > 0, got {hi}")
+    while f(hi) > 0:
+        hi *= 2.0
+        if hi > BRACKET_CAP:
+            raise BracketError(f"residual stays positive up to {BRACKET_CAP:g}")
+    while lo < 0 and f(lo) < 0:
+        lo *= 2.0
+        if lo < -BRACKET_CAP:
+            raise BracketError(f"residual stays negative down to {-BRACKET_CAP:g}")
+    return brentq(f, lo, hi, xtol=xtol)
+
+
 def intrinsic_beta(fam: GibbsFamily, target_entropy: float) -> float:
     """The beta* >= 0 with S(gamma(beta*)) = target_entropy.
 
@@ -124,12 +151,10 @@ def intrinsic_beta(fam: GibbsFamily, target_entropy: float) -> float:
     floor = math.log(fam.ground_degeneracy)
     if target <= floor + 1e-12:
         return math.inf
-    hi = 1.0
-    while boundary_entropy(fam, hi) > target:
-        hi *= 2.0
-        if hi > 1e18:
-            return math.inf
-    return brentq(lambda b: boundary_entropy(fam, b) - target, 0.0, hi, xtol=BETA_XTOL)
+    try:
+        return decreasing_root(lambda b: boundary_entropy(fam, b) - target, 0.0, 1.0)
+    except BracketError:
+        return math.inf
 
 
 def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
@@ -149,13 +174,4 @@ def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
     if target_energy >= np.dot(_limit_weights(fam, -1.0), fam.eigenvalues) - atol:
         return -math.inf
 
-    def resid(b):
-        return boundary_energy(fam, b) - target_energy
-
-    hi = 1.0
-    while resid(hi) > 0:
-        hi *= 2.0
-    lo = -1.0
-    while resid(lo) < 0:
-        lo *= 2.0
-    return brentq(resid, lo, hi, xtol=BETA_XTOL)
+    return decreasing_root(lambda b: boundary_energy(fam, b) - target_energy, -1.0, 1.0)

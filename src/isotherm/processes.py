@@ -14,13 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .energetics import bound_energy, free_energy
 from .gibbs import (
     GibbsFamily,
     boundary_energy,
     boundary_entropy,
+    decreasing_root,
     gibbs_state,
     intrinsic_beta,
 )
@@ -34,6 +34,7 @@ from .operators import (
     mutual_information,
     partial_trace,
     random_density,
+    random_hamiltonian,
     tensor,
 )
 
@@ -138,6 +139,8 @@ def intrinsic_temperature_at_entropy(fam: GibbsFamily, s: float) -> float:
 def heat_integral_check(proc: ProcessRecord) -> float:
     """Quadrature residual of dQ = int_{S_B}^{S'_B} T(s) ds with T the
     intrinsic temperature of the thermal state of B at entropy s."""
+    from scipy.integrate import quad
+
     s0 = entropy(proc.marginals("initial")[1])
     s1 = entropy(proc.marginals("final")[1])
     floor = math.log(proc.fam_b.ground_degeneracy)
@@ -236,8 +239,7 @@ def carnot_engine(bath_a: tuple[GibbsFamily, float, int],
         return (n_a * boundary_entropy(fam_a, b)
                 + n_b * boundary_entropy(fam_b, b) - s_total)
 
-    from scipy.optimize import brentq
-    beta_j = brentq(resid, beta_b, beta_a, xtol=1e-12)
+    beta_j = decreasing_root(resid, beta_b, beta_a)
     d_e_a = n_a * (boundary_energy(fam_a, beta_j) - boundary_energy(fam_a, beta_a))
     d_e_b = n_b * (boundary_energy(fam_b, beta_j) - boundary_energy(fam_b, beta_b))
     work = -(d_e_a + d_e_b)
@@ -282,8 +284,6 @@ def random_process(dims: tuple[int, int], rng: np.random.Generator,
                    fam_a: GibbsFamily | None = None,
                    fam_b: GibbsFamily | None = None) -> ProcessRecord:
     """Haar-random entropy-preserving process generator for law sweeps."""
-    from .operators import random_hamiltonian
-
     d_a, d_b = dims
     split = SubsystemSplit((d_a, d_b))
     if fam_a is None:

@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .diagram import DiagramPoint, state_point
-from .gibbs import GibbsFamily, boundary_entropy, spontaneous_beta
-from .operators import DensityMatrix
+from .gibbs import GibbsFamily, boundary_entropy, decreasing_root, spontaneous_beta
+from .operators import DensityMatrix, entropy
 
 COLLINEARITY_ATOL = 1e-8
 PURE_S_ATOL = 1e-9
@@ -67,12 +65,8 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
         kind, beta = _classify(fam, x_rho)
         return RateSolution(r=0.0, phi_point=x_rho, phi_kind="source-degenerate",
                             phi_beta=beta, collinearity_residual=0.0)
-    t_hi = 1.0
-    while margin(t_hi) > 0:
-        t_hi *= 2.0
-        if t_hi > 1e12:
-            raise RuntimeError("boundary intersection not found")
-    t_star = brentq(margin, 1.0, t_hi, xtol=1e-13)
+    # margin(1) > 0 is known, so the bracket search starts at t = 2
+    t_star = decreasing_root(margin, 1.0, 2.0, xtol=1e-13)
     phi = DiagramPoint(x_sigma.E + t_star * de, max(x_sigma.S + t_star * ds, 0.0))
     r = 1.0 - 1.0 / t_star
     kind, beta = _classify(fam, phi)
@@ -85,8 +79,6 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
 def rate_entropy_only(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Rate under the entropy constraint alone: S(rho)/S(sigma). May exceed
     1 when S(rho) > S(sigma); direction reversal is the caller's business."""
-    from .operators import entropy
-
     s_sigma = entropy(sigma)
     s_rho = entropy(rho)
     if s_sigma <= 0:

@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from isotherm.cli import main
 
 LN9 = math.log(9)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -191,6 +193,24 @@ class TestErrorPaths:
         bad = state_file(tmp_path, "bad.json", {"diagonal": [0.7, 0.7]})
         assert main(["info", qubit_system, bad]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"gibbs": {"beta": "abc"}},
+        {"gibbs": {"beta": None}},
+        {"diagonal": [None, 1.0]},
+    ])
+    def test_unparsable_number_exit_2(self, qubit_system, tmp_path, payload):
+        bad = state_file(tmp_path, "bad.json", payload)
+        assert main(["info", qubit_system, bad]) == 2
+
+    def test_unparsable_gge_beta_vec_exit_2(self, charged_system, tmp_path):
+        bad = state_file(tmp_path, "bad.json", {"gge": {"beta_vec": ["x", 1]}})
+        assert main(["charges", charged_system, bad]) == 2
+
+    def test_equilibrate_counts_checked_before_loading(self, capsys):
+        assert main(["equilibrate", "--system", "/nonexistent/a.json",
+                     "/nonexistent/b.json", "--state", "/nonexistent/c.json"]) == 2
+        assert "one state file per system file" in capsys.readouterr().err
+
     def test_domain_error_exit_3(self, tmp_path):
         # a single-subsystem equilibration is a domain error, not a schema error
         sys_a = state_file(tmp_path, "s.json",
@@ -198,3 +218,37 @@ class TestErrorPaths:
         st = state_file(tmp_path, "st.json", {"diagonal": [0.5, 0.5]})
         assert main(["equilibrate", "--system", sys_a,
                      "--state", st]) == 3
+
+
+class TestGoldenStdout:
+    """Byte-exact stdout of the root-solving commands, pinned in tests/data."""
+
+    @pytest.mark.parametrize("name", [
+        "cli_info.txt", "cli_rate.txt", "cli_equilibrate_isoentropic.txt",
+        "cli_equilibrate_isoenergetic.txt", "cli_engine.txt",
+    ])
+    def test_matches_file(self, name, qubit_system, p91_state, tmp_path, capsys):
+        s3 = math.sqrt(3) * 0.2
+        src = state_file(tmp_path, "src.json", {
+            "matrix": {"re": [[0.7, -s3], [-s3, 0.3]], "im": [[0.0, 0.0], [0.0, 0.0]]}})
+        tgt = state_file(tmp_path, "tgt.json", {"diagonal": [0.5, 0.5]})
+        cold = state_file(tmp_path, "cold.json", {"diagonal": [0.9, 0.1]})
+        hot = state_file(tmp_path, "hot.json", {"diagonal": [0.7, 0.3]})
+        a = state_file(tmp_path, "a.json", {"diagonal": [0.8, 0.2]})
+        b = state_file(tmp_path, "b.json", {"diagonal": [1.0, 0.0]})
+        argv = {
+            "cli_info.txt": ["info", qubit_system, p91_state],
+            "cli_rate.txt": ["rate", qubit_system, src, tgt],
+            "cli_equilibrate_isoentropic.txt": [
+                "equilibrate", "--system", qubit_system, qubit_system,
+                "--state", hot, cold],
+            "cli_equilibrate_isoenergetic.txt": [
+                "equilibrate", "--mode", "isoenergetic",
+                "--system", qubit_system, qubit_system, "--state", a, b],
+            "cli_engine.txt": [
+                "engine", "--system-a", qubit_system, "--system-b", qubit_system,
+                "--beta-a", str(math.log(9)), "--beta-b", str(math.log(7 / 3)),
+                "--copies", "1,2,4"],
+        }[name]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")

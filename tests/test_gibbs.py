@@ -1,14 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isotherm
 from isotherm.gibbs import (
+    BRACKET_CAP,
+    BracketError,
     GibbsFamily,
     boundary_energy,
     boundary_entropy,
+    decreasing_root,
     gibbs_state,
     intrinsic_beta,
     log_partition,
@@ -170,6 +178,46 @@ class TestSpontaneousBeta:
     def test_flat_spectrum(self):
         fam = GibbsFamily(HermitianOperator.diagonal([1.0, 1.0, 1.0]))
         assert spontaneous_beta(fam, 1.0) == 0.0
+
+
+class TestDecreasingRoot:
+    def test_grows_hi_without_touching_nonnegative_lo(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 100.0 - x
+
+        assert decreasing_root(f, 0.0, 1.0) == pytest.approx(100.0, abs=1e-10)
+        assert calls[:8] == [2.0 ** k for k in range(8)]
+
+    def test_grows_negative_lo(self):
+        assert decreasing_root(lambda x: -50.0 - x, -1.0, 1.0) == pytest.approx(
+            -50.0, abs=1e-10)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_sign_change_raises_within_cap(self, sign):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return sign
+
+        with pytest.raises(BracketError):
+            decreasing_root(f, -1.0, 1.0)
+        assert len(calls) <= 62
+        assert max(abs(x) for x in calls) <= BRACKET_CAP
+
+    def test_rejects_nonpositive_hi(self):
+        with pytest.raises(ValueError):
+            decreasing_root(lambda x: 1.0, -1.0, 0.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(isotherm.__file__).resolve().parents[1])
+    code = "import isotherm, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class TestProductStructure:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isotherm import rates
 from isotherm.gibbs import GibbsFamily, gibbs_state
 from isotherm.operators import DensityMatrix, entropy, random_density, random_hamiltonian
 from isotherm.rates import conversion_rate, rate_entropy_only
@@ -85,6 +86,12 @@ class TestConversionRate:
             if prev is not None:
                 assert abs(r - prev) < 0.05
             prev = r
+
+    def test_unbracketed_boundary_is_a_value_error(self, qubit, monkeypatch):
+        # a ray that never leaves the diagram: the bracket hits its cap
+        monkeypatch.setattr(rates, "_inside_margin", lambda fam, e, s: 1.0)
+        with pytest.raises(ValueError):
+            conversion_rate(rotated_qubit_source(), DensityMatrix.maximally_mixed(2), qubit)
 
 
 class TestEntropyOnlyRate:
