@@ -1,9 +1,14 @@
 """Multiple commuting conserved quantities: GGE states and geometry.
 
 A ChargeSet holds q pairwise-commuting observables (the Hamiltonian first);
-all GGE algebra runs in their cached common eigenbasis. The max-entropy
-solver is damped Newton with the analytic covariance Jacobian
-dL_j/dbeta_k = -Cov(L_j, L_k).
+all GGE algebra runs on their joint (q, d) spectrum in the cached common
+eigenbasis, through the spectral kernels of `gibbs`. Both vector solves (the
+max-entropy inversion, with Jacobian dL_j/dbeta_k = -Cov(L_j, L_k), and the
+bound-charge system) use one damped Newton: each step solves J step = -r and
+halves its length from 1 down to 1e-12 until max|r| strictly drops, keeping
+that candidate and its residual. A singular, non-finite or non-improving
+step, NEWTON_MAXITER steps, or |beta| past a cap with max|r| > NEWTON_TOL
+ends the run without a root.
 """
 
 from __future__ import annotations
@@ -13,8 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import bound_energy
-from .gibbs import GibbsFamily, gibbs_state, intrinsic_beta
+from .gibbs import (
+    GibbsFamily,
+    _boltzmann_weights,
+    _log_partition,
+    boundary_energy,
+    gibbs_state,
+    intrinsic_beta,
+)
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -33,22 +44,19 @@ class InfeasibleTargetError(ValueError):
     """Charge target on or outside the attainable region (singular covariance)."""
 
 
-def _common_eigenbasis(charges: list[HermitianOperator]) -> np.ndarray:
-    """Simultaneous eigenbasis via a generic linear combination; retried with
-    fresh coefficients if a non-generic draw leaves off-diagonal residue."""
-    dim = charges[0].dim
+def _common_eigenbasis(charges: list[HermitianOperator]) -> tuple[np.ndarray, np.ndarray]:
+    """Simultaneous eigenbasis via a generic linear combination, with the
+    (q, dim) joint eigenvalues of the charges in it; retried with fresh
+    coefficients if a non-generic draw leaves off-diagonal residue."""
     rng = np.random.default_rng(1234)
     for _ in range(8):
         coeffs = rng.standard_normal(len(charges))
         combo = sum(c * op.entries for c, op in zip(coeffs, charges))
         _, v = np.linalg.eigh(combo)
-        ok = all(
-            np.max(np.abs((v.conj().T @ op.entries @ v)
-                          - np.diag(np.diagonal(v.conj().T @ op.entries @ v)))) < 1e-8
-            for op in charges
-        )
-        if ok:
-            return v
+        blocks = [v.conj().T @ op.entries @ v for op in charges]
+        if all(np.max(np.abs(b - np.diag(np.diagonal(b)))) < 1e-8 for b in blocks):
+            # C-contiguous rows: a strided np.real view shifts BLAS results' last bits
+            return v, np.stack([np.real(np.diagonal(b)) for b in blocks])
     raise ValueError("failed to find a common eigenbasis; are the charges commuting?")
 
 
@@ -94,11 +102,7 @@ class GGEFamily:
     joint_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = _common_eigenbasis(list(self.charge_set.charges))
-        ells = np.stack([
-            np.real(np.diagonal(v.conj().T @ op.entries @ v))
-            for op in self.charge_set.charges
-        ])  # shape (q, dim)
+        v, ells = _common_eigenbasis(list(self.charge_set.charges))
         v.setflags(write=False)
         ells.setflags(write=False)
         object.__setattr__(self, "basis", v)
@@ -126,90 +130,84 @@ def charges_point(rho: DensityMatrix, fam: GGEFamily) -> ChargesPoint:
     return ChargesPoint(L=vals, S=entropy(rho))
 
 
-def _gge_weights(fam: GGEFamily, beta_vec: np.ndarray) -> np.ndarray:
-    x = -(beta_vec @ fam.joint_eigenvalues)
-    x = x - x.max()
-    w = np.exp(x)
-    return w / w.sum()
+def _gge_weights(fam: GGEFamily, beta_vec) -> np.ndarray:
+    return _boltzmann_weights(fam.joint_eigenvalues, np.asarray(beta_vec, dtype=float))
 
 
 def gge_state(fam: GGEFamily, beta_vec) -> DensityMatrix:
     """gamma(beta_vec) = e^(-sum_k beta_k L_k) / Z in the common eigenbasis."""
-    beta_vec = np.asarray(beta_vec, dtype=float)
     w = _gge_weights(fam, beta_vec)
     v = fam.basis
     return DensityMatrix((v * w) @ v.conj().T)
 
 
 def gge_log_partition(fam: GGEFamily, beta_vec) -> float:
-    beta_vec = np.asarray(beta_vec, dtype=float)
-    x = -(beta_vec @ fam.joint_eigenvalues)
-    m = x.max()
-    return float(m + np.log(np.sum(np.exp(x - m))))
+    return _log_partition(fam.joint_eigenvalues, np.asarray(beta_vec, dtype=float))
 
 
 def gge_charges(fam: GGEFamily, beta_vec) -> np.ndarray:
-    return fam.joint_eigenvalues @ _gge_weights(fam, np.asarray(beta_vec, dtype=float))
+    return fam.joint_eigenvalues @ _gge_weights(fam, beta_vec)
 
 
 def gge_entropy(fam: GGEFamily, beta_vec) -> float:
-    return spectrum_entropy(_gge_weights(fam, np.asarray(beta_vec, dtype=float)))
+    return spectrum_entropy(_gge_weights(fam, beta_vec))
 
 
 def gge_covariance(fam: GGEFamily, beta_vec) -> np.ndarray:
     """Cov_gamma(L_j, L_k); the negative of the Jacobian dL/dbeta."""
-    w = _gge_weights(fam, np.asarray(beta_vec, dtype=float))
+    w = _gge_weights(fam, beta_vec)
     ells = fam.joint_eigenvalues
     mean = ells @ w
     centered = ells - mean[:, None]
     return (centered * w) @ centered.T
 
 
-def gge_solve(fam: GGEFamily, target, beta0=None,
-              rng: np.random.Generator | None = None,
+def _damped_newton(residual, jacobian, beta: np.ndarray,
+                   cap: float = math.inf) -> np.ndarray | None:
+    """Damped Newton on residual(beta) = 0 from `beta` (see the module
+    docstring); the root, or None when the run fails."""
+    resid = residual(beta)
+    for _ in range(NEWTON_MAXITER):
+        base = np.max(np.abs(resid))
+        if base <= NEWTON_TOL:
+            return beta
+        try:
+            step = np.linalg.solve(jacobian(beta), -resid)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        t = 1.0
+        while t > 1e-12:
+            cand = beta + t * step
+            cand_resid = residual(cand)
+            if np.max(np.abs(cand_resid)) < base:
+                beta, resid = cand, cand_resid
+                break
+            t /= 2.0
+        else:
+            return None
+        if np.max(np.abs(beta)) > cap:
+            return beta if np.max(np.abs(resid)) <= NEWTON_TOL else None
+    return None
+
+
+def gge_solve(fam: GGEFamily, target, rng: np.random.Generator | None = None,
               restarts: int = NEWTON_RESTARTS) -> np.ndarray:
-    """Invert beta_vec -> L_vec(gamma) by damped Newton with up to 32
-    Gaussian-perturbed restarts; raises on boundary/infeasible targets."""
+    """Invert beta_vec -> L_vec(gamma) by damped Newton from 0 with up to 32
+    Gaussian restarts; raises on boundary/infeasible targets."""
     target = np.asarray(target, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
-    scale = max(np.max(np.abs(fam.joint_eigenvalues)), 1.0)
-    seed = np.zeros(fam.q) if beta0 is None else np.asarray(beta0, dtype=float)
+    cap = 1e4 * max(np.max(np.abs(fam.joint_eigenvalues)), 1.0)
     for attempt in range(restarts + 1):
-        beta = seed if attempt == 0 else seed + rng.standard_normal(fam.q)
-        beta = beta.astype(float).copy()
-        resid = gge_charges(fam, beta) - target
-        for _ in range(NEWTON_MAXITER):
-            if np.max(np.abs(resid)) <= NEWTON_TOL:
-                return beta
-            cov = gge_covariance(fam, beta)
-            try:
-                step = np.linalg.solve(cov, resid)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            # damp: halve until the residual does not increase
-            t = 1.0
-            base = np.max(np.abs(resid))
-            while t > 1e-12:
-                cand = beta + t * step
-                cand_resid = gge_charges(fam, cand) - target
-                if np.max(np.abs(cand_resid)) < base:
-                    beta, resid = cand, cand_resid
-                    break
-                t /= 2.0
-            else:
-                break
-            if np.max(np.abs(beta)) > 1e4 * scale:
-                break
-        else:
-            continue
-        if np.max(np.abs(resid)) <= NEWTON_TOL:
+        start = np.zeros(fam.q) if attempt == 0 else rng.standard_normal(fam.q)
+        beta = _damped_newton(lambda b: gge_charges(fam, b) - target,
+                              lambda b: -gge_covariance(fam, b), start, cap)
+        if beta is not None:
             return beta
     raise InfeasibleTargetError(
-        f"no GGE state matches charges {target} (boundary or infeasible target)"
-    )
+        f"no GGE state matches charges {target} (boundary or infeasible target)")
 
 
 def beta_vec_athermality(rho: DensityMatrix, fam: GGEFamily, beta_vec) -> float:
@@ -228,47 +226,23 @@ def absolute_athermality(rho: DensityMatrix, fam: GGEFamily,
     return gge_entropy(fam, beta) - pt.S
 
 
-def _entropy_gradient(fam: GGEFamily, beta: np.ndarray) -> np.ndarray:
-    # dS/dbeta_j = -sum_m beta_m Cov(L_m, L_j)
-    return -(beta @ gge_covariance(fam, beta))
-
-
 def _constrained_newton(fam: GGEFamily, k: int, target_l: np.ndarray,
                         target_s: float, seed: np.ndarray) -> np.ndarray | None:
     """Newton on the q-system: L_i(gamma) = L_i(rho) for i != k and
     S(gamma) = S(rho). Returns the converged beta_vec or None."""
     idx = [i for i in range(fam.q) if i != k]
-    beta = seed.astype(float).copy()
-    for _ in range(NEWTON_MAXITER):
-        l_now = gge_charges(fam, beta)
-        s_now = gge_entropy(fam, beta)
-        resid = np.concatenate([l_now[idx] - target_l[idx], [s_now - target_s]])
-        if np.max(np.abs(resid)) <= NEWTON_TOL:
-            return beta
+
+    def residual(beta):
+        w = _gge_weights(fam, beta)
+        l_now = fam.joint_eigenvalues @ w
+        return np.concatenate([l_now[idx] - target_l[idx], [spectrum_entropy(w) - target_s]])
+
+    def jacobian(beta):
         cov = gge_covariance(fam, beta)
-        jac = np.vstack([-cov[idx, :], _entropy_gradient(fam, beta)])
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        t = 1.0
-        base = np.max(np.abs(resid))
-        improved = False
-        while t > 1e-12:
-            cand = beta + t * step
-            l_c = gge_charges(fam, cand)
-            s_c = gge_entropy(fam, cand)
-            r_c = np.concatenate([l_c[idx] - target_l[idx], [s_c - target_s]])
-            if np.max(np.abs(r_c)) < base:
-                beta = cand
-                improved = True
-                break
-            t /= 2.0
-        if not improved:
-            return None
-    return None
+        # dS/dbeta_j = -sum_m beta_m Cov(L_m, L_j)
+        return np.vstack([-cov[idx, :], -(beta @ cov)])
+
+    return _damped_newton(residual, jacobian, seed)
 
 
 @dataclass(frozen=True)
@@ -330,10 +304,10 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec,
     h_eff = HermitianOperator(sum(m * op.entries
                                   for m, op in zip(mu, fam.charge_set.charges)))
     eff = GibbsFamily(h_eff)
-    b_mu = bound_energy(rho, eff)
     beta = intrinsic_beta(eff, entropy(rho))
-    gamma = gge_state(fam, beta * mu) if math.isfinite(beta) else gibbs_state(eff, beta)
-    return b_mu, gamma
+    if math.isinf(beta):
+        return eff.energy_min, gibbs_state(eff, beta)
+    return boundary_energy(eff, beta), gge_state(fam, beta * mu)
 
 
 def second_law_charges_check(initial: DensityMatrix, final: DensityMatrix,

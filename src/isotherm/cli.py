@@ -144,10 +144,9 @@ def load_state(path, fam: GibbsFamily, gge=None) -> DensityMatrix:
         if not isinstance(g, dict) or "beta" not in g:
             raise SchemaError(f"{path}.gibbs: needs 'beta'")
         try:
-            beta = float(g["beta"])
+            return gibbs_state(fam, float(g["beta"]))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}.gibbs.beta: {exc}") from exc
-        return gibbs_state(fam, beta)
     if "gge" in data:
         g = data["gge"]
         if gge is None:
@@ -158,10 +157,9 @@ def load_state(path, fam: GibbsFamily, gge=None) -> DensityMatrix:
         if not isinstance(vec, list) or len(vec) != gge.q:
             raise SchemaError(f"{path}.gge.beta_vec: expected {gge.q} reals")
         try:
-            vec = [float(x) for x in vec]
+            return charges_mod.gge_state(gge, [float(x) for x in vec])
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}.gge.beta_vec: {exc}") from exc
-        return charges_mod.gge_state(gge, vec)
     raise SchemaError(f"{path}: need one of 'diagonal', 'matrix', 'gibbs', 'gge'")
 
 
@@ -239,9 +237,14 @@ def cmd_equilibrate(args) -> int:
 
 
 def cmd_engine(args) -> int:
+    try:
+        copies = [int(c) for c in args.copies.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"--copies: {exc}") from exc
+    if min(copies) < 1:
+        raise SchemaError(f"--copies: need positive integers, got {args.copies}")
     fam_a, _ = load_system(args.system_a)
     fam_b, _ = load_system(args.system_b)
-    copies = [int(c) for c in args.copies.split(",")]
     rows = []
     for n in copies:
         run = carnot_engine((fam_a, args.beta_a, n), (fam_b, args.beta_b, n))

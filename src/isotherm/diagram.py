@@ -20,7 +20,6 @@ from .gibbs import (
     boundary_energy,
     boundary_entropy,
     intrinsic_beta,
-    log_partition,
     spontaneous_beta,
 )
 from .operators import DensityMatrix, entropy, expectation
@@ -54,14 +53,12 @@ def warped_beta_grid(beta_min: float, beta_max: float, n_points: int) -> np.ndar
 
 
 def sample_boundary(fam: GibbsFamily, beta_min: float = -20.0, beta_max: float = 20.0,
-                    n_points: int = 513, include_limits: bool = False) -> BoundarySample:
+                    n_points: int = 513) -> BoundarySample:
     if not beta_min < beta_max:
         raise ValueError("beta_min must be below beta_max")
     if n_points < 3:
         raise ValueError("need at least 3 sample points")
     betas = warped_beta_grid(beta_min, beta_max, n_points)
-    if include_limits:
-        betas = np.concatenate([[-math.inf], betas, [math.inf]])
     points = [DiagramPoint(boundary_energy(fam, b), boundary_entropy(fam, b))
               for b in betas]
     return BoundarySample(betas=betas, points=points, family=fam)

@@ -25,6 +25,10 @@ class BracketError(ValueError):
     """A monotone residual kept its sign out to BRACKET_CAP: no root to bracket."""
 
 
+class ConvergenceError(ValueError):
+    """brentq ran out of iterations inside a valid bracket."""
+
+
 @dataclass(frozen=True)
 class GibbsFamily:
     """The one-parameter family gamma(beta) = e^(-beta H)/Z of a Hamiltonian."""
@@ -58,12 +62,24 @@ class GibbsFamily:
         return int(np.sum(self.eigenvalues >= self.eigenvalues[-1] - DEGENERACY_ATOL))
 
 
-def _boltzmann_weights(fam: GibbsFamily, beta: float) -> np.ndarray:
-    """Normalized Gibbs probabilities over the eigenvalues, overflow safe."""
-    x = -beta * fam.eigenvalues
+def _boltzmann_weights(levels: np.ndarray, beta) -> np.ndarray:
+    """Normalized probabilities e^(-beta . levels) / Z, overflow safe.
+
+    `levels` is a spectrum with a scalar beta, or a (q, d) joint spectrum
+    with a q-vector beta.
+    """
+    x = np.dot(-beta, levels)
     x = x - x.max()
     w = np.exp(x)
     return w / w.sum()
+
+
+def _log_partition(levels: np.ndarray, beta) -> float:
+    """ln sum_i e^(-beta . levels_i), with the spectral shift; `levels` and
+    `beta` as in _boltzmann_weights."""
+    x = np.dot(-beta, levels)
+    m = x.max()
+    return float(m + np.log(np.sum(np.exp(x - m))))
 
 
 def _limit_weights(fam: GibbsFamily, beta: float) -> np.ndarray:
@@ -79,7 +95,7 @@ def _limit_weights(fam: GibbsFamily, beta: float) -> np.ndarray:
 def _weights(fam: GibbsFamily, beta: float) -> np.ndarray:
     if math.isinf(beta):
         return _limit_weights(fam, beta)
-    return _boltzmann_weights(fam, beta)
+    return _boltzmann_weights(fam.eigenvalues, beta)
 
 
 def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
@@ -96,9 +112,7 @@ def log_partition(fam: GibbsFamily, beta: float) -> float:
     """ln Z_beta = ln sum_i e^(-beta eps_i), computed with spectral shift."""
     if math.isinf(beta):
         raise ValueError("log_partition needs finite beta")
-    x = -beta * fam.eigenvalues
-    m = x.max()
-    return float(m + np.log(np.sum(np.exp(x - m))))
+    return _log_partition(fam.eigenvalues, beta)
 
 
 def boundary_entropy(fam: GibbsFamily, beta: float) -> float:
@@ -116,7 +130,9 @@ def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL) -> float:
 
     `hi` (> 0) doubles while f(hi) > 0; `lo` doubles only while it is negative
     and f(lo) < 0, so a bracket starting at lo >= 0 costs no evaluation there.
-    Raises BracketError once either end passes BRACKET_CAP in magnitude.
+    Raises BracketError once either end passes BRACKET_CAP in magnitude, and
+    ConvergenceError if brentq has not converged after as many iterations as
+    bisection needs to shrink any finite bracket (width < 2**1025) to xtol.
     scipy is imported here, on the first solve, not with the package.
     """
     from scipy.optimize import brentq
@@ -131,7 +147,10 @@ def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL) -> float:
         lo *= 2.0
         if lo < -BRACKET_CAP:
             raise BracketError(f"residual stays negative down to {-BRACKET_CAP:g}")
-    return brentq(f, lo, hi, xtol=xtol)
+    try:
+        return brentq(f, lo, hi, xtol=xtol, maxiter=1025 + math.ceil(-math.log2(xtol)))
+    except RuntimeError as exc:
+        raise ConvergenceError(f"no root to {xtol:g} in [{lo:g}, {hi:g}]: {exc}") from exc
 
 
 def intrinsic_beta(fam: GibbsFamily, target_entropy: float) -> float:

@@ -20,19 +20,26 @@ class DimensionMismatchError(ValueError):
     """Operands live on Hilbert spaces of different dimension."""
 
 
-def _as_square_complex(entries) -> np.ndarray:
+def _hermitian_entries(entries, what: str) -> np.ndarray:
+    """Square, finite and Hermitian within HERMITICITY_ATOL; returned
+    symmetrized. `what` names the matrix in the error messages."""
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
+    asym = np.max(np.abs(a - a.conj().T))
+    if asym > HERMITICITY_ATOL:
+        raise ValueError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
+    return (a + a.conj().T) / 2
 
 
 @dataclass(frozen=True)
 class HermitianOperator:
     """A validated Hermitian matrix (observable or Hamiltonian).
 
-    Entries are symmetrized at construction; asymmetry beyond 1e-8 is
-    rejected. Eigenvalues/eigenvectors are cached.
+    Entries are symmetrized at construction; non-finite entries and
+    asymmetry beyond 1e-8 are rejected. Eigenvalues/eigenvectors are cached.
     """
 
     entries: np.ndarray
@@ -40,11 +47,7 @@ class HermitianOperator:
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _as_square_complex(self.entries)
-        asym = np.max(np.abs(a - a.conj().T))
-        if asym > HERMITICITY_ATOL:
-            raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-        a = (a + a.conj().T) / 2
+        a = _hermitian_entries(self.entries, "matrix")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         w, v = np.linalg.eigh(a)
@@ -64,7 +67,7 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state: Hermitian, unit trace, positive.
+    """A validated quantum state: finite, Hermitian, unit trace, positive.
 
     Eigenvalues below -1e-12 are rejected; tiny negative residue is clipped
     to zero and the spectrum renormalized. The descending spectrum is cached
@@ -76,11 +79,7 @@ class DensityMatrix:
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = _as_square_complex(self.entries)
-        asym = np.max(np.abs(a - a.conj().T))
-        if asym > HERMITICITY_ATOL:
-            raise ValueError(f"state is not Hermitian (asymmetry {asym:.3e})")
-        a = (a + a.conj().T) / 2
+        a = _hermitian_entries(self.entries, "state")
         tr = np.trace(a).real
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"state trace is {tr}, expected 1")

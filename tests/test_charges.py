@@ -1,12 +1,16 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isotherm.charges import (
+    NEWTON_TOL,
     ChargeSet,
     GGEFamily,
     InfeasibleTargetError,
+    _damped_newton,
     absolute_athermality,
     beta_vec_athermality,
     bound_charge,
@@ -32,6 +36,9 @@ from isotherm.operators import (
     random_density,
     tensor,
 )
+
+
+PINNED = Path(__file__).parent / "data" / "charges_pinned.json"
 
 
 @pytest.fixture
@@ -233,3 +240,57 @@ class TestChargesRate:
         if sol.phi_kind != "source-degenerate":
             assert sol.collinearity_residual <= 1e-6
             assert 0.0 <= sol.r <= 1.0 + 1e-12
+
+
+class TestDampedNewton:
+    def test_converges_on_nonlinear_system(self):
+        def residual(x):
+            return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
+
+        def jacobian(x):
+            return np.array([[2 * x[0], 2 * x[1]], [1.0, -1.0]])
+
+        root = _damped_newton(residual, jacobian, np.array([1.0, 0.5]))
+        assert np.max(np.abs(residual(root))) <= NEWTON_TOL
+        assert root == pytest.approx([math.sqrt(2), math.sqrt(2)], abs=1e-8)
+
+    def test_singular_jacobian_gives_none(self):
+        assert _damped_newton(lambda x: x - 1.0, lambda x: np.zeros((2, 2)),
+                              np.zeros(2)) is None
+
+    def test_non_improving_step_gives_none(self):
+        # the Jacobian has the wrong sign, so every damped step raises |r|
+        assert _damped_newton(lambda x: x - 1.0, lambda x: -np.eye(2),
+                              np.zeros(2)) is None
+
+    def test_cap_gives_none_above_tolerance(self):
+        # r = e^-x drops along every step but has no root; |x| passes the cap
+        assert _damped_newton(lambda x: np.exp(-x), lambda x: np.diag(-np.exp(-x)),
+                              np.zeros(1), cap=10.0) is None
+
+
+class TestPinnedSolverValues:
+    """gge_solve, bound_charge and conversion_rate_charges on rotated
+    (non-diagonal) charge families, pinned in tests/data."""
+
+    @staticmethod
+    def _case(seed, d, q):
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(d, rng)
+        ops = tuple(HermitianOperator((u * lam) @ u.conj().T)
+                    for lam in rng.standard_normal((q, d)))
+        return GGEFamily(ChargeSet(ops)), random_density(d, rng), random_density(d, rng)
+
+    @pytest.mark.parametrize("pin", json.loads(PINNED.read_text(encoding="utf-8")),
+                             ids=lambda pin: f"seed{pin['seed']}-d{pin['d']}-q{pin['q']}")
+    def test_matches_pinned(self, pin):
+        fam, rho, sigma = self._case(pin["seed"], pin["d"], pin["q"])
+        beta = gge_solve(fam, charges_point(rho, fam).L)
+        assert beta == pytest.approx(pin["gge_solve_beta"], abs=1e-12)
+        bound = bound_charge(rho, fam, 0)
+        assert bound.value == pytest.approx(pin["bound_charge_value"], abs=1e-12)
+        assert bound.beta_vec == pytest.approx(pin["bound_charge_beta"], abs=1e-12)
+        assert bound.certified == pin["bound_charge_certified"]
+        rate = conversion_rate_charges(rho, sigma, fam)
+        assert rate.r == pytest.approx(pin["rate_r"], abs=1e-12)
+        assert rate.phi_kind == pin["rate_kind"]

@@ -146,6 +146,17 @@ class TestEngine:
         assert main(["engine", "--system-a", qubit_system, "--system-b", qubit_system,
                      "--beta-a", "0.5", "--beta-b", "2.0"]) == 3
 
+    def test_extreme_cold_bath(self, qubit_system, capsys):
+        assert main(["engine", "--system-a", qubit_system, "--system-b", qubit_system,
+                     "--beta-a", "1e300", "--beta-b", "1"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("copies", ["1,x", "0", "-1", "1,,2"])
+    def test_malformed_copies_exit_2(self, qubit_system, copies, capsys):
+        assert main(["engine", "--system-a", qubit_system, "--system-b", qubit_system,
+                     "--beta-a", "2.0", "--beta-b", "1.0", "--copies", copies]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestLaws:
     def test_sweep_passes(self, capsys):
@@ -202,6 +213,28 @@ class TestErrorPaths:
         bad = state_file(tmp_path, "bad.json", payload)
         assert main(["info", qubit_system, bad]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"diagonal": ["nan", 1.0]},
+        {"gibbs": {"beta": "nan"}},
+    ])
+    def test_nonfinite_state_exit_2(self, qubit_system, tmp_path, payload):
+        bad = state_file(tmp_path, "bad.json", payload)
+        assert main(["info", qubit_system, bad]) == 2
+
+    def test_nonfinite_hamiltonian_exit_2(self, p91_state, tmp_path):
+        bad = state_file(tmp_path, "sys.json",
+                         {"dim": 2, "hamiltonian": {"diagonal": ["nan", 1.0]}})
+        assert main(["info", bad, p91_state]) == 2
+
+    def test_nonfinite_gge_beta_vec_exit_2(self, charged_system, tmp_path):
+        bad = state_file(tmp_path, "bad.json", {"gge": {"beta_vec": [0.8, "nan"]}})
+        assert main(["charges", charged_system, bad]) == 2
+
+    def test_infinite_gibbs_beta_is_sentinel(self, qubit_system, tmp_path, capsys):
+        ground = state_file(tmp_path, "ground.json", {"gibbs": {"beta": "inf"}})
+        assert main(["info", "--json", qubit_system, ground]) == 0
+        assert json.loads(capsys.readouterr().out)["beta_intrinsic"] == "inf"
+
     def test_unparsable_gge_beta_vec_exit_2(self, charged_system, tmp_path):
         bad = state_file(tmp_path, "bad.json", {"gge": {"beta_vec": ["x", 1]}})
         assert main(["charges", charged_system, bad]) == 2
@@ -221,13 +254,15 @@ class TestErrorPaths:
 
 
 class TestGoldenStdout:
-    """Byte-exact stdout of the root-solving commands, pinned in tests/data."""
+    """Byte-exact stdout of the root- and Newton-solving commands, pinned in
+    tests/data."""
 
     @pytest.mark.parametrize("name", [
         "cli_info.txt", "cli_rate.txt", "cli_equilibrate_isoentropic.txt",
-        "cli_equilibrate_isoenergetic.txt", "cli_engine.txt",
+        "cli_equilibrate_isoenergetic.txt", "cli_engine.txt", "cli_charges.txt",
     ])
-    def test_matches_file(self, name, qubit_system, p91_state, tmp_path, capsys):
+    def test_matches_file(self, name, qubit_system, p91_state, charged_system, tmp_path,
+                          capsys):
         s3 = math.sqrt(3) * 0.2
         src = state_file(tmp_path, "src.json", {
             "matrix": {"re": [[0.7, -s3], [-s3, 0.3]], "im": [[0.0, 0.0], [0.0, 0.0]]}})
@@ -236,6 +271,7 @@ class TestGoldenStdout:
         hot = state_file(tmp_path, "hot.json", {"diagonal": [0.7, 0.3]})
         a = state_file(tmp_path, "a.json", {"diagonal": [0.8, 0.2]})
         b = state_file(tmp_path, "b.json", {"diagonal": [1.0, 0.0]})
+        gge = state_file(tmp_path, "gge.json", {"gge": {"beta_vec": [0.8, -0.3]}})
         argv = {
             "cli_info.txt": ["info", qubit_system, p91_state],
             "cli_rate.txt": ["rate", qubit_system, src, tgt],
@@ -249,6 +285,7 @@ class TestGoldenStdout:
                 "engine", "--system-a", qubit_system, "--system-b", qubit_system,
                 "--beta-a", str(math.log(9)), "--beta-b", str(math.log(7 / 3)),
                 "--copies", "1,2,4"],
+            "cli_charges.txt": ["charges", charged_system, gge],
         }[name]
         assert main(argv) == 0
         assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")

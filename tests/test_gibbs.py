@@ -13,6 +13,7 @@ import isotherm
 from isotherm.gibbs import (
     BRACKET_CAP,
     BracketError,
+    ConvergenceError,
     GibbsFamily,
     boundary_energy,
     boundary_entropy,
@@ -211,6 +212,23 @@ class TestDecreasingRoot:
     def test_rejects_nonpositive_hi(self):
         with pytest.raises(ValueError):
             decreasing_root(lambda x: 1.0, -1.0, 0.0)
+
+    def test_wide_bracket_converges(self):
+        # the flat tails leave brentq bisecting, far past its default 100 iterations
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -math.tanh(x - 7.0)
+
+        assert decreasing_root(f, 1.0, 1e300) == pytest.approx(7.0, abs=1e-10)
+        assert len(calls) > 900
+
+    def test_nonconvergence_raises_named_error(self):
+        # hi - lo overflows, so brentq never shrinks the bracket
+        with pytest.raises(ConvergenceError) as err:
+            decreasing_root(lambda x: 1.0 - x, -1.7e308, 1.7e308)
+        assert isinstance(err.value, ValueError)
 
 
 def test_import_leaves_scipy_unloaded():

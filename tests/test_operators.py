@@ -35,6 +35,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_nonfinite_entries(self, bad):
+        a = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        a[1, 1] = bad
+        for cls in (HermitianOperator, DensityMatrix):
+            with pytest.raises(ValueError, match="non-finite"):
+                cls(a)
+
     def test_density_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.6, 0.6]))

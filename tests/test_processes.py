@@ -208,6 +208,12 @@ class TestEngine:
             assert run.efficiency <= run.bound_finite + 1e-9
             assert run.bound_finite <= run.bound_carnot + 1e-9
 
+    def test_extreme_cold_bath(self, qubit):
+        # the joint-beta bracket [1, 1e300] needs about 1000 brentq iterations
+        run = carnot_engine((qubit, 1e300, 1), (qubit, 1.0, 1))
+        assert run.beta_joint == pytest.approx(2.37471957239, abs=1e-9)
+        assert run.efficiency < run.bound_carnot
+
     def test_equal_temperatures_degenerate(self, qubit):
         with pytest.raises(DegenerateEngineError):
             carnot_engine((qubit, 1.0, 1), (qubit, 1.0, 1))
