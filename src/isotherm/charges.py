@@ -1,14 +1,31 @@
 """Multiple commuting conserved quantities: GGE states and geometry.
 
-A ChargeSet holds q pairwise-commuting observables (the Hamiltonian first);
-all GGE algebra runs on their joint (q, d) spectrum in the cached common
-eigenbasis, through the spectral kernels of `gibbs`. Both vector solves (the
-max-entropy inversion, with Jacobian dL_j/dbeta_k = -Cov(L_j, L_k), and the
-bound-charge system) use one damped Newton: each step solves J step = -r and
-halves its length from 1 down to 1e-12 until max|r| strictly drops, keeping
-that candidate and its residual. A singular, non-finite or non-improving
-step, NEWTON_MAXITER steps, or |beta| past a cap with max|r| > NEWTON_TOL
-ends the run without a root.
+A ChargeSet holds q pairwise-commuting observables (the Hamiltonian first).
+Dephased in their common eigenbasis a state is a distribution p on the d
+joint eigenvalues ell_i, whose charges L = sum_i p_i ell_i fill the charge
+polytope conv{ell_i}; GGE algebra runs on this (q, d) joint spectrum through
+the spectral kernels of `gibbs`.
+
+- `gge_solve` inverts beta_vec -> L(gamma): damped Newton (J = -Cov), each
+  step halved from 1 to 1e-12 until max|r| strictly drops, with Gaussian
+  restarts after a singular, non-finite or non-improving step,
+  NEWTON_MAXITER steps, or |beta| past a cap above NEWTON_TOL.
+- `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
+  (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
+  the polytope; if the maximum entropy on its optimal face reaches S, the
+  entropy constraint is inactive and that LP floor is the bound (beta_k =
+  +inf, as in `bound_energy`). Otherwise the bound is the maximizer of the
+  concave dual g(lambda, nu) = -nu ln sum_i e^(-(c + A^T lambda)_i / nu)
+  - lambda.b + nu S, the GGE with beta_k = 1/nu > 0 and beta_j =
+  lambda_j/nu: at each beta_k a Newton ascent in lambda meets A p = b, and
+  beta_k is the root of S - H, the derivative of g in nu.
+- `conversion_rate_charges` follows the ray x_sigma + t (x_rho - x_sigma),
+  t >= 1. One LP gives t_wall, where L(t) leaves the polytope, and the face
+  it leaves through. f(t) = S_max(L(t)) - S(t) is concave on [1, t_wall]
+  with f(1) > 0, so the ray exits at S = 0 ("pure") iff t_pure <= t_wall,
+  through the wall (kind "thermal", phi_beta None) iff S(t_wall) is at most
+  the maximum entropy on the face, and otherwise ("thermal") at the one
+  root of f in [1, t_wall].
 """
 
 from __future__ import annotations
@@ -23,6 +40,7 @@ from .gibbs import (
     _boltzmann_weights,
     _log_partition,
     boundary_energy,
+    decreasing_root,
     gibbs_state,
     intrinsic_beta,
 )
@@ -38,6 +56,11 @@ COMMUTATOR_ATOL = 1e-10
 NEWTON_TOL = 1e-9
 NEWTON_MAXITER = 200
 NEWTON_RESTARTS = 32
+FACE_RTOL = 1e-9  # relative reduced cost (or singular value) counted as zero
+ENTROPY_ATOL = 1e-10  # entropy shortfall of an LP face still taken as reaching S
+# HiGHS' smallest feasibility tolerances: levels 1e-10 apart count as distinct
+LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+RATE_XTOL = 1e-13
 
 
 class InfeasibleTargetError(ValueError):
@@ -153,13 +176,15 @@ def gge_entropy(fam: GGEFamily, beta_vec) -> float:
     return spectrum_entropy(_gge_weights(fam, beta_vec))
 
 
+def _covariance(levels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Covariance of the rows of a (q, d) joint spectrum under weights w."""
+    centered = levels - (levels @ w)[:, None]
+    return (centered * w) @ centered.T
+
+
 def gge_covariance(fam: GGEFamily, beta_vec) -> np.ndarray:
     """Cov_gamma(L_j, L_k); the negative of the Jacobian dL/dbeta."""
-    w = _gge_weights(fam, beta_vec)
-    ells = fam.joint_eigenvalues
-    mean = ells @ w
-    centered = ells - mean[:, None]
-    return (centered * w) @ centered.T
+    return _covariance(fam.joint_eigenvalues, _gge_weights(fam, beta_vec))
 
 
 def _damped_newton(residual, jacobian, beta: np.ndarray,
@@ -226,23 +251,68 @@ def absolute_athermality(rho: DensityMatrix, fam: GGEFamily,
     return gge_entropy(fam, beta) - pt.S
 
 
-def _constrained_newton(fam: GGEFamily, k: int, target_l: np.ndarray,
-                        target_s: float, seed: np.ndarray) -> np.ndarray | None:
-    """Newton on the q-system: L_i(gamma) = L_i(rho) for i != k and
-    S(gamma) = S(rho). Returns the converged beta_vec or None."""
-    idx = [i for i in range(fam.q) if i != k]
+def _lp_face(c, a_eq, b_eq, n_free: int = 0):
+    """min c.x subject to a_eq x = b_eq, x >= 0 but for the last n_free
+    entries, by HiGHS (scipy is imported on the first LP): the equality duals
+    and the mask of the bounded entries on the optimal face, whose reduced
+    cost is at most FACE_RTOL of the largest; None if the LP is unbounded."""
+    from scipy.optimize import linprog
 
-    def residual(beta):
-        w = _gge_weights(fam, beta)
-        l_now = fam.joint_eigenvalues @ w
-        return np.concatenate([l_now[idx] - target_l[idx], [spectrum_entropy(w) - target_s]])
+    n = len(c) - n_free
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * n + [(None, None)] * n_free,
+                  options=LP_TOLERANCES)
+    if res.status == 3:
+        return None
+    if res.status != 0:
+        raise InfeasibleTargetError(f"charge polytope LP failed: {res.message}")
+    cost = res.lower.marginals[:n]
+    return res.eqlin.marginals, cost <= FACE_RTOL * cost.max()
 
-    def jacobian(beta):
-        cov = gge_covariance(fam, beta)
-        # dS/dbeta_j = -sum_m beta_m Cov(L_m, L_j)
-        return np.vstack([-cov[idx, :], -(beta @ cov)])
 
-    return _damped_newton(residual, jacobian, seed)
+def _max_entropy(weights, levels: np.ndarray, target: np.ndarray,
+                 lam: np.ndarray) -> np.ndarray:
+    """The lam at which weights(lam), proportional to e^(-lam.levels) times
+    fixed factors, give levels @ w = target to NEWTON_TOL: the maximizer of
+    the concave -ln Z(lam) - lam.target, by Newton steps from `lam`, each
+    halved from 1 until the slope along it is at least -1/2 of its starting
+    value, which a full step near the maximizer meets. Raises after
+    NEWTON_MAXITER steps, on a singular covariance or a step not taken."""
+    w = weights(lam)
+    grad = levels @ w - target
+    for _ in range(NEWTON_MAXITER):
+        if np.max(np.abs(grad), initial=0.0) <= NEWTON_TOL:
+            return lam
+        try:  # the Hessian is -Cov(levels)
+            step = np.linalg.solve(_covariance(levels, w), grad)
+        except np.linalg.LinAlgError:
+            break
+        t, slope = 1.0, grad @ step
+        while t >= 1e-12:
+            w = weights(lam + t * step)
+            if (levels @ w - target) @ step >= -slope / 2:
+                break
+            t /= 2.0
+        else:
+            break
+        lam = lam + t * step
+        grad = levels @ w - target
+    raise InfeasibleTargetError(f"no maximum-entropy state with charges {target}")
+
+
+def _face_max_entropy(levels: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The max-entropy p >= 0 on the columns of `levels` with levels @ p =
+    target and sum(p) = 1, for a target inside their hull: the one solution
+    on a simplex (affinely independent columns), else a GGE in the columns'
+    affine coordinates."""
+    x = levels - target[:, None]
+    u, sv, _ = np.linalg.svd(x, full_matrices=False)
+    coords = u[:, sv > FACE_RTOL * sv.max(initial=0.0)].T @ x
+    r, m = coords.shape
+    if r == m - 1:
+        p = np.linalg.lstsq(np.vstack([coords, np.ones(m)]), np.eye(m)[-1], rcond=None)[0]
+        return np.clip(p, 0.0, None)
+    return _boltzmann_weights(coords, _max_entropy(
+        lambda b: _boltzmann_weights(coords, b), coords, np.zeros(r), np.zeros(r)))
 
 
 @dataclass(frozen=True)
@@ -251,41 +321,77 @@ class BoundChargeSolution:
     free_charge: float           # F_k = L_k(rho) - B_k
     gamma: DensityMatrix
     beta_vec: np.ndarray
-    certified: bool              # beta_k > 0 at the minimizer
+    certified: bool              # beta_k > 0 at the minimizer: always true
+
+
+def _lp_floor(fam: GGEFamily, k: int, pt: ChargesPoint) -> BoundChargeSolution | None:
+    """The LP minimum of L_k at the other charges of pt, if the maximum
+    entropy on the optimal face reaches pt.S; gamma is then
+    x diag(p) + (1 - x)|psi><psi| with psi = sum_i sqrt(p_i)|i>, whose
+    diagonal is the face's max-entropy p for every x and whose entropy,
+    concave in x from 0 to H(p), is S at the x found by a root."""
+    ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
+    duals, face = _lp_face(ells[k], np.vstack([ells[idx], np.ones(fam.dim)]),
+                           np.append(pt.L[idx], 1.0))
+    p = np.zeros(fam.dim)
+    p[face] = _face_max_entropy(ells[idx][:, face], pt.L[idx])
+    if spectrum_entropy(p) < pt.S - ENTROPY_ATOL:
+        return None
+    root = np.sqrt(p)
+
+    def mixed(x):
+        return x * np.diag(p) + (1.0 - x) * np.outer(root, root)
+
+    def excess(x):
+        return pt.S - spectrum_entropy(np.linalg.eigvalsh(mixed(x)))
+
+    if excess(1.0) >= 0:  # S at H(p)
+        x = 1.0
+    elif excess(0.0) <= 0:  # S = 0, to rounding
+        x = 0.0
+    else:
+        x = decreasing_root(excess, 0.0, 1.0)
+    limit = np.insert(-duals[:-1], k, 1.0)  # beta_vec = lim (lambda, 1)/nu
+    value = float(ells[k] @ p)
+    return BoundChargeSolution(
+        value=value,
+        free_charge=float(pt.L[k] - value),
+        gamma=DensityMatrix(fam.basis @ mixed(x) @ fam.basis.conj().T),
+        beta_vec=np.where(limit == 0, 0.0, np.copysign(math.inf, limit)),
+        certified=True,
+    )
 
 
 def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
                  rng: np.random.Generator | None = None) -> BoundChargeSolution:
-    """Minimum of L_k over GGE states with the entropy and the other charges
-    fixed at rho's values; at the minimizer the tangent normal has
-    beta_k > 0."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    """Minimum of L_k over states with rho's entropy and other charges: the
+    LP floor, or the dual maximizer of the module docstring. `rng` is unused."""
     pt = charges_point(rho, fam)
-    try:
-        beta_star = gge_solve(fam, pt.L, rng=rng)
-    except InfeasibleTargetError:
-        beta_star = np.zeros(fam.q)
-    solutions = []
-    seeds = [beta_star + t * np.eye(fam.q)[k] for t in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    seeds += [beta_star + rng.standard_normal(fam.q) for _ in range(8)]
-    for seed in seeds:
-        sol = _constrained_newton(fam, k, pt.L, pt.S, seed)
-        if sol is not None:
-            solutions.append(sol)
-    certified = [b for b in solutions if b[k] > 0]
-    pool = certified if certified else solutions
-    if not pool:
-        raise InfeasibleTargetError("bound_charge solver failed to converge")
-    values = [gge_charges(fam, b)[k] for b in pool]
-    i = int(np.argmin(values))
-    beta = pool[i]
+    floor = _lp_floor(fam, k, pt)
+    if floor is not None:
+        return floor
+    ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
+    unit = np.eye(fam.q)
+    embed = unit[:, idx]  # the other charges' beta_j into beta_vec
+    ratio = np.zeros(fam.q - 1)  # the dual lambda = beta_j/beta_k, bounded as beta_k grows
+
+    def tilted(theta: float) -> np.ndarray:  # beta_vec: beta_k = theta, rho's other charges
+        nonlocal ratio
+        lam = _max_entropy(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
+                           ells[idx], pt.L[idx], theta * ratio)
+        ratio = lam / theta if theta > 0 else ratio
+        return embed @ lam + theta * unit[k]
+
+    theta = decreasing_root(lambda th: gge_entropy(fam, tilted(th)) - pt.S,
+                            0.0, 1.0 / np.ptp(ells[k]))
+    beta = tilted(theta)
+    value = float(gge_charges(fam, beta)[k])
     return BoundChargeSolution(
-        value=float(values[i]),
-        free_charge=float(pt.L[k] - values[i]),
+        value=value,
+        free_charge=float(pt.L[k] - value),
         gamma=gge_state(fam, beta),
         beta_vec=beta,
-        certified=bool(beta[k] > 0),
+        certified=True,
     )
 
 
@@ -338,20 +444,11 @@ class ChargesRateSolution:
     collinearity_residual: float
 
 
-def _charges_margin(fam: GGEFamily, l_vec: np.ndarray, s: float) -> float:
-    """Inside margin of the charges-entropy region; negative/-inf outside."""
-    if s < 0:
-        return s
-    try:
-        beta = gge_solve(fam, l_vec, restarts=4)
-    except InfeasibleTargetError:
-        return -1.0
-    return min(s, gge_entropy(fam, beta) - s)
-
-
 def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
                             fam: GGEFamily) -> ChargesRateSolution:
-    """Interconversion rate in the (q+1)-dimensional charges-entropy diagram."""
+    """Interconversion rate r = 1 - 1/t* in the (q+1)-dimensional
+    charges-entropy diagram, where the ray x_sigma + t (x_rho - x_sigma),
+    t >= 1, leaves the region (see the module docstring)."""
     x_rho = charges_point(rho, fam)
     x_sigma = charges_point(sigma, fam)
     d_l = x_rho.L - x_sigma.L
@@ -360,36 +457,41 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         return ChargesRateSolution(r=1.0, phi_point=x_rho, phi_kind="thermal",
                                    phi_beta=None, collinearity_residual=0.0)
 
-    def margin(t: float) -> float:
-        return _charges_margin(fam, x_sigma.L + t * d_l, x_sigma.S + t * d_s)
+    def gap(t: float) -> float:  # S_max(L(t)) - S(t)
+        return gge_entropy(fam, gge_solve(fam, x_sigma.L + t * d_l)) - (x_sigma.S + t * d_s)
 
-    if margin(1.0) <= 1e-10:
+    try:
+        gap_1 = gap(1.0)
+    except InfeasibleTargetError:  # rho's charges on the polytope's boundary
+        gap_1 = -1.0
+    if min(x_rho.S, gap_1) <= 1e-10:
         return ChargesRateSolution(r=0.0, phi_point=x_rho,
                                    phi_kind="source-degenerate", phi_beta=None,
                                    collinearity_residual=0.0)
-    t_lo, t_hi = 1.0, 2.0
-    while margin(t_hi) > 0:
-        t_lo, t_hi = t_hi, t_hi * 2.0
-        if t_hi > 1e12:
-            raise RuntimeError("boundary intersection not found")
-    for _ in range(80):  # bisection; margin may jump outside the charge region
-        mid = (t_lo + t_hi) / 2
-        if margin(mid) > 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    t_star = (t_lo + t_hi) / 2
+    ells = fam.joint_eigenvalues
+    a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
+    b_eq = np.append(x_sigma.L, 1.0)
+    lp = _lp_face(-np.eye(fam.dim + 1)[-1], a_eq, b_eq, n_free=1)
+    t_wall, gap_wall = math.inf, -math.inf
+    if lp is not None:  # t_wall to rounding, from the equalities on the face
+        face = np.append(lp[1], True)
+        t_wall = float(np.linalg.lstsq(a_eq[:, face], b_eq, rcond=None)[0][-1])
+        p = _face_max_entropy(ells[:, face[:-1]], x_sigma.L + t_wall * d_l)
+        gap_wall = spectrum_entropy(p) - (x_sigma.S + t_wall * d_s)
+    t_pure = -x_sigma.S / d_s if d_s < 0 else math.inf
+    beta = None
+    if t_pure <= t_wall:
+        t_star, kind = t_pure, "pure"
+    elif gap_wall >= 0:
+        t_star, kind = t_wall, "thermal"
+    else:
+        known = {1.0: gap_1, t_wall: gap_wall}
+        t_star = decreasing_root(lambda t: known[t] if t in known else gap(t),
+                                 1.0, 2.0 if lp is None else t_wall, xtol=RATE_XTOL)
+        kind, beta = "thermal", gge_solve(fam, x_sigma.L + t_star * d_l)
     phi = ChargesPoint(L=x_sigma.L + t_star * d_l,
                        S=max(x_sigma.S + t_star * d_s, 0.0))
     r = 1.0 - 1.0 / t_star
-    if phi.S <= 1e-9:
-        kind, beta = "pure", None
-    else:
-        kind = "thermal"
-        try:
-            beta = gge_solve(fam, phi.L)
-        except InfeasibleTargetError:
-            beta = None
     res = max(
         float(np.max(np.abs(x_rho.L - (r * x_sigma.L + (1 - r) * phi.L)))),
         abs(x_rho.S - (r * x_sigma.S + (1 - r) * phi.S)),

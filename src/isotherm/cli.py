@@ -311,6 +311,15 @@ def cmd_charges(args) -> int:
     return EXIT_OK
 
 
+def _beta(text: str) -> float:
+    """argparse type of the beta flags: a float, inf (the sentinel) included,
+    nan rejected."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="isotherm")
     sub = p.add_subparsers(dest="command", required=True)
@@ -324,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("boundary", help="export the energy-entropy diagram CSV")
     sp.add_argument("system")
     sp.add_argument("--state", nargs="*", default=[])
-    sp.add_argument("--beta-min", type=float, default=-20.0)
-    sp.add_argument("--beta-max", type=float, default=20.0)
+    sp.add_argument("--beta-min", type=_beta, default=-20.0)
+    sp.add_argument("--beta-max", type=_beta, default=20.0)
     sp.add_argument("--points", type=int, default=513)
     sp.add_argument("-o", "--output", default="diagram.csv")
     sp.set_defaults(func=cmd_boundary)
@@ -346,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("engine", help="finite-bath heat engine run")
     sp.add_argument("--system-a", required=True)
     sp.add_argument("--system-b", required=True)
-    sp.add_argument("--beta-a", type=float, required=True)
-    sp.add_argument("--beta-b", type=float, required=True)
+    sp.add_argument("--beta-a", type=_beta, required=True)
+    sp.add_argument("--beta-b", type=_beta, required=True)
     sp.add_argument("--copies", default="1")
     sp.set_defaults(func=cmd_engine)
 

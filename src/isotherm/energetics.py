@@ -15,7 +15,6 @@ from .gibbs import (
     GibbsFamily,
     boundary_energy,
     boundary_entropy,
-    gibbs_state,
     intrinsic_beta,
     log_partition,
     spontaneous_beta,
@@ -75,7 +74,11 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def relative_entropy_check(rho: DensityMatrix, fam: GibbsFamily) -> float:
-    """Residual |F(rho) - T(rho) D(rho || gamma(rho))|; expected <= 1e-8."""
+    """Residual |F(rho) - T(rho) D(rho || gamma(rho))|; expected <= 1e-8.
+
+    D against a Gibbs state is taken spectrally, as beta E - S + ln Z: an
+    `eigh` of the dense Gibbs matrix would lose the relative precision of its
+    small eigenvalues at large beta."""
     beta = intrinsic_beta(fam, entropy(rho))
     f = free_energy(rho, fam)
     if beta == 0.0:
@@ -83,8 +86,7 @@ def relative_entropy_check(rho: DensityMatrix, fam: GibbsFamily) -> float:
         return abs(f)
     if math.isinf(beta):
         raise ValueError("relative_entropy_check needs finite positive intrinsic beta")
-    gamma = gibbs_state(fam, beta)
-    return abs(f - relative_entropy(rho, gamma) / beta)
+    return abs(f - beta_athermality(rho, fam, beta) / beta)
 
 
 def beta_free_energy(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .energetics import bound_energy, free_energy
 from .gibbs import (
+    BRACKET_CAP,
     GibbsFamily,
     boundary_energy,
     boundary_entropy,
@@ -239,7 +240,8 @@ def carnot_engine(bath_a: tuple[GibbsFamily, float, int],
         return (n_a * boundary_entropy(fam_a, b)
                 + n_b * boundary_entropy(fam_b, b) - s_total)
 
-    beta_j = decreasing_root(resid, beta_b, beta_a)
+    # a zero-temperature cold bath (beta_a = inf) still has a finite joint beta
+    beta_j = decreasing_root(resid, beta_b, min(beta_a, BRACKET_CAP))
     d_e_a = n_a * (boundary_energy(fam_a, beta_j) - boundary_energy(fam_a, beta_a))
     d_e_b = n_b * (boundary_energy(fam_b, beta_j) - boundary_energy(fam_b, beta_b))
     work = -(d_e_a + d_e_b)

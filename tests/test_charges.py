@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, nnls
 
 from isotherm.charges import (
     NEWTON_TOL,
@@ -34,11 +37,82 @@ from isotherm.operators import (
     entropy,
     haar_unitary,
     random_density,
+    spectrum_entropy,
     tensor,
 )
 
 
 PINNED = Path(__file__).parent / "data" / "charges_pinned.json"
+
+
+def bisection_rate(rho, sigma, fam):
+    """The charges rate route that the LP exits replaced, kept as an oracle:
+    double t from 2, then bisect 80 times on an inside margin that reads -1
+    where gge_solve fails. Returns (r, kind); r is None if source-degenerate."""
+    x_rho, x_sigma = charges_point(rho, fam), charges_point(sigma, fam)
+    d_l, d_s = x_rho.L - x_sigma.L, x_rho.S - x_sigma.S
+
+    def margin(t):
+        s = x_sigma.S + t * d_s
+        if s < 0:
+            return s
+        try:
+            beta = gge_solve(fam, x_sigma.L + t * d_l, restarts=4)
+        except InfeasibleTargetError:
+            return -1.0
+        return min(s, gge_entropy(fam, beta) - s)
+
+    if margin(1.0) <= 1e-10:
+        return None, "source-degenerate"
+    t_lo, t_hi = 1.0, 2.0
+    while margin(t_hi) > 0:
+        t_lo, t_hi = t_hi, t_hi * 2.0
+    for _ in range(80):
+        mid = (t_lo + t_hi) / 2
+        if margin(mid) > 0:
+            t_lo = mid
+        else:
+            t_hi = mid
+    t_star = (t_lo + t_hi) / 2
+    return 1.0 - 1.0 / t_star, "pure" if x_sigma.S + t_star * d_s <= 1e-9 else "thermal"
+
+
+def segment_bound(fam, rho, k=0, n=20001):
+    """Brute-force B_k when q = d - 1: the populations with the other charges
+    fixed form a segment p0 + s v, L_k is linear in s, and the entropy is
+    concave in s, so the minimum sits at an end of the segment or where the
+    entropy crosses S(rho); a grid scan finds the crossings, brentq refines."""
+    ells, pt = fam.joint_eigenvalues, charges_point(rho, fam)
+    rows = np.vstack([np.delete(ells, k, axis=0), np.ones(fam.dim)])
+    assert np.linalg.matrix_rank(rows) == fam.dim - 1
+    p0 = np.linalg.lstsq(rows, np.append(np.delete(pt.L, k), 1.0), rcond=None)[0]
+    v = np.linalg.svd(rows)[2][-1]
+    lo = max(-p0[i] / v[i] for i in range(fam.dim) if v[i] > 0)
+    hi = min(-p0[i] / v[i] for i in range(fam.dim) if v[i] < 0)
+
+    def excess(s):
+        return spectrum_entropy(np.clip(p0 + s * v, 0.0, None)) - pt.S
+
+    grid = np.linspace(lo, hi, n)
+    ok = np.array([excess(s) >= 0 for s in grid])
+    ends = [s for s, keep in ((lo, ok[0]), (hi, ok[-1])) if keep]
+    ends += [brentq(excess, grid[i], grid[i + 1], xtol=1e-15)
+             for i in np.flatnonzero(ok[:-1] != ok[1:])]
+    return min(float(ells[k] @ (p0 + s * v)) for s in ends)
+
+
+def benchmark_case(f):
+    """Family f of the 32 in the benchmark's charges workload (population seed
+    20170706, shapes (d, q) cycling (4, 2), (4, 3), (8, 2), (8, 3)), before
+    its per-round rotation, with its state pair (rho, sigma)."""
+    base = np.random.default_rng(20170706)
+    population = [(haar_unitary(d, base), base.standard_normal((q, d)))
+                  for _ in range(8) for d, q in ((4, 2), (4, 3), (8, 2), (8, 3))]
+    states = [(random_density(u.shape[0], base), random_density(u.shape[0], base),
+               base.uniform(0.1, 1.0, len(spectra))) for u, spectra in population]
+    u, spectra = population[f]
+    ops = tuple(HermitianOperator((u * lam) @ u.conj().T) for lam in spectra)
+    return GGEFamily(ChargeSet(ops)), states[f][0], states[f][1]
 
 
 @pytest.fixture
@@ -288,9 +362,113 @@ class TestPinnedSolverValues:
         beta = gge_solve(fam, charges_point(rho, fam).L)
         assert beta == pytest.approx(pin["gge_solve_beta"], abs=1e-12)
         bound = bound_charge(rho, fam, 0)
-        assert bound.value == pytest.approx(pin["bound_charge_value"], abs=1e-12)
-        assert bound.beta_vec == pytest.approx(pin["bound_charge_beta"], abs=1e-12)
+        assert bound.value == pytest.approx(pin["bound_charge_value"], abs=1e-9)
+        assert bound.beta_vec == pytest.approx(pin["bound_charge_beta"], rel=1e-7)
         assert bound.certified == pin["bound_charge_certified"]
         rate = conversion_rate_charges(rho, sigma, fam)
         assert rate.r == pytest.approx(pin["rate_r"], abs=1e-12)
         assert rate.phi_kind == pin["rate_kind"]
+
+
+class TestBoundChargeOracles:
+    """bound_charge against a brute-force scan of the one-dimensional
+    feasible segment of q = d - 1 families."""
+
+    @pytest.mark.parametrize("f", [1, 5, 9, 13, 17, 25, 29])
+    def test_benchmark_d4_q3_families(self, f):
+        # the d = 4, q = 3 benchmark families whose bound is the LP floor
+        # (six) or a cold minimizer (25)
+        fam, rho, _ = benchmark_case(f)
+        sol = bound_charge(rho, fam, 0)
+        assert sol.certified and sol.beta_vec[0] > 0
+        assert sol.value == pytest.approx(segment_bound(fam, rho), abs=1e-9)
+        assert sol.free_charge >= 0.0
+        if f == 25:  # the one family whose entropy constraint is active
+            assert sol.value == pytest.approx(0.3099, abs=1e-4)
+            assert sol.beta_vec[0] == pytest.approx(31.5, abs=0.1)
+        else:
+            assert sol.beta_vec[0] == math.inf
+
+    def test_pinned_seed2_floor(self):
+        fam, rho, _ = TestPinnedSolverValues._case(2, 4, 3)
+        sol = bound_charge(rho, fam, 0)
+        assert sol.value == pytest.approx(segment_bound(fam, rho), abs=1e-9)
+        assert sol.value == pytest.approx(0.3612, abs=1e-4)
+        assert sol.value < charges_point(rho, fam).L[0]
+
+    def test_floor_gamma_keeps_entropy_and_other_charges(self):
+        fam, rho, _ = benchmark_case(13)
+        pt = charges_point(rho, fam)
+        sol = bound_charge(rho, fam, 0)
+        gpt = charges_point(sol.gamma, fam)
+        assert gpt.S == pytest.approx(pt.S, abs=1e-10)
+        assert gpt.L[1:] == pytest.approx(pt.L[1:], abs=1e-10)
+        assert gpt.L[0] == pytest.approx(sol.value, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(levels=st.lists(st.integers(0, 3), min_size=2, max_size=5),
+           seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 5))
+    @example(levels=[0, 0, 1], seed=0, rank=1)
+    @example(levels=[1, 1, 1, 3], seed=1, rank=2)
+    def test_q1_reduces_to_bound_energy_on_degenerate_spectra(self, levels, seed, rank):
+        h = HermitianOperator.diagonal([float(x) for x in levels])
+        rank = min(rank, len(levels))
+        rho = random_density(len(levels), np.random.default_rng(seed),
+                             rank=None if rank == len(levels) else rank)
+        gibbs = GibbsFamily(h)
+        sol = bound_charge(rho, GGEFamily(ChargeSet((h,))), 0)
+        assert sol.value == pytest.approx(bound_energy(rho, gibbs), abs=1e-8)
+        if entropy(rho) < math.log(gibbs.ground_degeneracy) - 1e-9:
+            # below ln g0: the E_min sentinel, beta = +inf
+            assert sol.value == pytest.approx(gibbs.energy_min, abs=1e-12)
+            assert sol.beta_vec[0] == math.inf
+
+
+    def test_q1_near_degenerate_ground(self):
+        # levels 1e-7 apart are distinct (bound_energy's threshold is 1e-10):
+        # the LP must not stop on the upper one within its feasibility tolerance
+        h = HermitianOperator.diagonal([0.0, 1e-7, 1.0, 2.0])
+        rho = DensityMatrix.diagonal([0.97, 0.02, 0.01, 0.0])
+        sol = bound_charge(rho, GGEFamily(ChargeSet((h,))), 0)
+        assert sol.value == pytest.approx(bound_energy(rho, GibbsFamily(h)), abs=1e-12)
+        assert math.isfinite(sol.beta_vec[0])
+
+
+class TestChargesRateOracle:
+    """conversion_rate_charges against the bisection route it replaced."""
+
+    @pytest.mark.parametrize("f", [0, 2, 3, 9, 12, 20, 25, 27])
+    def test_agrees_with_bisection(self, f):
+        fam, rho, sigma = benchmark_case(f)
+        sol = conversion_rate_charges(rho, sigma, fam)
+        r_old, kind_old = bisection_rate(rho, sigma, fam)
+        assert sol.phi_kind == kind_old
+        if sol.phi_kind == "thermal" and sol.phi_beta is None:
+            # a wall exit: the bisection ends just outside the polytope, while
+            # phi lies on it, to the rounding of the LP equalities
+            assert sol.r == pytest.approx(r_old, abs=1e-8)
+            ells = fam.joint_eigenvalues
+            _, resid = nnls(np.vstack([ells, np.ones(fam.dim)]),
+                            np.append(sol.phi_point.L, 1.0))
+            assert resid <= 1e-12
+        else:
+            assert sol.r == pytest.approx(r_old, abs=1e-12)
+        assert sol.collinearity_residual <= 1e-12
+
+    def test_wall_face_with_repeated_levels(self):
+        # joint eigenvalues (0, 0), (1, 0), (1, 0), (0, 1): the wall L_1 = 0 is
+        # an edge with three levels, so its maximum entropy at L = (x, 0) is
+        # h(x) + x ln 2, above the entropy of any one LP vertex solution
+        fam = GGEFamily(ChargeSet((HermitianOperator.diagonal([0.0, 1.0, 1.0, 0.0]),
+                                   HermitianOperator.diagonal([0.0, 0.0, 0.0, 1.0]))))
+        sigma = DensityMatrix.diagonal([0.4, 0.15, 0.15, 0.3])
+        rho = DensityMatrix.diagonal([0.45, 0.3, 0.05, 0.2])
+        x_rho, x_sigma = charges_point(rho, fam), charges_point(sigma, fam)
+        s_wall = x_sigma.S + 3.0 * (x_rho.S - x_sigma.S)  # t_wall = 3, L = (0.45, 0)
+        h = -(0.45 * math.log(0.45) + 0.55 * math.log(0.55))
+        assert h < s_wall < h + 0.45 * math.log(2)
+        sol = conversion_rate_charges(rho, sigma, fam)
+        assert sol.phi_kind == "thermal" and sol.phi_beta is None
+        assert sol.r == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert sol.phi_point.L == pytest.approx([0.45, 0.0], abs=1e-12)
+        assert sol.r == pytest.approx(bisection_rate(rho, sigma, fam)[0], abs=1e-8)

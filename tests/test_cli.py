@@ -151,6 +151,15 @@ class TestEngine:
                      "--beta-a", "1e300", "--beta-b", "1"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
+    def test_zero_temperature_cold_bath(self, qubit_system, capsys):
+        # beta_a = inf is the ground-state limit of beta_a = 1e300
+        argv = ["engine", "--system-a", qubit_system, "--system-b", qubit_system,
+                "--beta-b", "1"]
+        assert main(argv + ["--beta-a", "1e300"]) == 0
+        limit = capsys.readouterr().out
+        assert main(argv + ["--beta-a", "inf"]) == 0
+        assert capsys.readouterr().out == limit
+
     @pytest.mark.parametrize("copies", ["1,x", "0", "-1", "1,,2"])
     def test_malformed_copies_exit_2(self, qubit_system, copies, capsys):
         assert main(["engine", "--system-a", qubit_system, "--system-b", qubit_system,
@@ -188,6 +197,22 @@ class TestCharges:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "{q}", "--beta-min", "nan"],
+        ["boundary", "{q}", "--beta-max", "NaN"],
+        ["engine", "--system-a", "{q}", "--system-b", "{q}", "--beta-a", "nan",
+         "--beta-b", "1"],
+        ["engine", "--system-a", "{q}", "--system-b", "{q}", "--beta-a", "2",
+         "--beta-b", "nan"],
+    ])
+    def test_nan_beta_flag_exit_2(self, qubit_system, argv, tmp_path, capsys):
+        argv = [a.format(q=qubit_system) for a in argv] + (
+            ["-o", str(tmp_path / "d.csv")] if argv[0] == "boundary" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exit_2(self, qubit_system):
         assert main(["info", qubit_system, "/nonexistent/state.json"]) == 2
 

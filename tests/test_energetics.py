@@ -136,6 +136,18 @@ class TestBetaAthermality:
         rho = random_density(4, rng)
         assert relative_entropy_check(rho, fam) <= 1e-9
 
+    def test_check_helper_inverted_low_entropy_d64(self):
+        # populations proportional to e^(-k/2), highest on the top levels: an
+        # eigh of the dense Gibbs matrix at this large beta reached 4e-6
+        rng = np.random.default_rng(3)
+        pops = np.exp(-np.arange(64) / 2)
+        pops /= pops.sum()
+        for _ in range(5):
+            h = random_hamiltonian(64, rng)
+            _, v = np.linalg.eigh(h.entries)
+            rho = DensityMatrix((v * pops[::-1]) @ v.conj().T)
+            assert relative_entropy_check(rho, GibbsFamily(h)) <= 1e-8
+
     def test_vanishes_on_gibbs(self, qutrit):
         assert beta_athermality(gibbs_state(qutrit, 1.2), qutrit, 1.2) == pytest.approx(
             0.0, abs=1e-12)

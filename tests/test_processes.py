@@ -214,6 +214,13 @@ class TestEngine:
         assert run.beta_joint == pytest.approx(2.37471957239, abs=1e-9)
         assert run.efficiency < run.bound_carnot
 
+    def test_zero_temperature_cold_bath(self, qubit):
+        # the infinite bracket end is clamped; the joint beta is that of 1e300
+        run = carnot_engine((qubit, math.inf, 1), (qubit, 1.0, 1))
+        assert run.beta_joint == pytest.approx(2.37471957239, abs=1e-9)
+        assert run.bound_carnot == 1.0
+        assert run.efficiency < run.bound_carnot
+
     def test_equal_temperatures_degenerate(self, qubit):
         with pytest.raises(DegenerateEngineError):
             carnot_engine((qubit, 1.0, 1), (qubit, 1.0, 1))
