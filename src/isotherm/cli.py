@@ -268,6 +268,10 @@ def cmd_laws(args) -> int:
         d_a, d_b = (int(x) for x in args.dims.lower().split("x"))
     except ValueError as exc:
         raise SchemaError(f"--dims must look like 2x2, got {args.dims}") from exc
+    if min(d_a, d_b) < 1:
+        raise SchemaError(f"--dims: need positive dimensions, got {args.dims}")
+    if args.trials < 1:
+        raise SchemaError(f"--trials: need a positive integer, got {args.trials}")
     rng = np.random.default_rng(_seed(args))
     failures = 0
     for _ in range(args.trials):

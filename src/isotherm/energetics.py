@@ -43,15 +43,22 @@ def bound_energy(rho: DensityMatrix, fam: GibbsFamily) -> float:
     For a degenerate ground space and S(rho) < ln g0 the minimizer sits in
     the ground subspace and the bound energy is E_min.
     """
-    beta = intrinsic_beta(fam, entropy(rho))
-    if math.isinf(beta):
-        return fam.energy_min
-    return boundary_energy(fam, beta)
+    return _bound_energy_at(fam, intrinsic_beta(fam, entropy(rho)))
+
+
+def _bound_energy_at(fam: GibbsFamily, beta: float) -> float:
+    """The bound energy of a state whose intrinsic beta is `beta`."""
+    return fam.energy_min if math.isinf(beta) else boundary_energy(fam, beta)
 
 
 def free_energy(rho: DensityMatrix, fam: GibbsFamily) -> float:
     """F(rho) = E(rho) - B(rho) >= 0; exact zero below 1e-12."""
-    return _snap(expectation(fam.hamiltonian, rho) - bound_energy(rho, fam))
+    return _free_energy_at(rho, fam, intrinsic_beta(fam, entropy(rho)))
+
+
+def _free_energy_at(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float:
+    """free_energy of rho, given its intrinsic beta."""
+    return _snap(expectation(fam.hamiltonian, rho) - _bound_energy_at(fam, beta))
 
 
 def _snap(x: float) -> float:
@@ -80,7 +87,7 @@ def relative_entropy_check(rho: DensityMatrix, fam: GibbsFamily) -> float:
     `eigh` of the dense Gibbs matrix would lose the relative precision of its
     small eigenvalues at large beta."""
     beta = intrinsic_beta(fam, entropy(rho))
-    f = free_energy(rho, fam)
+    f = _free_energy_at(rho, fam, beta)
     if beta == 0.0:
         # T = inf limit: a max-entropy state has F = 0 and D = 0
         return abs(f)
@@ -154,7 +161,7 @@ def report(rho: DensityMatrix, fam: GibbsFamily) -> EnergeticsReport:
     s = entropy(rho)
     beta = intrinsic_beta(fam, s)
     beta_spont = spontaneous_beta(fam, e)
-    b = fam.energy_min if math.isinf(beta) else boundary_energy(fam, beta)
+    b = _bound_energy_at(fam, beta)
     return EnergeticsReport(
         energy=e,
         entropy=s,

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .energetics import bound_energy, free_energy
+from .energetics import _bound_energy_at, _free_energy_at, bound_energy, free_energy
 from .gibbs import (
     BRACKET_CAP,
     GibbsFamily,
@@ -32,7 +33,6 @@ from .operators import (
     expectation,
     haar_unitary,
     kron_sum,
-    mutual_information,
     partial_trace,
     random_density,
     random_hamiltonian,
@@ -48,7 +48,12 @@ class DegenerateEngineError(ValueError):
 
 @dataclass(frozen=True)
 class ProcessRecord:
-    """An entropy-preserving transformation rho_AB -> rho'_AB."""
+    """An entropy-preserving transformation rho_AB -> rho'_AB.
+
+    The marginals, the intrinsic betas of the initial marginals and the
+    ledger are computed on first use and kept: the states are read-only, so
+    the kept values cannot go stale, and every law check reads the same ones.
+    """
 
     initial: DensityMatrix
     final: DensityMatrix
@@ -69,9 +74,35 @@ class ProcessRecord:
             raise ValueError(f"process is not entropy preserving (dS = {ds:.3e})")
 
     def marginals(self, which: str = "initial") -> tuple[DensityMatrix, DensityMatrix]:
-        rho = self.initial if which == "initial" else self.final
-        return (partial_trace(rho, self.split, [0]),
-                partial_trace(rho, self.split, [1]))
+        """(rho_A, rho_B) of the "initial" or the "final" state."""
+        if which == "initial":
+            return self._initial_marginals
+        if which == "final":
+            return self._final_marginals
+        raise ValueError(f"marginals: which must be 'initial' or 'final', got {which!r}")
+
+    @cached_property
+    def _initial_marginals(self) -> tuple[DensityMatrix, DensityMatrix]:
+        return _marginals(self.initial, self.split)
+
+    @cached_property
+    def _final_marginals(self) -> tuple[DensityMatrix, DensityMatrix]:
+        return _marginals(self.final, self.split)
+
+    @cached_property
+    def _initial_betas(self) -> tuple[float, float]:
+        """Intrinsic betas of the initial marginals of A and B."""
+        a0, b0 = self._initial_marginals
+        return (intrinsic_beta(self.fam_a, entropy(a0)),
+                intrinsic_beta(self.fam_b, entropy(b0)))
+
+    @cached_property
+    def _ledger(self) -> LedgerEntry:
+        return _build_ledger(self)
+
+
+def _marginals(rho: DensityMatrix, split: SubsystemSplit) -> tuple[DensityMatrix, DensityMatrix]:
+    return partial_trace(rho, split, [0]), partial_trace(rho, split, [1])
 
 
 @dataclass(frozen=True)
@@ -93,34 +124,37 @@ class LedgerEntry:
 
 def heat(proc: ProcessRecord) -> float:
     """dQ = B(rho'_B) - B(rho_B)."""
-    rho_b, rho_b2 = proc.marginals("initial")[1], proc.marginals("final")[1]
-    return bound_energy(rho_b2, proc.fam_b) - bound_energy(rho_b, proc.fam_b)
+    return work_ledger(proc).dQ
 
 
 def work_ledger(proc: ProcessRecord) -> LedgerEntry:
+    return proc._ledger
+
+
+def _build_ledger(proc: ProcessRecord) -> LedgerEntry:
     a0, b0 = proc.marginals("initial")
     a1, b1 = proc.marginals("final")
+    beta_a0, beta_b0 = proc._initial_betas
     e_a0 = expectation(proc.fam_a.hamiltonian, a0)
     e_a1 = expectation(proc.fam_a.hamiltonian, a1)
     e_b0 = expectation(proc.fam_b.hamiltonian, b0)
     e_b1 = expectation(proc.fam_b.hamiltonian, b1)
-    ba0 = bound_energy(a0, proc.fam_a)
+    ba0 = _bound_energy_at(proc.fam_a, beta_a0)
     ba1 = bound_energy(a1, proc.fam_a)
-    bb0 = bound_energy(b0, proc.fam_b)
+    bb0 = _bound_energy_at(proc.fam_b, beta_b0)
     bb1 = bound_energy(b1, proc.fam_b)
     d_e_a, d_e_b = e_a1 - e_a0, e_b1 - e_b0
     d_q_a, d_q = ba1 - ba0, bb1 - bb0
     d_f_a = (e_a1 - ba1) - (e_a0 - ba0)
     d_f_b = (e_b1 - bb1) - (e_b0 - bb0)
     w = d_e_a + d_e_b
-    d_s_a = entropy(a1) - entropy(a0)
-    d_s_b = entropy(b1) - entropy(b0)
+    s_a0, s_b0, s_a1, s_b1 = entropy(a0), entropy(b0), entropy(a1), entropy(b1)
+    # I(A:B) = S_A + S_B - S_AB, as in operators.mutual_information
+    d_i = (s_a1 + s_b1 - entropy(proc.final)) - (s_a0 + s_b0 - entropy(proc.initial))
     return LedgerEntry(
         dQ=d_q, dQ_A=d_q_a, W=w, dW_A=w - d_f_b,
         dE_A=d_e_a, dE_B=d_e_b, dF_A=d_f_a, dF_B=d_f_b,
-        dS_A=d_s_a, dS_B=d_s_b,
-        dI=mutual_information(proc.final, proc.split)
-        - mutual_information(proc.initial, proc.split),
+        dS_A=s_a1 - s_a0, dS_B=s_b1 - s_b0, dI=d_i,
     )
 
 
@@ -155,17 +189,21 @@ def heat_integral_check(proc: ProcessRecord) -> float:
 
 
 def is_gibbs(rho: DensityMatrix, fam: GibbsFamily, atol: float = GIBBS_ATOL) -> bool:
-    beta = intrinsic_beta(fam, entropy(rho))
+    return _is_gibbs_at(rho, fam, intrinsic_beta(fam, entropy(rho)), atol)
+
+
+def _is_gibbs_at(rho: DensityMatrix, fam: GibbsFamily, beta: float,
+                 atol: float = GIBBS_ATOL) -> bool:
+    """is_gibbs, given the intrinsic beta of rho."""
     gamma = gibbs_state(fam, beta)
     return bool(np.max(np.abs(rho.entries - gamma.entries)) <= atol)
 
 
 def heat_bounds_check(proc: ProcessRecord) -> bool:
     """For an initially thermal environment: T dS_B <= dQ <= dE_B."""
-    rho_b = proc.marginals("initial")[1]
-    if not is_gibbs(rho_b, proc.fam_b):
+    beta = proc._initial_betas[1]
+    if not _is_gibbs_at(proc.marginals("initial")[1], proc.fam_b, beta):
         raise ValueError("heat_bounds_check requires an initially thermal environment")
-    beta = intrinsic_beta(proc.fam_b, entropy(rho_b))
     led = work_ledger(proc)
     t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else math.nan
     return bool(t_ds <= led.dQ + 1e-9 and led.dQ <= led.dE_B + 1e-9)
@@ -175,13 +213,11 @@ def extractable_work(rho: DensityMatrix, fam: GibbsFamily) -> tuple[float, Densi
     """Maximum work under entropy-preserving maps: F(rho), with the witness
     final state gamma(beta(rho))."""
     beta = intrinsic_beta(fam, entropy(rho))
-    return free_energy(rho, fam), gibbs_state(fam, beta)
+    return _free_energy_at(rho, fam, beta), gibbs_state(fam, beta)
 
 
 def _initial_temperatures(proc: ProcessRecord) -> tuple[float, float]:
-    a0, b0 = proc.marginals("initial")
-    betas = (intrinsic_beta(proc.fam_a, entropy(a0)),
-             intrinsic_beta(proc.fam_b, entropy(b0)))
+    betas = proc._initial_betas
     for beta in betas:
         if math.isinf(beta) or beta == 0.0:
             raise ValueError("clausius_check needs finite nonzero intrinsic temperatures")
@@ -205,8 +241,10 @@ def kelvin_planck_check(proc: ProcessRecord) -> tuple[float, bool | None]:
     led = work_ledger(proc)
     residual = abs((led.dQ_A + led.dQ) - (-(led.dF_A + led.dF_B) + led.W))
     a0, b0 = proc.marginals("initial")
+    beta_a0, beta_b0 = proc._initial_betas
     corollary = None
-    if led.W < 0 and is_gibbs(a0, proc.fam_a) and is_gibbs(b0, proc.fam_b):
+    if (led.W < 0 and _is_gibbs_at(a0, proc.fam_a, beta_a0)
+            and _is_gibbs_at(b0, proc.fam_b, beta_b0)):
         corollary = bool(led.dQ_A + led.dQ <= led.W + 1e-9)
     return residual, corollary
 

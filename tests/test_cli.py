@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from isotherm import cli
 from isotherm.cli import main
 
 LN9 = math.log(9)
@@ -179,6 +180,20 @@ class TestLaws:
         first = capsys.readouterr().out
         main(["laws", "--trials", "5"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "-3"], ["--trials", "0"],
+        ["--dims", "0x2"], ["--dims", "2x0"], ["--dims=-1x2"],
+    ], ids=["trials-3", "trials0", "dims0x2", "dims2x0", "dims-1x2"])
+    def test_bad_flags_exit_2_before_drawing(self, flags, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a process was drawn")
+
+        monkeypatch.setattr(cli, "random_process", no_draw)
+        assert main(["laws"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schema error" in captured.err
 
 
 class TestCharges:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isotherm.energetics import (
     athermality,
@@ -26,7 +28,9 @@ from isotherm.gibbs import (
 )
 from isotherm.operators import (
     DensityMatrix,
+    HermitianOperator,
     entropy,
+    haar_unitary,
     expectation,
     random_density,
     random_hamiltonian,
@@ -157,6 +161,42 @@ class TestBetaAthermality:
             fam = GibbsFamily(random_hamiltonian(3, rng))
             rho = random_density(3, rng)
             assert beta_athermality(rho, fam, float(rng.uniform(0.05, 5.0))) >= -1e-12
+
+
+class TestRelativeEntropyProperty:
+    """F(rho) = T(rho) D(rho || gamma(beta*(rho))) through relative_entropy_check,
+    within its documented 1e-8, on integer-degenerate and near-degenerate
+    spectra and up to beta* ||H|| = 700."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(levels=st.lists(st.integers(0, 4), min_size=2, max_size=6),
+           jitter=st.sampled_from([0.0, 1e-11, 1e-9, 1e-6]),
+           scale=st.floats(1e-2, 1e2),
+           beta_norm=st.floats(1e-2, 700.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(levels=[0, 0, 1], jitter=0.0, scale=1.0, beta_norm=700.0, seed=0)
+    @example(levels=[0, 0, 1], jitter=1e-11, scale=1.0, beta_norm=30.0, seed=1)
+    @example(levels=[1, 3, 1, 1, 4, 0], jitter=1e-11, scale=72.0, beta_norm=0.13, seed=2)
+    @example(levels=[0, 1], jitter=0.0, scale=100.0, beta_norm=1e-2, seed=3)
+    def test_free_energy_is_temperature_times_divergence(self, levels, jitter, scale,
+                                                         beta_norm, seed):
+        rng = np.random.default_rng(seed)
+        h = scale * (np.array(levels, dtype=float) + jitter * rng.standard_normal(len(levels)))
+        norm = float(np.max(np.abs(h)))
+        if norm == 0.0:
+            h, norm = h + scale, scale  # keep ||H|| > 0; the spectrum stays flat
+        # a rotated, permuted Gibbs state of beta_norm / ||H||: its intrinsic
+        # beta is that beta, up to the eigh of the rotated matrix
+        w = np.exp(-(beta_norm / norm) * (h - h.min()))
+        u = haar_unitary(len(levels), rng)
+        rho = DensityMatrix((u * rng.permutation(w / w.sum())) @ u.conj().T)
+        fam = GibbsFamily(HermitianOperator.diagonal(h))
+        if math.isinf(intrinsic_beta(fam, entropy(rho))):
+            # at or below ln g0 the +inf sentinel has no finite temperature
+            with pytest.raises(ValueError):
+                relative_entropy_check(rho, fam)
+        else:
+            assert relative_entropy_check(rho, fam) <= 1e-8
 
 
 class TestAthermality:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isotherm.energetics import free_energy
+from isotherm.energetics import bound_energy, free_energy
 from isotherm.equilibrium import joint_family
 from isotherm.gibbs import GibbsFamily, gibbs_state, intrinsic_beta
 from isotherm.operators import (
@@ -11,13 +11,17 @@ from isotherm.operators import (
     HermitianOperator,
     SubsystemSplit,
     entropy,
+    expectation,
     haar_unitary,
+    mutual_information,
+    partial_trace,
     random_density,
     random_hamiltonian,
     tensor,
 )
 from isotherm.processes import (
     DegenerateEngineError,
+    LedgerEntry,
     ProcessRecord,
     carnot_engine,
     clausius_check,
@@ -27,6 +31,7 @@ from isotherm.processes import (
     heat,
     heat_bounds_check,
     heat_integral_check,
+    is_gibbs,
     kelvin_planck_check,
     random_process,
     work_ledger,
@@ -60,6 +65,201 @@ class TestProcessRecord:
                              split=SubsystemSplit((2, 2)), fam_a=qubit, fam_b=qubit)
         a0, b0 = proc.marginals("initial")
         assert a0.dim == 2 and b0.dim == 2
+
+    @pytest.mark.parametrize("which", ["inital", "Final", ""])
+    def test_marginals_rejects_unknown_which(self, which, rng):
+        proc = random_process((2, 3), rng)
+        with pytest.raises(ValueError, match="initial"):
+            proc.marginals(which)
+
+    def test_final_marginals(self, rng):
+        proc = random_process((2, 3), rng)
+        a1, b1 = proc.marginals("final")
+        assert np.array_equal(a1.entries, partial_trace(proc.final, proc.split, [0]).entries)
+        assert np.array_equal(b1.entries, partial_trace(proc.final, proc.split, [1]).entries)
+
+
+# ---------------------------------------------------------------- oracle
+# The uncached route the record's cached marginals, betas and ledger replaced:
+# fresh partial traces, bound_energy and mutual_information on every call.
+
+def _fresh_marginals(rho, split):
+    return partial_trace(rho, split, [0]), partial_trace(rho, split, [1])
+
+
+def oracle_ledger(proc):
+    a0, b0 = _fresh_marginals(proc.initial, proc.split)
+    a1, b1 = _fresh_marginals(proc.final, proc.split)
+    h_a, h_b = proc.fam_a.hamiltonian, proc.fam_b.hamiltonian
+    e_a0, e_a1 = expectation(h_a, a0), expectation(h_a, a1)
+    e_b0, e_b1 = expectation(h_b, b0), expectation(h_b, b1)
+    ba0, ba1 = bound_energy(a0, proc.fam_a), bound_energy(a1, proc.fam_a)
+    bb0, bb1 = bound_energy(b0, proc.fam_b), bound_energy(b1, proc.fam_b)
+    w = (e_a1 - e_a0) + (e_b1 - e_b0)
+    d_f_b = (e_b1 - bb1) - (e_b0 - bb0)
+    return LedgerEntry(
+        dQ=bb1 - bb0, dQ_A=ba1 - ba0, W=w, dW_A=w - d_f_b,
+        dE_A=e_a1 - e_a0, dE_B=e_b1 - e_b0,
+        dF_A=(e_a1 - ba1) - (e_a0 - ba0), dF_B=d_f_b,
+        dS_A=entropy(a1) - entropy(a0), dS_B=entropy(b1) - entropy(b0),
+        dI=mutual_information(proc.final, proc.split)
+        - mutual_information(proc.initial, proc.split))
+
+
+def oracle_heat(proc):
+    b0 = partial_trace(proc.initial, proc.split, [1])
+    b1 = partial_trace(proc.final, proc.split, [1])
+    return bound_energy(b1, proc.fam_b) - bound_energy(b0, proc.fam_b)
+
+
+def oracle_first_law(proc):
+    led = oracle_ledger(proc)
+    return led.dE_A - (led.dW_A - led.dQ)
+
+
+def oracle_kelvin_planck(proc):
+    led = oracle_ledger(proc)
+    residual = abs((led.dQ_A + led.dQ) - (-(led.dF_A + led.dF_B) + led.W))
+    a0, b0 = _fresh_marginals(proc.initial, proc.split)
+    corollary = None
+    if led.W < 0 and is_gibbs(a0, proc.fam_a) and is_gibbs(b0, proc.fam_b):
+        corollary = bool(led.dQ_A + led.dQ <= led.W + 1e-9)
+    return residual, corollary
+
+
+def oracle_clausius(proc):
+    a0, b0 = _fresh_marginals(proc.initial, proc.split)
+    betas = (intrinsic_beta(proc.fam_a, entropy(a0)),
+             intrinsic_beta(proc.fam_b, entropy(b0)))
+    if any(math.isinf(b) or b == 0.0 for b in betas):
+        raise ValueError("sentinel intrinsic temperature")
+    t_a, t_b = 1.0 / betas[0], 1.0 / betas[1]
+    led = oracle_ledger(proc)
+    lhs = (t_b - t_a) * led.dS_A
+    rhs = led.dF_A + led.dF_B + t_b * led.dI - led.W
+    return lhs, rhs, bool(lhs >= rhs - 1e-9)
+
+
+def oracle_heat_bounds(proc):
+    b0 = partial_trace(proc.initial, proc.split, [1])
+    if not is_gibbs(b0, proc.fam_b):
+        raise ValueError("not thermal")
+    beta = intrinsic_beta(proc.fam_b, entropy(b0))
+    led = oracle_ledger(proc)
+    t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else math.nan
+    return bool(t_ds <= led.dQ + 1e-9 and led.dQ <= led.dE_B + 1e-9)
+
+
+def oracle_extractable_work(rho, fam):
+    beta = intrinsic_beta(fam, entropy(rho))
+    return free_energy(rho, fam), gibbs_state(fam, beta)
+
+
+def outcome(fn, proc):
+    """The value fn(proc) returns, or ValueError if it raises one."""
+    try:
+        return fn(proc)
+    except ValueError:
+        return ValueError
+
+
+CHECKS = {
+    "work_ledger": (work_ledger, oracle_ledger),
+    "first_law_residual": (first_law_residual, oracle_first_law),
+    "kelvin_planck_check": (kelvin_planck_check, oracle_kelvin_planck),
+    "clausius_check": (clausius_check, oracle_clausius),
+    "heat": (heat, oracle_heat),
+    "heat_bounds_check": (heat_bounds_check, oracle_heat_bounds),
+}
+
+
+def degenerate_ground_process(rng):
+    """B on a two-fold degenerate ground, starting below ln 2 (beta = +inf)."""
+    fam_a = GibbsFamily(random_hamiltonian(2, rng))
+    fam_b = GibbsFamily(HermitianOperator.diagonal([0.0, 0.0, 1.0]))
+    initial = tensor(random_density(2, rng), DensityMatrix.diagonal([0.9, 0.1, 0.0]))
+    u = haar_unitary(6, rng)
+    final = DensityMatrix(u @ initial.entries @ u.conj().T)
+    return ProcessRecord(initial=initial, final=final, split=SubsystemSplit((2, 3)),
+                         fam_a=fam_a, fam_b=fam_b)
+
+
+def thermal_swap_process():
+    """Two thermal qubits swapped: W < 0, so the Kelvin-Planck corollary applies."""
+    fam_a, fam_b = gap_family(1.0), gap_family(2.0)
+    initial = tensor(gibbs_state(fam_a, 3.0), gibbs_state(fam_b, 1.0))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    final = DensityMatrix(swap @ initial.entries @ swap.T)
+    return ProcessRecord(initial=initial, final=final, split=SubsystemSplit((2, 2)),
+                         fam_a=fam_a, fam_b=fam_b)
+
+
+def oracle_cases():
+    rng = np.random.default_rng(909)
+    cases = []
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        cases += [(f"random-{dims}", random_process(dims, rng)) for _ in range(6)]
+        cases += [(f"thermal-b-{dims}",
+                   random_process(dims, rng, thermal_b=True,
+                                  beta_b=float(rng.uniform(0.3, 3.0))))
+                  for _ in range(3)]
+    cases += [("degenerate-ground", degenerate_ground_process(rng)) for _ in range(3)]
+    cases.append(("thermal-swap", thermal_swap_process()))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+def fresh_copy(proc):
+    return ProcessRecord(initial=proc.initial, final=proc.final, split=proc.split,
+                         fam_a=proc.fam_a, fam_b=proc.fam_b)
+
+
+class TestCachedRecordOracle:
+    """The cached ledger and checks equal the uncached route bit for bit."""
+
+    @pytest.mark.parametrize("name,proc", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_ledger_fields_equal(self, name, proc):
+        led, ref = work_ledger(fresh_copy(proc)), oracle_ledger(proc)
+        for field in vars(ref):
+            assert getattr(led, field) == getattr(ref, field), field
+
+    @pytest.mark.parametrize("name,proc", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_checks_equal(self, name, proc):
+        for check, (fn, ref) in CHECKS.items():
+            assert outcome(fn, fresh_copy(proc)) == outcome(ref, proc), check
+        w, witness = extractable_work(proc.initial, joint_family([proc.fam_a, proc.fam_b]))
+        w_ref, witness_ref = oracle_extractable_work(
+            proc.initial, joint_family([proc.fam_a, proc.fam_b]))
+        assert w == w_ref
+        assert np.array_equal(witness.entries, witness_ref.entries)
+        for rho, fam in zip(proc.marginals("final"), (proc.fam_a, proc.fam_b)):
+            w, witness = extractable_work(rho, fam)
+            w_ref, witness_ref = oracle_extractable_work(rho, fam)
+            assert w == w_ref
+            assert np.array_equal(witness.entries, witness_ref.entries)
+
+    def test_cases_cover_sentinels_and_corollary(self):
+        procs = dict(ORACLE_CASES)
+        assert outcome(clausius_check, procs["degenerate-ground"]) is ValueError
+        assert math.isinf(intrinsic_beta(
+            procs["degenerate-ground"].fam_b,
+            entropy(procs["degenerate-ground"].marginals("initial")[1])))
+        assert kelvin_planck_check(procs["thermal-swap"])[1] is True
+
+    @pytest.mark.parametrize("name", ["random-(2, 3)", "thermal-b-(3, 3)",
+                                      "degenerate-ground", "thermal-swap"])
+    def test_order_independent(self, name):
+        # every check fills the cache first once, in both cyclic directions
+        proc = dict(ORACLE_CASES)[name]
+        expected = {check: outcome(ref, proc) for check, (_, ref) in CHECKS.items()}
+        names = list(CHECKS)
+        for order in ([names[i:] + names[:i] for i in range(len(names))]
+                      + [names[::-1][i:] + names[::-1][:i] for i in range(len(names))]):
+            record = fresh_copy(proc)
+            got = {check: outcome(CHECKS[check][0], record) for check in order}
+            assert got == expected, order
 
 
 class TestLedgerIdentities:
