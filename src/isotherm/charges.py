@@ -6,10 +6,11 @@ joint eigenvalues ell_i, whose charges L = sum_i p_i ell_i fill the charge
 polytope conv{ell_i}; GGE algebra runs on this (q, d) joint spectrum through
 the spectral kernels of `gibbs`.
 
-- `gge_solve` inverts beta_vec -> L(gamma): damped Newton (J = -Cov), each
-  step halved from 1 to 1e-12 until max|r| strictly drops, with Gaussian
-  restarts after a singular, non-finite or non-improving step,
-  NEWTON_MAXITER steps, or |beta| past a cap above NEWTON_TOL.
+- `gge_solve` inverts beta_vec -> L(gamma): gamma is the maximum-entropy
+  state at its charges, so beta_vec maximizes the concave -ln Z(beta_vec)
+  - beta_vec.L, found by `_max_entropy`'s Newton ascent from 0 (the one
+  Newton of this module, shared by `bound_charge` and the LP faces). A
+  target on or outside the polytope's boundary has no maximizer and raises.
 - `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
   (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
   the polytope; if the maximum entropy on its optimal face reaches S, the
@@ -55,7 +56,6 @@ from .operators import (
 COMMUTATOR_ATOL = 1e-10
 NEWTON_TOL = 1e-9
 NEWTON_MAXITER = 200
-NEWTON_RESTARTS = 32
 FACE_RTOL = 1e-9  # relative reduced cost (or singular value) counted as zero
 ENTROPY_ATOL = 1e-10  # entropy shortfall of an LP face still taken as reaching S
 # HiGHS' smallest feasibility tolerances: levels 1e-10 apart count as distinct
@@ -81,6 +81,27 @@ def _common_eigenbasis(charges: list[HermitianOperator]) -> tuple[np.ndarray, np
             # C-contiguous rows: a strided np.real view shifts BLAS results' last bits
             return v, np.stack([np.real(np.diagonal(b)) for b in blocks])
     raise ValueError("failed to find a common eigenbasis; are the charges commuting?")
+
+
+def _affine_dependence(ells: np.ndarray) -> int | None:
+    """The first charge k that is an affine combination of charges 0..k-1
+    on the (q, d) joint spectrum, which makes every GGE covariance singular,
+    or None. Rows are scaled to unit max|level|; a singular value below
+    FACE_RTOL of the largest counts as zero. A lone charge may be flat: its
+    family is one state, and every solve on it is trivial."""
+    if len(ells) == 1:
+        return None
+    rows = np.ones((len(ells) + 1, ells.shape[1]))  # a zero charge stays a ones row
+    scale = np.abs(ells).max(axis=1, keepdims=True)
+    np.divide(ells, scale, out=rows[1:], where=scale > 0)
+
+    def independent(n: int) -> bool:  # the identity and the first n charges
+        sv = np.linalg.svd(rows[:n + 1], compute_uv=False)
+        return len(sv) == n + 1 and bool(sv[-1] > FACE_RTOL * sv[0])
+
+    if independent(len(ells)):
+        return None
+    return next(k for k in range(len(ells)) if not independent(k + 1))
 
 
 @dataclass(frozen=True)
@@ -126,6 +147,10 @@ class GGEFamily:
 
     def __post_init__(self):
         v, ells = _common_eigenbasis(list(self.charge_set.charges))
+        k = _affine_dependence(ells)
+        if k is not None:
+            raise ValueError(f"charges are affinely dependent: charge {k} is constant or an "
+                             "affine combination of the charges before it")
         v.setflags(write=False)
         ells.setflags(write=False)
         object.__setattr__(self, "basis", v)
@@ -187,52 +212,11 @@ def gge_covariance(fam: GGEFamily, beta_vec) -> np.ndarray:
     return _covariance(fam.joint_eigenvalues, _gge_weights(fam, beta_vec))
 
 
-def _damped_newton(residual, jacobian, beta: np.ndarray,
-                   cap: float = math.inf) -> np.ndarray | None:
-    """Damped Newton on residual(beta) = 0 from `beta` (see the module
-    docstring); the root, or None when the run fails."""
-    resid = residual(beta)
-    for _ in range(NEWTON_MAXITER):
-        base = np.max(np.abs(resid))
-        if base <= NEWTON_TOL:
-            return beta
-        try:
-            step = np.linalg.solve(jacobian(beta), -resid)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        t = 1.0
-        while t > 1e-12:
-            cand = beta + t * step
-            cand_resid = residual(cand)
-            if np.max(np.abs(cand_resid)) < base:
-                beta, resid = cand, cand_resid
-                break
-            t /= 2.0
-        else:
-            return None
-        if np.max(np.abs(beta)) > cap:
-            return beta if np.max(np.abs(resid)) <= NEWTON_TOL else None
-    return None
-
-
-def gge_solve(fam: GGEFamily, target, rng: np.random.Generator | None = None,
-              restarts: int = NEWTON_RESTARTS) -> np.ndarray:
-    """Invert beta_vec -> L_vec(gamma) by damped Newton from 0 with up to 32
-    Gaussian restarts; raises on boundary/infeasible targets."""
-    target = np.asarray(target, dtype=float)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    cap = 1e4 * max(np.max(np.abs(fam.joint_eigenvalues)), 1.0)
-    for attempt in range(restarts + 1):
-        start = np.zeros(fam.q) if attempt == 0 else rng.standard_normal(fam.q)
-        beta = _damped_newton(lambda b: gge_charges(fam, b) - target,
-                              lambda b: -gge_covariance(fam, b), start, cap)
-        if beta is not None:
-            return beta
-    raise InfeasibleTargetError(
-        f"no GGE state matches charges {target} (boundary or infeasible target)")
+def gge_solve(fam: GGEFamily, target, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Invert beta_vec -> L_vec(gamma): the maximum-entropy ascent from
+    beta_vec = 0; raises on boundary/infeasible targets. `rng` is unused."""
+    return _max_entropy(lambda b: _gge_weights(fam, b), fam.joint_eigenvalues,
+                        np.asarray(target, dtype=float), np.zeros(fam.q))
 
 
 def beta_vec_athermality(rho: DensityMatrix, fam: GGEFamily, beta_vec) -> float:
@@ -245,9 +229,9 @@ def beta_vec_athermality(rho: DensityMatrix, fam: GGEFamily, beta_vec) -> float:
 def absolute_athermality(rho: DensityMatrix, fam: GGEFamily,
                          rng: np.random.Generator | None = None) -> float:
     """min over beta_vec of the beta-athermality; the minimizer matches all
-    charge expectations, so the value is S(gamma) - S(rho)."""
+    charge expectations, so the value is S(gamma) - S(rho). `rng` is unused."""
     pt = charges_point(rho, fam)
-    beta = gge_solve(fam, pt.L, rng=rng)
+    beta = gge_solve(fam, pt.L)
     return gge_entropy(fam, beta) - pt.S
 
 

@@ -164,9 +164,7 @@ def load_state(path, fam: GibbsFamily, gge=None) -> DensityMatrix:
 
 
 def _json_val(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(f"{x:.12g}")
+    return _fmt(x) if math.isinf(x) else float(_fmt(x))
 
 
 def _seed(args) -> int:

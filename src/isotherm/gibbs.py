@@ -184,7 +184,9 @@ def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
         if abs(target_energy - e_min) > 1e-9:
             raise ValueError(f"target energy {target_energy} unattainable for flat spectrum")
         return 0.0
-    if target_energy < e_min - 1e-9 * scale or target_energy > e_max + 1e-9 * scale:
+    # a few ulps of the levels too: on a narrow spectrum far from 0, E rounds past an end
+    slack = 1e-9 * scale + 4 * math.ulp(max(abs(e_min), abs(e_max)))
+    if target_energy < e_min - slack or target_energy > e_max + slack:
         raise ValueError(f"target energy {target_energy} outside [{e_min}, {e_max}]")
     atol = 1e-10 * scale
     # floor/ceiling of the finite-beta branch: mean energy of the limit subspaces

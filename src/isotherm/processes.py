@@ -205,7 +205,8 @@ def heat_bounds_check(proc: ProcessRecord) -> bool:
     if not _is_gibbs_at(proc.marginals("initial")[1], proc.fam_b, beta):
         raise ValueError("heat_bounds_check requires an initially thermal environment")
     led = work_ledger(proc)
-    t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else math.nan
+    # T = 0 at beta = inf; at beta = 0, B starts maximally mixed, dS_B <= 0 and T = inf
+    t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else -math.inf
     return bool(t_ds <= led.dQ + 1e-9 and led.dQ <= led.dE_B + 1e-9)
 
 

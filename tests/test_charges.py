@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, nnls
 
@@ -13,7 +13,7 @@ from isotherm.charges import (
     ChargeSet,
     GGEFamily,
     InfeasibleTargetError,
-    _damped_newton,
+    _max_entropy,
     absolute_athermality,
     beta_vec_athermality,
     bound_charge,
@@ -29,7 +29,14 @@ from isotherm.charges import (
     second_law_charges_check,
 )
 from isotherm.energetics import bound_energy, relative_entropy
-from isotherm.gibbs import GibbsFamily, gibbs_state, log_partition
+from isotherm.gibbs import (
+    GibbsFamily,
+    _boltzmann_weights,
+    boundary_energy,
+    gibbs_state,
+    log_partition,
+    spontaneous_beta,
+)
 from isotherm.operators import (
     DensityMatrix,
     HermitianOperator,
@@ -57,7 +64,7 @@ def bisection_rate(rho, sigma, fam):
         if s < 0:
             return s
         try:
-            beta = gge_solve(fam, x_sigma.L + t * d_l, restarts=4)
+            beta = gge_solve(fam, x_sigma.L + t * d_l)
         except InfeasibleTargetError:
             return -1.0
         return min(s, gge_entropy(fam, beta) - s)
@@ -182,6 +189,51 @@ class TestSolve:
         # charge values outside the convex hull of the joint spectrum
         with pytest.raises(InfeasibleTargetError):
             gge_solve(charge_family, [10.0, 10.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(levels=st.lists(st.integers(0, 3), min_size=2, max_size=5),
+           unit=st.floats(1e-7, 10.0), split=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+           beta_width=st.floats(-700.0, 700.0))
+    @example(levels=[0, 1], unit=1e-6, split=0.0, beta_width=0.5)  # beta = 5e5
+    def test_q1_reduces_to_spontaneous_beta(self, levels, unit, split, beta_width):
+        # degenerate integer levels, near-degenerate once split apart
+        spectrum = unit * (np.array(levels, dtype=float) + split * np.arange(len(levels)))
+        width = float(np.ptp(spectrum))
+        assume(width > 0)
+        beta = beta_width / width
+        h = HermitianOperator.diagonal(list(spectrum))
+        gibbs = GibbsFamily(h)
+        energy = boundary_energy(gibbs, beta)
+        fam = GGEFamily(ChargeSet((h,)))
+        rec = gge_solve(fam, [energy])
+        assert abs(gge_charges(fam, rec)[0] - energy) <= NEWTON_TOL
+        expected = spontaneous_beta(gibbs, energy)
+        if math.isfinite(expected):
+            w = _boltzmann_weights(spectrum, beta)
+            var = float(w @ (spectrum - w @ spectrum) ** 2)
+            # var underflows to 0 where the energy no longer pins beta
+            slack = NEWTON_TOL / var if var > 0 else math.inf
+            tol = 2 * (slack + 1e-11 * max(1.0, abs(expected)))
+            assert abs(rec[0] - expected) <= tol
+
+
+class TestAffineDependence:
+    H = HermitianOperator.diagonal([0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("extra", [
+        np.full(4, 2.5),                  # a constant charge
+        2.0 * np.arange(4.0) - 1.0,       # an affine function of H
+    ])
+    def test_dependent_charge_raises(self, extra, rng):
+        u = haar_unitary(4, rng)
+        ops = tuple(HermitianOperator((u * lam) @ u.conj().T)
+                    for lam in (self.H.eigenvalues, extra))
+        with pytest.raises(ValueError, match="charge 1 is constant or an affine combination"):
+            GGEFamily(ChargeSet(ops))
+
+    def test_flat_lone_charge_is_allowed(self):
+        fam = GGEFamily(ChargeSet((HermitianOperator.diagonal([1.0, 1.0]),)))
+        assert gge_solve(fam, [1.0]) == pytest.approx([0.0])
 
 
 class TestAthermality:
@@ -316,31 +368,31 @@ class TestChargesRate:
             assert 0.0 <= sol.r <= 1.0 + 1e-12
 
 
-class TestDampedNewton:
-    def test_converges_on_nonlinear_system(self):
-        def residual(x):
-            return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
+class TestMaxEntropy:
+    LEVELS = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0]])
 
-        def jacobian(x):
-            return np.array([[2 * x[0], 2 * x[1]], [1.0, -1.0]])
+    @staticmethod
+    def _solve(levels, target):
+        return _max_entropy(lambda b: _boltzmann_weights(levels, b), levels,
+                            np.asarray(target, dtype=float), np.zeros(len(levels)))
 
-        root = _damped_newton(residual, jacobian, np.array([1.0, 0.5]))
-        assert np.max(np.abs(residual(root))) <= NEWTON_TOL
-        assert root == pytest.approx([math.sqrt(2), math.sqrt(2)], abs=1e-8)
+    def test_converges_to_the_gge_of_the_target(self):
+        lam = np.array([1.3, -0.7])
+        target = self.LEVELS @ _boltzmann_weights(self.LEVELS, lam)
+        rec = self._solve(self.LEVELS, target)
+        w = _boltzmann_weights(self.LEVELS, rec)
+        assert np.max(np.abs(self.LEVELS @ w - target)) <= NEWTON_TOL
+        assert rec == pytest.approx(lam, abs=1e-7)
 
-    def test_singular_jacobian_gives_none(self):
-        assert _damped_newton(lambda x: x - 1.0, lambda x: np.zeros((2, 2)),
-                              np.zeros(2)) is None
+    def test_singular_covariance_raises(self):
+        # a constant row has zero variance under every weight
+        levels = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(InfeasibleTargetError):
+            self._solve(levels, [0.5, 0.1])
 
-    def test_non_improving_step_gives_none(self):
-        # the Jacobian has the wrong sign, so every damped step raises |r|
-        assert _damped_newton(lambda x: x - 1.0, lambda x: -np.eye(2),
-                              np.zeros(2)) is None
-
-    def test_cap_gives_none_above_tolerance(self):
-        # r = e^-x drops along every step but has no root; |x| passes the cap
-        assert _damped_newton(lambda x: np.exp(-x), lambda x: np.diag(-np.exp(-x)),
-                              np.zeros(1), cap=10.0) is None
+    def test_target_outside_hull_raises(self):
+        with pytest.raises(InfeasibleTargetError):
+            self._solve(self.LEVELS, [4.0, 1.0])
 
 
 class TestPinnedSolverValues:

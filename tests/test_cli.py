@@ -210,6 +210,16 @@ class TestCharges:
     def test_system_without_charges_exit_2(self, qubit_system, p91_state):
         assert main(["charges", qubit_system, p91_state]) == 2
 
+    def test_affinely_dependent_charges_exit_2(self, tmp_path, capsys):
+        system = state_file(tmp_path, "sys.json", {
+            "dim": 4,
+            "hamiltonian": {"diagonal": [0.0, 1.0, 2.0, 3.0]},
+            "charges": [{"diagonal": [0.0, 1.0, 1.0, 2.0]}, {"diagonal": [1.0, 1.0, 1.0, 1.0]}],
+        })
+        rho = state_file(tmp_path, "rho.json", {"diagonal": [0.4, 0.3, 0.2, 0.1]})
+        assert main(["charges", system, rho]) == 2
+        assert "charge 2 is constant" in capsys.readouterr().err
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
@@ -269,6 +279,14 @@ class TestErrorPaths:
     def test_nonfinite_gge_beta_vec_exit_2(self, charged_system, tmp_path):
         bad = state_file(tmp_path, "bad.json", {"gge": {"beta_vec": [0.8, "nan"]}})
         assert main(["charges", charged_system, bad]) == 2
+
+    def test_narrow_spectrum_gibbs_state_accepted(self, tmp_path, capsys):
+        # E of this Gibbs state rounds one ulp past E_max
+        system = state_file(tmp_path, "sys.json",
+                            {"dim": 2, "hamiltonian": {"diagonal": [62.0, 62.0000001]}})
+        gibbs = state_file(tmp_path, "g.json", {"gibbs": {"beta": -3e8}})
+        assert main(["info", "--json", system, gibbs]) == 0
+        assert json.loads(capsys.readouterr().out)["beta_spontaneous"] == "-inf"
 
     def test_infinite_gibbs_beta_is_sentinel(self, qubit_system, tmp_path, capsys):
         ground = state_file(tmp_path, "ground.json", {"gibbs": {"beta": "inf"}})

@@ -180,6 +180,16 @@ class TestSpontaneousBeta:
         fam = GibbsFamily(HermitianOperator.diagonal([1.0, 1.0, 1.0]))
         assert spontaneous_beta(fam, 1.0) == 0.0
 
+    def test_narrow_spectrum_far_from_zero(self):
+        # E(gamma(-3e8)) rounds one ulp above E_max = 62.0000001, more than
+        # 1e-9 of the width 1e-7 but within the rounding of the levels
+        fam = GibbsFamily(HermitianOperator.diagonal([62.0, 62.0000001]))
+        energy = boundary_energy(fam, -3e8)
+        assert energy > fam.energy_max
+        assert spontaneous_beta(fam, energy) == -math.inf
+        with pytest.raises(ValueError):
+            spontaneous_beta(fam, 62.0000002)
+
 
 class TestDecreasingRoot:
     def test_grows_hi_without_touching_nonnegative_lo(self):

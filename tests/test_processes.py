@@ -146,7 +146,7 @@ def oracle_heat_bounds(proc):
         raise ValueError("not thermal")
     beta = intrinsic_beta(proc.fam_b, entropy(b0))
     led = oracle_ledger(proc)
-    t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else math.nan
+    t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else -math.inf
     return bool(t_ds <= led.dQ + 1e-9 and led.dQ <= led.dE_B + 1e-9)
 
 
@@ -294,6 +294,15 @@ class TestHeat:
         for _ in range(30):
             proc = random_process((2, 3), rng, thermal_b=True,
                                   beta_b=float(rng.uniform(0.3, 3.0)))
+            assert heat_bounds_check(proc)
+
+    def test_bounds_for_maximally_mixed_bath(self, rng):
+        # beta_B = 0: T = inf and dS_B <= 0, so T dS_B = -inf
+        for _ in range(50):
+            proc = random_process((2, 2), rng, thermal_b=True, beta_b=0.0,
+                                  fam_b=gap_family(1.0))
+            b0 = partial_trace(proc.initial, proc.split, [1])
+            assert intrinsic_beta(proc.fam_b, entropy(b0)) == 0.0
             assert heat_bounds_check(proc)
 
     def test_bounds_require_thermal_bath(self, rng):
