@@ -55,15 +55,15 @@ def _load_json(path) -> dict:
     return data
 
 
-def _parse_operator(spec, dim: int, where: str) -> HermitianOperator:
-    if not isinstance(spec, dict):
-        raise SchemaError(f"{where}: operator spec must be an object")
+def _parse_matrix_spec(cls, spec: dict, dim: int, where: str):
+    """A `cls` (HermitianOperator or DensityMatrix) from the 'diagonal' or
+    'matrix' entry of `spec`; None when `spec` has neither."""
     if "diagonal" in spec:
         diag = spec["diagonal"]
         if not isinstance(diag, list) or len(diag) != dim:
             raise SchemaError(f"{where}.diagonal: expected {dim} reals")
         try:
-            return HermitianOperator.diagonal([float(x) for x in diag])
+            return cls.diagonal([float(x) for x in diag])
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}.diagonal: {exc}") from exc
     if "matrix" in spec:
@@ -71,18 +71,25 @@ def _parse_operator(spec, dim: int, where: str) -> HermitianOperator:
         if not isinstance(m, dict) or "re" not in m or "im" not in m:
             raise SchemaError(f"{where}.matrix: needs 're' and 'im' arrays")
         try:
-            re = np.asarray(m["re"], dtype=float)
-            im = np.asarray(m["im"], dtype=float)
-            a = re + 1j * im
+            a = np.asarray(m["re"], dtype=float) + 1j * np.asarray(m["im"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}.matrix: {exc}") from exc
         if a.shape != (dim, dim):
             raise SchemaError(f"{where}.matrix: expected shape ({dim}, {dim})")
         try:
-            return HermitianOperator(a)
+            return cls(a)
         except ValueError as exc:
             raise SchemaError(f"{where}.matrix: {exc}") from exc
-    raise SchemaError(f"{where}: need 'diagonal' or 'matrix'")
+    return None
+
+
+def _parse_operator(spec, dim: int, where: str) -> HermitianOperator:
+    if not isinstance(spec, dict):
+        raise SchemaError(f"{where}: operator spec must be an object")
+    h = _parse_matrix_spec(HermitianOperator, spec, dim, where)
+    if h is None:
+        raise SchemaError(f"{where}: need 'diagonal' or 'matrix'")
+    return h
 
 
 def load_system(path):
@@ -116,29 +123,9 @@ def load_system(path):
 def load_state(path, fam: GibbsFamily, gge=None) -> DensityMatrix:
     """Parse a StateSpec file against the system it applies to."""
     data = _load_json(path)
-    dim = fam.dim
-    if "diagonal" in data:
-        diag = data["diagonal"]
-        if not isinstance(diag, list) or len(diag) != dim:
-            raise SchemaError(f"{path}.diagonal: expected {dim} probabilities")
-        try:
-            return DensityMatrix.diagonal([float(x) for x in diag])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}.diagonal: {exc}") from exc
-    if "matrix" in data:
-        m = data.get("matrix")
-        if not isinstance(m, dict) or "re" not in m or "im" not in m:
-            raise SchemaError(f"{path}.matrix: needs 're' and 'im' arrays")
-        try:
-            a = np.asarray(m["re"], dtype=float) + 1j * np.asarray(m["im"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}.matrix: {exc}") from exc
-        if a.shape != (dim, dim):
-            raise SchemaError(f"{path}.matrix: expected shape ({dim}, {dim})")
-        try:
-            return DensityMatrix(a)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.matrix: {exc}") from exc
+    rho = _parse_matrix_spec(DensityMatrix, data, fam.dim, path)
+    if rho is not None:
+        return rho
     if "gibbs" in data:
         g = data["gibbs"]
         if not isinstance(g, dict) or "beta" not in g:

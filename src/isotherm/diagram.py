@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energetics import report
+from .energetics import _bound_energy_at, report
 from .gibbs import (
     GibbsFamily,
     boundary_energy,
@@ -88,7 +88,7 @@ def project_state(rho: DensityMatrix, fam: GibbsFamily) -> StateProjection:
     energetics module within 1e-8."""
     pt = state_point(rho, fam)
     beta = intrinsic_beta(fam, pt.S)
-    b_geom = fam.energy_min if math.isinf(beta) else boundary_energy(fam, beta)
+    b_geom = _bound_energy_at(fam, beta)
     beta_spont = spontaneous_beta(fam, pt.E)
     a_geom = boundary_entropy(fam, beta_spont) - pt.S
     return StateProjection(

@@ -3,7 +3,12 @@
 Iso-entropic equilibration releases work at constant total entropy
 (min-energy principle); iso-energetic equilibration produces entropy at
 constant total energy (max-entropy principle). Both treat equilibration as
-a state-to-state map over non-interacting subsystems.
+a state-to-state map over non-interacting subsystems, ending in a product of
+local Gibbs states at one common beta. That beta is the intrinsic
+(iso-entropic) or spontaneous (iso-energetic) beta of the sum of the
+families, solved by the gibbs solvers with the same sentinels: +inf at the
+ground-subspace floor, -inf at the top-subspace ceiling, 0 at the maximally
+mixed limit.
 """
 
 from __future__ import annotations
@@ -11,8 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energetics import free_energy
-from .gibbs import GibbsFamily, boundary_energy, boundary_entropy, decreasing_root, gibbs_state
+from .energetics import _bound_energy_at, free_energy
+from .gibbs import (
+    GibbsFamily,
+    _joint_intrinsic_beta,
+    _joint_spontaneous_beta,
+    boundary_entropy,
+    gibbs_state,
+)
 from .operators import (
     DensityMatrix,
     SubsystemSplit,
@@ -32,7 +43,7 @@ class EquilibrationOutcome:
     final_state: DensityMatrix  # product of local Gibbs states at beta_joint
     work_released: float  # iso-entropic: E_initial - E_final
     entropy_produced: float  # iso-energetic: S_final - S_initial
-    degenerate: bool = False  # sentinel beta (ground-subspace limit)
+    degenerate: bool = False  # sentinel beta_joint (+-inf), in either mode
 
 
 def joint_family(fams: list[GibbsFamily]) -> GibbsFamily:
@@ -49,6 +60,8 @@ def is_equilibrium(rho_joint: DensityMatrix, fams: list[GibbsFamily],
 
 
 def _totals(pairs, joint_state=None):
+    if len(pairs) < 2:
+        raise ValueError("equilibration needs at least two subsystems")
     fams = [fam for _, fam in pairs]
     e_total = sum(expectation(fam.hamiltonian, rho) for rho, fam in pairs)
     if joint_state is not None:
@@ -72,51 +85,25 @@ def equilibrate_isoentropic(pairs, joint_state: DensityMatrix | None = None) -> 
     correlated joint input is passed via `joint_state` (its entropy is used
     as the conserved total).
     """
-    if len(pairs) < 2:
-        raise ValueError("equilibration needs at least two subsystems")
     fams, e_total, s_total = _totals(pairs, joint_state)
-
-    floor = sum(math.log(fam.ground_degeneracy) for fam in fams)
-    if s_total <= floor + 1e-12:
-        beta = math.inf
-        degenerate = True
-    else:
-        degenerate = False
-
-        def resid(b):
-            return sum(boundary_entropy(fam, b) for fam in fams) - s_total
-
-        beta = 0.0 if resid(0.0) <= 1e-12 else decreasing_root(resid, 0.0, 1.0)
+    beta = _joint_intrinsic_beta(fams, s_total)
     final = _product_gibbs(fams, beta)
-    if math.isinf(beta):
-        e_final = sum(fam.energy_min for fam in fams)
-    else:
-        e_final = sum(boundary_energy(fam, beta) for fam in fams)
+    e_final = sum(_bound_energy_at(fam, beta) for fam in fams)
     return EquilibrationOutcome(
         mode="iso-entropic",
         beta_joint=beta,
         final_state=final,
         work_released=e_total - e_final,
         entropy_produced=0.0,
-        degenerate=degenerate,
+        degenerate=math.isinf(beta),
     )
 
 
 def equilibrate_isoenergetic(pairs, joint_state: DensityMatrix | None = None) -> EquilibrationOutcome:
     """Joint max-entropy state at the initial total energy; beta_E may be
     negative (inverted populations)."""
-    if len(pairs) < 2:
-        raise ValueError("equilibration needs at least two subsystems")
     fams, e_total, s_total = _totals(pairs, joint_state)
-    e_min = sum(fam.energy_min for fam in fams)
-    e_max = sum(fam.energy_max for fam in fams)
-    if e_total < e_min - 1e-9 or e_total > e_max + 1e-9:
-        raise ValueError(f"total energy {e_total} outside [{e_min}, {e_max}]")
-
-    def resid(b):
-        return sum(boundary_energy(fam, b) for fam in fams) - e_total
-
-    beta = 0.0 if abs(resid(0.0)) <= 1e-13 else decreasing_root(resid, -1.0, 1.0)
+    beta = _joint_spontaneous_beta(fams, e_total)
     final = _product_gibbs(fams, beta)
     s_final = sum(boundary_entropy(fam, beta) for fam in fams)
     return EquilibrationOutcome(
@@ -125,6 +112,7 @@ def equilibrate_isoenergetic(pairs, joint_state: DensityMatrix | None = None) ->
         final_state=final,
         work_released=0.0,
         entropy_produced=s_final - s_total,
+        degenerate=math.isinf(beta),
     )
 
 

@@ -57,10 +57,6 @@ class GibbsFamily:
     def ground_degeneracy(self) -> int:
         return int(np.sum(self.eigenvalues <= self.eigenvalues[0] + DEGENERACY_ATOL))
 
-    @property
-    def top_degeneracy(self) -> int:
-        return int(np.sum(self.eigenvalues >= self.eigenvalues[-1] - DEGENERACY_ATOL))
-
 
 def _boltzmann_weights(levels: np.ndarray, beta) -> np.ndarray:
     """Normalized probabilities e^(-beta . levels) / Z, overflow safe.
@@ -82,7 +78,9 @@ def _log_partition(levels: np.ndarray, beta) -> float:
     return float(m + np.log(np.sum(np.exp(x - m))))
 
 
-def _limit_weights(fam: GibbsFamily, beta: float) -> np.ndarray:
+def _weights(fam: GibbsFamily, beta: float) -> np.ndarray:
+    if not math.isinf(beta):
+        return _boltzmann_weights(fam.eigenvalues, beta)
     w = np.zeros(fam.dim)
     if beta > 0:  # +inf: uniform on the ground subspace
         idx = fam.eigenvalues <= fam.eigenvalues[0] + DEGENERACY_ATOL
@@ -90,12 +88,6 @@ def _limit_weights(fam: GibbsFamily, beta: float) -> np.ndarray:
         idx = fam.eigenvalues >= fam.eigenvalues[-1] - DEGENERACY_ATOL
     w[idx] = 1.0 / idx.sum()
     return w
-
-
-def _weights(fam: GibbsFamily, beta: float) -> np.ndarray:
-    if math.isinf(beta):
-        return _limit_weights(fam, beta)
-    return _boltzmann_weights(fam.eigenvalues, beta)
 
 
 def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
@@ -159,26 +151,44 @@ def intrinsic_beta(fam: GibbsFamily, target_entropy: float) -> float:
     Returns math.inf when the target entropy is at or below ln g0 (the
     entropy floor of the beta >= 0 branch); the bound energy then is E_min.
     """
-    log_dim = math.log(fam.dim)
+    return _joint_intrinsic_beta([fam], target_entropy)
+
+
+def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
+    """The beta~ in R u {+-inf} with E(gamma(beta~)) = target_energy.
+
+    Returns +-inf at the mean energy of the ground (top) subspace and 0.0 at
+    the mean energy, each within 1e-10 of the width of the spectrum.
+    """
+    return _joint_spontaneous_beta([fam], target_energy)
+
+
+def _joint_intrinsic_beta(fams: list[GibbsFamily], target_entropy: float) -> float:
+    """intrinsic_beta of the non-interacting sum of `fams`: S, ln d and ln g0
+    add up over the families, and a one-term sum is exact."""
+    log_dim = sum(math.log(f.dim) for f in fams)
     if target_entropy < -1e-12 or target_entropy > log_dim + 1e-12:
         raise ValueError(
-            f"target entropy {target_entropy} outside [0, ln {fam.dim}]"
+            f"target entropy {target_entropy} outside [0, ln {math.prod(f.dim for f in fams)}]"
         )
     target = min(max(target_entropy, 0.0), log_dim)
     if log_dim - target <= ENTROPY_RTOL:
         return 0.0
-    floor = math.log(fam.ground_degeneracy)
+    floor = sum(math.log(f.ground_degeneracy) for f in fams)
     if target <= floor + 1e-12:
         return math.inf
     try:
-        return decreasing_root(lambda b: boundary_entropy(fam, b) - target, 0.0, 1.0)
+        return decreasing_root(
+            lambda b: sum(boundary_entropy(f, b) for f in fams) - target, 0.0, 1.0)
     except BracketError:
         return math.inf
 
 
-def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
-    """The beta~ in R u {+-inf} with E(gamma(beta~)) = target_energy."""
-    e_min, e_max = fam.energy_min, fam.energy_max
+def _joint_spontaneous_beta(fams: list[GibbsFamily], target_energy: float) -> float:
+    """spontaneous_beta of the non-interacting sum of `fams`: E and the energies
+    of the levels and limit subspaces add up, and a one-term sum is exact."""
+    e_min = sum(f.energy_min for f in fams)
+    e_max = sum(f.energy_max for f in fams)
     scale = e_max - e_min
     if scale <= DEGENERACY_ATOL:
         if abs(target_energy - e_min) > 1e-9:
@@ -190,9 +200,12 @@ def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
         raise ValueError(f"target energy {target_energy} outside [{e_min}, {e_max}]")
     atol = 1e-10 * scale
     # floor/ceiling of the finite-beta branch: mean energy of the limit subspaces
-    if target_energy <= np.dot(_limit_weights(fam, 1.0), fam.eigenvalues) + atol:
+    if target_energy <= sum(boundary_energy(f, math.inf) for f in fams) + atol:
         return math.inf
-    if target_energy >= np.dot(_limit_weights(fam, -1.0), fam.eigenvalues) - atol:
+    if target_energy >= sum(boundary_energy(f, -math.inf) for f in fams) - atol:
         return -math.inf
-
-    return decreasing_root(lambda b: boundary_energy(fam, b) - target_energy, -1.0, 1.0)
+    # the maximally mixed limit, where brentq alone lands a rounding speck off 0
+    if abs(target_energy - sum(float(f.eigenvalues.sum()) / f.dim for f in fams)) <= atol:
+        return 0.0
+    return decreasing_root(
+        lambda b: sum(boundary_energy(f, b) for f in fams) - target_energy, -1.0, 1.0)

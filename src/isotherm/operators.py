@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERMITICITY_ATOL = 1e-8
-SYMMETRIZE_ATOL = 1e-10
 EIGENVALUE_CLIP = 1e-12
 
 
@@ -144,7 +143,7 @@ def spectrum_entropy(probs: np.ndarray) -> float:
     """Shannon entropy of a probability vector in nats, with 0 log 0 = 0."""
     p = np.asarray(probs, dtype=float)
     p = p[p > 0]
-    return float(-np.sum(p * np.log(p)))
+    return float(-(p * np.log(p)).sum())
 
 
 def entropy(rho: DensityMatrix) -> float:

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .energetics import _bound_energy_at, _free_energy_at, bound_energy, free_energy
+from .equilibrium import joint_family
 from .gibbs import (
     BRACKET_CAP,
     GibbsFamily,
@@ -32,7 +33,6 @@ from .operators import (
     entropy,
     expectation,
     haar_unitary,
-    kron_sum,
     partial_trace,
     random_density,
     random_hamiltonian,
@@ -314,7 +314,7 @@ def erasure(rho_s: DensityMatrix, fam_s: GibbsFamily,
     rho_b_final = gibbs_state(fam_b, beta_final)
     target = np.zeros((fam_s.dim, fam_s.dim))
     target[0, 0] = 1.0
-    joint = GibbsFamily(kron_sum(fam_s.hamiltonian, fam_b.hamiltonian))
+    joint = joint_family([fam_s, fam_b])
     f_after = free_energy(tensor(DensityMatrix(target), rho_b_final), joint)
     f_before = free_energy(tensor(rho_s, rho_b), joint)
     return True, f_after - f_before

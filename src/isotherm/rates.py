@@ -14,7 +14,6 @@ from .diagram import DiagramPoint, state_point
 from .gibbs import GibbsFamily, boundary_entropy, decreasing_root, spontaneous_beta
 from .operators import DensityMatrix, entropy
 
-COLLINEARITY_ATOL = 1e-8
 PURE_S_ATOL = 1e-9
 
 

@@ -121,6 +121,15 @@ class TestEquilibrate:
                       for line in capsys.readouterr().out.strip().splitlines())
         assert float(values["entropy_produced"]) >= 0.0
 
+    def test_isoenergetic_ground_states_give_sentinel(self, qubit_system, tmp_path, capsys):
+        qutrit_system = state_file(tmp_path, "qutrit.json",
+                                   {"dim": 3, "hamiltonian": {"diagonal": [0.0, 1.0, 2.0]}})
+        a = state_file(tmp_path, "a.json", {"diagonal": [1.0, 0.0]})
+        b = state_file(tmp_path, "b.json", {"diagonal": [1.0, 0.0, 0.0]})
+        assert main(["equilibrate", "--mode", "isoenergetic",
+                     "--system", qubit_system, qutrit_system, "--state", a, b]) == 0
+        assert capsys.readouterr().out == "beta_joint = inf\nentropy_produced = 0\n"
+
 
 class TestEngine:
     def test_csv_output(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isotherm.equilibrium import (
     equilibrate_isoenergetic,
@@ -10,12 +12,21 @@ from isotherm.equilibrium import (
     joint_family,
     lemma3_check,
 )
-from isotherm.gibbs import GibbsFamily, gibbs_state
+from isotherm.gibbs import (
+    GibbsFamily,
+    boundary_energy,
+    boundary_entropy,
+    gibbs_state,
+    intrinsic_beta,
+    spontaneous_beta,
+)
 from isotherm.operators import (
     DensityMatrix,
+    HermitianOperator,
     SubsystemSplit,
     entropy,
     expectation,
+    haar_unitary,
     mutual_information,
     partial_trace,
     random_density,
@@ -126,6 +137,31 @@ class TestIsoenergetic:
         with pytest.raises(ValueError):
             equilibrate_isoenergetic([(rho_qubit_91, qubit)])
 
+    def test_ground_state_pairs_are_sentinel(self, qubit, qutrit, degenerate_qutrit):
+        # E(beta) only reaches the total ground energy at beta = +inf, where the
+        # pure inputs spread over the ground subspace: ln g0 is produced
+        for fams, s_out in (([qubit, qutrit], 0.0), ([qubit, qubit], 0.0),
+                            ([degenerate_qutrit, qubit], math.log(2))):
+            pairs = [(DensityMatrix.pure(np.eye(f.dim)[0]), f) for f in fams]
+            out = equilibrate_isoenergetic(pairs)
+            assert out.beta_joint == math.inf
+            assert out.degenerate
+            assert out.entropy_produced == pytest.approx(s_out, abs=1e-15)
+
+    def test_top_state_pairs_are_sentinel(self, qubit, qutrit):
+        for fams in ([qubit, qutrit], [qubit, qubit]):
+            pairs = [(DensityMatrix.pure(np.eye(f.dim)[-1]), f) for f in fams]
+            out = equilibrate_isoenergetic(pairs)
+            assert out.beta_joint == -math.inf
+            assert out.degenerate
+            assert out.entropy_produced == 0.0
+
+    def test_maximally_mixed_pair_is_zero(self, qubit, qutrit):
+        pairs = [(DensityMatrix.maximally_mixed(f.dim), f) for f in (qubit, qutrit)]
+        out = equilibrate_isoenergetic(pairs)
+        assert out.beta_joint == 0.0
+        assert not out.degenerate
+
 
 class TestEquilibriumPredicate:
     def test_joint_gibbs_is_equilibrium(self, qubit, qutrit):
@@ -149,3 +185,92 @@ class TestIntermediateTemperature:
                      (gibbs_state(fams[1], b_b), fams[1])]
             out = equilibrate_isoentropic(pairs)
             assert lemma3_check(b_a, b_b, out)
+
+
+STATE_KINDS = ("random", "ground", "top", "pure", "mixed")
+
+
+def oracle_family(levels, split, scale, rotate, rng):
+    """scale * (levels + split * index): equal integer levels end up at
+    least `split` apart; `rotate` hides the spectrum in a Haar basis."""
+    h = scale * (np.array(levels, dtype=float) + split * np.arange(len(levels)))
+    if not rotate:
+        return GibbsFamily(HermitianOperator.diagonal(h))
+    u = haar_unitary(len(levels), rng)
+    return GibbsFamily(HermitianOperator((u * h) @ u.conj().T))
+
+
+def oracle_state(fam, kind, rng):
+    """A state at an energy extreme (ground, top), an entropy extreme (pure,
+    mixed), or a random one."""
+    vecs = fam.hamiltonian.eigenvectors[:, np.argsort(fam.hamiltonian.eigenvalues)]
+    if kind == "ground":
+        return DensityMatrix.pure(vecs[:, 0])
+    if kind == "top":
+        return DensityMatrix.pure(vecs[:, -1])
+    if kind == "pure":
+        return DensityMatrix.pure(rng.standard_normal(fam.dim) + 1j * rng.standard_normal(fam.dim))
+    if kind == "mixed":
+        return DensityMatrix.maximally_mixed(fam.dim)
+    return random_density(fam.dim, rng)
+
+
+def assert_joint_beta_agrees(beta, oracle, residual, atol):
+    """The same sentinel, or the same beta within 1e-8 max(1, |beta|). Where
+    the root is too flat for that (a tiny variance under large energies, so
+    rounding of the spectrum moves the root), beta must still solve the
+    oracle's own equation: |residual(beta)| <= atol."""
+    if math.isinf(beta) or math.isinf(oracle):
+        assert beta == oracle
+    elif abs(beta - oracle) > 1e-8 * max(1.0, abs(oracle)):
+        assert abs(residual(beta)) <= atol, (beta, oracle)
+
+
+def assert_matches_joint_family(pairs):
+    """Both equilibrations against intrinsic_beta and spontaneous_beta of the
+    explicit Kronecker-sum family: an independent route, solved on the full
+    d_a * d_b spectrum instead of a sum over the families."""
+    joint = joint_family([fam for _, fam in pairs])
+    s_total = sum(entropy(rho) for rho, _ in pairs)
+    e_total = sum(expectation(fam.hamiltonian, rho) for rho, fam in pairs)
+    norm = max(1.0, float(np.max(np.abs(joint.eigenvalues))))
+
+    out = equilibrate_isoentropic(pairs)
+    assert_joint_beta_agrees(out.beta_joint, intrinsic_beta(joint, s_total),
+                             lambda b: boundary_entropy(joint, b) - s_total, 1e-12)
+    assert out.degenerate == math.isinf(out.beta_joint)
+    out = equilibrate_isoenergetic(pairs)
+    assert_joint_beta_agrees(out.beta_joint, spontaneous_beta(joint, e_total),
+                             lambda b: boundary_energy(joint, b) - e_total, 1e-12 * norm)
+    assert out.degenerate == math.isinf(out.beta_joint)
+
+
+class TestJointFamilyOracle:
+    def test_random_pairs(self, rng):
+        for _ in range(60):
+            fams = [GibbsFamily(random_hamiltonian(int(rng.integers(2, 5)), rng))
+                    for _ in range(2)]
+            assert_matches_joint_family([(random_density(f.dim, rng), f) for f in fams])
+
+    @settings(max_examples=150, deadline=None)
+    @given(levels=st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=4),
+                           min_size=2, max_size=2),
+           split=st.sampled_from([0.0, 1e-6, 1e-4]),
+           scale=st.floats(1e-2, 1e2),
+           rotate=st.booleans(),
+           kinds=st.lists(st.sampled_from(STATE_KINDS), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    @example(levels=[[0, 1], [0, 1, 2]], split=0.0, scale=1.0, rotate=False,
+             kinds=["ground", "ground"], seed=0)
+    @example(levels=[[0, 1], [0, 1, 2]], split=0.0, scale=1.0, rotate=False,
+             kinds=["top", "top"], seed=0)
+    @example(levels=[[0, 0, 1], [1, 1]], split=1e-6, scale=3.0, rotate=True,
+             kinds=["ground", "mixed"], seed=1)
+    @example(levels=[[0, 1], [0, 1, 2]], split=0.0, scale=1.0, rotate=False,
+             kinds=["mixed", "mixed"], seed=0)
+    def test_degenerate_spectra_and_extreme_states(self, levels, split, scale, rotate,
+                                                  kinds, seed):
+        rng = np.random.default_rng(seed)
+        fams = [oracle_family(lv, split, scale, rotate, rng) for lv in levels]
+        assert_matches_joint_family([(oracle_state(f, k, rng), f)
+                                     for f, k in zip(fams, kinds)])

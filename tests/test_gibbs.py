@@ -23,7 +23,13 @@ from isotherm.gibbs import (
     log_partition,
     spontaneous_beta,
 )
-from isotherm.operators import HermitianOperator, entropy, expectation, random_hamiltonian
+from isotherm.operators import (
+    DensityMatrix,
+    HermitianOperator,
+    entropy,
+    expectation,
+    random_hamiltonian,
+)
 
 LN2 = math.log(2)
 LN9 = math.log(9)
@@ -175,6 +181,12 @@ class TestSpontaneousBeta:
             beta = float(rng.uniform(-4.0, 4.0))
             rec = spontaneous_beta(fam, boundary_energy(fam, beta))
             assert rec == pytest.approx(beta, abs=1e-8)
+
+    def test_maximally_mixed_energy_gives_zero(self, qutrit):
+        # the mean energy rounds an ulp off E(gamma(0)); brentq alone would
+        # return a rounding speck of either sign
+        energy = expectation(qutrit.hamiltonian, DensityMatrix.maximally_mixed(3))
+        assert spontaneous_beta(qutrit, energy) == 0.0
 
     def test_flat_spectrum(self):
         fam = GibbsFamily(HermitianOperator.diagonal([1.0, 1.0, 1.0]))

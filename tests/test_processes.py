@@ -417,6 +417,18 @@ class TestEngine:
             assert run.efficiency <= run.bound_finite + 1e-9
             assert run.bound_finite <= run.bound_carnot + 1e-9
 
+    def test_flat_cold_bath_is_degenerate(self, rng):
+        # a flat cold bath keeps its entropy at every beta, so the Lemma-3
+        # bracket [beta_b, beta_a] pins the joint beta at beta_b exactly and no
+        # heat leaves the hot bath; a bracket that does not start at beta_b
+        # lands a rounding error away and reports efficiency 1
+        flat = GibbsFamily(HermitianOperator.diagonal([0.5, 0.5]))
+        for _ in range(40):
+            hot = GibbsFamily(random_hamiltonian(3, rng))
+            beta_b = float(rng.uniform(0.1, 1.0))
+            with pytest.raises(DegenerateEngineError):
+                carnot_engine((flat, beta_b + float(rng.uniform(0.2, 3.0)), 1), (hot, beta_b, 1))
+
     def test_extreme_cold_bath(self, qubit):
         # the joint-beta bracket [1, 1e300] needs about 1000 brentq iterations
         run = carnot_engine((qubit, 1e300, 1), (qubit, 1.0, 1))
