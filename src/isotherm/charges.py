@@ -464,7 +464,7 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         gap_wall = spectrum_entropy(p) - (x_sigma.S + t_wall * d_s)
     t_pure = -x_sigma.S / d_s if d_s < 0 else math.inf
     beta = None
-    if t_pure <= t_wall:
+    if d_s < 0 and t_pure <= t_wall:
         t_star, kind = t_pure, "pure"
     elif gap_wall >= 0:
         t_star, kind = t_wall, "thermal"

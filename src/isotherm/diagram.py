@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energetics import _bound_energy_at, report
-from .gibbs import (
-    GibbsFamily,
-    boundary_energy,
-    boundary_entropy,
-    intrinsic_beta,
-    spontaneous_beta,
-)
+from .gibbs import GibbsFamily, _boundary_point, boundary_entropy, intrinsic_beta, spontaneous_beta
 from .operators import DensityMatrix, entropy, expectation
 
 
@@ -59,8 +53,7 @@ def sample_boundary(fam: GibbsFamily, beta_min: float = -20.0, beta_max: float =
     if n_points < 3:
         raise ValueError("need at least 3 sample points")
     betas = warped_beta_grid(beta_min, beta_max, n_points)
-    points = [DiagramPoint(boundary_energy(fam, b), boundary_entropy(fam, b))
-              for b in betas]
+    points = [DiagramPoint(*_boundary_point(fam, b)) for b in betas]
     return BoundarySample(betas=betas, points=points, family=fam)
 
 
@@ -69,8 +62,7 @@ def tangent_line(fam: GibbsFamily, beta: float) -> tuple[float, float]:
     intercept equals ln Z_beta."""
     if math.isinf(beta):
         raise ValueError("tangent_line needs finite beta")
-    s = boundary_entropy(fam, beta)
-    e = boundary_energy(fam, beta)
+    e, s = _boundary_point(fam, beta)
     return beta, s - beta * e
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .gibbs import (
     GibbsFamily,
+    _boundary_point,
     boundary_energy,
     boundary_entropy,
     intrinsic_beta,
@@ -103,11 +104,9 @@ def beta_free_energy(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float
         raise ValueError("beta = 0 unsupported (T-form divides by zero)")
     if math.isinf(beta):
         raise ValueError("beta_free_energy needs finite beta")
-    e = expectation(fam.hamiltonian, rho)
-    s = entropy(rho)
-    f_rho = e - s / beta
-    f_gamma = boundary_energy(fam, beta) - boundary_entropy(fam, beta) / beta
-    return f_rho - f_gamma
+    e_gamma, s_gamma = _boundary_point(fam, beta)
+    f_rho = expectation(fam.hamiltonian, rho) - entropy(rho) / beta
+    return f_rho - (e_gamma - s_gamma / beta)
 
 
 def default_beta_grid(n: int = 2001, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:

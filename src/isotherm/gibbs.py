@@ -117,6 +117,12 @@ def boundary_energy(fam: GibbsFamily, beta: float) -> float:
     return float(np.dot(_weights(fam, beta), fam.eigenvalues))
 
 
+def _boundary_point(fam: GibbsFamily, beta: float) -> tuple[float, float]:
+    """(E, S) of gamma(beta) from one pass: boundary_energy and boundary_entropy, bit for bit."""
+    w = _weights(fam, beta)
+    return float(np.dot(w, fam.eigenvalues)), spectrum_entropy(w)
+
+
 def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL) -> float:
     """Root of a decreasing residual f, with the bracket [lo, hi] grown by doubling.
 

@@ -1,8 +1,14 @@
 """Asymptotic interconversion rates via energy-entropy geometry.
 
 The maximal rate r for rho^n -> sigma^m (x) phi^(n-m) puts the filler state
-phi on the diagram boundary, collinear with x_rho and x_sigma; then
-r = (S(rho) - S(phi)) / (S(sigma) - S(phi)).
+phi where the ray x_sigma + t (x_rho - x_sigma), t >= 1, leaves the convex
+diagram: r = 1 - 1/t* = (S(rho) - S(phi)) / (S(sigma) - S(phi)). As in
+`charges.conversion_rate_charges`, with t_wall where E(t) reaches the wall
+ahead, the ray exits at S = 0 ("pure") iff t_pure <= t_wall, through the wall
+("thermal", phi_beta +-inf) iff S(t_wall) <= ln g of its level, and else on the
+curve ("thermal") at the one root in beta of the side of the ray gamma(beta) is
+on, sought toward the wall from beta~(rho) = spontaneous_beta(E(rho)). That is
+solved once, and also marks a source on the boundary ("source-degenerate").
 """
 
 from __future__ import annotations
@@ -11,10 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .diagram import DiagramPoint, state_point
-from .gibbs import GibbsFamily, boundary_entropy, decreasing_root, spontaneous_beta
+from .gibbs import GibbsFamily, _boundary_point, boundary_entropy, decreasing_root, spontaneous_beta
 from .operators import DensityMatrix, entropy
-
-PURE_S_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -26,26 +30,6 @@ class RateSolution:
     collinearity_residual: float
 
 
-def _inside_margin(fam: GibbsFamily, e: float, s: float) -> float:
-    """Positive when (E, S) lies inside the diagram, negative outside.
-
-    The margin is the smallest of: S itself, the distance to the spectral
-    energy range, and the vertical gap to the thermal curve.
-    """
-    e_min, e_max = fam.energy_min, fam.energy_max
-    margin = min(s, e - e_min, e_max - e)
-    if margin < 0:
-        return margin
-    s_cap = boundary_entropy(fam, spontaneous_beta(fam, e))
-    return min(margin, s_cap - s)
-
-
-def _classify(fam: GibbsFamily, pt: DiagramPoint) -> tuple[str, float | None]:
-    if pt.S <= PURE_S_ATOL:
-        return "pure", None
-    return "thermal", spontaneous_beta(fam, pt.E)
-
-
 def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
                     fam: GibbsFamily) -> RateSolution:
     """Maximal interconversion rate of rho into sigma under one family."""
@@ -55,24 +39,42 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
     if math.hypot(de, ds) < 1e-12:
         return RateSolution(r=1.0, phi_point=x_rho, phi_kind="thermal",
                             phi_beta=None, collinearity_residual=0.0)
-
-    def margin(t: float) -> float:
-        return _inside_margin(fam, x_sigma.E + t * de, x_sigma.S + t * ds)
-
-    if margin(1.0) <= 1e-12:
+    beta = spontaneous_beta(fam, x_rho.E)
+    s_cap = boundary_entropy(fam, beta)
+    if min(x_rho.S, x_rho.E - fam.energy_min, fam.energy_max - x_rho.E, s_cap - x_rho.S) <= 1e-12:
         # x_rho already sits on the boundary along this ray: nothing to fill
-        kind, beta = _classify(fam, x_rho)
         return RateSolution(r=0.0, phi_point=x_rho, phi_kind="source-degenerate",
-                            phi_beta=beta, collinearity_residual=0.0)
-    # margin(1) > 0 is known, so the bracket search starts at t = 2
-    t_star = decreasing_root(margin, 1.0, 2.0, xtol=1e-13)
+                            phi_beta=None if x_rho.S <= 1e-9 else beta,
+                            collinearity_residual=0.0)
+    step = -math.copysign(1.0, de)  # the sign of d(beta) toward the wall ahead
+    t_wall = ((fam.energy_min if de < 0 else fam.energy_max) - x_sigma.E) / de if de else math.inf
+    if ds < 0 and -x_sigma.S / ds <= t_wall:
+        t_star, beta = -x_sigma.S / ds, None
+    elif x_sigma.S + t_wall * ds <= boundary_entropy(fam, step * math.inf):
+        t_star, beta = t_wall, step * math.inf
+    elif math.isinf(beta):
+        # by a sentinel the curve is S = ln g to rounding: the ray meets it there while E(t)
+        # maps to the sentinel, else further on, past beta = 0 if it stays below ln g
+        t_star = (s_cap - x_sigma.S) / ds if ds > 0 else math.inf
+        beta = spontaneous_beta(fam, x_sigma.E + t_star * de) if t_star < t_wall else 0.0
+    if beta is not None and math.isfinite(beta):
+        b0 = beta
+
+        def side(u: float) -> float:  # > 0 while gamma(b0 + step u) is above the ray
+            e, s = _boundary_point(fam, b0 + step * u)
+            return step * (ds * (e - x_rho.E) - de * (s - x_rho.S))
+
+        beta = b0 if side(0.0) <= 0 else b0 + step * decreasing_root(side, 0.0, 1.0)
+        e, s = _boundary_point(fam, beta)
+        # the ray meets the tangent S = beta E + ln Z there: second order in the
+        # root's error, and no earlier than x_rho itself
+        t_star = max((s - x_sigma.S - beta * (e - x_sigma.E)) / (ds - beta * de), 1.0)
     phi = DiagramPoint(x_sigma.E + t_star * de, max(x_sigma.S + t_star * ds, 0.0))
     r = 1.0 - 1.0 / t_star
-    kind, beta = _classify(fam, phi)
     res = max(abs(x_rho.E - (r * x_sigma.E + (1 - r) * phi.E)),
               abs(x_rho.S - (r * x_sigma.S + (1 - r) * phi.S)))
-    return RateSolution(r=r, phi_point=phi, phi_kind=kind, phi_beta=beta,
-                        collinearity_residual=res)
+    return RateSolution(r=r, phi_point=phi, phi_kind="pure" if beta is None else "thermal",
+                        phi_beta=beta, collinearity_residual=res)
 
 
 def rate_entropy_only(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -354,6 +354,23 @@ class TestChargesRate:
                 continue
             assert multi.r == pytest.approx(single.r, abs=1e-6)
 
+    def test_equal_charges_rising_entropy(self, qutrit, single_charge_family, charge_family):
+        # a vertical ray (no t_pure, no wall) exits on the thermal surface
+        from isotherm.rates import conversion_rate
+
+        rho = DensityMatrix.diagonal([0.3, 0.4, 0.3])
+        sigma = DensityMatrix.diagonal([0.45, 0.1, 0.45])
+        sol = conversion_rate_charges(rho, sigma, single_charge_family)
+        assert sol.phi_kind == "thermal"
+        assert sol.r == pytest.approx(conversion_rate(rho, sigma, qutrit).r, abs=1e-12)
+        # q = 2 at the polytope's centre: the filler is the maximally mixed state
+        rho = DensityMatrix.diagonal([0.3, 0.2, 0.2, 0.3])
+        sigma = DensityMatrix.diagonal([0.4, 0.1, 0.1, 0.4])
+        sol = conversion_rate_charges(rho, sigma, charge_family)
+        t_star = (math.log(4) - entropy(sigma)) / (entropy(rho) - entropy(sigma))
+        assert sol.phi_kind == "thermal"
+        assert sol.r == pytest.approx(1 - 1 / t_star, abs=1e-12)
+
     def test_identical_points_rate_one(self, charge_family, rng):
         rho = random_density(4, rng)
         sol = conversion_rate_charges(rho, rho, charge_family)

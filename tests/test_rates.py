@@ -1,11 +1,33 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from isotherm import rates
-from isotherm.gibbs import GibbsFamily, gibbs_state
-from isotherm.operators import DensityMatrix, entropy, random_density, random_hamiltonian
+from isotherm.charges import NEWTON_TOL, ChargeSet, GGEFamily, conversion_rate_charges
+from isotherm.diagram import state_point
+from isotherm.gibbs import (
+    GibbsFamily,
+    boundary_entropy,
+    decreasing_root,
+    gibbs_state,
+    spontaneous_beta,
+)
+from isotherm.operators import (
+    DensityMatrix,
+    HermitianOperator,
+    entropy,
+    haar_unitary,
+    random_density,
+    random_hamiltonian,
+)
 from isotherm.rates import conversion_rate, rate_entropy_only
 
 # frozen oracle (2x2 line intersection): source with eigenvalues (0.9, 0.1)
@@ -14,10 +36,101 @@ from isotherm.rates import conversion_rate, rate_entropy_only
 RATE_FIXTURE_R = 0.4689955935892812
 RATE_FIXTURE_PHI_E = 0.12335529124535183
 
+# degenerate qutrit diag(0, 0, 1): rho = diag(0.6, 0.4 - 1e-11, 1e-11) sits
+# within the sentinel band of the ground (beta~ = +inf) yet below ln 2, and the
+# ray from sigma = diag(0.99, 0.01, 0) meets S = ln 2 while E is still there
+SENTINEL_EDGE_R = 0.031602685220398774
+
 
 def rotated_qubit_source():
     s3 = math.sqrt(3) * 0.2
     return DensityMatrix(np.array([[0.7, -s3], [-s3, 0.3]]))
+
+
+def margin_rate(rho, sigma, fam):
+    """The rate route that the closed-form exits replaced, kept as an oracle:
+    a root in t of the smallest of four inside margins (S, the distances to
+    E_min and E_max, and the gap below the curve, each gap a spontaneous_beta
+    solve at E(t)), with the exit classified after the fact. Returns
+    (r, phi_kind, phi_beta)."""
+    x_rho, x_sigma = state_point(rho, fam), state_point(sigma, fam)
+    de, ds = x_rho.E - x_sigma.E, x_rho.S - x_sigma.S
+    if math.hypot(de, ds) < 1e-12:
+        return 1.0, "thermal", None
+
+    def inside_margin(e, s):
+        margin = min(s, e - fam.energy_min, fam.energy_max - e)
+        if margin < 0:
+            return margin
+        return min(margin, boundary_entropy(fam, spontaneous_beta(fam, e)) - s)
+
+    def classify(e, s):
+        return ("pure", None) if s <= 1e-9 else ("thermal", spontaneous_beta(fam, e))
+
+    if inside_margin(x_rho.E, x_rho.S) <= 1e-12:
+        return 0.0, "source-degenerate", classify(x_rho.E, x_rho.S)[1]
+    t_star = decreasing_root(lambda t: inside_margin(x_sigma.E + t * de, x_sigma.S + t * ds),
+                             1.0, 2.0, xtol=1e-13)
+    kind, beta = classify(x_sigma.E + t_star * de, max(x_sigma.S + t_star * ds, 0.0))
+    return 1.0 - 1.0 / t_star, kind, beta
+
+
+def assert_matches_margin_rate(rho, sigma, fam):
+    """The same phi_kind, the same sentinel (or None) or phi_beta within
+    1e-10 max(1, |beta|) (both routes solve beta to an absolute 1e-12), and
+    r within 1e-11."""
+    sol = conversion_rate(rho, sigma, fam)
+    r, kind, beta = margin_rate(rho, sigma, fam)
+    assert sol.phi_kind == kind
+    if beta is None or sol.phi_beta is None or math.isinf(beta) or math.isinf(sol.phi_beta):
+        assert sol.phi_beta == beta
+    else:
+        assert sol.phi_beta == pytest.approx(beta, rel=1e-10, abs=1e-10)
+    assert sol.r == pytest.approx(r, abs=1e-11)
+    return sol
+
+
+def report_pool(seed):
+    """The (family, rho, sigma) of the benchmark's state_report inputs for
+    `seed`, drawn by bench/workloads.py itself."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    return [(GibbsFamily(HermitianOperator(inp.h)), DensityMatrix(inp.rho),
+             DensityMatrix(inp.sigma))
+            for inp in workloads._report_inputs(np.random.default_rng(seed))]
+
+
+def mp_ray_curve_rate(fam, rho, sigma, beta, dps=50):
+    """r from a dps-digit root in beta of the side of the ray that gamma(beta)
+    lies on, bracketed around `beta`, taking x_rho and x_sigma as exact."""
+    with mpmath.workdps(dps):
+        levels = [mpmath.mpf(float(x)) for x in fam.eigenvalues]
+        e_r, s_r, e_s, s_s = (mpmath.mpf(x) for pt in (state_point(rho, fam),
+                                                       state_point(sigma, fam))
+                              for x in (pt.E, pt.S))
+        de, ds = e_r - e_s, s_r - s_s
+
+        def point(b):
+            w = [mpmath.exp(-b * (x - levels[0])) for x in levels]
+            p = [wi / mpmath.fsum(w) for wi in w]
+            return (mpmath.fsum(pi * x for pi, x in zip(p, levels)),
+                    -mpmath.fsum(pi * mpmath.log(pi) for pi in p if pi > 0))
+
+        def side(b):
+            e, s = point(b)
+            return de * (s - s_r) - ds * (e - e_r)
+
+        h = mpmath.mpf(1e-6) * max(1, abs(beta))
+        while side(beta - h) * side(beta + h) > 0:
+            h *= 2
+        b = mpmath.findroot(side, (beta - h, beta + h), solver="anderson")
+        e, s = point(b)
+        t_star = ((e - e_s) * de + (s - s_s) * ds) / (de * de + ds * ds)
+        assert t_star > 1
+        return float(1 - 1 / t_star)
 
 
 class TestConversionRate:
@@ -57,8 +170,6 @@ class TestConversionRate:
             assert 0.0 <= sol.r <= 1.0 + 1e-12
 
     def test_filler_on_boundary(self, rng):
-        from isotherm.gibbs import boundary_entropy, spontaneous_beta
-
         for _ in range(20):
             fam = GibbsFamily(random_hamiltonian(3, rng))
             sol = conversion_rate(random_density(3, rng), random_density(3, rng), fam)
@@ -87,11 +198,197 @@ class TestConversionRate:
                 assert abs(r - prev) < 0.05
             prev = r
 
-    def test_unbracketed_boundary_is_a_value_error(self, qubit, monkeypatch):
-        # a ray that never leaves the diagram: the bracket hits its cap
-        monkeypatch.setattr(rates, "_inside_margin", lambda fam, e, s: 1.0)
+    def test_unbracketed_boundary_is_a_value_error(self, qutrit, monkeypatch):
+        # a curve exit whose thermal curve never crosses the ray: the bracket
+        # hits its cap
+        rho = DensityMatrix.diagonal([0.25, 0.45, 0.3])
+        sigma = DensityMatrix.diagonal([0.7, 0.2, 0.1])
+        assert conversion_rate(rho, sigma, qutrit).phi_kind == "thermal"
+        x_rho = state_point(rho, qutrit)
+        monkeypatch.setattr(rates, "_boundary_point",
+                            lambda fam, beta: (x_rho.E, x_rho.S + 1.0))
         with pytest.raises(ValueError):
-            conversion_rate(rotated_qubit_source(), DensityMatrix.maximally_mixed(2), qubit)
+            conversion_rate(rho, sigma, qutrit)
+
+
+class TestMarginOracle:
+    """The closed-form exits and the one root in beta against margin_rate."""
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_benchmark_pool(self, seed):
+        for fam, rho, sigma in report_pool(seed):
+            assert_matches_margin_rate(rho, sigma, fam)
+
+    def test_random_pairs(self, rng):
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            rho, sigma = (random_density(d, rng, rank=int(rng.integers(1, d + 1)))
+                          for _ in range(2))
+            assert_matches_margin_rate(rho, sigma, fam)
+
+    def test_integer_degenerate_pairs(self, rng):
+        exits = set()
+        for _ in range(150):
+            d = int(rng.integers(2, 7))
+            unit = float(rng.choice([0.01, 1.0, 100.0]))
+            fam = GibbsFamily(HermitianOperator.diagonal(unit * rng.integers(0, 3, d)))
+            rho, sigma = (random_density(d, rng, rank=int(rng.integers(1, d + 1)))
+                          for _ in range(2))
+            sol = assert_matches_margin_rate(rho, sigma, fam)
+            exits.add("wall" if sol.phi_beta is not None and math.isinf(sol.phi_beta)
+                      else sol.phi_kind)
+        assert exits == {"pure", "wall", "thermal", "source-degenerate"}
+
+
+class TestSentinelEdges:
+    def test_ground_sentinel_edge(self, degenerate_qutrit):
+        rho = DensityMatrix.diagonal([0.6, 0.4 - 1e-11, 1e-11])
+        sigma = DensityMatrix.diagonal([0.99, 0.01, 0.0])
+        assert spontaneous_beta(degenerate_qutrit, state_point(rho, degenerate_qutrit).E) == math.inf
+        sol = conversion_rate(rho, sigma, degenerate_qutrit)
+        assert sol.phi_kind == "thermal" and sol.phi_beta == math.inf
+        assert sol.r == pytest.approx(SENTINEL_EDGE_R, abs=1e-12)
+        assert sol.phi_point.S == pytest.approx(math.log(2), abs=1e-15)
+
+    def test_top_sentinel_mirror(self):
+        fam = GibbsFamily(HermitianOperator.diagonal([0.0, 1.0, 1.0]))
+        rho = DensityMatrix.diagonal([1e-11, 0.4 - 1e-11, 0.6])
+        sigma = DensityMatrix.diagonal([0.0, 0.01, 0.99])
+        sol = conversion_rate(rho, sigma, fam)
+        assert sol.phi_kind == "thermal" and sol.phi_beta == -math.inf
+        assert sol.r == pytest.approx(SENTINEL_EDGE_R, abs=1e-12)
+
+    def test_ray_leaving_the_sentinel_band(self, degenerate_qutrit):
+        # a slowly rising ray leaves the band before S reaches ln 2: a finite exit
+        rho = DensityMatrix.diagonal([0.6, 0.4 - 1e-11, 1e-11])
+        sigma = DensityMatrix.diagonal([0.6, 0.4 - 1e-12, 1e-12])
+        sol = assert_matches_margin_rate(rho, sigma, degenerate_qutrit)
+        assert math.isfinite(sol.phi_beta)
+
+    @pytest.mark.parametrize("excess", [0.0, 3e-12])
+    def test_level_or_falling_ray_from_the_sentinel_band(self, degenerate_qutrit, excess):
+        # sigma = diag(p, 1 - p, 0) with S(sigma) = S(rho) + excess: the ray
+        # never rises to ln 2, misses S = 0 and the wall, and meets the curve
+        # at beta < 0
+        rho = DensityMatrix.diagonal([0.6, 0.4 - 1e-11, 1e-11])
+        p = brentq(lambda p: entropy(DensityMatrix.diagonal([p, 1 - p, 0.0]))
+                   - entropy(rho) - excess, 0.5, 0.7, xtol=1e-16)
+        sol = assert_matches_margin_rate(rho, DensityMatrix.diagonal([p, 1 - p, 0.0]),
+                                         degenerate_qutrit)
+        assert sol.phi_kind == "thermal" and sol.phi_beta < 0
+
+    @pytest.mark.parametrize("pops", [([0.25, 0.5, 0.25], [0.45, 0.1, 0.45]),
+                                      ([0.3, 0.4, 0.3], [0.4, 0.2, 0.4]),
+                                      ([0.2, 0.5, 0.3], [0.4, 0.1, 0.5])])
+    def test_vertical_rays(self, qutrit, pops):
+        # E(rho) = E(sigma), up to the rounding of a phase rotation: the curve
+        # point above x_rho is the exit, at the root's u = 0 to rounding
+        rng = np.random.default_rng(3)
+        sigma = DensityMatrix.diagonal(pops[1])
+        for _ in range(4):
+            phases = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 3))
+            rho = DensityMatrix(np.outer(phases, phases.conj()) * np.diag(pops[0]))
+            assert_matches_margin_rate(rho, sigma, qutrit)
+
+
+# curve exits on integer spectra: (levels, unit, populations of rho and sigma)
+MP_CURVE_EXITS = [
+    ([0, 0, 1, 2], 100.0, [0.3, 0.25, 0.3, 0.15], [0.1, 0.2, 0.3, 0.4]),
+    ([0, 1, 1], 100.0, [0.5, 0.3, 0.2], [0.2, 0.5, 0.3]),
+    ([0, 0, 2, 2], 100.0, [0.2, 0.3, 0.4, 0.1], [0.4, 0.4, 0.1, 0.1]),
+    ([0, 1, 1, 2, 2], 100.0, [0.1, 0.2, 0.2, 0.25, 0.25], [0.3, 0.3, 0.2, 0.1, 0.1]),
+    ([0, 0, 1], 1.0, [0.4, 0.2, 0.4], [0.5, 0.45, 0.05]),
+    ([0, 1, 2], 1.0, [0.25, 0.45, 0.3], [0.7, 0.2, 0.1]),
+    ([0, 1, 1, 3], 1.0, [0.4, 0.2, 0.3, 0.1], [0.1, 0.3, 0.2, 0.4]),
+    ([0, 2, 2], 0.01, [0.2, 0.35, 0.45], [0.5, 0.3, 0.2]),
+    ([0, 0, 1, 1], 0.01, [0.3, 0.2, 0.25, 0.25], [0.45, 0.45, 0.05, 0.05]),
+    ([0, 1, 2, 2], 0.01, [0.5, 0.3, 0.1, 0.1], [0.1, 0.1, 0.4, 0.4]),
+]
+
+
+@pytest.mark.parametrize("levels,unit,p_rho,p_sigma", MP_CURVE_EXITS)
+def test_curve_exit_against_mpmath(levels, unit, p_rho, p_sigma):
+    fam = GibbsFamily(HermitianOperator.diagonal(unit * np.array(levels, dtype=float)))
+    rho, sigma = DensityMatrix.diagonal(p_rho), DensityMatrix.diagonal(p_sigma)
+    sol = conversion_rate(rho, sigma, fam)
+    assert sol.phi_kind == "thermal" and math.isfinite(sol.phi_beta)
+    assert sol.r == pytest.approx(mp_ray_curve_rate(fam, rho, sigma, sol.phi_beta), abs=1e-11)
+
+
+def rate_case(levels, split, unit, rotate, beta_norms, weights, seed):
+    """A family unit * (levels + split * index), in a Haar basis if `rotate`,
+    and two states (1 - w) gamma(b / ||H||) + w * (a random state), where
+    ||H|| is the width of the spectrum."""
+    rng = np.random.default_rng(seed)
+    h = unit * (np.array(levels, dtype=float) + split * np.arange(len(levels)))
+    u = haar_unitary(len(levels), rng) if rotate else np.eye(len(levels))
+    fam = GibbsFamily(HermitianOperator((u * h) @ u.conj().T))
+    width = fam.energy_max - fam.energy_min
+    rho, sigma = (DensityMatrix((1 - w) * gibbs_state(fam, b / width).entries
+                                + w * random_density(len(levels), rng).entries)
+                  for b, w in zip(beta_norms, weights))
+    return fam, rho, sigma
+
+
+RATE_CASES = dict(
+    levels=st.lists(st.integers(0, 4), min_size=2, max_size=5),
+    split=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)),
+    unit=st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x),
+    rotate=st.booleans(),
+    beta_norms=st.lists(st.floats(-700.0, 700.0), min_size=2, max_size=2),
+    weights=st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0]),
+                     min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+SENTINEL_EDGE_CASE = dict(levels=[0, 0, 1], split=0.0, unit=1.0, rotate=False,
+                          beta_norms=[700.0, 0.0], weights=[1e-6, 0.5], seed=0)
+
+
+class TestRateProperties:
+    """Degenerate and near-degenerate spectra, states up to |beta| ||H|| = 700."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**RATE_CASES)
+    @example(**SENTINEL_EDGE_CASE)
+    @example(levels=[1, 2], split=0.0, unit=10.0 ** 1.890625, rotate=False,
+             beta_norms=[1.5, 0.0], weights=[0.0, 0.0], seed=0)  # rho on the curve, to rounding
+    def test_collinearity(self, levels, split, unit, rotate, beta_norms, weights, seed):
+        assume(max(levels) > min(levels))
+        fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed)
+        sol = conversion_rate(rho, sigma, fam)
+        if sol.phi_kind != "source-degenerate":
+            assert sol.collinearity_residual <= 1e-8
+            assert 0.0 <= sol.r <= 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(**RATE_CASES)
+    @example(**SENTINEL_EDGE_CASE)
+    def test_q1_reduction(self, levels, split, unit, rotate, beta_norms, weights, seed):
+        """conversion_rate_charges on the one-charge family exits the same way,
+        with r within 1e-12 on pure exits, 1e-8 where the filler's beta is a
+        sentinel (wall exits come from an LP's equalities, as in test_charges),
+        and on curve exits within NEWTON_TOL, the charge tolerance of gge_solve,
+        carried through the root: NEWTON_TOL |beta| / |beta dE - dS| / t*^2."""
+        assume(max(levels) > min(levels))
+        fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed)
+        single = conversion_rate(rho, sigma, fam)
+        if single.phi_kind == "source-degenerate":
+            return
+        multi = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((fam.hamiltonian,))))
+        if multi.phi_kind == "source-degenerate":  # its margin is 1e-10, not 1e-12
+            return
+        assert multi.phi_kind == single.phi_kind
+        beta = single.phi_beta
+        if beta is None:
+            tol = 1e-12
+        elif math.isinf(beta):
+            tol = 1e-8
+        else:
+            x_rho, x_sigma = state_point(rho, fam), state_point(sigma, fam)
+            slope = abs(beta * (x_rho.E - x_sigma.E) - (x_rho.S - x_sigma.S))
+            tol = 1e-12 + NEWTON_TOL * abs(beta) / slope * (1.0 - single.r) ** 2
+        assert multi.r == pytest.approx(single.r, abs=tol)
 
 
 class TestEntropyOnlyRate:
