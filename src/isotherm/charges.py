@@ -186,7 +186,7 @@ def gge_state(fam: GGEFamily, beta_vec) -> DensityMatrix:
     """gamma(beta_vec) = e^(-sum_k beta_k L_k) / Z in the common eigenbasis."""
     w = _gge_weights(fam, beta_vec)
     v = fam.basis
-    return DensityMatrix((v * w) @ v.conj().T)
+    return DensityMatrix._from_eigenpairs((v * w) @ v.conj().T, w, v)
 
 
 def gge_log_partition(fam: GGEFamily, beta_vec) -> float:
@@ -448,10 +448,11 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         gap_1 = gap(1.0)
     except InfeasibleTargetError:  # rho's charges on the polytope's boundary
         gap_1 = -1.0
+    source_degenerate = ChargesRateSolution(r=0.0, phi_point=x_rho,
+                                            phi_kind="source-degenerate", phi_beta=None,
+                                            collinearity_residual=0.0)
     if min(x_rho.S, gap_1) <= 1e-10:
-        return ChargesRateSolution(r=0.0, phi_point=x_rho,
-                                   phi_kind="source-degenerate", phi_beta=None,
-                                   collinearity_residual=0.0)
+        return source_degenerate
     ells = fam.joint_eigenvalues
     a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
     b_eq = np.append(x_sigma.L, 1.0)
@@ -460,6 +461,8 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     if lp is not None:  # t_wall to rounding, from the equalities on the face
         face = np.append(lp[1], True)
         t_wall = float(np.linalg.lstsq(a_eq[:, face], b_eq, rcond=None)[0][-1])
+        if t_wall <= 1.0:  # rho on a wall face: the ray leaves at t = 1
+            return source_degenerate
         p = _face_max_entropy(ells[:, face[:-1]], x_sigma.L + t_wall * d_l)
         gap_wall = spectrum_entropy(p) - (x_sigma.S + t_wall * d_s)
     t_pure = -x_sigma.S / d_s if d_s < 0 else math.inf

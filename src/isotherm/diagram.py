@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energetics import _bound_energy_at, report
-from .gibbs import GibbsFamily, _boundary_point, boundary_entropy, intrinsic_beta, spontaneous_beta
+from .gibbs import (
+    GibbsFamily,
+    _boundary_grid,
+    _boundary_point,
+    boundary_entropy,
+    intrinsic_beta,
+    spontaneous_beta,
+)
 from .operators import DensityMatrix, entropy, expectation
 
 
@@ -53,7 +60,8 @@ def sample_boundary(fam: GibbsFamily, beta_min: float = -20.0, beta_max: float =
     if n_points < 3:
         raise ValueError("need at least 3 sample points")
     betas = warped_beta_grid(beta_min, beta_max, n_points)
-    points = [DiagramPoint(*_boundary_point(fam, b)) for b in betas]
+    e, s, _ = _boundary_grid(fam, betas)
+    points = [DiagramPoint(E=x, S=y) for x, y in zip(e.tolist(), s.tolist())]
     return BoundarySample(betas=betas, points=points, family=fam)
 
 

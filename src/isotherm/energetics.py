@@ -13,6 +13,7 @@ import numpy as np
 
 from .gibbs import (
     GibbsFamily,
+    _boundary_grid,
     _boundary_point,
     boundary_energy,
     boundary_entropy,
@@ -100,13 +101,18 @@ def relative_entropy_check(rho: DensityMatrix, fam: GibbsFamily) -> float:
 def beta_free_energy(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float:
     """Extractable work with an infinite beta-bath:
     F_beta(rho) - F_beta(gamma(beta)), with F_beta(x) = E(x) - S(x)/beta."""
-    if beta == 0.0:
-        raise ValueError("beta = 0 unsupported (T-form divides by zero)")
-    if math.isinf(beta):
-        raise ValueError("beta_free_energy needs finite beta")
+    _check_free_energy_beta(beta)
     e_gamma, s_gamma = _boundary_point(fam, beta)
     f_rho = expectation(fam.hamiltonian, rho) - entropy(rho) / beta
     return f_rho - (e_gamma - s_gamma / beta)
+
+
+def _check_free_energy_beta(beta):
+    """beta_free_energy's domain: beta finite and nonzero (elementwise on a grid)."""
+    if np.any(beta == 0.0):
+        raise ValueError("beta = 0 unsupported (T-form divides by zero)")
+    if np.any(np.isinf(beta)):
+        raise ValueError("beta_free_energy needs finite beta")
 
 
 def default_beta_grid(n: int = 2001, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
@@ -119,7 +125,11 @@ def variational_free_energy(rho: DensityMatrix, fam: GibbsFamily,
     argmin sits at beta(rho)."""
     if beta_grid is None:
         beta_grid = default_beta_grid()
-    vals = np.array([beta_free_energy(rho, fam, b) for b in beta_grid])
+    beta_grid = np.asarray(beta_grid, dtype=float)
+    _check_free_energy_beta(beta_grid)
+    e_gamma, s_gamma, _ = _boundary_grid(fam, beta_grid)
+    f_rho = expectation(fam.hamiltonian, rho) - entropy(rho) / beta_grid
+    vals = f_rho - (e_gamma - s_gamma / beta_grid)
     i = int(np.argmin(vals))
     return float(vals[i]), float(beta_grid[i])
 
@@ -149,7 +159,11 @@ def variational_athermality(rho: DensityMatrix, fam: GibbsFamily,
     argmin sits at beta~(rho)."""
     if beta_grid is None:
         beta_grid = symmetric_beta_grid()
-    vals = np.array([beta_athermality(rho, fam, b) for b in beta_grid])
+    beta_grid = np.asarray(beta_grid, dtype=float)
+    if np.any(np.isinf(beta_grid)):
+        raise ValueError("log_partition needs finite beta")
+    log_z = _boundary_grid(fam, beta_grid)[2]
+    vals = beta_grid * expectation(fam.hamiltonian, rho) - entropy(rho) + log_z
     i = int(np.argmin(vals))
     return float(vals[i]), float(beta_grid[i])
 

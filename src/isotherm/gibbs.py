@@ -97,7 +97,7 @@ def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
     order = np.argsort(h.eigenvalues)
     v = h.eigenvectors[:, order]
     w = _weights(fam, beta)
-    return DensityMatrix((v * w) @ v.conj().T)
+    return DensityMatrix._from_eigenpairs((v * w) @ v.conj().T, w, v)
 
 
 def log_partition(fam: GibbsFamily, beta: float) -> float:
@@ -121,6 +121,24 @@ def _boundary_point(fam: GibbsFamily, beta: float) -> tuple[float, float]:
     """(E, S) of gamma(beta) from one pass: boundary_energy and boundary_entropy, bit for bit."""
     w = _weights(fam, beta)
     return float(np.dot(w, fam.eigenvalues)), spectrum_entropy(w)
+
+
+def _boundary_grid(fam: GibbsFamily, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E, S and ln Z of gamma(beta) for every beta of a grid, in one (n, d) pass:
+    _boundary_point and log_partition row by row, to rounding, with 0 log 0 = 0.
+    Rows at beta = +-inf hold _weights' sentinel states, with ln Z = nan."""
+    betas = np.asarray(betas, dtype=float)
+    finite = np.isfinite(betas)
+    x = np.multiply.outer(-np.where(finite, betas, 0.0), fam.eigenvalues)
+    m = x.max(axis=-1, keepdims=True)
+    w = np.exp(x - m)
+    z = w.sum(axis=-1, keepdims=True)
+    w /= z
+    log_z = np.where(finite, m[:, 0] + np.log(z[:, 0]), np.nan)
+    for i in np.flatnonzero(~finite):
+        w[i] = _weights(fam, betas[i])
+    s = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1)
+    return w @ fam.eigenvalues, s, log_z
 
 
 def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL) -> float:

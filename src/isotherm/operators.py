@@ -2,7 +2,10 @@
 
 All logarithms are natural (entropy in nats) and temperature carries energy
 units (k_B = 1). Dimensions are desk-scale (d <= 64); everything is stored
-dense and eigendecomposed with LAPACK.
+dense. A state or operator is eigendecomposed with LAPACK when it is built,
+except where its eigenpairs are already known: a Gibbs or generalized Gibbs
+state takes its charges' common eigenvectors and Boltzmann weights, and a
+tensor product of two states the Kronecker products of theirs.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ def _hermitian_entries(entries, what: str) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
-    asym = np.max(np.abs(a - a.conj().T))
+    h = a.conj().T
+    asym = np.max(np.abs(a - h))
     if asym > HERMITICITY_ATOL:
         raise ValueError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
-    return (a + a.conj().T) / 2
+    return (a + h) / 2
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,33 @@ class HermitianOperator:
         return HermitianOperator(np.diag(np.asarray(values, dtype=float)))
 
 
+def _check_trace(tr: float):
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"state trace is {tr}, expected 1")
+
+
+def _state_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A state's eigenpairs as DensityMatrix keeps them: eigenvalues below
+    -EIGENVALUE_CLIP rejected, tiny negative residue clipped to zero, the
+    spectrum renormalized and sorted descending, with `v`'s columns to match."""
+    if w.min() < -EIGENVALUE_CLIP:
+        raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum()
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order]
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated quantum state: finite, Hermitian, unit trace, positive.
 
     Eigenvalues below -1e-12 are rejected; tiny negative residue is clipped
     to zero and the spectrum renormalized. The descending spectrum is cached
-    for entropy evaluations.
+    for entropy evaluations. The constructor takes it from an `eigh` of the
+    entries; (generalized) Gibbs states and tensor products of states, whose
+    eigenpairs are known, are built by `_from_eigenpairs` with the same checks
+    and no `eigh`.
     """
 
     entries: np.ndarray
@@ -79,23 +103,28 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = _hermitian_entries(self.entries, "state")
-        tr = np.trace(a).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"state trace is {tr}, expected 1")
-        w, v = np.linalg.eigh(a)
-        if w.min() < -EIGENVALUE_CLIP:
-            raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        order = np.argsort(w)[::-1]
-        spectrum = w[order]
-        a.setflags(write=False)
-        spectrum.setflags(write=False)
-        v = v[:, order]
-        v.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "eigenvectors", v)
+        _check_trace(np.trace(a).real)
+        self._store(a, *_state_spectrum(*np.linalg.eigh(a)))
+
+    @classmethod
+    def _from_eigenpairs(cls, entries, w, v) -> "DensityMatrix":
+        """The state with matrix `entries` = (v * w) @ v^dag, for a known real
+        spectrum `w` and unitary `v`, checked like the `eigh` route (finite,
+        trace within 1e-10, no eigenvalue below -EIGENVALUE_CLIP) without an
+        `eigh`. The caller vouches that the pairs belong to `entries`."""
+        a = _hermitian_entries(entries, "state")
+        w = np.asarray(w, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError("state has non-finite eigenvalues")
+        _check_trace(w.sum())
+        state = object.__new__(cls)
+        state._store(a, *_state_spectrum(w, np.asarray(v, dtype=complex)))
+        return state
+
+    def _store(self, a: np.ndarray, spectrum: np.ndarray, v: np.ndarray):
+        for name, value in (("entries", a), ("spectrum", spectrum), ("eigenvectors", v)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -164,7 +193,9 @@ def expectation(a: HermitianOperator, rho: DensityMatrix) -> float:
 def tensor(a, b):
     """Kronecker product of two states or two operators."""
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.entries, b.entries))
+        return DensityMatrix._from_eigenpairs(np.kron(a.entries, b.entries),
+                                              np.kron(a.spectrum, b.spectrum),
+                                              np.kron(a.eigenvectors, b.eigenvectors))
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
         return HermitianOperator(np.kron(a.entries, b.entries))
     raise TypeError("tensor expects two DensityMatrix or two HermitianOperator")

@@ -151,6 +151,18 @@ class TestGGEState:
             assert gge_log_partition(single_charge_family, [beta]) == pytest.approx(
                 log_partition(qutrit, beta), abs=1e-10)
 
+    def test_known_spectrum_matches_eigh_route(self, charge_family, rng, eigh_calls,
+                                               assert_matches_eigh_route):
+        rho = random_density(4, rng)
+        eigh_calls.clear()
+        states = [gge_state(charge_family, beta) for beta in
+                  ([0.0, 0.0], [0.7, -0.4], [300.0, 100.0], [-80.0, 250.0])]
+        assert eigh_calls == []
+        _, gamma = bound_potential(rho, charge_family, [0.6, 0.8])
+        assert len(eigh_calls) == 1  # the effective Hamiltonian's, not the state's
+        for state in states + [gamma]:
+            assert_matches_eigh_route(state)
+
     def test_charges_and_entropy_consistent(self, charge_family):
         beta = np.array([0.7, -0.4])
         rho = gge_state(charge_family, beta)
@@ -353,6 +365,18 @@ class TestChargesRate:
                 assert single.phi_kind == multi.phi_kind
                 continue
             assert multi.r == pytest.approx(single.r, abs=1e-6)
+
+    def test_source_on_wall_face_is_source_degenerate(self):
+        # the LP puts t_wall at 1.0 to rounding; the ray leaves at t = 1
+        from isotherm.rates import conversion_rate
+
+        h = HermitianOperator.diagonal([0.0, 0.0, 0.0, 1.0])
+        rho = gibbs_state(GibbsFamily(h), 36.0)
+        sigma = DensityMatrix.maximally_mixed(4)
+        sol = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((h,))))
+        assert (sol.r, sol.phi_kind) == (0.0, "source-degenerate")
+        single = conversion_rate(rho, sigma, GibbsFamily(h))
+        assert (single.r, single.phi_kind) == (0.0, "source-degenerate")
 
     def test_equal_charges_rising_entropy(self, qutrit, single_charge_family, charge_family):
         # a vertical ray (no t_pure, no wall) exits on the thermal surface

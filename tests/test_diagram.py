@@ -16,6 +16,7 @@ from isotherm.diagram import (
 from isotherm.energetics import athermality, bound_energy, free_energy
 from isotherm.gibbs import (
     GibbsFamily,
+    _boundary_point,
     boundary_energy,
     boundary_entropy,
     gibbs_state,
@@ -53,6 +54,22 @@ class TestBoundary:
             lam = (e[i] - e[i - 1]) / (e[i + 1] - e[i - 1])
             chord = (1 - lam) * s[i - 1] + lam * s[i + 1]
             assert s[i] >= chord - 1e-10
+
+    def test_matches_scalar_boundary_points(self, rng):
+        # the one (n, d) pass against n scalar passes
+        for d in range(2, 65):
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            sample = sample_boundary(fam, -20.0, 20.0, 129)
+            for beta, pt in zip(sample.betas, sample.points):
+                e, s = _boundary_point(fam, beta)
+                assert abs(pt.E - e) <= 1e-13 and abs(pt.S - s) <= 1e-13
+
+    def test_infinite_ends_are_the_pure_extremes(self):
+        fam = GibbsFamily(HermitianOperator.diagonal([0.0, 1.0, 1.0, 3.0]))
+        sample = sample_boundary(fam, -math.inf, math.inf, 5)
+        assert (sample.points[0].E, sample.points[0].S) == (3.0, 0.0)
+        assert (sample.points[-1].E, sample.points[-1].S) == (0.0, 0.0)
+        assert all(math.isfinite(p.E) and math.isfinite(p.S) for p in sample.points)
 
     def test_flat_spectrum_degenerates_to_point(self):
         fam = GibbsFamily(HermitianOperator.diagonal([1.0, 1.0]))

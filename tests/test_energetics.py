@@ -254,6 +254,29 @@ class TestVariationalForms:
             val, arg = variational_athermality(rho, fam, grid)
             assert val == pytest.approx(athermality(rho, fam), abs=1e-6)
 
+    def test_grid_pass_matches_scalar_forms(self, rng):
+        # one (n, d) pass per grid against beta_free_energy / beta_athermality point by point
+        for d in (2, 4, 16, 64):
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            rho = random_density(d, rng)
+            grid = default_beta_grid(201)
+            vals = [beta_free_energy(rho, fam, b) for b in grid]
+            val, arg = variational_free_energy(rho, fam, grid)
+            assert abs(val - min(vals)) <= 1e-12
+            assert abs(beta_free_energy(rho, fam, arg) - min(vals)) <= 1e-12
+            grid = symmetric_beta_grid(201)
+            vals = [beta_athermality(rho, fam, b) for b in grid]
+            val, arg = variational_athermality(rho, fam, grid)
+            assert abs(val - min(vals)) <= 1e-12
+            assert abs(beta_athermality(rho, fam, arg) - min(vals)) <= 1e-12
+
+    def test_grids_reject_sentinels(self, qubit, rho_qubit_91):
+        for bad in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                variational_free_energy(rho_qubit_91, qubit, np.array([0.5, bad]))
+        with pytest.raises(ValueError):
+            variational_athermality(rho_qubit_91, qubit, np.array([0.5, -math.inf]))
+
     def test_beta_free_energy_above_free_energy(self, rng):
         fam = GibbsFamily(random_hamiltonian(3, rng))
         rho = random_density(3, rng)

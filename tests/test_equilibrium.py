@@ -163,6 +163,18 @@ class TestIsoenergetic:
         assert not out.degenerate
 
 
+class TestKnownSpectrum:
+    def test_final_states_run_no_eigh(self, rng, eigh_calls, assert_matches_eigh_route):
+        # products of local Gibbs states take their spectra from the families
+        fams = [GibbsFamily(random_hamiltonian(d, rng)) for d in (64, 2)]
+        pairs = [(random_density(f.dim, rng), f) for f in fams]
+        eigh_calls.clear()
+        outcomes = [equilibrate_isoentropic(pairs), equilibrate_isoenergetic(pairs)]
+        assert eigh_calls == []
+        for out in outcomes:
+            assert_matches_eigh_route(out.final_state)
+
+
 class TestEquilibriumPredicate:
     def test_joint_gibbs_is_equilibrium(self, qubit, qutrit):
         rho = tensor(gibbs_state(qubit, 1.7), gibbs_state(qutrit, 1.7))

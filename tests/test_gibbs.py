@@ -15,6 +15,8 @@ from isotherm.gibbs import (
     BracketError,
     ConvergenceError,
     GibbsFamily,
+    _boundary_grid,
+    _boundary_point,
     boundary_energy,
     boundary_entropy,
     decreasing_root,
@@ -60,6 +62,44 @@ class TestGibbsState:
         direct = np.linalg.eigvalsh(rho.entries)
         w = np.exp(-0.7 * np.linalg.eigvalsh(h.entries))
         assert np.allclose(np.sort(direct), np.sort(w / w.sum()), atol=1e-10)
+
+
+class TestKnownSpectrum:
+    """gibbs_state takes its Boltzmann weights as the spectrum, against the eigh route."""
+
+    def test_matches_eigh_route(self, degenerate_cases, assert_matches_eigh_route):
+        for fam, beta in degenerate_cases(40, 64):
+            assert_matches_eigh_route(gibbs_state(fam, beta))
+
+    def test_entropy_is_boundary_entropy(self, degenerate_cases):
+        # the eigh route misses this by up to 1.2e-13 on pure states at d = 64
+        for fam, beta in degenerate_cases(40, 64):
+            assert entropy(gibbs_state(fam, beta)) == pytest.approx(
+                boundary_entropy(fam, beta), abs=1e-14)
+
+    def test_runs_no_eigh(self, rng, eigh_calls):
+        fam = GibbsFamily(random_hamiltonian(64, rng))
+        eigh_calls.clear()
+        for beta in (0.0, 0.3, -2.0, math.inf, -math.inf):
+            gibbs_state(fam, beta)
+        assert eigh_calls == []
+
+
+class TestBoundaryGrid:
+    """_boundary_grid row by row against the scalar kernels."""
+
+    def test_matches_scalar_kernels(self, rng):
+        for d in (2, 3, 5, 8, 16, 33, 64):
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            betas = np.concatenate([[-math.inf, 0.0, math.inf], rng.uniform(-40, 40, 60)])
+            e, s, log_z = _boundary_grid(fam, betas)
+            for k, beta in enumerate(betas):
+                e_k, s_k = _boundary_point(fam, beta)
+                assert abs(e[k] - e_k) <= 1e-13 and abs(s[k] - s_k) <= 1e-13
+                if math.isinf(beta):
+                    assert math.isnan(log_z[k])
+                else:
+                    assert abs(log_z[k] - log_partition(fam, beta)) <= 1e-13
 
 
 class TestLogPartition:

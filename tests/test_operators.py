@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isotherm.gibbs import gibbs_state
 from isotherm.operators import (
     DensityMatrix,
     DimensionMismatchError,
@@ -127,6 +128,49 @@ class TestTensorAndKronSum:
         joint = expectation(kron_sum(ha, hb), tensor(ra, rb))
         assert joint == pytest.approx(
             expectation(ha, ra) + expectation(hb, rb), abs=1e-10)
+
+
+class TestKnownSpectrum:
+    """tensor of two states and DensityMatrix._from_eigenpairs against the eigh route."""
+
+    def test_gibbs_products_match_eigh_route(self, degenerate_cases, assert_matches_eigh_route):
+        cases = list(degenerate_cases(40, 8))
+        for (fam_a, beta_a), (fam_b, beta_b) in zip(cases, cases[::-1]):
+            a, b = gibbs_state(fam_a, beta_a), gibbs_state(fam_b, beta_b)
+            product = tensor(a, b)
+            assert_matches_eigh_route(product)
+            assert entropy(product) == pytest.approx(entropy(a) + entropy(b), abs=1e-14)
+
+    def test_random_products_match_eigh_route(self, rng, assert_matches_eigh_route):
+        for _ in range(20):
+            a = random_density(int(rng.integers(2, 9)), rng, rank=int(rng.integers(1, 3)))
+            assert_matches_eigh_route(tensor(a, random_density(int(rng.integers(2, 9)), rng)))
+
+    @pytest.mark.parametrize("shift, match", [
+        (np.array([-0.25, 0.25, 0.0]), "negative eigenvalue"),
+        (np.array([0.0, 0.0, 1e-9]), "trace is"),
+        (np.array([np.nan, 0.0, 0.0]), "non-finite entries"),
+    ])
+    def test_bad_spectrum_raises_like_eigh_route(self, rng, shift, match):
+        v = haar_unitary(3, rng)
+        w = np.array([0.2, 0.3, 0.5]) + shift
+        entries = (v * w) @ v.conj().T
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix(entries)
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix._from_eigenpairs(entries, w, v)
+
+    def test_non_finite_known_spectrum_rejected(self, rng):
+        v = haar_unitary(2, rng)
+        entries = (v * [0.5, 0.5]) @ v.conj().T
+        with pytest.raises(ValueError, match="non-finite eigenvalues"):
+            DensityMatrix._from_eigenpairs(entries, [np.nan, 0.5], v)
+
+    def test_tensor_of_states_runs_no_eigh(self, rng, eigh_calls):
+        a, b = random_density(8, rng), random_density(8, rng)
+        eigh_calls.clear()
+        tensor(a, b)
+        assert eigh_calls == []
 
 
 class TestPartialTrace:
