@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import (
+    ConvergenceError,
     GibbsFamily,
     _boltzmann_weights,
     _log_partition,
@@ -58,8 +59,10 @@ NEWTON_TOL = 1e-9
 NEWTON_MAXITER = 200
 FACE_RTOL = 1e-9  # relative reduced cost (or singular value) counted as zero
 ENTROPY_ATOL = 1e-10  # entropy shortfall of an LP face still taken as reaching S
-# HiGHS' smallest feasibility tolerances: levels 1e-10 apart count as distinct
-LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# simplex reduced costs and pivots within this of zero, relative to the LP's
+# largest datum, count as zero: levels 1e-10 apart stay distinct
+PIVOT_TOL = 1e-12
+SIMPLEX_MAXITER = 500
 RATE_XTOL = 1e-13
 
 
@@ -235,22 +238,69 @@ def absolute_athermality(rho: DensityMatrix, fam: GGEFamily,
     return gge_entropy(fam, beta) - pt.S
 
 
+def _simplex(t: np.ndarray, basis: np.ndarray, cols: int, tol: float) -> bool:
+    """Pivot the tableau t (constraint rows [B^-1 A | x_B] over the row of
+    reduced costs) by Bland's rule, the first entering column and the first
+    basic column among ratio ties, until no column below `cols` has a reduced
+    cost below -tol: True at an optimum, False on an unbounded column. basis[i]
+    is row i's basic column. Raises ConvergenceError after SIMPLEX_MAXITER pivots."""
+    for _ in range(SIMPLEX_MAXITER):
+        enter = np.flatnonzero(t[-1, :cols] < -tol)
+        if enter.size == 0:
+            return True
+        j = enter[0]
+        rows = np.flatnonzero(t[:-1, j] > tol)
+        if rows.size == 0:
+            return False
+        ratio = t[rows, -1] / t[rows, j]
+        ties = rows[ratio <= ratio.min() + tol]
+        _pivot(t, basis, ties[np.argmin(basis[ties])], j)
+    raise ConvergenceError(f"charge polytope LP: no optimal basis after {SIMPLEX_MAXITER} pivots")
+
+
+def _pivot(t: np.ndarray, basis: np.ndarray, i: int, j: int):
+    """Make column j basic in row i of the tableau t."""
+    t[i] /= t[i, j]
+    col = t[:, j].copy()
+    col[i] = 0.0
+    t -= np.outer(col, t[i])
+    basis[i] = j
+
+
 def _lp_face(c, a_eq, b_eq, n_free: int = 0):
     """min c.x subject to a_eq x = b_eq, x >= 0 but for the last n_free
-    entries, by HiGHS (scipy is imported on the first LP): the equality duals
-    and the mask of the bounded entries on the optimal face, whose reduced
-    cost is at most FACE_RTOL of the largest; None if the LP is unbounded."""
-    from scipy.optimize import linprog
-
-    n = len(c) - n_free
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * n + [(None, None)] * n_free,
-                  options=LP_TOLERANCES)
-    if res.status == 3:
+    entries, by a dense two-phase simplex (`_simplex`; a free entry is split
+    as x+ - x-): the equality duals y, from B^T y = c_B on the optimal basis
+    B, and the mask of the bounded entries on the optimal face, whose reduced
+    cost c - A^T y is at most FACE_RTOL of the largest; None if the LP is
+    unbounded. Raises InfeasibleTargetError if it is infeasible."""
+    c, a_eq, b_eq = (np.asarray(x, dtype=float) for x in (c, a_eq, b_eq))
+    (m, n), n_bounded = a_eq.shape, len(c) - n_free
+    sign = np.where(b_eq < 0, -1.0, 1.0)
+    # columns: x, the negated free ones, then one artificial per row
+    a = np.hstack([a_eq, -a_eq[:, n_bounded:], np.diag(sign)])
+    cost = np.concatenate([c, -c[n_bounded:], np.zeros(m)])
+    cols = n + n_free
+    tol = PIVOT_TOL * max(np.abs(a_eq).max(), np.abs(c).max())
+    t = np.zeros((m + 1, cols + m + 1))
+    t[:m, :-1] = sign[:, None] * a  # rows flipped to b >= 0: the artificials are the basis
+    t[:m, -1] = sign * b_eq
+    t[-1, :cols] = -t[:m, :cols].sum(axis=0)  # phase 1: min the sum of the artificials
+    t[-1, -1] = -t[:m, -1].sum()
+    basis = np.arange(cols, cols + m)
+    _simplex(t, basis, cols, tol)
+    if t[-1, -1] < -tol:
+        raise InfeasibleTargetError("charge polytope LP is infeasible")
+    for i in np.flatnonzero(basis >= cols):  # drive out artificials basic at zero
+        nonzero = np.flatnonzero(np.abs(t[i, :cols]) > tol)
+        if nonzero.size:  # else row i is redundant and its artificial stays at zero
+            _pivot(t, basis, i, nonzero[0])
+    t[-1] = np.append(cost, 0.0) - cost[basis] @ t[:m]  # phase 2: min c.x
+    if not _simplex(t, basis, cols, tol):
         return None
-    if res.status != 0:
-        raise InfeasibleTargetError(f"charge polytope LP failed: {res.message}")
-    cost = res.lower.marginals[:n]
-    return res.eqlin.marginals, cost <= FACE_RTOL * cost.max()
+    y = np.linalg.solve(a[:, basis].T, cost[basis])
+    reduced = c[:n_bounded] - a_eq[:, :n_bounded].T @ y
+    return y, reduced <= FACE_RTOL * reduced.max()
 
 
 def _max_entropy(weights, levels: np.ndarray, target: np.ndarray,
@@ -391,8 +441,9 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec,
         mu = mu / np.linalg.norm(mu)
     elif abs(np.linalg.norm(mu) - 1.0) > 1e-10:
         raise ValueError("mu must be unit-normalized")
-    h_eff = HermitianOperator(sum(m * op.entries
-                                  for m, op in zip(mu, fam.charge_set.charges)))
+    h_eff = HermitianOperator._from_eigenpairs(
+        sum(m * op.entries for m, op in zip(mu, fam.charge_set.charges)),
+        mu @ fam.joint_eigenvalues, fam.basis)
     eff = GibbsFamily(h_eff)
     beta = intrinsic_beta(eff, entropy(rho))
     if math.isinf(beta):
@@ -441,8 +492,11 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         return ChargesRateSolution(r=1.0, phi_point=x_rho, phi_kind="thermal",
                                    phi_beta=None, collinearity_residual=0.0)
 
+    solved = {}  # t -> beta_vec of every gap evaluation, for phi_beta at the root
+
     def gap(t: float) -> float:  # S_max(L(t)) - S(t)
-        return gge_entropy(fam, gge_solve(fam, x_sigma.L + t * d_l)) - (x_sigma.S + t * d_s)
+        solved[t] = gge_solve(fam, x_sigma.L + t * d_l)
+        return gge_entropy(fam, solved[t]) - (x_sigma.S + t * d_s)
 
     try:
         gap_1 = gap(1.0)
@@ -475,7 +529,8 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         known = {1.0: gap_1, t_wall: gap_wall}
         t_star = decreasing_root(lambda t: known[t] if t in known else gap(t),
                                  1.0, 2.0 if lp is None else t_wall, xtol=RATE_XTOL)
-        kind, beta = "thermal", gge_solve(fam, x_sigma.L + t_star * d_l)
+        kind = "thermal"
+        beta = solved[t_star] if t_star in solved else gge_solve(fam, x_sigma.L + t_star * d_l)
     phi = ChargesPoint(L=x_sigma.L + t_star * d_l,
                        S=max(x_sigma.S + t_star * d_s, 0.0))
     r = 1.0 - 1.0 / t_star

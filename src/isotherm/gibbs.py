@@ -26,7 +26,8 @@ class BracketError(ValueError):
 
 
 class ConvergenceError(ValueError):
-    """brentq ran out of iterations inside a valid bracket."""
+    """A solver ran out of iterations: brentq inside a valid bracket, or the
+    charge-polytope simplex (`charges._lp_face`)."""
 
 
 @dataclass(frozen=True)

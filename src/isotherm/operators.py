@@ -4,8 +4,10 @@ All logarithms are natural (entropy in nats) and temperature carries energy
 units (k_B = 1). Dimensions are desk-scale (d <= 64); everything is stored
 dense. A state or operator is eigendecomposed with LAPACK when it is built,
 except where its eigenpairs are already known: a Gibbs or generalized Gibbs
-state takes its charges' common eigenvectors and Boltzmann weights, and a
-tensor product of two states the Kronecker products of theirs.
+state takes its charges' common eigenvectors and Boltzmann weights, a tensor
+product of two states and a Kronecker sum of Hamiltonians the Kronecker
+products of their factors' eigenvectors, and a combination of commuting
+charges their common eigenbasis.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class HermitianOperator:
     """A validated Hermitian matrix (observable or Hamiltonian).
 
     Entries are symmetrized at construction; non-finite entries and
-    asymmetry beyond 1e-8 are rejected. Eigenvalues/eigenvectors are cached.
+    asymmetry beyond 1e-8 are rejected. Eigenvalues (ascending) and
+    eigenvectors are cached: the constructor takes them from an `eigh`, and
+    operators whose eigenpairs are known are built by `_from_eigenpairs`.
     """
 
     entries: np.ndarray
@@ -51,13 +55,26 @@ class HermitianOperator:
 
     def __post_init__(self):
         a = _hermitian_entries(self.entries, "matrix")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        w, v = np.linalg.eigh(a)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
+        self._store(a, *np.linalg.eigh(a))
+
+    @classmethod
+    def _from_eigenpairs(cls, entries, w, v) -> "HermitianOperator":
+        """The operator with matrix `entries` = (v * w) @ v^dag, for known real
+        eigenvalues `w` and unitary `v`, checked like the `eigh` route (square,
+        finite, Hermitian) without an `eigh`; the pairs are kept in ascending
+        order, as `eigh` returns them. The caller vouches that they belong to
+        `entries`."""
+        a = _hermitian_entries(entries, "matrix")
+        w = np.asarray(w, dtype=float)
+        order = np.argsort(w)
+        op = object.__new__(cls)
+        op._store(a, w[order], np.asarray(v, dtype=complex)[:, order])
+        return op
+
+    def _store(self, a: np.ndarray, w: np.ndarray, v: np.ndarray):
+        for name, value in (("entries", a), ("eigenvalues", w), ("eigenvectors", v)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -202,15 +219,20 @@ def tensor(a, b):
 
 
 def kron_sum(*hamiltonians: HermitianOperator) -> HermitianOperator:
-    """Non-interacting joint Hamiltonian sum_X I (x) ... H_X ... (x) I."""
+    """Non-interacting joint Hamiltonian sum_X I (x) ... H_X ... (x) I, whose
+    eigenvalues are the sums of the local levels and eigenvectors the
+    Kronecker products of the local ones (no `eigh`)."""
     dims = [h.dim for h in hamiltonians]
     total = None
+    levels, vecs = np.zeros(1), np.ones((1, 1))
     for i, h in enumerate(hamiltonians):
         left = int(np.prod(dims[:i], dtype=int))
         right = int(np.prod(dims[i + 1:], dtype=int))
         term = np.kron(np.kron(np.eye(left), h.entries), np.eye(right))
         total = term if total is None else total + term
-    return HermitianOperator(total)
+        levels = np.add.outer(levels, h.eigenvalues).ravel()
+        vecs = np.kron(vecs, h.eigenvectors)
+    return HermitianOperator._from_eigenpairs(total, levels, vecs)
 
 
 def partial_trace(rho: DensityMatrix, split: SubsystemSplit, keep) -> DensityMatrix:

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, nnls
+from scipy.optimize import brentq, linprog, nnls
 
+from isotherm import charges as charges_module
 from isotherm.charges import (
+    FACE_RTOL,
     NEWTON_TOL,
     ChargeSet,
     GGEFamily,
     InfeasibleTargetError,
+    _lp_face,
     _max_entropy,
     absolute_athermality,
     beta_vec_athermality,
@@ -30,6 +33,7 @@ from isotherm.charges import (
 )
 from isotherm.energetics import bound_energy, relative_entropy
 from isotherm.gibbs import (
+    ConvergenceError,
     GibbsFamily,
     _boltzmann_weights,
     boundary_energy,
@@ -159,7 +163,7 @@ class TestGGEState:
                   ([0.0, 0.0], [0.7, -0.4], [300.0, 100.0], [-80.0, 250.0])]
         assert eigh_calls == []
         _, gamma = bound_potential(rho, charge_family, [0.6, 0.8])
-        assert len(eigh_calls) == 1  # the effective Hamiltonian's, not the state's
+        assert eigh_calls == []  # the effective Hamiltonian takes the charges' eigenbasis
         for state in states + [gamma]:
             assert_matches_eigh_route(state)
 
@@ -434,6 +438,82 @@ class TestMaxEntropy:
     def test_target_outside_hull_raises(self):
         with pytest.raises(InfeasibleTargetError):
             self._solve(self.LEVELS, [4.0, 1.0])
+
+
+def linprog_face(c, a_eq, b_eq, n_free=0):
+    """_lp_face's oracle: the same LP by scipy's linprog (HiGHS, at its
+    smallest feasibility tolerances), with the same outputs and errors."""
+    n = len(c) - n_free
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * n + [(None, None)] * n_free,
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status == 3:
+        return None
+    if res.status == 2:
+        raise InfeasibleTargetError(res.message)
+    assert res.status == 0, res.message
+    cost = res.lower.marginals[:n]
+    return res.eqlin.marginals, cost <= FACE_RTOL * cost.max()
+
+
+class TestLPFace:
+    """_lp_face against linprog on the module's two LP shapes: the floor LP
+    (min L_0 at the other charges and unit trace) and the rate LP (max t
+    with L_sigma + t dL on the polytope, t free)."""
+
+    @staticmethod
+    def lp(shape, ells, p_sigma, p_rho):
+        q, d = ells.shape
+        l_sigma, d_l = ells @ p_sigma, ells @ (p_rho - p_sigma)
+        if shape == "floor":
+            return ells[0], np.vstack([ells[1:], np.ones(d)]), np.append(l_sigma[1:], 1.0), 0
+        a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(d), 0.0)])
+        return -np.eye(d + 1)[-1], a_eq, np.append(l_sigma, 1.0), 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=st.integers(1, 3), d=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["floor", "rate"]),
+           target=st.sampled_from(["inside", "outside", "still"]))
+    @example(q=2, d=4, seed=0, shape="rate", target="still")
+    @example(q=2, d=4, seed=0, shape="floor", target="outside")
+    @example(q=2, d=4, seed=0, shape="rate", target="outside")
+    def test_agrees_with_linprog(self, q, d, seed, shape, target):
+        # rounded-degenerate levels: integers 0-3, so levels repeat within and
+        # across charges; "still" gives rho sigma's charges (an unbounded rate
+        # ray), "outside" moves sigma's first charge off the polytope
+        rng = np.random.default_rng(seed)
+        ells = rng.integers(0, 4, (q, d)).astype(float)
+        assume(np.linalg.matrix_rank(np.vstack([ells, np.ones(d)])) == q + 1)
+        p_sigma, p_rho = rng.dirichlet(np.ones(d), 2)
+        if target == "still":
+            p_rho = p_sigma
+        c, a_eq, b_eq, n_free = self.lp(shape, ells, p_sigma, p_rho)
+        if target == "outside":
+            b_eq[0] = np.max(a_eq[0, :d]) + 0.5
+        try:
+            expected = linprog_face(c, a_eq, b_eq, n_free)
+        except InfeasibleTargetError:
+            with pytest.raises(InfeasibleTargetError):
+                _lp_face(c, a_eq, b_eq, n_free)
+            return
+        got = _lp_face(c, a_eq, b_eq, n_free)
+        if expected is None:
+            assert got is None
+            return
+        assert np.array_equal(got[1], expected[1])
+        assert np.max(np.abs(got[0] - expected[0])) <= 1e-10
+
+    def test_levels_1e10_apart_stay_distinct(self):
+        # the first column entering is the upper level; the lower one, 1e-10
+        # below, must still replace it, so the dual is the lower level
+        duals, face = _lp_face(np.array([1e-10, 0.0, 1.0, 2.0]), np.ones((1, 4)), [1.0])
+        assert duals[0] == 0.0
+        assert face.tolist() == [True, True, False, False]  # within FACE_RTOL of 2
+
+    def test_pivot_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(charges_module, "SIMPLEX_MAXITER", 0)
+        with pytest.raises(ConvergenceError):
+            _lp_face(np.array([0.0, 1.0]), np.ones((1, 2)), [1.0])
 
 
 class TestPinnedSolverValues:

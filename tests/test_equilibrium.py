@@ -176,6 +176,22 @@ class TestKnownSpectrum:
 
 
 class TestEquilibriumPredicate:
+    def test_joint_family_runs_no_eigh(self, rng, eigh_calls):
+        # the Kronecker-sum Hamiltonian takes its levels and eigenvectors
+        # from the two families
+        fams = [GibbsFamily(random_hamiltonian(8, rng)) for _ in range(2)]
+        rho = random_density(64, rng)
+        eigh_calls.clear()
+        is_equilibrium(rho, fams, SubsystemSplit((8, 8)))
+        joint = joint_family(fams)
+        assert eigh_calls == []
+        h = joint.hamiltonian
+        w = np.linalg.eigvalsh(h.entries)
+        norm = np.max(np.abs(w))
+        assert np.max(np.abs(joint.eigenvalues - w)) <= 1e-14 * norm
+        assert np.max(np.abs((h.eigenvectors * h.eigenvalues) @ h.eigenvectors.conj().T
+                             - h.entries)) <= 1e-14 * norm
+
     def test_joint_gibbs_is_equilibrium(self, qubit, qutrit):
         rho = tensor(gibbs_state(qubit, 1.7), gibbs_state(qutrit, 1.7))
         ok, f = is_equilibrium(rho, [qubit, qutrit], SubsystemSplit((2, 3)))

@@ -300,6 +300,16 @@ def test_import_leaves_scipy_unloaded():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_charge_polytope_lp_leaves_scipy_unloaded():
+    src = str(Path(isotherm.__file__).resolve().parents[1])
+    code = ("import sys, numpy as np; from isotherm.charges import _lp_face; "
+            "ells = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0]]); "
+            "duals, face = _lp_face(ells[0], np.vstack([ells[1], np.ones(4)]), [1.2, 1.0]); "
+            "assert face.any() and 'scipy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 class TestProductStructure:
     def test_joint_gibbs_is_product(self, qubit, qutrit, rng):
         from isotherm.operators import SubsystemSplit, kron_sum, partial_trace, tensor
