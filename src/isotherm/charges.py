@@ -9,8 +9,9 @@ the spectral kernels of `gibbs`.
 - `gge_solve` inverts beta_vec -> L(gamma): gamma is the maximum-entropy
   state at its charges, so beta_vec maximizes the concave -ln Z(beta_vec)
   - beta_vec.L, found by `_max_entropy`'s Newton ascent from 0 (the one
-  Newton of this module, shared by `bound_charge` and the LP faces). A
-  target on or outside the polytope's boundary has no maximizer and raises.
+  Newton of this module, shared by `bound_charge`, the rate and the LP
+  faces). A target on or outside the polytope's boundary has no maximizer
+  and raises.
 - `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
   (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
   the polytope; if the maximum entropy on its optimal face reaches S, the
@@ -18,15 +19,24 @@ the spectral kernels of `gibbs`.
   +inf, as in `bound_energy`). Otherwise the bound is the maximizer of the
   concave dual g(lambda, nu) = -nu ln sum_i e^(-(c + A^T lambda)_i / nu)
   - lambda.b + nu S, the GGE with beta_k = 1/nu > 0 and beta_j =
-  lambda_j/nu: at each beta_k a Newton ascent in lambda meets A p = b, and
-  beta_k is the root of S - H, the derivative of g in nu.
+  lambda_j/nu: at each theta = beta_k an ascent in the other beta_j meets
+  A p = b, and theta is the root of S_max(L_k, b) - S, a safeguarded Newton
+  (`decreasing_root` with a slope) from the second-order guess at theta = 0.
 - `conversion_rate_charges` follows the ray x_sigma + t (x_rho - x_sigma),
   t >= 1. One LP gives t_wall, where L(t) leaves the polytope, and the face
   it leaves through. f(t) = S_max(L(t)) - S(t) is concave on [1, t_wall]
   with f(1) > 0, so the ray exits at S = 0 ("pure") iff t_pure <= t_wall,
   through the wall (kind "thermal", phi_beta None) iff S(t_wall) is at most
   the maximum entropy on the face, and otherwise ("thermal") at the one
-  root of f in [1, t_wall].
+  root of f in [1, t_wall], by the same safeguarded Newton from t = 1.
+
+Both roots run one ascent per step. By the envelope theorem dS_max/dL =
+beta_vec, which gives each root its exact slope and corrects S_max to first
+order in the ascent's charge residual (up to NEWTON_TOL, absolute): the
+roots land within rounding of their 40-digit values, not within that
+residual. Each ascent starts from the tangent beta_vec + (dbeta_vec/dx) dx
+of the nearest solved point, dbeta_vec/dx from the GGE covariance, and
+retries once from that point's beta_vec (`_warm_ascent`).
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import (
+    BRACKET_CAP,
     ConvergenceError,
     GibbsFamily,
     _boltzmann_weights,
@@ -219,7 +230,7 @@ def gge_solve(fam: GGEFamily, target, rng: np.random.Generator | None = None) ->
     """Invert beta_vec -> L_vec(gamma): the maximum-entropy ascent from
     beta_vec = 0; raises on boundary/infeasible targets. `rng` is unused."""
     return _max_entropy(lambda b: _gge_weights(fam, b), fam.joint_eigenvalues,
-                        np.asarray(target, dtype=float), np.zeros(fam.q))
+                        np.asarray(target, dtype=float), np.zeros(fam.q))[0]
 
 
 def beta_vec_athermality(rho: DensityMatrix, fam: GGEFamily, beta_vec) -> float:
@@ -304,18 +315,18 @@ def _lp_face(c, a_eq, b_eq, n_free: int = 0):
 
 
 def _max_entropy(weights, levels: np.ndarray, target: np.ndarray,
-                 lam: np.ndarray) -> np.ndarray:
+                 lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lam at which weights(lam), proportional to e^(-lam.levels) times
-    fixed factors, give levels @ w = target to NEWTON_TOL: the maximizer of
-    the concave -ln Z(lam) - lam.target, by Newton steps from `lam`, each
-    halved from 1 until the slope along it is at least -1/2 of its starting
-    value, which a full step near the maximizer meets. Raises after
-    NEWTON_MAXITER steps, on a singular covariance or a step not taken."""
+    fixed factors, give levels @ w = target to NEWTON_TOL, with those weights:
+    the maximizer of the concave -ln Z(lam) - lam.target, by Newton steps
+    from `lam`, each halved from 1 until the slope along it is at least -1/2
+    of its starting value, which a full step near the maximizer meets. Raises
+    after NEWTON_MAXITER steps, on a singular covariance or a step not taken."""
     w = weights(lam)
     grad = levels @ w - target
     for _ in range(NEWTON_MAXITER):
         if np.max(np.abs(grad), initial=0.0) <= NEWTON_TOL:
-            return lam
+            return lam, w
         try:  # the Hessian is -Cov(levels)
             step = np.linalg.solve(_covariance(levels, w), grad)
         except np.linalg.LinAlgError:
@@ -333,6 +344,21 @@ def _max_entropy(weights, levels: np.ndarray, target: np.ndarray,
     raise InfeasibleTargetError(f"no maximum-entropy state with charges {target}")
 
 
+def _warm_ascent(weights, levels: np.ndarray, target: np.ndarray, path: list,
+                 x: float) -> tuple[np.ndarray, np.ndarray]:
+    """_max_entropy at a point x of a one-parameter path of solves, started
+    from the tangent lam + (dlam/dx)(x - x0) of the nearest solved point of
+    `path`, a list of (x0, lam, dlam/dx, ...), and retried once from that
+    point's lam if the ascent raises; cold from 0 while the path is empty."""
+    if not path:
+        return _max_entropy(weights, levels, target, np.zeros(len(levels)))
+    x0, lam, slope, *_ = min(path, key=lambda point: abs(point[0] - x))
+    try:
+        return _max_entropy(weights, levels, target, lam + slope * (x - x0))
+    except InfeasibleTargetError:
+        return _max_entropy(weights, levels, target, lam)
+
+
 def _face_max_entropy(levels: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The max-entropy p >= 0 on the columns of `levels` with levels @ p =
     target and sum(p) = 1, for a target inside their hull: the one solution
@@ -345,8 +371,8 @@ def _face_max_entropy(levels: np.ndarray, target: np.ndarray) -> np.ndarray:
     if r == m - 1:
         p = np.linalg.lstsq(np.vstack([coords, np.ones(m)]), np.eye(m)[-1], rcond=None)[0]
         return np.clip(p, 0.0, None)
-    return _boltzmann_weights(coords, _max_entropy(
-        lambda b: _boltzmann_weights(coords, b), coords, np.zeros(r), np.zeros(r)))
+    return _max_entropy(lambda b: _boltzmann_weights(coords, b), coords,
+                        np.zeros(r), np.zeros(r))[1]
 
 
 @dataclass(frozen=True)
@@ -407,21 +433,31 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
     ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
     unit = np.eye(fam.q)
     embed = unit[:, idx]  # the other charges' beta_j into beta_vec
-    ratio = np.zeros(fam.q - 1)  # the dual lambda = beta_j/beta_k, bounded as beta_k grows
+    path = []  # (theta, lam, dlam/dtheta, Schur variance, B_k estimate) per solved theta
 
-    def tilted(theta: float) -> np.ndarray:  # beta_vec: beta_k = theta, rho's other charges
-        nonlocal ratio
-        lam = _max_entropy(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
-                           ells[idx], pt.L[idx], theta * ratio)
-        ratio = lam / theta if theta > 0 else ratio
-        return embed @ lam + theta * unit[k]
+    def residual(theta: float) -> tuple[float, float]:
+        """S_max(L_k(gamma), rho's other charges) - S(rho) and its slope in theta."""
+        lam, w = _warm_ascent(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
+                              ells[idx], pt.L[idx], path, theta)
+        cov = _covariance(ells, w)
+        coupling = np.linalg.solve(cov[np.ix_(idx, idx)], cov[idx, k])
+        variance = float(cov[k, k] - cov[k, idx] @ coupling)  # of L_k at fixed other charges
+        # to first order on the surface dS = theta dL_k + lam.dL_other
+        excess = float(spectrum_entropy(w) + lam @ (pt.L[idx] - ells[idx] @ w) - pt.S)
+        value = ells[k] @ w - (excess / theta if theta > 0 else 0.0)
+        path.append((theta, lam, -coupling, variance, value))
+        return excess, -theta * variance
 
-    theta = decreasing_root(lambda th: gge_entropy(fam, tilted(th)) - pt.S,
-                            0.0, 1.0 / np.ptp(ells[k]))
-    beta = tilted(theta)
-    value = float(gge_charges(fam, beta)[k])
+    theta = 0.0
+    excess, _ = residual(theta)
+    if excess > 0:  # start where S(0) - theta^2 V(0)/2, second order in theta, reaches S
+        variance = path[0][3]
+        start = math.sqrt(2.0 * excess / variance) if variance > 0 else math.inf
+        theta = decreasing_root(residual, 0.0, math.inf, start=min(start, BRACKET_CAP))
+    theta_last, lam, slope, _, value = path[-1]
+    beta = embed @ (lam + slope * (theta - theta_last)) + theta * unit[k]
     return BoundChargeSolution(
-        value=value,
+        value=float(value),
         free_charge=float(pt.L[k] - value),
         gamma=gge_state(fam, beta),
         beta_vec=beta,
@@ -492,14 +528,19 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         return ChargesRateSolution(r=1.0, phi_point=x_rho, phi_kind="thermal",
                                    phi_beta=None, collinearity_residual=0.0)
 
-    solved = {}  # t -> beta_vec of every gap evaluation, for phi_beta at the root
+    ells = fam.joint_eigenvalues
+    path = []  # (t, beta_vec, dbeta_vec/dt) of every solved t
 
-    def gap(t: float) -> float:  # S_max(L(t)) - S(t)
-        solved[t] = gge_solve(fam, x_sigma.L + t * d_l)
-        return gge_entropy(fam, solved[t]) - (x_sigma.S + t * d_s)
+    def gap(t: float) -> tuple[float, float]:  # S_max(L(t)) - S(t) and its slope
+        target = x_sigma.L + t * d_l
+        beta, w = _warm_ascent(lambda b: _gge_weights(fam, b), ells, target, path, t)
+        path.append((t, beta, -np.linalg.solve(_covariance(ells, w), d_l)))
+        # S_max to first order in the ascent's charge residual: dS_max/dL = beta_vec
+        s_max = spectrum_entropy(w) + beta @ (target - ells @ w)
+        return s_max - (x_sigma.S + t * d_s), beta @ d_l - d_s
 
     try:
-        gap_1 = gap(1.0)
+        gap_1, slope_1 = gap(1.0)
     except InfeasibleTargetError:  # rho's charges on the polytope's boundary
         gap_1 = -1.0
     source_degenerate = ChargesRateSolution(r=0.0, phi_point=x_rho,
@@ -507,7 +548,6 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
                                             collinearity_residual=0.0)
     if min(x_rho.S, gap_1) <= 1e-10:
         return source_degenerate
-    ells = fam.joint_eigenvalues
     a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
     b_eq = np.append(x_sigma.L, 1.0)
     lp = _lp_face(-np.eye(fam.dim + 1)[-1], a_eq, b_eq, n_free=1)
@@ -526,11 +566,14 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     elif gap_wall >= 0:
         t_star, kind = t_wall, "thermal"
     else:
-        known = {1.0: gap_1, t_wall: gap_wall}
-        t_star = decreasing_root(lambda t: known[t] if t in known else gap(t),
-                                 1.0, 2.0 if lp is None else t_wall, xtol=RATE_XTOL)
+        # Newton from t = 1, or the midpoint; without a wall dL = 0 and gap is
+        # linear in t with slope -dS < 0, so the Newton point is the root
+        newton = 1.0 - gap_1 / slope_1 if slope_1 < 0 else math.inf
+        start = newton if newton < t_wall else (1.0 + t_wall) / 2
+        t_star = decreasing_root(gap, 1.0, t_wall, xtol=RATE_XTOL, start=start)
         kind = "thermal"
-        beta = solved[t_star] if t_star in solved else gge_solve(fam, x_sigma.L + t_star * d_l)
+        t_last, beta_last, slope = path[-1]
+        beta = beta_last + slope * (t_star - t_last)
     phi = ChargesPoint(L=x_sigma.L + t_star * d_l,
                        S=max(x_sigma.S + t_star * d_s, 0.0))
     r = 1.0 - 1.0 / t_star

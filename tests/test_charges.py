@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,6 +16,7 @@ from isotherm.charges import (
     ChargeSet,
     GGEFamily,
     InfeasibleTargetError,
+    _gge_weights,
     _lp_face,
     _max_entropy,
     absolute_athermality,
@@ -37,6 +39,7 @@ from isotherm.gibbs import (
     GibbsFamily,
     _boltzmann_weights,
     boundary_energy,
+    decreasing_root,
     gibbs_state,
     log_partition,
     spontaneous_beta,
@@ -59,7 +62,9 @@ PINNED = Path(__file__).parent / "data" / "charges_pinned.json"
 def bisection_rate(rho, sigma, fam):
     """The charges rate route that the LP exits replaced, kept as an oracle:
     double t from 2, then bisect 80 times on an inside margin that reads -1
-    where gge_solve fails. Returns (r, kind); r is None if source-degenerate."""
+    where gge_solve fails, with S_max corrected to first order in gge_solve's
+    charge residual (dS_max/dL = beta_vec), each solve cold from 0. Returns
+    (r, kind); r is None if source-degenerate."""
     x_rho, x_sigma = charges_point(rho, fam), charges_point(sigma, fam)
     d_l, d_s = x_rho.L - x_sigma.L, x_rho.S - x_sigma.S
 
@@ -67,11 +72,13 @@ def bisection_rate(rho, sigma, fam):
         s = x_sigma.S + t * d_s
         if s < 0:
             return s
+        target = x_sigma.L + t * d_l
         try:
-            beta = gge_solve(fam, x_sigma.L + t * d_l)
+            beta = gge_solve(fam, target)
         except InfeasibleTargetError:
             return -1.0
-        return min(s, gge_entropy(fam, beta) - s)
+        s_max = gge_entropy(fam, beta) + beta @ (target - gge_charges(fam, beta))
+        return min(s, s_max - s)
 
     if margin(1.0) <= 1e-10:
         return None, "source-degenerate"
@@ -110,6 +117,31 @@ def segment_bound(fam, rho, k=0, n=20001):
     ends += [brentq(excess, grid[i], grid[i + 1], xtol=1e-15)
              for i in np.flatnonzero(ok[:-1] != ok[1:])]
     return min(float(ells[k] @ (p0 + s * v)) for s in ends)
+
+
+def nested_bound_charge(rho, fam, k=0):
+    """The active branch of bound_charge before its Newton in theta = beta_k,
+    kept as an oracle (for inputs off the LP floor): brentq in theta over
+    the bracket grown from 1/ptp(L_k), with a max-entropy ascent in the other
+    charges' lam at every theta, started from the last lam/theta ratio.
+    Returns (B_k, beta_vec)."""
+    pt = charges_point(rho, fam)
+    ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
+    unit = np.eye(fam.q)
+    embed = unit[:, idx]
+    ratio = np.zeros(fam.q - 1)
+
+    def tilted(theta):
+        nonlocal ratio
+        lam = _max_entropy(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
+                           ells[idx], pt.L[idx], theta * ratio)[0]
+        ratio = lam / theta if theta > 0 else ratio
+        return embed @ lam + theta * unit[k]
+
+    theta = decreasing_root(lambda th: gge_entropy(fam, tilted(th)) - pt.S,
+                            0.0, 1.0 / np.ptp(ells[k]))
+    beta = tilted(theta)
+    return float(gge_charges(fam, beta)[k]), beta
 
 
 def benchmark_case(f):
@@ -399,6 +431,26 @@ class TestChargesRate:
         assert sol.phi_kind == "thermal"
         assert sol.r == pytest.approx(1 - 1 / t_star, abs=1e-12)
 
+    @pytest.mark.parametrize("a,tol", [(1e-4, 1e-9), (1e-6, 1e-9), (1e-8, 1e-4)])
+    def test_q1_ground_corner(self, a, tol):
+        # near the ground corner gge_solve's absolute charge residual NEWTON_TOL
+        # is a large part of L itself: the exit must still match the single
+        # charge rate (r = 0.0789886 for every small a), and a Gibbs source
+        # must still read source-degenerate
+        from isotherm.rates import conversion_rate
+
+        h = HermitianOperator.diagonal([0.0, 1.0, 1.0])
+        fam = GGEFamily(ChargeSet((h,)))
+        sigma = DensityMatrix.diagonal([1.0, 0.0, 0.0])
+        rho = DensityMatrix.diagonal([1.0 - a, 0.3 * a, 0.7 * a])
+        sol = conversion_rate_charges(rho, sigma, fam)
+        single = conversion_rate(rho, sigma, GibbsFamily(h))
+        assert sol.phi_kind == single.phi_kind == "thermal"
+        assert sol.r == pytest.approx(single.r, abs=tol)
+        assert sol.r == pytest.approx(0.0789886, abs=1e-4)
+        gibbs = DensityMatrix.diagonal([1.0 - a, a / 2, a / 2])
+        assert conversion_rate_charges(gibbs, sigma, fam).phi_kind == "source-degenerate"
+
     def test_identical_points_rate_one(self, charge_family, rng):
         rho = random_density(4, rng)
         sol = conversion_rate_charges(rho, rho, charge_family)
@@ -424,8 +476,8 @@ class TestMaxEntropy:
     def test_converges_to_the_gge_of_the_target(self):
         lam = np.array([1.3, -0.7])
         target = self.LEVELS @ _boltzmann_weights(self.LEVELS, lam)
-        rec = self._solve(self.LEVELS, target)
-        w = _boltzmann_weights(self.LEVELS, rec)
+        rec, w = self._solve(self.LEVELS, target)
+        assert np.array_equal(w, _boltzmann_weights(self.LEVELS, rec))  # its final weights
         assert np.max(np.abs(self.LEVELS @ w - target)) <= NEWTON_TOL
         assert rec == pytest.approx(lam, abs=1e-7)
 
@@ -597,6 +649,36 @@ class TestBoundChargeOracles:
             assert sol.beta_vec[0] == math.inf
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(levels=st.lists(st.integers(0, 3), min_size=2, max_size=5),
+           seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 5))
+    @example(levels=[0, 1, 2], seed=0, rank=3)
+    def test_q1_agrees_with_nested_route(self, levels, seed, rank):
+        h = HermitianOperator.diagonal([float(x) for x in levels])
+        rank = min(rank, len(levels))
+        rho = random_density(len(levels), np.random.default_rng(seed),
+                             rank=None if rank == len(levels) else rank)
+        fam = GGEFamily(ChargeSet((h,)))
+        sol = bound_charge(rho, fam, 0)
+        assume(math.isfinite(sol.beta_vec[0]) and sol.beta_vec[0] > 0)
+        value, beta = nested_bound_charge(rho, fam)
+        assert sol.value == pytest.approx(value, abs=1e-9)
+        assert sol.beta_vec == pytest.approx(beta, rel=1e-7)
+
+    @pytest.mark.parametrize("f", range(32))
+    def test_benchmark_families_agree_with_nested_route(self, f, monkeypatch):
+        fam, rho, _ = benchmark_case(f)
+        sol = bound_charge(rho, fam, 0)
+        if not math.isfinite(sol.beta_vec[0]):
+            return  # the LP floor: no theta root
+        value, beta = nested_bound_charge(rho, fam)
+        assert sol.value == pytest.approx(value, abs=1e-9)
+        assert sol.beta_vec == pytest.approx(beta, rel=1e-7)
+        # the nested route with its ascents solved to near rounding: B_k to
+        # first order in the charge residual is nearer it than the plain route
+        monkeypatch.setattr(charges_module, "NEWTON_TOL", 2e-14)
+        assert sol.value == pytest.approx(nested_bound_charge(rho, fam)[0], abs=1e-12)
+
     def test_q1_near_degenerate_ground(self):
         # levels 1e-7 apart are distinct (bound_energy's threshold is 1e-10):
         # the LP must not stop on the upper one within its feasibility tolerance
@@ -605,6 +687,47 @@ class TestBoundChargeOracles:
         sol = bound_charge(rho, GGEFamily(ChargeSet((h,))), 0)
         assert sol.value == pytest.approx(bound_energy(rho, GibbsFamily(h)), abs=1e-12)
         assert math.isfinite(sol.beta_vec[0])
+
+
+def mp_thermal_exit(fam, rho, sigma, beta, t, dps=40):
+    """r from a dps-digit root of the thermal exit, taking the joint spectrum,
+    x_rho and x_sigma as exact: Newton in (beta_vec, t) from the given guess
+    on L(gamma(beta_vec)) = L_sigma + t dL and S(gamma(beta_vec)) = S_sigma
+    + t dS, whose Jacobian holds dL/dbeta = -Cov and dS/dbeta = -Cov beta_vec."""
+    x_rho, x_sigma = charges_point(rho, fam), charges_point(sigma, fam)
+    with mpmath.workdps(dps):
+        ells = mpmath.matrix(fam.joint_eigenvalues.tolist())
+        q, d = ells.rows, ells.cols
+        l_s, s_s = mpmath.matrix(x_sigma.L.tolist()), mpmath.mpf(x_sigma.S)
+        d_l, d_s = mpmath.matrix((x_rho.L - x_sigma.L).tolist()), mpmath.mpf(x_rho.S) - s_s
+        x = mpmath.matrix([float(b) for b in beta] + [float(t)])
+        for _ in range(60):
+            e = [-mpmath.fsum(x[j] * ells[j, i] for j in range(q)) for i in range(d)]
+            top = max(e)
+            w = [mpmath.exp(ei - top) for ei in e]
+            z = mpmath.fsum(w)
+            p = [wi / z for wi in w]
+            l = [mpmath.fsum(p[i] * ells[j, i] for i in range(d)) for j in range(q)]
+            cov = mpmath.matrix(q, q)
+            for j in range(q):
+                for k in range(q):
+                    cov[j, k] = mpmath.fsum(p[i] * (ells[j, i] - l[j]) * (ells[k, i] - l[k])
+                                            for i in range(d))
+            s = -mpmath.fsum(pi * mpmath.log(pi) for pi in p if pi > 0)
+            f = mpmath.matrix([l[j] - l_s[j] - x[q] * d_l[j] for j in range(q)]
+                              + [s - s_s - x[q] * d_s])
+            jac = mpmath.matrix(q + 1, q + 1)
+            for j in range(q):
+                for k in range(q):
+                    jac[j, k] = -cov[j, k]
+                    jac[q, k] -= cov[j, k] * x[j]
+                jac[j, q] = -d_l[j]
+            jac[q, q] = -d_s
+            step = mpmath.lu_solve(jac, f)
+            x -= step
+            if mpmath.norm(step) < mpmath.mpf(10) ** (5 - dps):
+                return float(1 - 1 / x[q])
+    raise AssertionError("mpmath Newton did not converge")
 
 
 class TestChargesRateOracle:
@@ -628,6 +751,21 @@ class TestChargesRateOracle:
             assert sol.r == pytest.approx(r_old, abs=1e-12)
         assert sol.collinearity_residual <= 1e-12
 
+    @pytest.mark.parametrize("case", [("pinned", 1, 4, 2), ("pinned", 1, 4, 3),
+                                      ("pinned", 1, 8, 2), ("pinned", 1, 8, 3),
+                                      ("pinned", 2, 4, 3), ("pinned", 3, 8, 3),
+                                      ("benchmark", 0), ("benchmark", 3), ("benchmark", 25)],
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_thermal_exit_against_mpmath(self, case):
+        if case[0] == "pinned":
+            fam, rho, sigma = TestPinnedSolverValues._case(*case[1:])
+        else:
+            fam, rho, sigma = benchmark_case(case[1])
+        sol = conversion_rate_charges(rho, sigma, fam)
+        assert sol.phi_kind == "thermal" and sol.phi_beta is not None
+        ref = mp_thermal_exit(fam, rho, sigma, sol.phi_beta, 1.0 / (1.0 - sol.r))
+        assert sol.r == pytest.approx(ref, abs=1e-12)
+
     def test_wall_face_with_repeated_levels(self):
         # joint eigenvalues (0, 0), (1, 0), (1, 0), (0, 1): the wall L_1 = 0 is
         # an edge with three levels, so its maximum entropy at L = (x, 0) is
@@ -645,3 +783,69 @@ class TestChargesRateOracle:
         assert sol.r == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert sol.phi_point.L == pytest.approx([0.45, 0.0], abs=1e-12)
         assert sol.r == pytest.approx(bisection_rate(rho, sigma, fam)[0], abs=1e-8)
+
+
+class TestSolverGuards:
+    """The two charges roots (the active bound_charge in theta, the thermal
+    exit in t): cost, independence from brentq, and the warm-start retry."""
+
+    # _gge_weights calls over the 32 benchmark families before the roots took
+    # their slopes (nested brentq over cold or ratio-started ascents)
+    NESTED_WEIGHT_CALLS = {"bound_charge": 1452, "conversion_rate_charges": 1810}
+
+    @staticmethod
+    def _run(name, f):
+        fam, rho, sigma = benchmark_case(f)
+        if name == "bound_charge":
+            return bound_charge(rho, fam, 0)
+        return conversion_rate_charges(rho, sigma, fam)
+
+    @pytest.mark.parametrize("name", ["bound_charge", "conversion_rate_charges"])
+    def test_weight_evaluations(self, name, monkeypatch):
+        calls = []
+        weights = charges_module._gge_weights
+
+        def counting(*args):
+            calls.append(None)
+            return weights(*args)
+
+        monkeypatch.setattr(charges_module, "_gge_weights", counting)
+        for f in range(32):
+            self._run(name, f)
+        assert len(calls) <= 0.6 * self.NESTED_WEIGHT_CALLS[name]
+
+    def test_roots_do_not_use_brentq(self, monkeypatch):
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+        for f in (0, 3, 25):  # active bounds and thermal exits
+            assert math.isfinite(self._run("bound_charge", f).beta_vec[0])
+            assert self._run("conversion_rate_charges", f).phi_beta is not None
+
+    @pytest.mark.parametrize("name,refused", [("bound_charge", 3),
+                                              ("conversion_rate_charges", 2)])
+    def test_failed_warm_start_retries_from_the_nearest_solve(self, name, refused, monkeypatch):
+        # refuse one tangent start: the bound's second (its first lies at the
+        # second-order guess, far from the one solve at theta = 0), the exit's first
+        expected = self._run(name, 25)
+        starts, solved = [], []
+        ascent = charges_module._max_entropy
+
+        def refusing_once(weights, levels, target, lam):
+            starts.append(lam)
+            if len(starts) == refused:
+                raise InfeasibleTargetError("refused")
+            solved.append(ascent(weights, levels, target, lam)[0])
+            return solved[-1], weights(solved[-1])
+
+        monkeypatch.setattr(charges_module, "_max_entropy", refusing_once)
+        sol = self._run(name, 25)
+        assert not np.any(starts[0])  # the first solve is cold
+        assert np.array_equal(starts[refused], solved[refused - 2])  # the nearest solve
+        if name == "bound_charge":
+            assert sol.value == pytest.approx(expected.value, abs=1e-12)
+        else:
+            assert sol.r == pytest.approx(expected.r, abs=1e-12)

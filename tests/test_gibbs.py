@@ -293,6 +293,62 @@ class TestDecreasingRoot:
         assert isinstance(err.value, ValueError)
 
 
+class TestDecreasingRootWithSlope:
+    """decreasing_root's rtsafe path: f returns (f, f'), the ends are not evaluated."""
+
+    @staticmethod
+    def arctan(calls):
+        def f(x):  # root at 7, flat tails that send a plain Newton far off
+            calls.append(x)
+            return -math.atan(x - 7.0), -1.0 / (1.0 + (x - 7.0) ** 2)
+
+        return f
+
+    def test_open_bracket_converges_without_scipy(self, monkeypatch):
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+        calls = []
+        assert decreasing_root(self.arctan(calls), 0.0, math.inf, start=1.0) == pytest.approx(
+            7.0, abs=1e-12)
+        assert 0.0 not in calls and len(calls) <= 40
+
+    def test_newton_step_outside_the_bracket_bisects(self):
+        calls = []
+        root = decreasing_root(self.arctan(calls), 1.0, 50.0, start=40.0)
+        assert root == pytest.approx(7.0, abs=1e-12)
+        assert calls[1] == 20.5  # Newton from 40 lands below lo = 1
+
+    def test_quadratic_convergence_stops_on_a_relative_step(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 2e6 - x * x, -2.0 * x
+
+        root = decreasing_root(f, 1.0, 1e4, start=1e3)
+        assert root == pytest.approx(math.sqrt(2e6), rel=1e-15)
+        assert len(calls) <= 8
+
+    def test_open_bracket_with_no_root_raises(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0, 0.0
+
+        with pytest.raises(BracketError):
+            decreasing_root(f, 0.0, math.inf, start=1.0)
+        assert len(calls) <= 62
+
+    def test_open_bracket_needs_a_positive_start(self):
+        with pytest.raises(ValueError):
+            decreasing_root(lambda x: (1.0 - x, -1.0), -1.0, math.inf, start=0.0)
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(isotherm.__file__).resolve().parents[1])
     code = "import isotherm, sys; assert 'scipy' not in sys.modules"
