@@ -21,7 +21,7 @@ the spectral kernels of `gibbs`.
   - lambda.b + nu S, the GGE with beta_k = 1/nu > 0 and beta_j =
   lambda_j/nu: at each theta = beta_k an ascent in the other beta_j meets
   A p = b, and theta is the root of S_max(L_k, b) - S, a safeguarded Newton
-  (`decreasing_root` with a slope) from the second-order guess at theta = 0.
+  (`newton_root`) from the second-order guess at theta = 0.
 - `conversion_rate_charges` follows the ray x_sigma + t (x_rho - x_sigma),
   t >= 1. One LP gives t_wall, where L(t) leaves the polytope, and the face
   it leaves through. f(t) = S_max(L(t)) - S(t) is concave on [1, t_wall]
@@ -36,7 +36,8 @@ order in the ascent's charge residual (up to NEWTON_TOL, absolute): the
 roots land within rounding of their 40-digit values, not within that
 residual. Each ascent starts from the tangent beta_vec + (dbeta_vec/dx) dx
 of the nearest solved point, dbeta_vec/dx from the GGE covariance, and
-retries once from that point's beta_vec (`_warm_ascent`).
+retries from that point's beta_vec, then from points halfway back to it
+(`_path_ascent`).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .gibbs import (
     decreasing_root,
     gibbs_state,
     intrinsic_beta,
+    newton_root,
 )
 from .operators import (
     DensityMatrix,
@@ -75,6 +77,7 @@ ENTROPY_ATOL = 1e-10  # entropy shortfall of an LP face still taken as reaching 
 PIVOT_TOL = 1e-12
 SIMPLEX_MAXITER = 500
 RATE_XTOL = 1e-13
+PATH_HALVINGS = 8  # how far _path_ascent may halve a failed step back toward a solved point
 
 
 class InfeasibleTargetError(ValueError):
@@ -344,19 +347,35 @@ def _max_entropy(weights, levels: np.ndarray, target: np.ndarray,
     raise InfeasibleTargetError(f"no maximum-entropy state with charges {target}")
 
 
-def _warm_ascent(weights, levels: np.ndarray, target: np.ndarray, path: list,
-                 x: float) -> tuple[np.ndarray, np.ndarray]:
-    """_max_entropy at a point x of a one-parameter path of solves, started
-    from the tangent lam + (dlam/dx)(x - x0) of the nearest solved point of
-    `path`, a list of (x0, lam, dlam/dx, ...), and retried once from that
-    point's lam if the ascent raises; cold from 0 while the path is empty."""
-    if not path:
-        return _max_entropy(weights, levels, target, np.zeros(len(levels)))
+def _path_ascent(solve, path: list, x: float, depth: int = PATH_HALVINGS):
+    """solve(x, lam0) at a point x of a one-parameter path of max-entropy
+    ascents, where solve runs the ascent at x from lam0, appends x's entry
+    (x, lam, dlam/dx, ...) to the non-empty `path` and returns its result.
+    The start is the tangent lam + (dlam/dx)(x - x0) of the nearest solved
+    point x0, then x0's lam; if both ascents raise, the point halfway to x0
+    is solved first and x is tried again from there, at most `depth` halvings
+    deep. Never restarts from 0."""
     x0, lam, slope, *_ = min(path, key=lambda point: abs(point[0] - x))
     try:
-        return _max_entropy(weights, levels, target, lam + slope * (x - x0))
+        return solve(x, lam + slope * (x - x0))
     except InfeasibleTargetError:
-        return _max_entropy(weights, levels, target, lam)
+        pass
+    try:
+        return solve(x, lam)
+    except InfeasibleTargetError:
+        if depth == 0:
+            raise
+    _path_ascent(solve, path, x0 + (x - x0) / 2, depth - 1)
+    return _path_ascent(solve, path, x, depth - 1)
+
+
+def _tangent(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """cov^-1 rhs for a warm start's tangent; zero if cov is singular (a flat
+    lone charge, whose rhs is zero too), which only makes the start colder."""
+    try:
+        return np.linalg.solve(cov, rhs)
+    except np.linalg.LinAlgError:
+        return np.zeros_like(rhs)
 
 
 def _face_max_entropy(levels: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -377,6 +396,11 @@ def _face_max_entropy(levels: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundChargeSolution:
+    """On the LP floor value = L_k(gamma). On the active branch value is B_k
+    to first order from the root's last solve, and beta_vec (so gamma) that
+    solve's tangent taken on to the root theta: value and L_k(gamma) agree to
+    second order in the last step, not to rounding."""
+
     value: float                 # B_k
     free_charge: float           # F_k = L_k(rho) - B_k
     gamma: DensityMatrix
@@ -435,12 +459,12 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
     embed = unit[:, idx]  # the other charges' beta_j into beta_vec
     path = []  # (theta, lam, dlam/dtheta, Schur variance, B_k estimate) per solved theta
 
-    def residual(theta: float) -> tuple[float, float]:
+    def residual(theta: float, lam0: np.ndarray) -> tuple[float, float]:
         """S_max(L_k(gamma), rho's other charges) - S(rho) and its slope in theta."""
-        lam, w = _warm_ascent(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
-                              ells[idx], pt.L[idx], path, theta)
+        lam, w = _max_entropy(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
+                              ells[idx], pt.L[idx], lam0)
         cov = _covariance(ells, w)
-        coupling = np.linalg.solve(cov[np.ix_(idx, idx)], cov[idx, k])
+        coupling = _tangent(cov[np.ix_(idx, idx)], cov[idx, k])
         variance = float(cov[k, k] - cov[k, idx] @ coupling)  # of L_k at fixed other charges
         # to first order on the surface dS = theta dL_k + lam.dL_other
         excess = float(spectrum_entropy(w) + lam @ (pt.L[idx] - ells[idx] @ w) - pt.S)
@@ -449,11 +473,12 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
         return excess, -theta * variance
 
     theta = 0.0
-    excess, _ = residual(theta)
+    excess, _ = residual(theta, np.zeros(fam.q - 1))
     if excess > 0:  # start where S(0) - theta^2 V(0)/2, second order in theta, reaches S
         variance = path[0][3]
         start = math.sqrt(2.0 * excess / variance) if variance > 0 else math.inf
-        theta = decreasing_root(residual, 0.0, math.inf, start=min(start, BRACKET_CAP))
+        theta = newton_root(lambda th: _path_ascent(residual, path, th), 0.0, math.inf,
+                            start=min(start, BRACKET_CAP))
     theta_last, lam, slope, _, value = path[-1]
     beta = embed @ (lam + slope * (theta - theta_last)) + theta * unit[k]
     return BoundChargeSolution(
@@ -531,16 +556,17 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     ells = fam.joint_eigenvalues
     path = []  # (t, beta_vec, dbeta_vec/dt) of every solved t
 
-    def gap(t: float) -> tuple[float, float]:  # S_max(L(t)) - S(t) and its slope
+    def gap(t: float, beta0: np.ndarray) -> tuple[float, float]:
+        """S_max(L(t)) - S(t) and its slope in t."""
         target = x_sigma.L + t * d_l
-        beta, w = _warm_ascent(lambda b: _gge_weights(fam, b), ells, target, path, t)
-        path.append((t, beta, -np.linalg.solve(_covariance(ells, w), d_l)))
+        beta, w = _max_entropy(lambda b: _gge_weights(fam, b), ells, target, beta0)
+        path.append((t, beta, -_tangent(_covariance(ells, w), d_l)))
         # S_max to first order in the ascent's charge residual: dS_max/dL = beta_vec
         s_max = spectrum_entropy(w) + beta @ (target - ells @ w)
         return s_max - (x_sigma.S + t * d_s), beta @ d_l - d_s
 
     try:
-        gap_1, slope_1 = gap(1.0)
+        gap_1, slope_1 = gap(1.0, np.zeros(fam.q))
     except InfeasibleTargetError:  # rho's charges on the polytope's boundary
         gap_1 = -1.0
     source_degenerate = ChargesRateSolution(r=0.0, phi_point=x_rho,
@@ -570,7 +596,8 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         # linear in t with slope -dS < 0, so the Newton point is the root
         newton = 1.0 - gap_1 / slope_1 if slope_1 < 0 else math.inf
         start = newton if newton < t_wall else (1.0 + t_wall) / 2
-        t_star = decreasing_root(gap, 1.0, t_wall, xtol=RATE_XTOL, start=start)
+        t_star = newton_root(lambda t: _path_ascent(gap, path, t), 1.0, t_wall,
+                             start=start, xtol=RATE_XTOL)
         kind = "thermal"
         t_last, beta_last, slope = path[-1]
         beta = beta_last + slope * (t_star - t_last)

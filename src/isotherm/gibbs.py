@@ -26,8 +26,9 @@ class BracketError(ValueError):
 
 
 class ConvergenceError(ValueError):
-    """A solver ran out of iterations: decreasing_root inside a valid bracket,
-    or the charge-polytope simplex (`charges._lp_face`)."""
+    """A solver ran out of iterations: a root inside a valid bracket
+    (`decreasing_root`, `newton_root`) or the charge-polytope simplex
+    (`charges._lp_face`)."""
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,7 @@ def _boundary_grid(fam: GibbsFamily, betas) -> tuple[np.ndarray, np.ndarray, np.
     return w @ fam.eigenvalues, s, log_z
 
 
-def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL,
-                    start: float | None = None) -> float:
+def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL) -> float:
     """Root of a decreasing residual f, with the bracket [lo, hi] grown by doubling.
 
     `hi` (> 0) doubles while f(hi) > 0; `lo` doubles only while it is negative
@@ -152,19 +152,8 @@ def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL,
     ConvergenceError if brentq has not converged after as many iterations as
     bisection needs to shrink any finite bracket (width < 2**1025) to xtol.
     scipy is imported here, on the first solve, not with the package.
-
-    With a `start`, f returns (f(x), f'(x)) and the caller vouches for
-    f(lo) > 0 > f(hi), where hi = math.inf means no upper end is known yet
-    (then start > 0). The ends are not evaluated: from `start`, rtsafe
-    (Numerical Recipes, section 9.4) takes the Newton step if it lands inside
-    the current bracket and is at most half the previous step, and otherwise
-    bisects, or doubles x while no upper end is known. It returns the last
-    point stepped to, unevaluated, once the step or the bracket falls below
-    xtol * max(1, |x|). This path never loads scipy.
+    A residual that also knows its slope takes `newton_root` instead.
     """
-    maxiter = 1025 + math.ceil(-math.log2(xtol))
-    if start is not None:
-        return _safe_newton(f, lo, hi, start, xtol, maxiter)
     from scipy.optimize import brentq
 
     if not hi > 0:
@@ -178,16 +167,29 @@ def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL,
         if lo < -BRACKET_CAP:
             raise BracketError(f"residual stays negative down to {-BRACKET_CAP:g}")
     try:
-        return brentq(f, lo, hi, xtol=xtol, maxiter=maxiter)
+        return brentq(f, lo, hi, xtol=xtol, maxiter=1025 + math.ceil(-math.log2(xtol)))
     except RuntimeError as exc:
         raise ConvergenceError(f"no root to {xtol:g} in [{lo:g}, {hi:g}]: {exc}") from exc
 
 
-def _safe_newton(f, lo: float, hi: float, x: float, xtol: float, maxiter: int) -> float:
-    """decreasing_root's slope path (see there)."""
-    if math.isinf(hi) and not x > 0:
-        raise ValueError(f"an open bracket needs start > 0, got {x}")
-    step = hi - lo  # the previous step: at first the bracket
+def newton_root(f, lo: float, hi: float, start: float, xtol: float = BETA_XTOL) -> float:
+    """Root of a decreasing residual f that returns (f(x), f'(x)), by a
+    safeguarded Newton from `start`.
+
+    The caller vouches for f(lo) > 0 > f(hi), where hi = math.inf means no
+    upper end is known yet (then start > 0); the ends are not evaluated.
+    rtsafe (Numerical Recipes, section 9.4): take the Newton step if it lands
+    inside the current bracket and is at most half the previous step, and
+    otherwise bisect, or double x while no upper end is known. Returns the
+    last point stepped to, unevaluated, once the step or the bracket falls
+    below xtol * max(1, |x|). Raises BracketError once x passes BRACKET_CAP,
+    and ConvergenceError after decreasing_root's iteration bound. Never loads
+    scipy.
+    """
+    if math.isinf(hi) and not start > 0:
+        raise ValueError(f"an open bracket needs start > 0, got {start}")
+    maxiter = 1025 + math.ceil(-math.log2(xtol))
+    x, step = start, hi - lo  # the previous step: at first the bracket
     for _ in range(maxiter):
         fx, slope = f(x)
         if fx == 0:

@@ -451,6 +451,22 @@ class TestChargesRate:
         gibbs = DensityMatrix.diagonal([1.0 - a, a / 2, a / 2])
         assert conversion_rate_charges(gibbs, sigma, fam).phi_kind == "source-degenerate"
 
+    def test_flat_lone_charge(self):
+        # a one-state family: S_max = ln d along the whole ray and no wall, so
+        # the ray leaves where S(t) = ln d, or at S = 0 when the entropy falls
+        fam = GGEFamily(ChargeSet((HermitianOperator.diagonal([1.0, 1.0, 1.0]),)))
+        sigma = DensityMatrix.diagonal([0.6, 0.3, 0.1])
+        rho = DensityMatrix.diagonal([0.5, 0.3, 0.2])
+        s_sigma, s_rho = entropy(sigma), entropy(rho)
+        sol = conversion_rate_charges(rho, sigma, fam)
+        t_star = (math.log(3) - s_sigma) / (s_rho - s_sigma)
+        assert sol.phi_kind == "thermal"
+        assert sol.r == pytest.approx(1 - 1 / t_star, abs=1e-12)
+        back = conversion_rate_charges(sigma, rho, fam)
+        t_pure = s_rho / (s_rho - s_sigma)
+        assert back.phi_kind == "pure"
+        assert back.r == pytest.approx(1 - 1 / t_pure, abs=1e-12)
+
     def test_identical_points_rate_one(self, charge_family, rng):
         rho = random_density(4, rng)
         sol = conversion_rate_charges(rho, rho, charge_family)
@@ -825,14 +841,16 @@ class TestSolverGuards:
             assert math.isfinite(self._run("bound_charge", f).beta_vec[0])
             assert self._run("conversion_rate_charges", f).phi_beta is not None
 
-    @pytest.mark.parametrize("name,refused", [("bound_charge", 3),
+    @pytest.mark.parametrize("name,refused", [("bound_charge", 2), ("bound_charge", 3),
                                               ("conversion_rate_charges", 2)])
-    def test_failed_warm_start_retries_from_the_nearest_solve(self, name, refused, monkeypatch):
-        # refuse one tangent start: the bound's second (its first lies at the
-        # second-order guess, far from the one solve at theta = 0), the exit's first
+    def test_failed_warm_start_retries_along_the_path(self, name, refused, monkeypatch):
+        # refuse one tangent start and retry from the nearest solve. The bound's
+        # first tangent start lies at the second-order guess, far from the one
+        # solve at theta = 0, and the retry from lam(0) fails there too: the
+        # point halfway back is solved first, then the refused point from it
         expected = self._run(name, 25)
-        starts, solved = [], []
-        ascent = charges_module._max_entropy
+        starts, solved, points = [], [], []
+        ascent, path_ascent = charges_module._max_entropy, charges_module._path_ascent
 
         def refusing_once(weights, levels, target, lam):
             starts.append(lam)
@@ -841,10 +859,19 @@ class TestSolverGuards:
             solved.append(ascent(weights, levels, target, lam)[0])
             return solved[-1], weights(solved[-1])
 
+        def recording(solve, path, x, *args):
+            points.append(x)
+            return path_ascent(solve, path, x, *args)
+
         monkeypatch.setattr(charges_module, "_max_entropy", refusing_once)
+        monkeypatch.setattr(charges_module, "_path_ascent", recording)
         sol = self._run(name, 25)
         assert not np.any(starts[0])  # the first solve is cold
         assert np.array_equal(starts[refused], solved[refused - 2])  # the nearest solve
+        if refused == 2 and name == "bound_charge":
+            assert points[:3] == [points[0], points[0] / 2, points[0]]
+        else:
+            assert len(points) == len(set(points))  # no halving
         if name == "bound_charge":
             assert sol.value == pytest.approx(expected.value, abs=1e-12)
         else:

@@ -23,6 +23,7 @@ from isotherm.gibbs import (
     gibbs_state,
     intrinsic_beta,
     log_partition,
+    newton_root,
     spontaneous_beta,
 )
 from isotherm.operators import (
@@ -293,8 +294,8 @@ class TestDecreasingRoot:
         assert isinstance(err.value, ValueError)
 
 
-class TestDecreasingRootWithSlope:
-    """decreasing_root's rtsafe path: f returns (f, f'), the ends are not evaluated."""
+class TestNewtonRoot:
+    """newton_root (rtsafe): f returns (f, f'), the ends are not evaluated."""
 
     @staticmethod
     def arctan(calls):
@@ -312,13 +313,13 @@ class TestDecreasingRootWithSlope:
 
         monkeypatch.setattr(scipy.optimize, "brentq", refuse)
         calls = []
-        assert decreasing_root(self.arctan(calls), 0.0, math.inf, start=1.0) == pytest.approx(
+        assert newton_root(self.arctan(calls), 0.0, math.inf, start=1.0) == pytest.approx(
             7.0, abs=1e-12)
         assert 0.0 not in calls and len(calls) <= 40
 
     def test_newton_step_outside_the_bracket_bisects(self):
         calls = []
-        root = decreasing_root(self.arctan(calls), 1.0, 50.0, start=40.0)
+        root = newton_root(self.arctan(calls), 1.0, 50.0, start=40.0)
         assert root == pytest.approx(7.0, abs=1e-12)
         assert calls[1] == 20.5  # Newton from 40 lands below lo = 1
 
@@ -329,7 +330,7 @@ class TestDecreasingRootWithSlope:
             calls.append(x)
             return 2e6 - x * x, -2.0 * x
 
-        root = decreasing_root(f, 1.0, 1e4, start=1e3)
+        root = newton_root(f, 1.0, 1e4, start=1e3)
         assert root == pytest.approx(math.sqrt(2e6), rel=1e-15)
         assert len(calls) <= 8
 
@@ -341,12 +342,12 @@ class TestDecreasingRootWithSlope:
             return 1.0, 0.0
 
         with pytest.raises(BracketError):
-            decreasing_root(f, 0.0, math.inf, start=1.0)
+            newton_root(f, 0.0, math.inf, start=1.0)
         assert len(calls) <= 62
 
     def test_open_bracket_needs_a_positive_start(self):
         with pytest.raises(ValueError):
-            decreasing_root(lambda x: (1.0 - x, -1.0), -1.0, math.inf, start=0.0)
+            newton_root(lambda x: (1.0 - x, -1.0), -1.0, math.inf, start=0.0)
 
 
 def test_import_leaves_scipy_unloaded():
