@@ -54,7 +54,6 @@ from .gibbs import (
     _boltzmann_weights,
     _log_partition,
     boundary_energy,
-    decreasing_root,
     gibbs_state,
     intrinsic_beta,
     newton_root,
@@ -426,15 +425,18 @@ def _lp_floor(fam: GGEFamily, k: int, pt: ChargesPoint) -> BoundChargeSolution |
     def mixed(x):
         return x * np.diag(p) + (1.0 - x) * np.outer(root, root)
 
-    def excess(x):
-        return pt.S - spectrum_entropy(np.linalg.eigvalsh(mixed(x)))
+    def excess(x):  # S - S(x) and its slope -dS/dx = Tr[(diag p - psi psi^T) log rho(x)]
+        w, v = np.linalg.eigh(mixed(x))
+        keep = w > 0
+        shift = (v[:, keep] ** 2).T @ p - (v[:, keep].T @ root) ** 2
+        return pt.S - spectrum_entropy(w), float(np.log(w[keep]) @ shift)
 
-    if excess(1.0) >= 0:  # S at H(p)
+    if excess(1.0)[0] >= 0:  # S at H(p)
         x = 1.0
-    elif excess(0.0) <= 0:  # S = 0, to rounding
+    elif excess(0.0)[0] <= 0:  # S = 0, to rounding
         x = 0.0
     else:
-        x = decreasing_root(excess, 0.0, 1.0)
+        x = newton_root(excess, 0.0, 1.0, start=0.5)
     limit = np.insert(-duals[:-1], k, 1.0)  # beta_vec = lim (lambda, 1)/nu
     value = float(ells[k] @ p)
     return BoundChargeSolution(

@@ -70,7 +70,7 @@ def tangent_line(fam: GibbsFamily, beta: float) -> tuple[float, float]:
     intercept equals ln Z_beta."""
     if math.isinf(beta):
         raise ValueError("tangent_line needs finite beta")
-    e, s = _boundary_point(fam, beta)
+    e, s, _ = _boundary_point(fam, beta)
     return beta, s - beta * e
 
 

@@ -1,6 +1,6 @@
 """Bound energy, free energy, athermality, and their variational forms.
 
-The primary computation path is the bracketed root solver in `gibbs`; the
+The primary computation path is the safeguarded Newton root in `gibbs`; the
 grid-based minimizations are independent verification routes.
 """
 
@@ -102,7 +102,7 @@ def beta_free_energy(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float
     """Extractable work with an infinite beta-bath:
     F_beta(rho) - F_beta(gamma(beta)), with F_beta(x) = E(x) - S(x)/beta."""
     _check_free_energy_beta(beta)
-    e_gamma, s_gamma = _boundary_point(fam, beta)
+    e_gamma, s_gamma, _ = _boundary_point(fam, beta)
     f_rho = expectation(fam.hamiltonian, rho) - entropy(rho) / beta
     return f_rho - (e_gamma - s_gamma / beta)
 

@@ -27,8 +27,7 @@ class BracketError(ValueError):
 
 class ConvergenceError(ValueError):
     """A solver ran out of iterations: a root inside a valid bracket
-    (`decreasing_root`, `newton_root`) or the charge-polytope simplex
-    (`charges._lp_face`)."""
+    (`newton_root`) or the charge-polytope simplex (`charges._lp_face`)."""
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,22 @@ def _log_partition(levels: np.ndarray, beta) -> float:
     return float(m + np.log(np.sum(np.exp(x - m))))
 
 
-def _weights(fam: GibbsFamily, beta: float) -> np.ndarray:
-    if not math.isinf(beta):
-        return _boltzmann_weights(fam.eigenvalues, beta)
-    w = np.zeros(fam.dim)
-    if beta > 0:  # +inf: uniform on the ground subspace
-        idx = fam.eigenvalues <= fam.eigenvalues[0] + DEGENERACY_ATOL
-    else:  # -inf: uniform on the top subspace
-        idx = fam.eigenvalues >= fam.eigenvalues[-1] - DEGENERACY_ATOL
-    w[idx] = 1.0 / idx.sum()
-    return w
+def _populations(fam: GibbsFamily, beta: float) -> tuple[np.ndarray, float]:
+    """Populations p of gamma(beta) on the ascending levels, and S = -sum p ln p:
+    -p ln p = p (log1p(rest) - x), x <= 0 the shifted exponents and rest the
+    weights besides one largest, so no term cancels where 1 - p_ground rounds
+    away. Sentinel +inf (-inf): uniform on the ground (top) subspace."""
+    if math.isinf(beta):
+        lv = fam.eigenvalues
+        idx = lv <= lv[0] + DEGENERACY_ATOL if beta > 0 else lv >= lv[-1] - DEGENERACY_ATOL
+        p = idx / idx.sum()
+        return p, spectrum_entropy(p)
+    x = -beta * fam.eigenvalues
+    x -= x[0] if beta >= 0 else x[-1]  # the largest exponent: the levels ascend
+    w = np.exp(x)
+    rest = float(w[1:].sum() if beta >= 0 else w[:-1].sum())
+    p = w / (1.0 + rest)
+    return p, float(np.dot(p, -x)) + math.log1p(rest)
 
 
 def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
@@ -98,7 +103,7 @@ def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
     h = fam.hamiltonian
     order = np.argsort(h.eigenvalues)
     v = h.eigenvectors[:, order]
-    w = _weights(fam, beta)
+    w = _populations(fam, beta)[0]
     return DensityMatrix._from_eigenpairs((v * w) @ v.conj().T, w, v)
 
 
@@ -111,24 +116,32 @@ def log_partition(fam: GibbsFamily, beta: float) -> float:
 
 def boundary_entropy(fam: GibbsFamily, beta: float) -> float:
     """S(gamma(beta)); decreasing in beta."""
-    return spectrum_entropy(_weights(fam, beta))
+    return _boundary_point(fam, beta)[1]
 
 
 def boundary_energy(fam: GibbsFamily, beta: float) -> float:
     """E(gamma(beta)); decreasing in beta."""
-    return float(np.dot(_weights(fam, beta), fam.eigenvalues))
+    return _boundary_point(fam, beta)[0]
 
 
-def _boundary_point(fam: GibbsFamily, beta: float) -> tuple[float, float]:
-    """(E, S) of gamma(beta) from one pass: boundary_energy and boundary_entropy, bit for bit."""
-    w = _weights(fam, beta)
-    return float(np.dot(w, fam.eigenvalues)), spectrum_entropy(w)
+def _boundary_point(fam: GibbsFamily, beta: float) -> tuple[float, float, float]:
+    """(E, S, Var) of gamma(beta) from one exp pass: the slopes are dE/dbeta = -Var
+    and dS/dbeta = -beta Var."""
+    p, s = _populations(fam, beta)
+    e = float(np.dot(p, fam.eigenvalues))
+    dev = fam.eigenvalues - e
+    return e, s, float(np.dot(p, dev * dev))
+
+
+def _joint_point(fams: list[GibbsFamily], beta: float) -> tuple[float, float, float]:
+    """_boundary_point of the non-interacting sum of `fams`: E, S and Var add up."""
+    return tuple(map(sum, zip(*(_boundary_point(f, beta) for f in fams))))
 
 
 def _boundary_grid(fam: GibbsFamily, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E, S and ln Z of gamma(beta) for every beta of a grid, in one (n, d) pass:
     _boundary_point and log_partition row by row, to rounding, with 0 log 0 = 0.
-    Rows at beta = +-inf hold _weights' sentinel states, with ln Z = nan."""
+    Rows at beta = +-inf hold the sentinel states of _populations, with ln Z = nan."""
     betas = np.asarray(betas, dtype=float)
     finite = np.isfinite(betas)
     x = np.multiply.outer(-np.where(finite, betas, 0.0), fam.eigenvalues)
@@ -138,38 +151,9 @@ def _boundary_grid(fam: GibbsFamily, betas) -> tuple[np.ndarray, np.ndarray, np.
     w /= z
     log_z = np.where(finite, m[:, 0] + np.log(z[:, 0]), np.nan)
     for i in np.flatnonzero(~finite):
-        w[i] = _weights(fam, betas[i])
+        w[i] = _populations(fam, betas[i])[0]
     s = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1)
     return w @ fam.eigenvalues, s, log_z
-
-
-def decreasing_root(f, lo: float, hi: float, xtol: float = BETA_XTOL) -> float:
-    """Root of a decreasing residual f, with the bracket [lo, hi] grown by doubling.
-
-    `hi` (> 0) doubles while f(hi) > 0; `lo` doubles only while it is negative
-    and f(lo) < 0, so a bracket starting at lo >= 0 costs no evaluation there.
-    Raises BracketError once either end passes BRACKET_CAP in magnitude, and
-    ConvergenceError if brentq has not converged after as many iterations as
-    bisection needs to shrink any finite bracket (width < 2**1025) to xtol.
-    scipy is imported here, on the first solve, not with the package.
-    A residual that also knows its slope takes `newton_root` instead.
-    """
-    from scipy.optimize import brentq
-
-    if not hi > 0:
-        raise ValueError(f"bracket needs hi > 0, got {hi}")
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise BracketError(f"residual stays positive up to {BRACKET_CAP:g}")
-    while lo < 0 and f(lo) < 0:
-        lo *= 2.0
-        if lo < -BRACKET_CAP:
-            raise BracketError(f"residual stays negative down to {-BRACKET_CAP:g}")
-    try:
-        return brentq(f, lo, hi, xtol=xtol, maxiter=1025 + math.ceil(-math.log2(xtol)))
-    except RuntimeError as exc:
-        raise ConvergenceError(f"no root to {xtol:g} in [{lo:g}, {hi:g}]: {exc}") from exc
 
 
 def newton_root(f, lo: float, hi: float, start: float, xtol: float = BETA_XTOL) -> float:
@@ -183,8 +167,8 @@ def newton_root(f, lo: float, hi: float, start: float, xtol: float = BETA_XTOL) 
     otherwise bisect, or double x while no upper end is known. Returns the
     last point stepped to, unevaluated, once the step or the bracket falls
     below xtol * max(1, |x|). Raises BracketError once x passes BRACKET_CAP,
-    and ConvergenceError after decreasing_root's iteration bound. Never loads
-    scipy.
+    and ConvergenceError after as many steps as bisection needs to shrink any
+    finite bracket (width < 2**1025) to xtol.
     """
     if math.isinf(hi) and not start > 0:
         raise ValueError(f"an open bracket needs start > 0, got {start}")
@@ -245,9 +229,13 @@ def _joint_intrinsic_beta(fams: list[GibbsFamily], target_entropy: float) -> flo
     floor = sum(math.log(f.ground_degeneracy) for f in fams)
     if target <= floor + 1e-12:
         return math.inf
+
+    def resid(b):
+        _, s, var = _joint_point(fams, b)
+        return s - target, -b * var
+
     try:
-        return decreasing_root(
-            lambda b: sum(boundary_entropy(f, b) for f in fams) - target, 0.0, 1.0)
+        return newton_root(resid, 0.0, math.inf, start=1.0)
     except BracketError:
         return math.inf
 
@@ -272,8 +260,14 @@ def _joint_spontaneous_beta(fams: list[GibbsFamily], target_energy: float) -> fl
         return math.inf
     if target_energy >= sum(boundary_energy(f, -math.inf) for f in fams) - atol:
         return -math.inf
-    # the maximally mixed limit, where brentq alone lands a rounding speck off 0
-    if abs(target_energy - sum(float(f.eigenvalues.sum()) / f.dim for f in fams)) <= atol:
+    # the maximally mixed limit, where a root solve alone lands a rounding speck off 0
+    mean = sum(float(f.eigenvalues.sum()) / f.dim for f in fams)
+    if abs(target_energy - mean) <= atol:
         return 0.0
-    return decreasing_root(
-        lambda b: sum(boundary_energy(f, b) for f in fams) - target_energy, -1.0, 1.0)
+    sign = 1.0 if target_energy < mean else -1.0  # E falls as beta grows
+
+    def resid(u):  # decreasing in u >= 0, the root's |beta|
+        e, _, var = _joint_point(fams, sign * u)
+        return sign * (e - target_energy), -var
+
+    return sign * newton_root(resid, 0.0, math.inf, start=1.0)

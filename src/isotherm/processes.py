@@ -19,13 +19,13 @@ import numpy as np
 from .energetics import _bound_energy_at, _free_energy_at, bound_energy, free_energy
 from .equilibrium import joint_family
 from .gibbs import (
-    BRACKET_CAP,
     GibbsFamily,
+    _boundary_point,
     boundary_energy,
     boundary_entropy,
-    decreasing_root,
     gibbs_state,
     intrinsic_beta,
+    newton_root,
 )
 from .operators import (
     DensityMatrix,
@@ -276,11 +276,12 @@ def carnot_engine(bath_a: tuple[GibbsFamily, float, int],
     s_total = n_a * boundary_entropy(fam_a, beta_a) + n_b * boundary_entropy(fam_b, beta_b)
 
     def resid(b):
-        return (n_a * boundary_entropy(fam_a, b)
-                + n_b * boundary_entropy(fam_b, b) - s_total)
+        _, s_a, var_a = _boundary_point(fam_a, b)
+        _, s_b, var_b = _boundary_point(fam_b, b)
+        return n_a * s_a + n_b * s_b - s_total, -b * (n_a * var_a + n_b * var_b)
 
-    # a zero-temperature cold bath (beta_a = inf) still has a finite joint beta
-    beta_j = decreasing_root(resid, beta_b, min(beta_a, BRACKET_CAP))
+    # a zero-temperature cold bath (beta_a = inf) leaves the bracket open above
+    beta_j = newton_root(resid, beta_b, beta_a, start=beta_b)
     d_e_a = n_a * (boundary_energy(fam_a, beta_j) - boundary_energy(fam_a, beta_a))
     d_e_b = n_b * (boundary_energy(fam_b, beta_j) - boundary_energy(fam_b, beta_b))
     work = -(d_e_a + d_e_b)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .diagram import DiagramPoint, state_point
-from .gibbs import GibbsFamily, _boundary_point, boundary_entropy, decreasing_root, spontaneous_beta
+from .gibbs import GibbsFamily, _boundary_point, boundary_entropy, newton_root, spontaneous_beta
 from .operators import DensityMatrix, entropy
 
 
@@ -60,12 +60,13 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
     if beta is not None and math.isfinite(beta):
         b0 = beta
 
-        def side(u: float) -> float:  # > 0 while gamma(b0 + step u) is above the ray
-            e, s = _boundary_point(fam, b0 + step * u)
-            return step * (ds * (e - x_rho.E) - de * (s - x_rho.S))
+        def side(u: float) -> tuple[float, float]:  # > 0 while gamma(b) is above the ray
+            b = b0 + step * u
+            e, s, var = _boundary_point(fam, b)
+            return step * (ds * (e - x_rho.E) - de * (s - x_rho.S)), -var * (ds - b * de)
 
-        beta = b0 if side(0.0) <= 0 else b0 + step * decreasing_root(side, 0.0, 1.0)
-        e, s = _boundary_point(fam, beta)
+        beta = b0 if side(0.0)[0] <= 0 else b0 + step * newton_root(side, 0.0, math.inf, 1.0)
+        e, s, _ = _boundary_point(fam, beta)
         # the ray meets the tangent S = beta E + ln Z there: second order in the
         # root's error, and no earlier than x_rho itself
         t_star = max((s - x_sigma.S - beta * (e - x_sigma.E)) / (ds - beta * de), 1.0)

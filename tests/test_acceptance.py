@@ -247,8 +247,10 @@ def test_07_heat_definitions():
     deltas = np.geomspace(1e-3, 1e-1, 9)
     bath = gibbs_state(fam_s, 1.0)
     for delta in deltas:
+        # a partial A-B swap in the |01>, |10> block: a kick on B alone would
+        # leave B's spectrum, and so every gap, at exactly 0
         c, s = math.cos(delta), math.sin(delta)
-        u = np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
+        u = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
         initial = tensor(DensityMatrix.diagonal([0.6, 0.4]), bath)
         final = DensityMatrix(u @ initial.entries @ u.conj().T)
         proc = ProcessRecord(initial=initial, final=final,

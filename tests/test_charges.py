@@ -39,7 +39,6 @@ from isotherm.gibbs import (
     GibbsFamily,
     _boltzmann_weights,
     boundary_energy,
-    decreasing_root,
     gibbs_state,
     log_partition,
     spontaneous_beta,
@@ -138,8 +137,13 @@ def nested_bound_charge(rho, fam, k=0):
         ratio = lam / theta if theta > 0 else ratio
         return embed @ lam + theta * unit[k]
 
-    theta = decreasing_root(lambda th: gge_entropy(fam, tilted(th)) - pt.S,
-                            0.0, 1.0 / np.ptp(ells[k]))
+    def excess(theta):
+        return gge_entropy(fam, tilted(theta)) - pt.S
+
+    hi = 1.0 / np.ptp(ells[k])
+    while excess(hi) > 0:
+        hi *= 2.0
+    theta = brentq(excess, 0.0, hi, xtol=1e-12)
     beta = tilted(theta)
     return float(gge_charges(fam, beta)[k]), beta
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -330,29 +333,66 @@ class TestGoldenStdout:
     ])
     def test_matches_file(self, name, qubit_system, p91_state, charged_system, tmp_path,
                           capsys):
-        s3 = math.sqrt(3) * 0.2
-        src = state_file(tmp_path, "src.json", {
-            "matrix": {"re": [[0.7, -s3], [-s3, 0.3]], "im": [[0.0, 0.0], [0.0, 0.0]]}})
-        tgt = state_file(tmp_path, "tgt.json", {"diagonal": [0.5, 0.5]})
-        cold = state_file(tmp_path, "cold.json", {"diagonal": [0.9, 0.1]})
-        hot = state_file(tmp_path, "hot.json", {"diagonal": [0.7, 0.3]})
-        a = state_file(tmp_path, "a.json", {"diagonal": [0.8, 0.2]})
-        b = state_file(tmp_path, "b.json", {"diagonal": [1.0, 0.0]})
-        gge = state_file(tmp_path, "gge.json", {"gge": {"beta_vec": [0.8, -0.3]}})
-        argv = {
-            "cli_info.txt": ["info", qubit_system, p91_state],
-            "cli_rate.txt": ["rate", qubit_system, src, tgt],
-            "cli_equilibrate_isoentropic.txt": [
-                "equilibrate", "--system", qubit_system, qubit_system,
-                "--state", hot, cold],
-            "cli_equilibrate_isoenergetic.txt": [
-                "equilibrate", "--mode", "isoenergetic",
-                "--system", qubit_system, qubit_system, "--state", a, b],
-            "cli_engine.txt": [
-                "engine", "--system-a", qubit_system, "--system-b", qubit_system,
-                "--beta-a", str(math.log(9)), "--beta-b", str(math.log(7 / 3)),
-                "--copies", "1,2,4"],
-            "cli_charges.txt": ["charges", charged_system, gge],
-        }[name]
+        argv = golden_commands(tmp_path, qubit_system, p91_state, charged_system)[name]
         assert main(argv) == 0
         assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
+
+
+def golden_commands(tmp_path, qubit_system, p91_state, charged_system):
+    """The argv of each golden stdout file in tests/data, by file name."""
+    s3 = math.sqrt(3) * 0.2
+    src = state_file(tmp_path, "src.json", {
+        "matrix": {"re": [[0.7, -s3], [-s3, 0.3]], "im": [[0.0, 0.0], [0.0, 0.0]]}})
+    tgt = state_file(tmp_path, "tgt.json", {"diagonal": [0.5, 0.5]})
+    cold = state_file(tmp_path, "cold.json", {"diagonal": [0.9, 0.1]})
+    hot = state_file(tmp_path, "hot.json", {"diagonal": [0.7, 0.3]})
+    a = state_file(tmp_path, "a.json", {"diagonal": [0.8, 0.2]})
+    b = state_file(tmp_path, "b.json", {"diagonal": [1.0, 0.0]})
+    gge = state_file(tmp_path, "gge.json", {"gge": {"beta_vec": [0.8, -0.3]}})
+    return {
+        "cli_info.txt": ["info", qubit_system, p91_state],
+        "cli_rate.txt": ["rate", qubit_system, src, tgt],
+        "cli_equilibrate_isoentropic.txt": [
+            "equilibrate", "--system", qubit_system, qubit_system,
+            "--state", hot, cold],
+        "cli_equilibrate_isoenergetic.txt": [
+            "equilibrate", "--mode", "isoenergetic",
+            "--system", qubit_system, qubit_system, "--state", a, b],
+        "cli_engine.txt": [
+            "engine", "--system-a", qubit_system, "--system-b", qubit_system,
+            "--beta-a", str(math.log(9)), "--beta-b", str(math.log(7 / 3)),
+            "--copies", "1,2,4"],
+        "cli_charges.txt": ["charges", charged_system, gge],
+    }
+
+
+def test_commands_run_without_scipy(qubit_system, p91_state, charged_system, tmp_path):
+    """Every command in one interpreter where scipy cannot be imported: each
+    golden command prints its file, and the others exit 0."""
+    commands = golden_commands(tmp_path, qubit_system, p91_state, charged_system)
+    commands["boundary"] = ["boundary", qubit_system, "--state", p91_state,
+                            "-o", str(tmp_path / "diagram.csv")]
+    commands["laws"] = ["laws", "--trials", "20", "--seed", "7"]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from isotherm.cli import main\n"
+        "results = {}\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    results[name] = [code, out.getvalue()]\n"
+        "print(json.dumps(results))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results.keys() == commands.keys()
+    for name, (code, out) in results.items():
+        assert code == 0, name
+        if name.endswith(".txt"):
+            assert out == (DATA / name).read_text(encoding="utf-8"), name
+    assert (tmp_path / "diagram.csv").read_text().startswith("beta,E,S\n")

@@ -61,7 +61,7 @@ class TestBoundary:
             fam = GibbsFamily(random_hamiltonian(d, rng))
             sample = sample_boundary(fam, -20.0, 20.0, 129)
             for beta, pt in zip(sample.betas, sample.points):
-                e, s = _boundary_point(fam, beta)
+                e, s, _ = _boundary_point(fam, beta)
                 assert abs(pt.E - e) <= 1e-13 and abs(pt.S - s) <= 1e-13
 
     def test_infinite_ends_are_the_pure_extremes(self):

@@ -199,6 +199,27 @@ class TestRelativeEntropyProperty:
             assert relative_entropy_check(rho, fam) <= 1e-8
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e3, 1e4])
+    def test_residual_is_scale_free(self, scale):
+        # the residual is |S(gamma(beta*)) - S(rho)| / beta*: an intrinsic beta
+        # solved to an absolute 1e-12 reached 4e-5 at ||H|| = 4e4
+        rng = np.random.default_rng(16)
+        checked = 0
+        for _ in range(75):
+            ints = rng.integers(0, 5, int(rng.integers(2, 7)))
+            ints[0] += np.ptp(ints) == 0
+            levels = scale * ints.astype(float)
+            beta = 10 ** rng.uniform(-2, math.log10(700)) / float(np.max(levels))
+            w = np.exp(-beta * (levels - levels.min()))
+            rho = DensityMatrix.diagonal(rng.permutation(w / w.sum()))
+            fam = GibbsFamily(HermitianOperator.diagonal(levels))
+            if math.isinf(intrinsic_beta(fam, entropy(rho))):
+                continue
+            assert relative_entropy_check(rho, fam) <= 1e-8
+            checked += 1
+        assert checked >= 50
+
+
 class TestAthermality:
     def test_thermal_state_zero(self, qutrit):
         assert athermality(gibbs_state(qutrit, 0.8), qutrit) == pytest.approx(

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from isotherm.gibbs import (
     _boundary_point,
     boundary_energy,
     boundary_entropy,
-    decreasing_root,
     gibbs_state,
     intrinsic_beta,
     log_partition,
@@ -33,6 +33,7 @@ from isotherm.operators import (
     expectation,
     random_hamiltonian,
 )
+from isotherm.processes import DegenerateEngineError, carnot_engine
 
 LN2 = math.log(2)
 LN9 = math.log(9)
@@ -95,7 +96,7 @@ class TestBoundaryGrid:
             betas = np.concatenate([[-math.inf, 0.0, math.inf], rng.uniform(-40, 40, 60)])
             e, s, log_z = _boundary_grid(fam, betas)
             for k, beta in enumerate(betas):
-                e_k, s_k = _boundary_point(fam, beta)
+                e_k, s_k, _ = _boundary_point(fam, beta)
                 assert abs(e[k] - e_k) <= 1e-13 and abs(s[k] - s_k) <= 1e-13
                 if math.isinf(beta):
                     assert math.isnan(log_z[k])
@@ -154,6 +155,18 @@ class TestBoundaryCurve:
             ds = boundary_entropy(qutrit, beta + db) - boundary_entropy(qutrit, beta - db)
             de = boundary_energy(qutrit, beta + db) - boundary_energy(qutrit, beta - db)
             assert ds / de == pytest.approx(beta, abs=1e-4)
+
+    def test_variance_gives_both_slopes(self, qutrit, degenerate_qutrit):
+        # dE/dbeta = -Var and dS/dbeta = -beta Var: the root solvers' slopes
+        db = 1e-6
+        for beta in (-3.0, -0.5, 0.0, 0.5, 3.0):
+            e_hi, s_hi, _ = _boundary_point(qutrit, beta + db)
+            e_lo, s_lo, _ = _boundary_point(qutrit, beta - db)
+            var = _boundary_point(qutrit, beta)[2]
+            assert (e_hi - e_lo) / (2 * db) == pytest.approx(-var, abs=1e-8)
+            assert (s_hi - s_lo) / (2 * db) == pytest.approx(-beta * var, abs=1e-8)
+        assert _boundary_point(degenerate_qutrit, math.inf)[2] == 0.0
+        assert _boundary_point(degenerate_qutrit, -math.inf)[2] == 0.0
 
     def test_limits(self, degenerate_qutrit):
         assert boundary_entropy(degenerate_qutrit, math.inf) == pytest.approx(LN2)
@@ -224,8 +237,8 @@ class TestSpontaneousBeta:
             assert rec == pytest.approx(beta, abs=1e-8)
 
     def test_maximally_mixed_energy_gives_zero(self, qutrit):
-        # the mean energy rounds an ulp off E(gamma(0)); brentq alone would
-        # return a rounding speck of either sign
+        # the mean energy rounds an ulp off E(gamma(0)); a root solve alone
+        # would return a rounding speck of either sign
         energy = expectation(qutrit.hamiltonian, DensityMatrix.maximally_mixed(3))
         assert spontaneous_beta(qutrit, energy) == 0.0
 
@@ -242,56 +255,6 @@ class TestSpontaneousBeta:
         assert spontaneous_beta(fam, energy) == -math.inf
         with pytest.raises(ValueError):
             spontaneous_beta(fam, 62.0000002)
-
-
-class TestDecreasingRoot:
-    def test_grows_hi_without_touching_nonnegative_lo(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return 100.0 - x
-
-        assert decreasing_root(f, 0.0, 1.0) == pytest.approx(100.0, abs=1e-10)
-        assert calls[:8] == [2.0 ** k for k in range(8)]
-
-    def test_grows_negative_lo(self):
-        assert decreasing_root(lambda x: -50.0 - x, -1.0, 1.0) == pytest.approx(
-            -50.0, abs=1e-10)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_no_sign_change_raises_within_cap(self, sign):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return sign
-
-        with pytest.raises(BracketError):
-            decreasing_root(f, -1.0, 1.0)
-        assert len(calls) <= 62
-        assert max(abs(x) for x in calls) <= BRACKET_CAP
-
-    def test_rejects_nonpositive_hi(self):
-        with pytest.raises(ValueError):
-            decreasing_root(lambda x: 1.0, -1.0, 0.0)
-
-    def test_wide_bracket_converges(self):
-        # the flat tails leave brentq bisecting, far past its default 100 iterations
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return -math.tanh(x - 7.0)
-
-        assert decreasing_root(f, 1.0, 1e300) == pytest.approx(7.0, abs=1e-10)
-        assert len(calls) > 900
-
-    def test_nonconvergence_raises_named_error(self):
-        # hi - lo overflows, so brentq never shrinks the bracket
-        with pytest.raises(ConvergenceError) as err:
-            decreasing_root(lambda x: 1.0 - x, -1.7e308, 1.7e308)
-        assert isinstance(err.value, ValueError)
 
 
 class TestNewtonRoot:
@@ -344,10 +307,152 @@ class TestNewtonRoot:
         with pytest.raises(BracketError):
             newton_root(f, 0.0, math.inf, start=1.0)
         assert len(calls) <= 62
+        assert max(calls) <= BRACKET_CAP
+
+    def test_doubles_without_a_slope_and_never_touches_lo(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 100.0 - x, 0.0
+
+        assert newton_root(f, 0.0, math.inf, start=1.0) == pytest.approx(100.0, abs=1e-10)
+        assert calls[:8] == [2.0 ** k for k in range(8)]
+        assert 0.0 not in calls
+
+    def test_wide_bracket_converges(self):
+        # the flat tails withhold the slope, so about 1000 halvings reach the root
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            t = math.tanh(x - 7.0)
+            return -t, t * t - 1.0
+
+        assert newton_root(f, 1.0, 1e300, start=5e299) == pytest.approx(7.0, abs=1e-10)
+        assert len(calls) > 900
+
+    def test_nonconvergence_raises_named_error(self):
+        # halving toward an infinite lower end gives nan, so the bracket never shrinks
+        with pytest.raises(ConvergenceError) as err:
+            newton_root(lambda x: (-1.0, 0.0), -math.inf, 1.0, start=0.5)
+        assert isinstance(err.value, ValueError)
 
     def test_open_bracket_needs_a_positive_start(self):
         with pytest.raises(ValueError):
             newton_root(lambda x: (1.0 - x, -1.0), -1.0, math.inf, start=0.0)
+
+
+def mp_point(levels, beta):
+    """(E, S, Var) of gamma(beta) for a float spectrum, at the working precision."""
+    lv = [mpmath.mpf(float(x)) for x in levels]
+    ref = min(lv) if beta >= 0 else max(lv)
+    w = [mpmath.exp(-beta * (x - ref)) for x in lv]
+    z = mpmath.fsum(w)
+    e = mpmath.fsum(x * wi for x, wi in zip(lv, w)) / z
+    var = mpmath.fsum((x - e) ** 2 * wi for x, wi in zip(lv, w)) / z
+    return e, beta * (e - ref) + mpmath.log(z), var
+
+
+class TestMpmathOracle:
+    """The scalar roots against 50-digit Newton roots of the same float targets,
+    to 1e-10 relative in beta, on integer spectra at units 1e-2 to 2.5e3
+    (||H|| up to 1e4), exactly degenerate or split by 1e-9 or 1e-6 of the
+    unit, with |beta| ||H|| log-uniform in [0.01, 700]. A root is checked
+    when the float residual pins it: 8 ulp of the residual's scale move it by
+    at most 1e-11 relative (near-degenerate levels at large beta do not)."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def spectra(seed, n):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            unit = float(rng.choice([1e-2, 1.0, 1e2, 2.5e3]))
+            split = float(rng.choice([0.0, 1e-9, 1e-6]))
+            d = int(rng.integers(2, 7))
+            ints = rng.integers(0, 5, d)
+            ints[0] += np.ptp(ints) == 0
+            levels = unit * (ints + split * rng.random(d))
+            norm = float(np.max(np.abs(levels)))
+            beta = 10 ** rng.uniform(-2, math.log10(700)) / norm
+            yield GibbsFamily(HermitianOperator.diagonal(levels)), levels, norm, beta, rng
+
+    @staticmethod
+    def newton(f, beta):
+        with mpmath.workdps(50):
+            beta = mpmath.mpf(beta)
+            for _ in range(20):
+                value, slope = f(beta)
+                step = value / slope
+                beta -= step
+                if abs(step) <= 1e-40 * abs(beta):
+                    return beta
+        raise AssertionError("the 50-digit Newton did not settle")
+
+    def test_intrinsic_beta(self):
+        checked = 0
+        for fam, levels, _, beta, _ in self.spectra(1, 150):
+            with mpmath.workdps(50):
+                _, s, var = mp_point(levels, mpmath.mpf(beta))
+                target = float(s)
+            if target <= math.log(fam.ground_degeneracy) + 1e-12:
+                assert intrinsic_beta(fam, target) == math.inf
+                continue
+            if 8 * self.EPS * target > 1e-11 * beta * beta * float(var):
+                continue
+            root = self.newton(lambda b: (mp_point(levels, b)[1] - target,
+                                          -b * mp_point(levels, b)[2]), beta)
+            assert abs(intrinsic_beta(fam, target) - root) <= 1e-10 * root
+            checked += 1
+        assert checked >= 75
+
+    def test_spontaneous_beta_both_signs(self):
+        checked = {1.0: 0, -1.0: 0}
+        for fam, levels, norm, beta, rng in self.spectra(2, 150):
+            sign = float(rng.choice([1.0, -1.0]))
+            with mpmath.workdps(50):
+                e, _, var = mp_point(levels, mpmath.mpf(sign * beta))
+                target = float(e)
+            if 8 * self.EPS * norm > 1e-11 * beta * float(var):
+                continue
+            got = spontaneous_beta(fam, target)
+            if math.isinf(got):  # within 1e-10 of the width of a limit subspace's energy
+                continue
+            root = self.newton(lambda b: (mp_point(levels, b)[0] - target,
+                                          -mp_point(levels, b)[2]), sign * beta)
+            assert abs(got - root) <= 1e-10 * abs(root)
+            checked[sign] += 1
+        assert min(checked.values()) >= 30
+
+    def test_engine_joint_beta(self):
+        checked = 0
+        pairs = zip(self.spectra(3, 60), self.spectra(4, 60))
+        for (fam_a, lv_a, _, beta_a, rng), (fam_b, lv_b, _, beta_b, _) in pairs:
+            if beta_a == beta_b:
+                continue
+            beta_b, beta_a = sorted((beta_a, beta_b))
+            n_a, n_b = (int(n) for n in rng.integers(1, 5, 2))
+            # the engine's own float entropy total
+            s_total = n_a * boundary_entropy(fam_a, beta_a) + n_b * boundary_entropy(fam_b, beta_b)
+
+            def resid(b):
+                _, s_a, var_a = mp_point(lv_a, b)
+                _, s_b, var_b = mp_point(lv_b, b)
+                return n_a * s_a + n_b * s_b - s_total, -b * (n_a * var_a + n_b * var_b)
+
+            try:
+                run = carnot_engine((fam_a, beta_a, n_a), (fam_b, beta_b, n_b))
+            except DegenerateEngineError:  # no heat drawn: the hot bath's entropy is frozen
+                continue
+            root = self.newton(resid, run.beta_joint)
+            with mpmath.workdps(50):
+                slope = resid(root)[1]
+            if 8 * self.EPS * s_total > -1e-11 * root * slope:
+                continue
+            assert abs(run.beta_joint - root) <= 1e-10 * root
+            checked += 1
+        assert checked >= 25
 
 
 def test_import_leaves_scipy_unloaded():

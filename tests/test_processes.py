@@ -318,9 +318,10 @@ class TestHeat:
         deltas = np.geomspace(1e-3, 1e-1, 9)
         gaps = []
         for delta in deltas:
+            # a partial A-B swap in the |01>, |10> block: a kick on B alone
+            # would leave B's spectrum, and so every gap, at exactly 0
             c, s = math.cos(delta), math.sin(delta)
-            u_local = np.array([[c, -s], [s, c]])
-            u = np.kron(np.eye(2), u_local)
+            u = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
             initial = tensor(DensityMatrix.diagonal([0.6, 0.4]), rho_b)
             final = DensityMatrix(u @ initial.entries @ u.conj().T)
             proc = ProcessRecord(initial=initial, final=final,
@@ -418,10 +419,10 @@ class TestEngine:
             assert run.bound_finite <= run.bound_carnot + 1e-9
 
     def test_flat_cold_bath_is_degenerate(self, rng):
-        # a flat cold bath keeps its entropy at every beta, so the Lemma-3
-        # bracket [beta_b, beta_a] pins the joint beta at beta_b exactly and no
-        # heat leaves the hot bath; a bracket that does not start at beta_b
-        # lands a rounding error away and reports efficiency 1
+        # a flat cold bath keeps its entropy at every beta, so the residual is
+        # exactly 0 at beta_b, where the root in the Lemma-3 bracket [beta_b,
+        # beta_a] starts, and no heat leaves the hot bath; a root started
+        # elsewhere lands a rounding error away and reports efficiency 1
         flat = GibbsFamily(HermitianOperator.diagonal([0.5, 0.5]))
         for _ in range(40):
             hot = GibbsFamily(random_hamiltonian(3, rng))
@@ -430,13 +431,13 @@ class TestEngine:
                 carnot_engine((flat, beta_b + float(rng.uniform(0.2, 3.0)), 1), (hot, beta_b, 1))
 
     def test_extreme_cold_bath(self, qubit):
-        # the joint-beta bracket [1, 1e300] needs about 1000 brentq iterations
+        # the joint-beta bracket [1, 1e300] spans 300 decades
         run = carnot_engine((qubit, 1e300, 1), (qubit, 1.0, 1))
         assert run.beta_joint == pytest.approx(2.37471957239, abs=1e-9)
         assert run.efficiency < run.bound_carnot
 
     def test_zero_temperature_cold_bath(self, qubit):
-        # the infinite bracket end is clamped; the joint beta is that of 1e300
+        # the bracket is open above; the joint beta is that of 1e300
         run = carnot_engine((qubit, math.inf, 1), (qubit, 1.0, 1))
         assert run.beta_joint == pytest.approx(2.37471957239, abs=1e-9)
         assert run.bound_carnot == 1.0

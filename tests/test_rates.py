@@ -16,7 +16,6 @@ from isotherm.diagram import state_point
 from isotherm.gibbs import (
     GibbsFamily,
     boundary_entropy,
-    decreasing_root,
     gibbs_state,
     spontaneous_beta,
 )
@@ -69,8 +68,14 @@ def margin_rate(rho, sigma, fam):
 
     if inside_margin(x_rho.E, x_rho.S) <= 1e-12:
         return 0.0, "source-degenerate", classify(x_rho.E, x_rho.S)[1]
-    t_star = decreasing_root(lambda t: inside_margin(x_sigma.E + t * de, x_sigma.S + t * ds),
-                             1.0, 2.0, xtol=1e-13)
+
+    def margin(t):
+        return inside_margin(x_sigma.E + t * de, x_sigma.S + t * ds)
+
+    hi = 2.0
+    while margin(hi) > 0:  # the ray leaves the bounded diagram: grow the bracket to it
+        hi *= 2.0
+    t_star = brentq(margin, 1.0, hi, xtol=1e-13)
     kind, beta = classify(x_sigma.E + t_star * de, max(x_sigma.S + t_star * ds, 0.0))
     return 1.0 - 1.0 / t_star, kind, beta
 
@@ -206,7 +211,7 @@ class TestConversionRate:
         assert conversion_rate(rho, sigma, qutrit).phi_kind == "thermal"
         x_rho = state_point(rho, qutrit)
         monkeypatch.setattr(rates, "_boundary_point",
-                            lambda fam, beta: (x_rho.E, x_rho.S + 1.0))
+                            lambda fam, beta: (x_rho.E, x_rho.S + 1.0, 0.0))
         with pytest.raises(ValueError):
             conversion_rate(rho, sigma, qutrit)
 
