@@ -342,6 +342,32 @@ class TestNewtonRoot:
         with pytest.raises(ValueError):
             newton_root(lambda x: (1.0 - x, -1.0), -1.0, math.inf, start=0.0)
 
+    def test_open_bracket_rejects_a_negative_start_unevaluated(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -1.0 - x, -1.0
+
+        with pytest.raises(ValueError):
+            newton_root(f, -2.0, math.inf, start=-1.0)
+        assert calls == []
+
+    def test_positive_asymptote_raises_within_cap(self):
+        # f decreases toward 1 > 0: the first Newton step is taken, every later
+        # one overshoots half the previous step, so x doubles up to the cap
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 + math.exp(-x), -math.exp(-x)
+
+        with pytest.raises(BracketError):
+            newton_root(f, 0.0, math.inf, start=1.0)
+        assert calls[1] == pytest.approx(2.0 + math.e, rel=1e-15)
+        assert len(calls) <= 62
+        assert max(calls) <= BRACKET_CAP
+
 
 def mp_point(levels, beta):
     """(E, S, Var) of gamma(beta) for a float spectrum, at the working precision."""
