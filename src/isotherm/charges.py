@@ -47,13 +47,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energetics import _bound_energy_at
 from .gibbs import (
     BRACKET_CAP,
     ConvergenceError,
     GibbsFamily,
     _boltzmann_weights,
     _log_partition,
-    boundary_energy,
     gibbs_state,
     intrinsic_beta,
     newton_root,
@@ -62,6 +62,7 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     entropy,
+    expectation,
     partial_trace,
     spectrum_entropy,
 )
@@ -188,9 +189,7 @@ class ChargesPoint:
 
 
 def charges_point(rho: DensityMatrix, fam: GGEFamily) -> ChargesPoint:
-    vals = np.array([
-        np.trace(op.entries @ rho.entries).real for op in fam.charge_set.charges
-    ])
+    vals = np.array([expectation(op, rho) for op in fam.charge_set.charges])
     return ChargesPoint(L=vals, S=entropy(rho))
 
 
@@ -509,9 +508,7 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec,
         mu @ fam.joint_eigenvalues, fam.basis)
     eff = GibbsFamily(h_eff)
     beta = intrinsic_beta(eff, entropy(rho))
-    if math.isinf(beta):
-        return eff.energy_min, gibbs_state(eff, beta)
-    return boundary_energy(eff, beta), gge_state(fam, beta * mu)
+    return _bound_energy_at(eff, beta), gibbs_state(eff, beta)
 
 
 def second_law_charges_check(initial: DensityMatrix, final: DensityMatrix,

@@ -26,7 +26,6 @@ from .processes import (
     DegenerateEngineError,
     carnot_engine,
     clausius_check,
-    extractable_work,
     first_law_residual,
     kelvin_planck_check,
     random_process,
@@ -271,7 +270,7 @@ def cmd_laws(args) -> int:
         except ValueError:
             pass  # sentinel temperatures: check not applicable
         led = work_ledger(proc)
-        f_joint, _ = extractable_work(proc.initial, joint_family([proc.fam_a, proc.fam_b]))
+        f_joint = energetics.free_energy(proc.initial, joint_family([proc.fam_a, proc.fam_b]))
         checks.append(("work-extraction", -led.W <= f_joint + 1e-9))
         for name, ok in checks:
             if not ok:

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energetics import _bound_energy_at, report
-from .gibbs import (
-    GibbsFamily,
-    _boundary_grid,
-    _boundary_point,
-    boundary_entropy,
-    intrinsic_beta,
-    spontaneous_beta,
-)
+from .energetics import report
+from .gibbs import GibbsFamily, _boundary_grid, _boundary_point
 from .operators import DensityMatrix, entropy, expectation
 
 
@@ -84,19 +77,16 @@ class StateProjection:
 
 
 def project_state(rho: DensityMatrix, fam: GibbsFamily) -> StateProjection:
-    """Geometric readings of F, B, A off the diagram; they agree with the
-    energetics module within 1e-8."""
-    pt = state_point(rho, fam)
-    beta = intrinsic_beta(fam, pt.S)
-    b_geom = _bound_energy_at(fam, beta)
-    beta_spont = spontaneous_beta(fam, pt.E)
-    a_geom = boundary_entropy(fam, beta_spont) - pt.S
+    """rho on the diagram: F and B are horizontal distances to the thermal
+    curve and A the vertical one, and the tangent at the iso-entropic Gibbs
+    state has slope the intrinsic beta. The values are energetics.report's."""
+    rep = report(rho, fam)
     return StateProjection(
-        point=pt,
-        free_energy_horizontal=pt.E - b_geom,
-        bound_energy_horizontal=b_geom,
-        athermality_vertical=a_geom,
-        tangent_beta=beta,
+        point=DiagramPoint(E=rep.energy, S=rep.entropy),
+        free_energy_horizontal=rep.free_energy,
+        bound_energy_horizontal=rep.bound_energy,
+        athermality_vertical=rep.athermality,
+        tangent_beta=rep.intrinsic_beta,
     )
 
 

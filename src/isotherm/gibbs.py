@@ -32,15 +32,14 @@ class ConvergenceError(ValueError):
 
 @dataclass(frozen=True)
 class GibbsFamily:
-    """The one-parameter family gamma(beta) = e^(-beta H)/Z of a Hamiltonian."""
+    """The one-parameter family gamma(beta) = e^(-beta H)/Z of a Hamiltonian;
+    `eigenvalues` is the Hamiltonian's own ascending, read-only array."""
 
     hamiltonian: HermitianOperator
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.sort(self.hamiltonian.eigenvalues)
-        w.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvalues", self.hamiltonian.eigenvalues)
 
     @property
     def dim(self) -> int:
@@ -100,9 +99,7 @@ def _populations(fam: GibbsFamily, beta: float) -> tuple[np.ndarray, float]:
 def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
     """gamma(beta) = e^(-beta H)/Z; sentinel +-inf gives the uniform mixture
     on the ground/top eigenspace."""
-    h = fam.hamiltonian
-    order = np.argsort(h.eigenvalues)
-    v = h.eigenvectors[:, order]
+    v = fam.hamiltonian.eigenvectors
     w = _populations(fam, beta)[0]
     return DensityMatrix._from_eigenpairs((v * w) @ v.conj().T, w, v)
 
@@ -140,19 +137,23 @@ def _joint_point(fams: list[GibbsFamily], beta: float) -> tuple[float, float, fl
 
 def _boundary_grid(fam: GibbsFamily, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E, S and ln Z of gamma(beta) for every beta of a grid, in one (n, d) pass:
-    _boundary_point and log_partition row by row, to rounding, with 0 log 0 = 0.
-    Rows at beta = +-inf hold the sentinel states of _populations, with ln Z = nan."""
+    _boundary_point and log_partition row by row, to rounding, S by the log1p
+    form of _populations. Rows at beta = +-inf hold the sentinel states of
+    _populations, with ln Z = nan."""
     betas = np.asarray(betas, dtype=float)
     finite = np.isfinite(betas)
     x = np.multiply.outer(-np.where(finite, betas, 0.0), fam.eigenvalues)
     m = x.max(axis=-1, keepdims=True)
-    w = np.exp(x - m)
+    x -= m
+    w = np.exp(x)
+    # the weights besides the largest, the first level's for beta >= 0 and the last's below
+    rest = np.where(betas >= 0, w[:, 1:].sum(axis=-1), w[:, :-1].sum(axis=-1))
     z = w.sum(axis=-1, keepdims=True)
     w /= z
     log_z = np.where(finite, m[:, 0] + np.log(z[:, 0]), np.nan)
+    s = np.sum(w * -x, axis=-1) + np.log1p(rest)
     for i in np.flatnonzero(~finite):
-        w[i] = _populations(fam, betas[i])[0]
-    s = -np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1)
+        w[i], s[i] = _populations(fam, betas[i])
     return w @ fam.eigenvalues, s, log_z
 
 

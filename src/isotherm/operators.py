@@ -7,11 +7,13 @@ except where its eigenpairs are already known: a Gibbs or generalized Gibbs
 state takes its charges' common eigenvectors and Boltzmann weights, a tensor
 product of two states and a Kronecker sum of Hamiltonians the Kronecker
 products of their factors' eigenvectors, and a combination of commuting
-charges their common eigenbasis.
+charges their common eigenbasis. Entropy keeps a near-pure state's digits:
+the largest eigenvalue's term is taken from the sum of the others.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,10 +188,18 @@ class SubsystemSplit:
 
 
 def spectrum_entropy(probs: np.ndarray) -> float:
-    """Shannon entropy of a probability vector in nats, with 0 log 0 = 0."""
+    """Shannon entropy of a probability vector in nats, with 0 log 0 = 0. A
+    largest entry p_max > 1/2 takes ln p_max as log1p(-rest), rest the sum of
+    the others: the log of the rounded p_max loses the -rest it stands for."""
     p = np.asarray(probs, dtype=float)
     p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
+    terms = p * np.log(p)
+    i = p.argmax()
+    if p[i] > 0.5:
+        rest = p.tolist()
+        p_max = rest.pop(i)
+        terms[i] = p_max * math.log1p(-sum(rest))
+    return float(-terms.sum())
 
 
 def entropy(rho: DensityMatrix) -> float:

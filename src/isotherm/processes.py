@@ -16,8 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .energetics import _bound_energy_at, _free_energy_at, bound_energy, free_energy
-from .equilibrium import joint_family
+from .energetics import _bound_energy_at, _free_energy_at, bound_energy
 from .gibbs import (
     GibbsFamily,
     _boundary_point,
@@ -188,15 +187,14 @@ def heat_integral_check(proc: ProcessRecord) -> float:
     return abs(val - heat(proc))
 
 
-def is_gibbs(rho: DensityMatrix, fam: GibbsFamily, atol: float = GIBBS_ATOL) -> bool:
-    return _is_gibbs_at(rho, fam, intrinsic_beta(fam, entropy(rho)), atol)
+def is_gibbs(rho: DensityMatrix, fam: GibbsFamily) -> bool:
+    return _is_gibbs_at(rho, fam, intrinsic_beta(fam, entropy(rho)))
 
 
-def _is_gibbs_at(rho: DensityMatrix, fam: GibbsFamily, beta: float,
-                 atol: float = GIBBS_ATOL) -> bool:
+def _is_gibbs_at(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> bool:
     """is_gibbs, given the intrinsic beta of rho."""
     gamma = gibbs_state(fam, beta)
-    return bool(np.max(np.abs(rho.entries - gamma.entries)) <= atol)
+    return bool(np.max(np.abs(rho.entries - gamma.entries)) <= GIBBS_ATOL)
 
 
 def heat_bounds_check(proc: ProcessRecord) -> bool:
@@ -303,22 +301,19 @@ def erasure(rho_s: DensityMatrix, fam_s: GibbsFamily,
             rho_b: DensityMatrix, fam_b: GibbsFamily) -> tuple[bool, float | None]:
     """Reset the system to |0><0| by dumping its entropy into a thermal bath.
 
-    Feasible iff S(rho_S) <= ln d_B - S(rho_B); the work cost compares the
-    joint free energies before and after, with the bath ending Gibbs at the
-    entropy-matched temperature.
+    Feasible iff S(rho_S) <= ln d_B - S(rho_B); the bath ends Gibbs at the
+    entropy-matched temperature. The total entropy is conserved, and with it
+    the joint bound energy, so the work cost, the change in joint free energy,
+    is the change in energy.
     """
     s_s = entropy(rho_s)
     s_b = entropy(rho_b)
     if s_s > math.log(fam_b.dim) - s_b + 1e-12:
         return False, None
     beta_final = intrinsic_beta(fam_b, s_b + s_s)
-    rho_b_final = gibbs_state(fam_b, beta_final)
-    target = np.zeros((fam_s.dim, fam_s.dim))
-    target[0, 0] = 1.0
-    joint = joint_family([fam_s, fam_b])
-    f_after = free_energy(tensor(DensityMatrix(target), rho_b_final), joint)
-    f_before = free_energy(tensor(rho_s, rho_b), joint)
-    return True, f_after - f_before
+    e_after = fam_s.hamiltonian.entries[0, 0].real + boundary_energy(fam_b, beta_final)
+    e_before = expectation(fam_s.hamiltonian, rho_s) + expectation(fam_b.hamiltonian, rho_b)
+    return True, e_after - e_before
 
 
 def random_process(dims: tuple[int, int], rng: np.random.Generator,

@@ -40,6 +40,7 @@ from isotherm.gibbs import (
     _boltzmann_weights,
     boundary_energy,
     gibbs_state,
+    intrinsic_beta,
     log_partition,
     spontaneous_beta,
 )
@@ -342,6 +343,18 @@ class TestBoundPotential:
         value, gamma = bound_potential(rho, single_charge_family, [1.0])
         assert value == pytest.approx(bound_energy(rho, qutrit), abs=1e-8)
         assert entropy(gamma) == pytest.approx(entropy(rho), abs=1e-7)
+
+    def test_state_is_gge_along_mu(self, charge_family, single_charge_family, rng):
+        # the effective family's Gibbs state is the GGE at beta_vec = beta mu
+        for fam, mu in ((charge_family, [0.6, 0.8]), (charge_family, [1.0, 0.0]),
+                        (charge_family, [0.0, 1.0]), (single_charge_family, [1.0])):
+            v_mu = sum(m * op.entries for m, op in zip(mu, fam.charge_set.charges))
+            for rho in (random_density(fam.dim, rng), random_density(fam.dim, rng, rank=2)):
+                value, gamma = bound_potential(rho, fam, mu)
+                beta = intrinsic_beta(GibbsFamily(HermitianOperator(v_mu)), entropy(rho))
+                expected = gge_state(fam, beta * np.asarray(mu))
+                assert np.max(np.abs(gamma.entries - expected.entries)) <= 1e-12
+                assert value == pytest.approx(np.trace(v_mu @ gamma.entries).real, abs=1e-12)
 
     def test_unit_normalization(self, charge_family, rng):
         rho = random_density(4, rng)

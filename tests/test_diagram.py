@@ -13,7 +13,7 @@ from isotherm.diagram import (
     tangent_line,
     warped_beta_grid,
 )
-from isotherm.energetics import athermality, bound_energy, free_energy
+from isotherm.energetics import athermality, bound_energy, free_energy, report
 from isotherm.gibbs import (
     GibbsFamily,
     _boundary_point,
@@ -109,6 +109,20 @@ class TestProjection:
                 bound_energy(rho, fam), abs=1e-8)
             assert proj.athermality_vertical == pytest.approx(
                 athermality(rho, fam), abs=1e-8)
+
+    def test_reads_the_report(self, rng, qutrit, degenerate_qutrit):
+        states = [(random_density(d, rng), GibbsFamily(random_hamiltonian(d, rng)))
+                  for d in (2, 3, 5)]
+        states += [(gibbs_state(qutrit, 1.1), qutrit),
+                   (DensityMatrix.diagonal([0.6, 0.4, 0.0]), degenerate_qutrit),
+                   (DensityMatrix.diagonal([0.0, 0.1, 0.9]), qutrit)]
+        for rho, fam in states:
+            proj, rep = project_state(rho, fam), report(rho, fam)
+            assert (proj.point.E, proj.point.S) == (rep.energy, rep.entropy)
+            assert proj.free_energy_horizontal == rep.free_energy
+            assert proj.bound_energy_horizontal == rep.bound_energy
+            assert proj.athermality_vertical == rep.athermality
+            assert proj.tangent_beta == rep.intrinsic_beta
 
     def test_thermal_state_projects_onto_itself(self, qutrit):
         rho = gibbs_state(qutrit, 1.1)

@@ -57,6 +57,10 @@ class TestGibbsState:
         rho = gibbs_state(qutrit, -math.inf)
         assert np.allclose(np.diag(rho.entries).real, [0.0, 0.0, 1.0], atol=1e-12)
 
+    def test_family_shares_hamiltonian_spectrum(self, rng):
+        h = random_hamiltonian(5, rng)
+        assert GibbsFamily(h).eigenvalues is h.eigenvalues
+
     def test_basis_independence(self, rng):
         h = random_hamiltonian(4, rng)
         fam = GibbsFamily(h)
@@ -102,6 +106,18 @@ class TestBoundaryGrid:
                     assert math.isnan(log_z[k])
                 else:
                     assert abs(log_z[k] - log_partition(fam, beta)) <= 1e-13
+
+    def test_entropy_relative_to_scalar_kernel(self, degenerate_cases):
+        # up to |beta| ||H|| = 700: a -p ln p sum loses the ground term there
+        cases = []  # (family, its betas): the fixture yields each family's betas in a run
+        for fam, beta in degenerate_cases(40, 64):
+            if not cases or cases[-1][0] is not fam:
+                cases.append((fam, []))
+            cases[-1][1].append(beta)
+        for fam, betas in cases:
+            _, s, _ = _boundary_grid(fam, betas)
+            for s_k, beta in zip(s, betas):
+                assert s_k == pytest.approx(boundary_entropy(fam, beta), rel=1e-14, abs=0)
 
 
 class TestLogPartition:
@@ -378,6 +394,33 @@ def mp_point(levels, beta):
     e = mpmath.fsum(x * wi for x, wi in zip(lv, w)) / z
     var = mpmath.fsum((x - e) ** 2 * wi for x, wi in zip(lv, w)) / z
     return e, beta * (e - ref) + mpmath.log(z), var
+
+
+class TestEntropyNearPureState:
+    """The intrinsic beta of states within 1e-10 of pure: spectrum_entropy
+    keeps the largest entry's term, so the roots keep their digits."""
+
+    LEVELS = [0.0, 1.0, 2.0]
+
+    def test_gibbs_round_trip(self):
+        fam = GibbsFamily(HermitianOperator.diagonal(self.LEVELS))
+        beta = intrinsic_beta(fam, entropy(gibbs_state(fam, 28.0)))
+        assert beta == pytest.approx(28.0, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("a", [1e-10, 1e-12])
+    def test_against_mpmath_root(self, a):
+        fam = GibbsFamily(HermitianOperator.diagonal(self.LEVELS))
+        probs = [1.0 - a, 0.3 * a, 0.7 * a]
+        got = intrinsic_beta(fam, entropy(DensityMatrix.diagonal(probs)))
+        with mpmath.workdps(50):
+            # the state as its small entries fix it: the largest is 1 minus their sum
+            small = [mpmath.mpf(p) for p in probs[1:]]
+            p = small + [1 - mpmath.fsum(small)]
+            target = -mpmath.fsum(x * mpmath.log(x) for x in p)
+            root = TestMpmathOracle.newton(
+                lambda b: (mp_point(self.LEVELS, b)[1] - target,
+                           -b * mp_point(self.LEVELS, b)[2]), got)
+        assert abs(got - root) <= 1e-12 * root
 
 
 class TestMpmathOracle:

@@ -452,7 +452,57 @@ class TestEngine:
             carnot_engine((qubit, 0.5, 1), (qubit, 2.0, 1))
 
 
+def oracle_erasure(rho_s, fam_s, rho_b, fam_b):
+    """The joint-free-energy route of erasure, kept as an oracle: the free
+    energy of |0><0| (x) gamma_B(beta_final) minus that of rho_S (x) rho_B,
+    on the joint family, with dense product states."""
+    s_s, s_b = entropy(rho_s), entropy(rho_b)
+    if s_s > math.log(fam_b.dim) - s_b + 1e-12:
+        return False, None
+    rho_b_final = gibbs_state(fam_b, intrinsic_beta(fam_b, s_b + s_s))
+    target = np.zeros((fam_s.dim, fam_s.dim))
+    target[0, 0] = 1.0
+    joint = joint_family([fam_s, fam_b])
+    f_after = free_energy(tensor(DensityMatrix(target), rho_b_final), joint)
+    return True, f_after - free_energy(tensor(rho_s, rho_b), joint)
+
+
+def erasure_cases(rng):
+    """(rho_S, fam_S, rho_B, fam_B): registers nondegenerate, degenerate or
+    flat in a Haar basis; register and bath states full-rank, rank-deficient
+    or thermal, the bath also frozen in its degenerate ground space."""
+    deg_ground = GibbsFamily(HermitianOperator.diagonal([0.0, 0.0, 1.0]))
+    yield (DensityMatrix.diagonal([0.9, 0.1]), gap_family(1.0),
+           DensityMatrix.diagonal([1.0, 0.0, 0.0]), deg_ground)  # beta_final = inf
+    yield (DensityMatrix.diagonal([1.0, 0.0]), gap_family(1.0),
+           gibbs_state(deg_ground, 2.0), deg_ground)
+    for _ in range(300):
+        d_s, d_b = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+        u = haar_unitary(d_s, rng)
+        levels = rng.choice([rng.random(d_s), np.zeros(d_s), np.append(np.zeros(d_s - 1), 1.0)])
+        fam_s = GibbsFamily(HermitianOperator((u * levels) @ u.conj().T))
+        fam_b = GibbsFamily(random_hamiltonian(d_b, rng))
+        kind_s, kind_b = rng.integers(0, 3, 2)
+        rho_s = (random_density(d_s, rng) if kind_s == 0 else
+                 random_density(d_s, rng, rank=1) if kind_s == 1 else
+                 gibbs_state(fam_s, float(rng.uniform(0.5, 5.0))))
+        rho_b = (gibbs_state(fam_b, float(rng.uniform(0.5, 5.0))) if kind_b < 2 else
+                 random_density(d_b, rng, rank=int(rng.integers(1, d_b))))
+        yield rho_s, fam_s, rho_b, fam_b
+
+
 class TestErasure:
+    def test_matches_joint_free_energy_oracle(self, rng):
+        feasible = 0
+        for rho_s, fam_s, rho_b, fam_b in erasure_cases(rng):
+            ok, cost = erasure(rho_s, fam_s, rho_b, fam_b)
+            ok_ref, cost_ref = oracle_erasure(rho_s, fam_s, rho_b, fam_b)
+            assert ok == ok_ref
+            if ok:
+                assert abs(cost - cost_ref) <= 1e-13
+                feasible += 1
+        assert feasible >= 100
+
     def test_feasible_with_cold_bath(self, qutrit):
         # ln 3 - S(gamma_3) ~ 0.89 nats of capacity comfortably holds ln 2;
         # with a degenerate register the cost is pure bath heating, > 0
