@@ -21,7 +21,7 @@ from .gibbs import (
     log_partition,
     spontaneous_beta,
 )
-from .operators import DensityMatrix, entropy, expectation
+from .operators import DensityMatrix, _trace_product, entropy, expectation
 
 FREE_ENERGY_SNAP = 1e-12
 
@@ -78,7 +78,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             raise ValueError("support of rho not contained in support of sigma")
         w = np.clip(w, 1e-300, None)
     log_sigma = (v * np.log(w)) @ v.conj().T
-    cross = -np.trace(rho.entries @ log_sigma).real
+    cross = -_trace_product(rho.entries, log_sigma).real
     return float(cross - entropy(rho))
 
 

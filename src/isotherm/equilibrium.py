@@ -14,7 +14,8 @@ mixed limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .energetics import _bound_energy_at, free_energy
 from .gibbs import (
@@ -38,12 +39,22 @@ EQUILIBRIUM_FREE_ENERGY_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class EquilibrationOutcome:
+    """The end of an equilibration: every reported number comes from
+    `beta_joint` alone. The final state, the product of the families' Gibbs
+    states at `beta_joint`, is a dense d_1...d_n matrix; it is built on first
+    read of `final_state` and then kept."""
+
     mode: str  # "iso-entropic" | "iso-energetic"
     beta_joint: float
-    final_state: DensityMatrix  # product of local Gibbs states at beta_joint
     work_released: float  # iso-entropic: E_initial - E_final
     entropy_produced: float  # iso-energetic: S_final - S_initial
+    families: tuple = field(repr=False, compare=False)  # the equilibrated GibbsFamily objects
     degenerate: bool = False  # sentinel beta_joint (+-inf), in either mode
+
+    @cached_property
+    def final_state(self) -> DensityMatrix:
+        """Product of local Gibbs states at beta_joint."""
+        return _product_gibbs(self.families, self.beta_joint)
 
 
 def joint_family(fams: list[GibbsFamily]) -> GibbsFamily:
@@ -87,14 +98,13 @@ def equilibrate_isoentropic(pairs, joint_state: DensityMatrix | None = None) -> 
     """
     fams, e_total, s_total = _totals(pairs, joint_state)
     beta = _joint_intrinsic_beta(fams, s_total)
-    final = _product_gibbs(fams, beta)
     e_final = sum(_bound_energy_at(fam, beta) for fam in fams)
     return EquilibrationOutcome(
         mode="iso-entropic",
         beta_joint=beta,
-        final_state=final,
         work_released=e_total - e_final,
         entropy_produced=0.0,
+        families=tuple(fams),
         degenerate=math.isinf(beta),
     )
 
@@ -104,14 +114,13 @@ def equilibrate_isoenergetic(pairs, joint_state: DensityMatrix | None = None) ->
     negative (inverted populations)."""
     fams, e_total, s_total = _totals(pairs, joint_state)
     beta = _joint_spontaneous_beta(fams, e_total)
-    final = _product_gibbs(fams, beta)
     s_final = sum(boundary_entropy(fam, beta) for fam in fams)
     return EquilibrationOutcome(
         mode="iso-energetic",
         beta_joint=beta,
-        final_state=final,
         work_released=0.0,
         entropy_produced=s_final - s_total,
+        families=tuple(fams),
         degenerate=math.isinf(beta),
     )
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isotherm import equilibrium
 from isotherm.equilibrium import (
     equilibrate_isoenergetic,
     equilibrate_isoentropic,
@@ -173,6 +174,28 @@ class TestKnownSpectrum:
         assert eigh_calls == []
         for out in outcomes:
             assert_matches_eigh_route(out.final_state)
+
+
+class TestLazyFinalState:
+    def test_final_state_built_on_first_read_and_kept(self, rng, monkeypatch):
+        # every reported number comes from beta_joint: the dense product state
+        # is built only when final_state is read, and then kept
+        calls = []
+        for name in ("gibbs_state", "tensor"):
+            def counting(*args, _build=getattr(equilibrium, name), _name=name):
+                calls.append(_name)
+                return _build(*args)
+            monkeypatch.setattr(equilibrium, name, counting)
+        fams = [GibbsFamily(random_hamiltonian(d, rng)) for d in (64, 2)]
+        pairs = [(random_density(f.dim, rng), f) for f in fams]
+        for equilibrate in (equilibrate_isoentropic, equilibrate_isoenergetic):
+            calls.clear()
+            out = equilibrate(pairs)
+            assert calls == []
+            state = out.final_state
+            assert calls == ["gibbs_state", "gibbs_state", "tensor"]
+            assert out.final_state is state
+            assert len(calls) == 3
 
 
 class TestEquilibriumPredicate:

@@ -172,6 +172,27 @@ class TestBoundaryCurve:
             de = boundary_energy(qutrit, beta + db) - boundary_energy(qutrit, beta - db)
             assert ds / de == pytest.approx(beta, abs=1e-4)
 
+    def test_entropy_energy_slope_on_degenerate_spectra(self, degenerate_cases):
+        # dS = beta dE along the curve, by central differences in beta. The
+        # truncation error of ds - beta de is about (2h^3/3)|k3| with
+        # |k3| <= width Var, so at most h^2 width |de| (|de| ~ 2h Var); the
+        # rounding floor is a few ulps of S and of beta E
+        eps = np.finfo(float).eps
+        for fam, beta in degenerate_cases(60, 64):
+            if math.isinf(beta):
+                continue
+            _, s, var = _boundary_point(fam, beta)
+            if var == 0.0:
+                continue
+            norm = max(abs(fam.energy_min), abs(fam.energy_max))
+            width = fam.energy_max - fam.energy_min
+            h = 1e-4 * max(abs(beta), 1 / norm)
+            e_hi, s_hi, _ = _boundary_point(fam, beta - h)
+            e_lo, s_lo, _ = _boundary_point(fam, beta + h)
+            de, ds = e_hi - e_lo, s_hi - s_lo
+            tol = h * h * width * abs(de) + 64 * eps * (1 + abs(s) + abs(beta) * norm)
+            assert abs(ds - beta * de) <= tol, (beta, ds, de)
+
     def test_variance_gives_both_slopes(self, qutrit, degenerate_qutrit):
         # dE/dbeta = -Var and dS/dbeta = -beta Var: the root solvers' slopes
         db = 1e-6

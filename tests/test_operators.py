@@ -111,6 +111,18 @@ class TestExpectation:
         with pytest.raises(DimensionMismatchError):
             expectation(h, DensityMatrix.maximally_mixed(2))
 
+    def test_matches_matmul_trace(self, rng, degenerate_cases):
+        # the O(d^2) pairing against the d^3 route it replaced, Tr(A @ rho)
+        pairs = [(random_hamiltonian(d, rng, scale), random_density(d, rng))
+                 for d in (2, 4, 16, 64) for scale in (1e-2, 1.0, 1e2) for _ in range(3)]
+        for fam, beta in degenerate_cases(40, 64):
+            pairs.append((fam.hamiltonian, gibbs_state(fam, beta)))
+            pairs.append((fam.hamiltonian, random_density(fam.dim, rng)))
+        for a, rho in pairs:
+            oracle = np.trace(a.entries @ rho.entries).real
+            norm = np.max(np.abs(a.eigenvalues))
+            assert abs(expectation(a, rho) - oracle) <= 1e-13 * max(1.0, norm)
+
 
 class TestTensorAndKronSum:
     def test_tensor_trace_one(self, rng):
