@@ -68,8 +68,8 @@ def _snap(x: float) -> float:
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """D(rho || sigma) = Tr rho (log rho - log sigma), spectral evaluation."""
-    w, v = np.linalg.eigh(sigma.entries)
+    """D(rho || sigma) = Tr rho (log rho - log sigma), on sigma's kept eigenpairs."""
+    w, v = sigma.spectrum, sigma.eigenvectors
     if w.min() <= 0:
         # support check: rho must live inside supp(sigma)
         null = v[:, w <= 1e-14]

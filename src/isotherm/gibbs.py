@@ -1,15 +1,27 @@
 """Gibbs family of a Hamiltonian: thermal states, boundary curves, root solvers.
 
-All algebra runs in the eigenbasis with a spectral shift, so |beta| * ||H||
-up to ~700 stays finite. Inverse temperatures are plain floats; the limits
+All algebra runs in the eigenbasis, in the gap form: for beta >= 0 every
+level enters as its gap g_i = eps_i - eps_0 to the ground level (for
+beta < 0, to the top level), so the exponents -beta g_i are <= 0 and no
+weight overflows at any beta. The gaps are taken once per family,
+exact for a spectrum narrower than its distance from 0, and the exponents
+keep every digit of them, where forming -beta eps_i and subtracting the
+largest, a plain spectral shift, loses the digits that cancel: on a narrow
+spectrum far from 0, most of them. E = eps_0 + <g> stays inside
+[E_min, E_max], and S = beta <g> + log1p(rest) and Var = <g^2> - <g>^2 come
+from the same weights. Inverse temperatures are plain floats; the limits
 beta -> +inf (ground subspace) and beta -> -inf (top subspace) are encoded
-as math.inf sentinels rather than large caps.
+as math.inf sentinels rather than large caps. The root solvers start from
+the high-temperature expansions S = ln d - beta^2 Var0 / 2 and
+E = mean - beta Var0, Var0 the variance of the levels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +42,68 @@ class ConvergenceError(ValueError):
     (`newton_root`) or the charge-polytope simplex (`charges._lp_face`)."""
 
 
+class _Branch(NamedTuple):
+    """One sign of beta in the gap form: `ref` is the most populated level,
+    eps_0 for beta >= 0 and eps_max below 0, and `gaps` = eps_i - ref over the
+    other levels in ascending order, exact where Sterbenz holds (a spectrum
+    narrower than its distance from 0). `powers` stacks 1, g and g^2, so one
+    matrix-vector product gives the three sums of the kernel. `limit` is the
+    beta -> +-inf state, uniform on the `degeneracy` levels within
+    DEGENERACY_ATOL of ref, and `limit_point` its (E, S, Var)."""
+
+    ref: float
+    gaps: np.ndarray
+    powers: np.ndarray
+    degeneracy: int
+    limit: np.ndarray
+    limit_point: tuple[float, float, float]
+
+
+class _Kernel(NamedTuple):
+    """The constants of a family's Gibbs kernel: both branches, and the mean
+    and variance of the levels (E and Var at beta = 0)."""
+
+    ground: _Branch
+    top: _Branch
+    mean: float
+    var0: float
+
+
+def _branch(levels: np.ndarray, top: bool) -> _Branch:
+    ref = levels[-1] if top else levels[0]
+    gaps = (levels[:-1] if top else levels[1:]) - ref
+    near = levels >= ref - DEGENERACY_ATOL if top else levels <= ref + DEGENERACY_ATOL
+    k = int(np.count_nonzero(near))
+    p = near / k
+    e = float(np.dot(p, levels))
+    dev = levels - e
+    point = (e, spectrum_entropy(p), float(np.dot(p, dev * dev)))
+    powers = np.empty((3, gaps.size))
+    powers[0], powers[1], powers[2] = 1.0, gaps, gaps * gaps
+    for a in (powers, p):  # shared by every call: _populations hands out `p`
+        a.setflags(write=False)
+    return _Branch(float(ref), powers[1], powers, k, p, point)
+
+
 @dataclass(frozen=True)
 class GibbsFamily:
     """The one-parameter family gamma(beta) = e^(-beta H)/Z of a Hamiltonian;
-    `eigenvalues` is the Hamiltonian's own ascending, read-only array."""
+    `eigenvalues` is the Hamiltonian's own ascending, read-only array. The
+    constants of its gap-form kernel are built on first use and then kept."""
 
     hamiltonian: HermitianOperator
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", self.hamiltonian.eigenvalues)
+
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        lv = self.eigenvalues
+        mean = float(lv.sum()) / self.dim
+        dev = lv - mean
+        return _Kernel(_branch(lv, top=False), _branch(lv, top=True),
+                       mean, float(np.dot(dev, dev)) / self.dim)
 
     @property
     def dim(self) -> int:
@@ -55,7 +119,7 @@ class GibbsFamily:
 
     @property
     def ground_degeneracy(self) -> int:
-        return int(np.sum(self.eigenvalues <= self.eigenvalues[0] + DEGENERACY_ATOL))
+        return self._kernel.ground.degeneracy
 
 
 def _boltzmann_weights(levels: np.ndarray, beta) -> np.ndarray:
@@ -78,22 +142,26 @@ def _log_partition(levels: np.ndarray, beta) -> float:
     return float(m + np.log(np.sum(np.exp(x - m))))
 
 
+def _gap_weights(fam: GibbsFamily, beta: float) -> tuple[_Branch, np.ndarray, float, float, float]:
+    """The gap form of gamma(beta) at finite beta: the branch, the weights
+    w = e^(-beta g) <= 1 of the levels besides ref (whose weight is 1), their
+    sum `rest`, and the moments <g> and <g^2> of the gaps."""
+    br = fam._kernel.ground if beta >= 0 else fam._kernel.top
+    w = np.exp(-beta * br.gaps)
+    rest, sum_g, sum_g2 = np.dot(br.powers, w).tolist()
+    return br, w, rest, sum_g / (1.0 + rest), sum_g2 / (1.0 + rest)
+
+
 def _populations(fam: GibbsFamily, beta: float) -> tuple[np.ndarray, float]:
-    """Populations p of gamma(beta) on the ascending levels, and S = -sum p ln p:
-    -p ln p = p (log1p(rest) - x), x <= 0 the shifted exponents and rest the
-    weights besides one largest, so no term cancels where 1 - p_ground rounds
-    away. Sentinel +inf (-inf): uniform on the ground (top) subspace."""
+    """Populations p of gamma(beta) on the ascending levels, and its entropy
+    S = beta <g> + log1p(rest), a sum of two non-negative terms. Sentinel +inf
+    (-inf): uniform on the ground (top) subspace."""
     if math.isinf(beta):
-        lv = fam.eigenvalues
-        idx = lv <= lv[0] + DEGENERACY_ATOL if beta > 0 else lv >= lv[-1] - DEGENERACY_ATOL
-        p = idx / idx.sum()
-        return p, spectrum_entropy(p)
-    x = -beta * fam.eigenvalues
-    x -= x[0] if beta >= 0 else x[-1]  # the largest exponent: the levels ascend
-    w = np.exp(x)
-    rest = float(w[1:].sum() if beta >= 0 else w[:-1].sum())
-    p = w / (1.0 + rest)
-    return p, float(np.dot(p, -x)) + math.log1p(rest)
+        br = fam._kernel.ground if beta > 0 else fam._kernel.top
+        return br.limit, br.limit_point[1]
+    br, w, rest, mean_gap, _ = _gap_weights(fam, beta)
+    w = np.concatenate(([1.0], w) if beta >= 0 else (w, [1.0]))
+    return w / (1.0 + rest), beta * mean_gap + math.log1p(rest)
 
 
 def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
@@ -122,39 +190,43 @@ def boundary_energy(fam: GibbsFamily, beta: float) -> float:
 
 
 def _boundary_point(fam: GibbsFamily, beta: float) -> tuple[float, float, float]:
-    """(E, S, Var) of gamma(beta) from one exp pass: the slopes are dE/dbeta = -Var
-    and dS/dbeta = -beta Var."""
-    p, s = _populations(fam, beta)
-    e = float(np.dot(p, fam.eigenvalues))
-    dev = fam.eigenvalues - e
-    return e, s, float(np.dot(p, dev * dev))
+    """(E, S, Var) of gamma(beta) from one exp pass in the gap form: E = ref + <g>,
+    S = beta <g> + log1p(rest) and Var = <g^2> - <g>^2. The slopes are
+    dE/dbeta = -Var and dS/dbeta = -beta Var."""
+    if math.isinf(beta):
+        return (fam._kernel.ground if beta > 0 else fam._kernel.top).limit_point
+    br, _, rest, mean_gap, mean_sq = _gap_weights(fam, beta)
+    return (br.ref + mean_gap, beta * mean_gap + math.log1p(rest),
+            max(mean_sq - mean_gap * mean_gap, 0.0))
 
 
 def _joint_point(fams: list[GibbsFamily], beta: float) -> tuple[float, float, float]:
     """_boundary_point of the non-interacting sum of `fams`: E, S and Var add up."""
+    if len(fams) == 1:
+        return _boundary_point(fams[0], beta)
     return tuple(map(sum, zip(*(_boundary_point(f, beta) for f in fams))))
 
 
 def _boundary_grid(fam: GibbsFamily, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E, S and ln Z of gamma(beta) for every beta of a grid, in one (n, d) pass:
-    _boundary_point and log_partition row by row, to rounding, S by the log1p
-    form of _populations. Rows at beta = +-inf hold the sentinel states of
-    _populations, with ln Z = nan."""
+    """E, S and ln Z of gamma(beta) for every beta of a grid, in one (n, d) pass
+    of the gap form of _boundary_point, with ln Z = -beta ref + log1p(rest).
+    Rows at beta = +-inf hold the sentinel points, with ln Z = nan."""
     betas = np.asarray(betas, dtype=float)
     finite = np.isfinite(betas)
-    x = np.multiply.outer(-np.where(finite, betas, 0.0), fam.eigenvalues)
-    m = x.max(axis=-1, keepdims=True)
-    x -= m
-    w = np.exp(x)
-    # the weights besides the largest, the first level's for beta >= 0 and the last's below
-    rest = np.where(betas >= 0, w[:, 1:].sum(axis=-1), w[:, :-1].sum(axis=-1))
-    z = w.sum(axis=-1, keepdims=True)
-    w /= z
-    log_z = np.where(finite, m[:, 0] + np.log(z[:, 0]), np.nan)
-    s = np.sum(w * -x, axis=-1) + np.log1p(rest)
+    b = np.where(finite, betas, 0.0)
+    ground, top = fam._kernel.ground, fam._kernel.top
+    up = (b >= 0)[:, None]
+    gaps = np.where(up, ground.gaps, top.gaps)
+    ref = np.where(up[:, 0], ground.ref, top.ref)
+    w = np.exp(-b[:, None] * gaps)
+    rest = w.sum(axis=-1)
+    mean_gap = np.sum(w * gaps, axis=-1) / (1.0 + rest)
+    log1p_rest = np.log1p(rest)
+    e, s = ref + mean_gap, b * mean_gap + log1p_rest
+    log_z = np.where(finite, -b * ref + log1p_rest, np.nan)
     for i in np.flatnonzero(~finite):
-        w[i], s[i] = _populations(fam, betas[i])
-    return w @ fam.eigenvalues, s, log_z
+        e[i], s[i], _ = _boundary_point(fam, betas[i])
+    return e, s, log_z
 
 
 def newton_root(f, lo: float, hi: float, start: float, xtol: float = BETA_XTOL) -> float:
@@ -235,8 +307,11 @@ def _joint_intrinsic_beta(fams: list[GibbsFamily], target_entropy: float) -> flo
         _, s, var = _joint_point(fams, b)
         return s - target, -b * var
 
+    # start where the high-temperature expansion S = ln d - beta^2 Var0 / 2 meets the target
+    var0 = sum(f._kernel.var0 for f in fams)
+    start = math.sqrt(2.0 * (log_dim - target) / var0) if var0 > 0 else math.inf
     try:
-        return newton_root(resid, 0.0, math.inf, start=1.0)
+        return newton_root(resid, 0.0, math.inf, start=min(start, BRACKET_CAP))
     except BracketError:
         return math.inf
 
@@ -256,13 +331,14 @@ def _joint_spontaneous_beta(fams: list[GibbsFamily], target_energy: float) -> fl
     if target_energy < e_min - slack or target_energy > e_max + slack:
         raise ValueError(f"target energy {target_energy} outside [{e_min}, {e_max}]")
     atol = 1e-10 * scale
+    kernels = [f._kernel for f in fams]
     # floor/ceiling of the finite-beta branch: mean energy of the limit subspaces
-    if target_energy <= sum(boundary_energy(f, math.inf) for f in fams) + atol:
+    if target_energy <= sum(k.ground.limit_point[0] for k in kernels) + atol:
         return math.inf
-    if target_energy >= sum(boundary_energy(f, -math.inf) for f in fams) - atol:
+    if target_energy >= sum(k.top.limit_point[0] for k in kernels) - atol:
         return -math.inf
     # the maximally mixed limit, where a root solve alone lands a rounding speck off 0
-    mean = sum(float(f.eigenvalues.sum()) / f.dim for f in fams)
+    mean = sum(k.mean for k in kernels)
     if abs(target_energy - mean) <= atol:
         return 0.0
     sign = 1.0 if target_energy < mean else -1.0  # E falls as beta grows
@@ -271,4 +347,7 @@ def _joint_spontaneous_beta(fams: list[GibbsFamily], target_energy: float) -> fl
         e, _, var = _joint_point(fams, sign * u)
         return sign * (e - target_energy), -var
 
-    return sign * newton_root(resid, 0.0, math.inf, start=1.0)
+    # start where the high-temperature expansion E = mean - beta Var0 meets the target
+    var0 = sum(k.var0 for k in kernels)
+    start = abs(mean - target_energy) / var0 if var0 > 0 else math.inf
+    return sign * newton_root(resid, 0.0, math.inf, start=min(start, BRACKET_CAP))

@@ -140,6 +140,33 @@ class TestRelativeEntropy:
             norm = np.max(np.abs(log_w))
             assert abs(relative_entropy(rho, sigma) - oracle) <= 1e-13 * max(1.0, norm)
 
+    @staticmethod
+    def eigh_route(rho, sigma):
+        """relative_entropy on its own eigh of sigma, the route it replaced."""
+        w, v = np.linalg.eigh(sigma.entries)
+        if w.min() <= 0:
+            null = v[:, w <= 1e-14]
+            if np.linalg.norm(null.conj().T @ rho.entries @ null) > 1e-12:
+                raise ValueError("support of rho not contained in support of sigma")
+            w = np.clip(w, 1e-300, None)
+        log_sigma = (v * np.log(w)) @ v.conj().T
+        return float(-np.trace(rho.entries @ log_sigma).real - entropy(rho))
+
+    def test_reads_the_kept_eigenpairs(self, rng, eigh_calls):
+        for d in (2, 16, 64):
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            sigma_r = random_density(d, rng, rank=d // 2)
+            # rho inside sigma_r's support: a random state on its leading eigenvectors
+            v = sigma_r.eigenvectors[:, : d // 2]
+            inside = DensityMatrix((v * random_density(d // 2, rng).spectrum) @ v.conj().T)
+            cases = [(random_density(d, rng), random_density(d, rng)), (inside, sigma_r),
+                     (random_density(d, rng), gibbs_state(fam, float(rng.uniform(0.1, 0.5))))]
+            for rho, sigma in cases:
+                eigh_calls.clear()
+                got = relative_entropy(rho, sigma)
+                assert eigh_calls == []
+                assert abs(got - self.eigh_route(rho, sigma)) <= 1e-12
+
 
 class TestBetaAthermality:
     def test_equals_relative_entropy_to_gibbs(self, rng):
