@@ -4,7 +4,7 @@ A ChargeSet holds q pairwise-commuting observables (the Hamiltonian first).
 Dephased in their common eigenbasis a state is a distribution p on the d
 joint eigenvalues ell_i, whose charges L = sum_i p_i ell_i fill the charge
 polytope conv{ell_i}; GGE algebra runs on this (q, d) joint spectrum through
-the spectral kernels of `gibbs`.
+this module's kernel of shifted exponents, `_boltzmann_weights`.
 
 - `gge_solve` inverts beta_vec -> L(gamma): gamma is the maximum-entropy
   state at its charges, so beta_vec maximizes the concave -ln Z(beta_vec)
@@ -52,8 +52,6 @@ from .gibbs import (
     BRACKET_CAP,
     ConvergenceError,
     GibbsFamily,
-    _boltzmann_weights,
-    _log_partition,
     gibbs_state,
     intrinsic_beta,
     newton_root,
@@ -193,6 +191,15 @@ def charges_point(rho: DensityMatrix, fam: GGEFamily) -> ChargesPoint:
     return ChargesPoint(L=vals, S=entropy(rho))
 
 
+def _boltzmann_weights(levels: np.ndarray, beta) -> np.ndarray:
+    """Normalized probabilities e^(-beta . levels) / Z, overflow safe, for a
+    spectrum and scalar beta or a (q, d) joint spectrum and q-vector beta."""
+    x = np.dot(-beta, levels)
+    x = x - x.max()
+    w = np.exp(x)
+    return w / w.sum()
+
+
 def _gge_weights(fam: GGEFamily, beta_vec) -> np.ndarray:
     return _boltzmann_weights(fam.joint_eigenvalues, np.asarray(beta_vec, dtype=float))
 
@@ -205,7 +212,10 @@ def gge_state(fam: GGEFamily, beta_vec) -> DensityMatrix:
 
 
 def gge_log_partition(fam: GGEFamily, beta_vec) -> float:
-    return _log_partition(fam.joint_eigenvalues, np.asarray(beta_vec, dtype=float))
+    """ln sum_i e^(-beta_vec . ell_i), with the largest exponent shifted out."""
+    x = np.dot(-np.asarray(beta_vec, dtype=float), fam.joint_eigenvalues)
+    m = x.max()
+    return float(m + np.log(np.sum(np.exp(x - m))))
 
 
 def gge_charges(fam: GGEFamily, beta_vec) -> np.ndarray:
@@ -322,26 +332,29 @@ def _max_entropy(weights, levels: np.ndarray, target: np.ndarray,
     the maximizer of the concave -ln Z(lam) - lam.target, by Newton steps
     from `lam`, each halved from 1 until the slope along it is at least -1/2
     of its starting value, which a full step near the maximizer meets. Raises
-    after NEWTON_MAXITER steps, on a singular covariance or a step not taken."""
+    after NEWTON_MAXITER steps, on a singular covariance or a step not taken.
+    A nearly singular one gives a huge step whose slope and trial weights may
+    overflow; the test compares them as they come out."""
     w = weights(lam)
     grad = levels @ w - target
-    for _ in range(NEWTON_MAXITER):
-        if np.max(np.abs(grad), initial=0.0) <= NEWTON_TOL:
-            return lam, w
-        try:  # the Hessian is -Cov(levels)
-            step = np.linalg.solve(_covariance(levels, w), grad)
-        except np.linalg.LinAlgError:
-            break
-        t, slope = 1.0, grad @ step
-        while t >= 1e-12:
-            w = weights(lam + t * step)
-            if (levels @ w - target) @ step >= -slope / 2:
+    with np.errstate(over="ignore", invalid="ignore"):  # entered once per ascent
+        for _ in range(NEWTON_MAXITER):
+            if np.max(np.abs(grad), initial=0.0) <= NEWTON_TOL:
+                return lam, w
+            try:  # the Hessian is -Cov(levels)
+                step = np.linalg.solve(_covariance(levels, w), grad)
+            except np.linalg.LinAlgError:
                 break
-            t /= 2.0
-        else:
-            break
-        lam = lam + t * step
-        grad = levels @ w - target
+            t, slope = 1.0, grad @ step
+            while t >= 1e-12:
+                w = weights(lam + t * step)
+                if (levels @ w - target) @ step >= -slope / 2:
+                    break
+                t /= 2.0
+            else:
+                break
+            lam = lam + t * step
+            grad = levels @ w - target
     raise InfeasibleTargetError(f"no maximum-entropy state with charges {target}")
 
 
@@ -491,18 +504,14 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
     )
 
 
-def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec,
-                    renormalize: bool = True) -> tuple[float, DensityMatrix]:
+def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec) -> tuple[float, DensityMatrix]:
     """Bound value of the generalized potential V_mu = sum_k mu_k L_k over
     iso-entropic states: treat V_mu as an effective Hamiltonian and apply
-    the min-energy principle."""
+    the min-energy principle; mu >= 0 is scaled to unit norm first."""
     mu = np.asarray(mu_vec, dtype=float)
     if np.any(mu < 0):
         raise ValueError("mu components must be nonnegative")
-    if renormalize:
-        mu = mu / np.linalg.norm(mu)
-    elif abs(np.linalg.norm(mu) - 1.0) > 1e-10:
-        raise ValueError("mu must be unit-normalized")
+    mu = mu / np.linalg.norm(mu)
     h_eff = HermitianOperator._from_eigenpairs(
         sum(m * op.entries for m, op in zip(mu, fam.charge_set.charges)),
         mu @ fam.joint_eigenvalues, fam.basis)

@@ -96,12 +96,10 @@ def load_system(path):
     data = _load_json(path)
     if "dim" not in data or "hamiltonian" not in data:
         raise SchemaError(f"{path}: need 'dim' and 'hamiltonian'")
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}.dim: {exc}") from exc
-    if dim < 1:
-        raise SchemaError(f"{path}.dim: must be positive")
+    dim = data["dim"]  # a JSON number with no fractional part; no bool or string
+    if type(dim) not in (int, float) or dim % 1 != 0 or dim < 1:
+        raise SchemaError(f"{path}.dim: expected a positive integer, got {dim!r}")
+    dim = int(dim)
     h = _parse_operator(data["hamiltonian"], dim, f"{path}.hamiltonian")
     fam = GibbsFamily(h)
     gge = None

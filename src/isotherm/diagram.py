@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energetics import report
-from .gibbs import GibbsFamily, _boundary_grid, _boundary_point
+from .gibbs import GibbsFamily, _boundary_grid, log_partition
 from .operators import DensityMatrix, entropy, expectation
 
 
@@ -63,8 +63,7 @@ def tangent_line(fam: GibbsFamily, beta: float) -> tuple[float, float]:
     intercept equals ln Z_beta."""
     if math.isinf(beta):
         raise ValueError("tangent_line needs finite beta")
-    e, s, _ = _boundary_point(fam, beta)
-    return beta, s - beta * e
+    return beta, log_partition(fam, beta)
 
 
 @dataclass(frozen=True)

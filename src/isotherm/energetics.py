@@ -136,9 +136,9 @@ def variational_free_energy(rho: DensityMatrix, fam: GibbsFamily,
 
 def athermality(rho: DensityMatrix, fam: GibbsFamily) -> float:
     """Entropy the system can still absorb at fixed energy:
-    S(gamma(beta~(rho))) - S(rho)."""
+    S(gamma(beta~(rho))) - S(rho) >= 0; exact zero below 1e-12."""
     beta = spontaneous_beta(fam, expectation(fam.hamiltonian, rho))
-    return boundary_entropy(fam, beta) - entropy(rho)
+    return _snap(boundary_entropy(fam, beta) - entropy(rho))
 
 
 def beta_athermality(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float:

@@ -8,12 +8,14 @@ exact for a spectrum narrower than its distance from 0, and the exponents
 keep every digit of them, where forming -beta eps_i and subtracting the
 largest, a plain spectral shift, loses the digits that cancel: on a narrow
 spectrum far from 0, most of them. E = eps_0 + <g> stays inside
-[E_min, E_max], and S = beta <g> + log1p(rest) and Var = <g^2> - <g>^2 come
-from the same weights. Inverse temperatures are plain floats; the limits
-beta -> +inf (ground subspace) and beta -> -inf (top subspace) are encoded
-as math.inf sentinels rather than large caps. The root solvers start from
-the high-temperature expansions S = ln d - beta^2 Var0 / 2 and
-E = mean - beta Var0, Var0 the variance of the levels.
+[E_min, E_max], and S = beta <g> + log1p(rest), Var = <g^2> - <g>^2 and
+ln Z = -beta eps_0 + log1p(rest) come from the same weights. Inverse
+temperatures are plain floats; the limits beta -> +inf (ground subspace)
+and beta -> -inf (top subspace) are encoded as math.inf sentinels rather
+than large caps, with S = ln g there, g the degeneracy of the subspace.
+The root solvers start from the high-temperature expansions
+S = ln d - beta^2 Var0 / 2 and E = mean - beta Var0, Var0 the variance of
+the levels.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, spectrum_entropy
+from .operators import DensityMatrix, HermitianOperator
 
 DEGENERACY_ATOL = 1e-10
 BETA_XTOL = 1e-12
@@ -49,7 +51,8 @@ class _Branch(NamedTuple):
     narrower than its distance from 0). `powers` stacks 1, g and g^2, so one
     matrix-vector product gives the three sums of the kernel. `limit` is the
     beta -> +-inf state, uniform on the `degeneracy` levels within
-    DEGENERACY_ATOL of ref, and `limit_point` its (E, S, Var)."""
+    DEGENERACY_ATOL of ref, and `limit_point` its (E, S, Var), S = ln(degeneracy)
+    as in intrinsic_beta's floor rule."""
 
     ref: float
     gaps: np.ndarray
@@ -77,7 +80,7 @@ def _branch(levels: np.ndarray, top: bool) -> _Branch:
     p = near / k
     e = float(np.dot(p, levels))
     dev = levels - e
-    point = (e, spectrum_entropy(p), float(np.dot(p, dev * dev)))
+    point = (e, math.log(k), float(np.dot(p, dev * dev)))
     powers = np.empty((3, gaps.size))
     powers[0], powers[1], powers[2] = 1.0, gaps, gaps * gaps
     for a in (powers, p):  # shared by every call: _populations hands out `p`
@@ -122,26 +125,6 @@ class GibbsFamily:
         return self._kernel.ground.degeneracy
 
 
-def _boltzmann_weights(levels: np.ndarray, beta) -> np.ndarray:
-    """Normalized probabilities e^(-beta . levels) / Z, overflow safe.
-
-    `levels` is a spectrum with a scalar beta, or a (q, d) joint spectrum
-    with a q-vector beta.
-    """
-    x = np.dot(-beta, levels)
-    x = x - x.max()
-    w = np.exp(x)
-    return w / w.sum()
-
-
-def _log_partition(levels: np.ndarray, beta) -> float:
-    """ln sum_i e^(-beta . levels_i), with the spectral shift; `levels` and
-    `beta` as in _boltzmann_weights."""
-    x = np.dot(-beta, levels)
-    m = x.max()
-    return float(m + np.log(np.sum(np.exp(x - m))))
-
-
 def _gap_weights(fam: GibbsFamily, beta: float) -> tuple[_Branch, np.ndarray, float, float, float]:
     """The gap form of gamma(beta) at finite beta: the branch, the weights
     w = e^(-beta g) <= 1 of the levels besides ref (whose weight is 1), their
@@ -173,10 +156,11 @@ def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
 
 
 def log_partition(fam: GibbsFamily, beta: float) -> float:
-    """ln Z_beta = ln sum_i e^(-beta eps_i), computed with spectral shift."""
+    """ln Z_beta = ln sum_i e^(-beta eps_i), in the gap form: -beta ref + log1p(rest)."""
     if math.isinf(beta):
         raise ValueError("log_partition needs finite beta")
-    return _log_partition(fam.eigenvalues, beta)
+    br, _, rest, _, _ = _gap_weights(fam, beta)
+    return -beta * br.ref + math.log1p(rest)
 
 
 def boundary_entropy(fam: GibbsFamily, beta: float) -> float:

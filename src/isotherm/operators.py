@@ -225,15 +225,13 @@ def expectation(a: HermitianOperator, rho: DensityMatrix) -> float:
     return float(val.real)
 
 
-def tensor(a, b):
-    """Kronecker product of two states or two operators."""
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Kronecker product of two states; joint Hamiltonians come from `kron_sum`."""
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         return DensityMatrix._from_eigenpairs(np.kron(a.entries, b.entries),
                                               np.kron(a.spectrum, b.spectrum),
                                               np.kron(a.eigenvectors, b.eigenvectors))
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(np.kron(a.entries, b.entries))
-    raise TypeError("tensor expects two DensityMatrix or two HermitianOperator")
+    raise TypeError("tensor expects two DensityMatrix")
 
 
 def kron_sum(*hamiltonians: HermitianOperator) -> HermitianOperator:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -16,6 +17,7 @@ from isotherm.charges import (
     ChargeSet,
     GGEFamily,
     InfeasibleTargetError,
+    _boltzmann_weights,
     _gge_weights,
     _lp_face,
     _max_entropy,
@@ -37,7 +39,6 @@ from isotherm.energetics import bound_energy, relative_entropy
 from isotherm.gibbs import (
     ConvergenceError,
     GibbsFamily,
-    _boltzmann_weights,
     boundary_energy,
     gibbs_state,
     intrinsic_beta,
@@ -175,6 +176,15 @@ class TestChargeSet:
         z = HermitianOperator.diagonal([1.0, -1.0])
         with pytest.raises(ValueError):
             ChargeSet((z, x))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one charge"):
+            ChargeSet(())
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="one Hilbert space"):
+            ChargeSet((HermitianOperator.diagonal([0.0, 1.0]),
+                       HermitianOperator.diagonal([0.0, 1.0, 2.0])))
 
     def test_common_eigenbasis_diagonalizes_all(self, charge_family):
         for op in charge_family.charge_set.charges:
@@ -359,7 +369,7 @@ class TestBoundPotential:
     def test_unit_normalization(self, charge_family, rng):
         rho = random_density(4, rng)
         v1, _ = bound_potential(rho, charge_family, [3.0, 4.0])
-        v2, _ = bound_potential(rho, charge_family, [0.6, 0.8], renormalize=False)
+        v2, _ = bound_potential(rho, charge_family, [0.6, 0.8])
         assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_rejects_negative_weights(self, charge_family, rng):
@@ -523,6 +533,16 @@ class TestMaxEntropy:
     def test_target_outside_hull_raises(self):
         with pytest.raises(InfeasibleTargetError):
             self._solve(self.LEVELS, [4.0, 1.0])
+
+    def test_overflowing_step_raises_without_warnings(self):
+        # at lam = 709.45 the lone level's weight is subnormal, so its variance
+        # is too, and the Newton step grad / var overflows to -inf
+        levels = np.array([[1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleTargetError):
+                _max_entropy(lambda b: _boltzmann_weights(levels, b), levels,
+                             np.array([0.99938968]), np.array([709.45259616]))
 
 
 def linprog_face(c, a_eq, b_eq, n_free=0):

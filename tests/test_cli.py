@@ -323,6 +323,76 @@ class TestErrorPaths:
                      "--state", st]) == 3
 
 
+QUBIT = {"dim": 2, "hamiltonian": {"diagonal": [0.0, 1.0]}}
+CHARGED = {"dim": 4, "hamiltonian": {"diagonal": [0.0, 1.0, 2.0, 3.0]},
+           "charges": [{"diagonal": [0.0, 1.0, 1.0, 2.0]}]}
+P91 = {"diagonal": [0.1, 0.9]}
+ZERO2 = [[0.0, 0.0], [0.0, 0.0]]
+
+# id: (argv with {sys} and {state} for the two files, system payload, state payload)
+SCHEMA_ERRORS = {
+    "top-level-not-object": ("info {sys} {state}", [QUBIT], P91),
+    "matrix-without-im": ("info {sys} {state}", QUBIT,
+                          {"matrix": {"re": [[0.5, 0.0], [0.0, 0.5]]}}),
+    "matrix-unparsable": ("info {sys} {state}", QUBIT,
+                          {"matrix": {"re": [[0.5, 0.0], [0.0]], "im": ZERO2}}),
+    "matrix-wrong-shape": ("info {sys} {state}", QUBIT,
+                           {"matrix": {"re": [[1.0]], "im": [[0.0]]}}),
+    "matrix-not-hermitian": ("info {sys} {state}",
+                             {"dim": 2, "hamiltonian": {"matrix": {
+                                 "re": [[0.0, 1.0], [0.0, 1.0]], "im": ZERO2}}}, P91),
+    "operator-not-object": ("info {sys} {state}",
+                            {"dim": 2, "hamiltonian": [0.0, 1.0]}, P91),
+    "operator-without-entries": ("info {sys} {state}", {"dim": 2, "hamiltonian": {}}, P91),
+    "system-without-hamiltonian": ("info {sys} {state}", {"dim": 2}, P91),
+    "system-without-dim": ("info {sys} {state}", {"hamiltonian": QUBIT["hamiltonian"]}, P91),
+    "dim-unparsable": ("info {sys} {state}", {**QUBIT, "dim": "two"}, P91),
+    "dim-string": ("info {sys} {state}", {**QUBIT, "dim": "2"}, P91),
+    "dim-fractional": ("info {sys} {state}", {**QUBIT, "dim": 2.7}, P91),
+    "dim-bool": ("info {sys} {state}",
+                 {"dim": True, "hamiltonian": {"diagonal": [0.0]}}, {"diagonal": [1.0]}),
+    "dim-zero": ("info {sys} {state}", {**QUBIT, "dim": 0}, P91),
+    "charges-not-list": ("charges {sys} {state}",
+                         {**QUBIT, "charges": {"diagonal": [0.0, 1.0]}}, P91),
+    "gibbs-without-beta": ("info {sys} {state}", QUBIT, {"gibbs": {}}),
+    "gge-without-charges": ("info {sys} {state}", QUBIT, {"gge": {"beta_vec": [0.8]}}),
+    "gge-without-beta-vec": ("charges {sys} {state}", CHARGED, {"gge": {}}),
+    "gge-wrong-length": ("charges {sys} {state}", CHARGED, {"gge": {"beta_vec": [0.8]}}),
+    "state-without-key": ("info {sys} {state}", QUBIT, {"probabilities": [0.1, 0.9]}),
+    "laws-dims-unparsable": ("laws --dims 2by2", None, None),
+}
+
+
+class TestSchemaErrors:
+    """Every schema violation exits 2 with a `schema error:` line on stderr
+    and nothing on stdout."""
+
+    @pytest.mark.parametrize("case", SCHEMA_ERRORS.values(), ids=SCHEMA_ERRORS.keys())
+    def test_exit_2(self, case, tmp_path, capsys):
+        argv, system, state = case
+        files = {"sys": state_file(tmp_path, "sys.json", system),
+                 "state": state_file(tmp_path, "state.json", state)}
+        assert main(argv.format(**files).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("schema error:")
+        assert captured.out == ""
+
+    def test_integral_float_dim_accepted(self, p91_state, tmp_path, capsys):
+        system = state_file(tmp_path, "sys.json", {**QUBIT, "dim": 2.0})
+        assert main(["info", system, p91_state]) == 0
+        assert capsys.readouterr().out == (DATA / "cli_info.txt").read_text(encoding="utf-8")
+
+
+class TestLawsFailureReport:
+    def test_each_failed_check_is_printed(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "first_law_residual", lambda proc: 1.0)
+        assert main(["laws", "--trials", "3", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" W=")[0] for line in lines[:-1]] == [
+            "FAIL first-law: dims=(2, 2)"] * 3
+        assert lines[-1] == "trials = 3, failures = 3"
+
+
 class TestGoldenStdout:
     """Byte-exact stdout of the root- and Newton-solving commands, pinned in
     tests/data."""

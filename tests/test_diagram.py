@@ -43,6 +43,14 @@ class TestBoundary:
         assert mid.S == pytest.approx(LN2, abs=1e-12)
         assert sample.points[0].E > 0.5 > sample.points[-1].E
 
+    @pytest.mark.parametrize("beta_min, beta_max, n_points, match", [
+        (1.0, 1.0, 9, "below beta_max"), (2.0, -2.0, 9, "below beta_max"),
+        (-2.0, 2.0, 2, "at least 3"),
+    ])
+    def test_rejects_bad_grid(self, qubit, beta_min, beta_max, n_points, match):
+        with pytest.raises(ValueError, match=match):
+            sample_boundary(qubit, beta_min, beta_max, n_points)
+
     def test_concavity(self, rng):
         # the boundary is the graph of a concave function S(E)
         fam = GibbsFamily(random_hamiltonian(4, rng))
@@ -86,6 +94,16 @@ class TestTangent:
             assert slope == pytest.approx(beta, abs=1e-12)
             # S = beta E + ln Z along the tangent at the touching point
             assert intercept == pytest.approx(log_partition(qutrit, beta), abs=1e-10)
+
+    def test_intercept_is_log_partition_exactly(self, rng):
+        for d in (2, 5, 17):
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            for beta in (-30.0, -0.7, 0.0, 0.4, 12.0):
+                assert tangent_line(fam, beta)[1] == log_partition(fam, beta)
+
+    def test_sentinel_beta_rejected(self, qutrit):
+        with pytest.raises(ValueError, match="finite beta"):
+            tangent_line(qutrit, math.inf)
 
     def test_supporting_line(self, rng):
         # every interior state sits below the tangent

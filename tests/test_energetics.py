@@ -278,6 +278,14 @@ class TestAthermality:
             fam = GibbsFamily(random_hamiltonian(d, rng))
             assert athermality(random_density(d, rng), fam) >= -1e-10
 
+    def test_exact_zero_on_gibbs_states(self, rng):
+        # athermality snaps rounding residue as report and free_energy do
+        for _ in range(60):
+            d = int(rng.integers(2, 9))
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            gamma = gibbs_state(fam, float(rng.uniform(-5.0, 5.0)))
+            assert athermality(gamma, fam) == report(gamma, fam).athermality == 0.0
+
 
 class TestVariationalForms:
     def test_free_energy_grid_minimum(self, rng):

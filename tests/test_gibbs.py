@@ -152,6 +152,14 @@ def old_point(fam, beta):
     return e, s, float(np.dot(p, dev * dev))
 
 
+def old_log_partition(fam, beta):
+    """The shifted-exponent ln Z that the gap form replaced: ln sum_i
+    e^(-beta eps_i), with the largest exponent taken out."""
+    x = -beta * fam.eigenvalues
+    m = x.max()
+    return float(m + np.log(np.sum(np.exp(x - m))))
+
+
 def family_runs(cases):
     """(family, its betas) from a degenerate_cases run, which yields each
     family's betas in a row."""
@@ -193,7 +201,7 @@ class TestGapForm:
                 e_old, s_old, _ = old_point(fam, beta)
                 assert abs(e[k] - e_old) <= 1e-13 * max(1.0, norm)
                 assert abs(s[k] - s_old) <= 1e-13 * max(1.0, s[k])
-                if not math.isinf(beta):  # log_partition keeps the shifted exponents
+                if not math.isinf(beta):  # log_partition reads _gap_weights' sums
                     assert log_z[k] == pytest.approx(log_partition(fam, beta), rel=1e-13, abs=1e-13)
 
     @settings(max_examples=150, deadline=None)
@@ -329,6 +337,27 @@ class TestLogPartition:
     def test_zero_temperature_trend(self, degenerate_qutrit):
         # ln Z -> ln g0 - beta E_min: with E_min = 0 it flattens at ln 2
         assert log_partition(degenerate_qutrit, 40.0) == pytest.approx(LN2, abs=1e-12)
+
+    def test_matches_shifted_route(self, degenerate_cases):
+        # the gap form against the shifted exponents, up to |beta| ||H|| = 700
+        for fam, beta in degenerate_cases(60, 64):
+            if math.isinf(beta):
+                continue
+            old = old_log_partition(fam, beta)
+            assert abs(log_partition(fam, beta) - old) <= 1e-13 * max(1.0, abs(old))
+
+
+class TestLimitEntropy:
+    """S at beta = +-inf is ln k, k the degeneracy of the limit subspace: the
+    value intrinsic_beta's floor rule compares against, to the bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 31])
+    def test_is_log_degeneracy(self, k):
+        fam = GibbsFamily(HermitianOperator.diagonal([0.0] * k + [1.0] + [2.0] * k))
+        assert fam.ground_degeneracy == k
+        for beta in (math.inf, -math.inf):
+            assert boundary_entropy(fam, beta) == math.log(k)
+            assert _populations(fam, beta)[1] == math.log(k)
 
 
 class TestBoundaryCurve:
@@ -468,6 +497,12 @@ class TestSpontaneousBeta:
     def test_flat_spectrum(self):
         fam = GibbsFamily(HermitianOperator.diagonal([1.0, 1.0, 1.0]))
         assert spontaneous_beta(fam, 1.0) == 0.0
+
+    @pytest.mark.parametrize("energy", [0.9, 1.0 + 2e-9])
+    def test_flat_spectrum_unattainable_energy(self, energy):
+        fam = GibbsFamily(HermitianOperator.diagonal([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="unattainable for flat spectrum"):
+            spontaneous_beta(fam, energy)
 
     def test_narrow_spectrum_far_from_zero(self):
         # one ulp above E_max = 62.0000001 is more than 1e-9 of the width 1e-7

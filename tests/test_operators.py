@@ -44,6 +44,16 @@ class TestConstruction:
             with pytest.raises(ValueError, match="non-finite"):
                 cls(a)
 
+    @pytest.mark.parametrize("cls", [HermitianOperator, DensityMatrix])
+    def test_rejects_non_square(self, cls):
+        with pytest.raises(ValueError, match="square"):
+            cls(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("dims", [(0, 2), (), (2, -1)])
+    def test_split_rejects_empty_factor(self, dims):
+        with pytest.raises(ValueError, match="invalid subsystem dims"):
+            SubsystemSplit(dims)
+
     def test_density_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.6, 0.6]))
@@ -110,6 +120,15 @@ class TestExpectation:
         h = HermitianOperator.diagonal([0.0, 1.0, 2.0])
         with pytest.raises(DimensionMismatchError):
             expectation(h, DensityMatrix.maximally_mixed(2))
+
+    def test_rejects_imaginary_residue(self):
+        # validated operands pair to a real trace; only entries set past the
+        # constructor's symmetrization reach the residue check
+        h = HermitianOperator.diagonal([0.0, 1.0])
+        object.__setattr__(h, "entries", np.array([[0.0, 1j], [0.0, 0.0]]))
+        rho = DensityMatrix(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="imaginary residue"):
+            expectation(h, rho)
 
     def test_matches_matmul_trace(self, rng, degenerate_cases):
         # the O(d^2) pairing against the d^3 route it replaced, Tr(A @ rho)
@@ -184,6 +203,14 @@ class TestKnownSpectrum:
         tensor(a, b)
         assert eigh_calls == []
 
+    @pytest.mark.parametrize("second", ["operator", "array"])
+    def test_tensor_takes_states_only(self, second):
+        rho = DensityMatrix.maximally_mixed(2)
+        other = {"operator": HermitianOperator.diagonal([0.0, 1.0]),
+                 "array": np.eye(2) / 2}[second]
+        with pytest.raises(TypeError, match="two DensityMatrix"):
+            tensor(rho, other)
+
 
 class TestPartialTrace:
     def test_product_recovery(self, rng):
@@ -210,6 +237,11 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatchError):
             partial_trace(DensityMatrix.maximally_mixed(4), SubsystemSplit((2, 3)), [0])
 
+    @pytest.mark.parametrize("keep", [[2], [-1], [0, 5]])
+    def test_keep_index_out_of_range(self, keep):
+        with pytest.raises(ValueError, match="out of range"):
+            partial_trace(DensityMatrix.maximally_mixed(4), SubsystemSplit((2, 2)), keep)
+
 
 class TestMutualInformation:
     def test_product_state_zero(self, rng):
@@ -231,6 +263,10 @@ class TestMutualInformation:
         split = SubsystemSplit((2, 3))
         for _ in range(50):
             assert mutual_information(random_density(6, rng), split) >= -1e-10
+
+    def test_needs_bipartite_split(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            mutual_information(DensityMatrix.maximally_mixed(8), SubsystemSplit((2, 2, 2)))
 
 
 class TestSampling:

@@ -66,6 +66,18 @@ class TestProcessRecord:
         a0, b0 = proc.marginals("initial")
         assert a0.dim == 2 and b0.dim == 2
 
+    def test_rejects_non_bipartite_split(self, qubit):
+        rho = DensityMatrix.maximally_mixed(8)
+        with pytest.raises(ValueError, match="bipartite"):
+            ProcessRecord(initial=rho, final=rho, split=SubsystemSplit((2, 2, 2)),
+                          fam_a=qubit, fam_b=qubit)
+
+    def test_rejects_family_dimension_mismatch(self, qubit, qutrit):
+        rho = DensityMatrix.maximally_mixed(4)
+        with pytest.raises(ValueError, match="family dimensions"):
+            ProcessRecord(initial=rho, final=rho, split=SubsystemSplit((2, 2)),
+                          fam_a=qubit, fam_b=qutrit)
+
     @pytest.mark.parametrize("which", ["inital", "Final", ""])
     def test_marginals_rejects_unknown_which(self, which, rng):
         proc = random_process((2, 3), rng)
