@@ -6,38 +6,50 @@ joint eigenvalues ell_i, whose charges L = sum_i p_i ell_i fill the charge
 polytope conv{ell_i}; GGE algebra runs on this (q, d) joint spectrum through
 this module's kernel of shifted exponents, `_boltzmann_weights`.
 
-- `gge_solve` inverts beta_vec -> L(gamma): gamma is the maximum-entropy
-  state at its charges, so beta_vec maximizes the concave -ln Z(beta_vec)
-  - beta_vec.L, found by `_max_entropy`'s Newton ascent from 0 (the one
-  Newton of this module, shared by `bound_charge`, the rate and the LP
-  faces). A target on or outside the polytope's boundary has no maximizer
-  and raises.
+Every solve here is one Newton ascent (`_ascend`) of the concave dual
+    g(lam, nu) = -nu ln sum_i e^(-x_i) - lam.b + nu S,  x = (c + A^T lam) / nu,
+the perspective of log-sum-exp, on an affine slice z0 + basis u of z =
+(lam, nu). At p ~ e^(-x) its gradient is (A p - b, S - H(p)), its Hessian
+-Cov_p([A; -x]) / nu, and g = c.p + z.gradient.
+
+- `gge_solve` inverts beta_vec -> L(gamma), gamma the maximum-entropy state
+  at its charges, on the max-entropy slice: c = 0, A the levels, b the
+  target, S = 0, nu pinned at 1, from lam = 0 (`_max_entropy`, also run on
+  the LP faces). A target on or outside the polytope's boundary raises.
 - `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
   (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
   the polytope; if the maximum entropy on its optimal face reaches S, the
   entropy constraint is inactive and that LP floor is the bound (beta_k =
-  +inf, as in `bound_energy`). Otherwise the bound is the maximizer of the
-  concave dual g(lambda, nu) = -nu ln sum_i e^(-(c + A^T lambda)_i / nu)
-  - lambda.b + nu S, the GGE with beta_k = 1/nu > 0 and beta_j =
-  lambda_j/nu: at each theta = beta_k an ascent in the other beta_j meets
-  A p = b, and theta is the root of S_max(L_k, b) - S, a safeguarded Newton
-  (`newton_root`) from the second-order guess at theta = 0.
+  +inf, as in `bound_energy`). Otherwise B_k = max g on the bound slice
+  (S = S(rho), lam and nu free; g at every iterate is below it), and
+  beta_vec = (lam, 1) / nu with the 1 at k. The start is hot: nu = ptp(L_k)
+  and lam / nu roughly the max-entropy beta_vec at the other charges.
 - `conversion_rate_charges` follows the ray x_sigma + t (x_rho - x_sigma),
   t >= 1. One LP gives t_wall, where L(t) leaves the polytope, and the face
   it leaves through. f(t) = S_max(L(t)) - S(t) is concave on [1, t_wall]
   with f(1) > 0, so the ray exits at S = 0 ("pure") iff t_pure <= t_wall,
   through the wall (kind "thermal", phi_beta None) iff S(t_wall) is at most
-  the maximum entropy on the face, and otherwise ("thermal") at the one
-  root of f in [1, t_wall], by the same safeguarded Newton from t = 1.
+  the maximum entropy on the face, and otherwise ("thermal") at the root of
+  f: t* = -max g on the thermal-exit slice, c = 0, A all levels, b =
+  L_sigma, S = S_sigma on the hyperplane nu dS - lam.dL = 1, and beta_vec =
+  lam / nu. This solves the fractional program t* = min (ln Z +
+  beta_vec.L_sigma - S_sigma) / (dS - beta_vec.dL) without Dinkelbach's
+  root. The start is the t = 1 ascent's beta_vec, reflected through dS =
+  beta_vec.dL where dS - beta_vec.dL <= 0, scaled onto the hyperplane. On a
+  flat lone charge g is flat in lam, and the slice has no direction.
 
-Both roots run one ascent per step. By the envelope theorem dS_max/dL =
-beta_vec, which gives each root its exact slope and corrects S_max to first
-order in the ascent's charge residual (up to NEWTON_TOL, absolute): the
-roots land within rounding of their 40-digit values, not within that
-residual. Each ascent starts from the tangent beta_vec + (dbeta_vec/dx) dx
-of the nearest solved point, dbeta_vec/dx from the GGE covariance, and
-retries from that point's beta_vec, then from points halfway back to it
-(`_path_ascent`).
+Each step is halved from its first trial, down to 1e-12 of it, until the
+slope along it is at least -1/2 of its starting value at a point whose own
+Newton step can be found (or whose gradient is within NEWTON_TOL). The first
+trial is the full step, shortened so that nu (affine along it) changes at
+most 4x. With the hot start, this keeps the iterates off near-vertex states:
+their covariance is singular to rounding, and Newton steps run along a ray
+on which g is flat. The max-entropy slice stops at max|gradient| <=
+NEWTON_TOL; the free slices stop one step after the Newton decrement
+gradient.step falls to 1e-16 max(1, |g|), as an absolute gradient stop ends
+them early near the ground corner, where L is that small. A singular
+covariance is accepted once the gradient is within NEWTON_TOL. A step not
+taken, a non-finite slope or NEWTON_MAXITER steps raise InfeasibleTargetError.
 """
 
 from __future__ import annotations
@@ -49,7 +61,6 @@ import numpy as np
 
 from .energetics import _bound_energy_at
 from .gibbs import (
-    BRACKET_CAP,
     ConvergenceError,
     GibbsFamily,
     gibbs_state,
@@ -74,8 +85,6 @@ ENTROPY_ATOL = 1e-10  # entropy shortfall of an LP face still taken as reaching 
 # largest datum, count as zero: levels 1e-10 apart stay distinct
 PIVOT_TOL = 1e-12
 SIMPLEX_MAXITER = 500
-RATE_XTOL = 1e-13
-PATH_HALVINGS = 8  # how far _path_ascent may halve a failed step back toward a solved point
 
 
 class InfeasibleTargetError(ValueError):
@@ -191,17 +200,15 @@ def charges_point(rho: DensityMatrix, fam: GGEFamily) -> ChargesPoint:
     return ChargesPoint(L=vals, S=entropy(rho))
 
 
-def _boltzmann_weights(levels: np.ndarray, beta) -> np.ndarray:
-    """Normalized probabilities e^(-beta . levels) / Z, overflow safe, for a
-    spectrum and scalar beta or a (q, d) joint spectrum and q-vector beta."""
-    x = np.dot(-beta, levels)
-    x = x - x.max()
-    w = np.exp(x)
+def _boltzmann_weights(x: np.ndarray) -> np.ndarray:
+    """Normalized probabilities e^x / sum e^x, with the largest exponent
+    shifted out: the one weight kernel of this module."""
+    w = np.exp(x - x.max())
     return w / w.sum()
 
 
 def _gge_weights(fam: GGEFamily, beta_vec) -> np.ndarray:
-    return _boltzmann_weights(fam.joint_eigenvalues, np.asarray(beta_vec, dtype=float))
+    return _boltzmann_weights(np.dot(-np.asarray(beta_vec, dtype=float), fam.joint_eigenvalues))
 
 
 def gge_state(fam: GGEFamily, beta_vec) -> DensityMatrix:
@@ -240,8 +247,7 @@ def gge_covariance(fam: GGEFamily, beta_vec) -> np.ndarray:
 def gge_solve(fam: GGEFamily, target, rng: np.random.Generator | None = None) -> np.ndarray:
     """Invert beta_vec -> L_vec(gamma): the maximum-entropy ascent from
     beta_vec = 0; raises on boundary/infeasible targets. `rng` is unused."""
-    return _max_entropy(lambda b: _gge_weights(fam, b), fam.joint_eigenvalues,
-                        np.asarray(target, dtype=float), np.zeros(fam.q))[0]
+    return _max_entropy(fam.joint_eigenvalues, np.asarray(target, dtype=float))[0]
 
 
 def beta_vec_athermality(rho: DensityMatrix, fam: GGEFamily, beta_vec) -> float:
@@ -325,92 +331,105 @@ def _lp_face(c, a_eq, b_eq, n_free: int = 0):
     return y, reduced <= FACE_RTOL * reduced.max()
 
 
-def _max_entropy(weights, levels: np.ndarray, target: np.ndarray,
-                 lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lam at which weights(lam), proportional to e^(-lam.levels) times
-    fixed factors, give levels @ w = target to NEWTON_TOL, with those weights:
-    the maximizer of the concave -ln Z(lam) - lam.target, by Newton steps
-    from `lam`, each halved from 1 until the slope along it is at least -1/2
-    of its starting value, which a full step near the maximizer meets. Raises
-    after NEWTON_MAXITER steps, on a singular covariance or a step not taken.
-    A nearly singular one gives a huge step whose slope and trial weights may
-    overflow; the test compares them as they come out."""
-    w = weights(lam)
-    grad = levels @ w - target
+def _dual(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndarray):
+    """The dual g of the module docstring at z = (lam, nu) as c.p + z.grad,
+    its gradient grad = (levels @ p - b, s - H(p)), the GGE weights p and
+    their exponents -x."""
+    e = -(c + np.dot(z[:-1], levels)) / z[-1]
+    p = _boltzmann_weights(e)
+    grad = np.append(levels @ p - b, s - spectrum_entropy(p))
+    return float(c @ p + z @ grad), grad, p, e
+
+
+def _gradient_stop(grad: np.ndarray, decrement: float, value: float) -> bool:
+    return bool(np.max(np.abs(grad), initial=0.0) <= NEWTON_TOL)
+
+
+def _decrement_stop(grad: np.ndarray, decrement: float, value: float) -> bool:
+    return abs(decrement) <= 1e-16 * max(1.0, abs(value))
+
+
+def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndarray,
+            basis: np.ndarray, stop) -> tuple[np.ndarray, float, np.ndarray]:
+    """The maximizer z of the dual (`_dual`) on the slice z + basis @ u, with
+    the dual value and GGE weights there, by the Newton ascent of the module
+    docstring: stop(gradient, decrement, value) on the slice ends it, with
+    the Newton decrement of the step that led there (inf at the start). A
+    nearly singular covariance gives a huge step whose slope and trial
+    weights may overflow; the tests compare them as they come out."""
+
+    def newton(z):  # the dual at z, its slice gradient and the Newton step there
+        value, grad, p, e = _dual(c, levels, b, s, z)
+        grad = basis.T @ grad
+        try:  # the Hessian on the slice is -Cov_p(basis^T [levels; -x]) / nu
+            step = z[-1] * np.linalg.solve(_covariance(basis.T @ np.vstack([levels, e]), p), grad)
+        except np.linalg.LinAlgError:
+            step = np.full_like(grad, np.nan)
+        return value, p, grad, step, grad @ step
+
+    def usable(grad, slope) -> bool:  # a next step, or a gradient within NEWTON_TOL
+        return bool(np.isfinite(slope)) or _gradient_stop(grad, slope, 0.0)
+
     with np.errstate(over="ignore", invalid="ignore"):  # entered once per ascent
+        value, p, grad, step, slope = point = newton(z)
+        taken = math.inf
         for _ in range(NEWTON_MAXITER):
-            if np.max(np.abs(grad), initial=0.0) <= NEWTON_TOL:
-                return lam, w
-            try:  # the Hessian is -Cov(levels)
-                step = np.linalg.solve(_covariance(levels, w), grad)
-            except np.linalg.LinAlgError:
+            if stop(grad, taken, value):
+                return z, value, p
+            if not np.isfinite(slope):  # singular or overflowing: done only within NEWTON_TOL
+                if usable(grad, slope):
+                    return z, value, p
                 break
-            t, slope = 1.0, grad @ step
-            while t >= 1e-12:
-                w = weights(lam + t * step)
-                if (levels @ w - target) @ step >= -slope / 2:
+            dz = basis @ step
+            # nu is affine along the step: it may grow or shrink at most 4x
+            cap = (3.0 if dz[-1] > 0 else 0.75) * z[-1] / abs(dz[-1]) if dz[-1] else 1.0
+            first = t = min(1.0, cap)
+            while t >= 1e-12 * first:
+                trial = z + t * dz
+                point = newton(trial)
+                if point[2] @ step >= -slope / 2 and usable(point[2], point[4]):
                     break
                 t /= 2.0
             else:
                 break
-            lam = lam + t * step
-            grad = levels @ w - target
-    raise InfeasibleTargetError(f"no maximum-entropy state with charges {target}")
+            z, (value, p, grad, step, slope), taken = trial, point, slope
+    raise InfeasibleTargetError(f"no maximum-entropy state with charges {b}")
 
 
-def _path_ascent(solve, path: list, x: float, depth: int = PATH_HALVINGS):
-    """solve(x, lam0) at a point x of a one-parameter path of max-entropy
-    ascents, where solve runs the ascent at x from lam0, appends x's entry
-    (x, lam, dlam/dx, ...) to the non-empty `path` and returns its result.
-    The start is the tangent lam + (dlam/dx)(x - x0) of the nearest solved
-    point x0, then x0's lam; if both ascents raise, the point halfway to x0
-    is solved first and x is tried again from there, at most `depth` halvings
-    deep. Never restarts from 0."""
-    x0, lam, slope, *_ = min(path, key=lambda point: abs(point[0] - x))
-    try:
-        return solve(x, lam + slope * (x - x0))
-    except InfeasibleTargetError:
-        pass
-    try:
-        return solve(x, lam)
-    except InfeasibleTargetError:
-        if depth == 0:
-            raise
-    _path_ascent(solve, path, x0 + (x - x0) / 2, depth - 1)
-    return _path_ascent(solve, path, x, depth - 1)
+def _max_entropy(levels: np.ndarray, target: np.ndarray,
+                 stop=_gradient_stop) -> tuple[np.ndarray, np.ndarray]:
+    """The lam at which the weights p ~ e^(-lam.levels) give levels @ p =
+    target to NEWTON_TOL (or until `stop`), with those weights: the
+    max-entropy slice, nu pinned at 1, from lam = 0."""
+    m, d = levels.shape
+    z, _, p = _ascend(np.zeros(d), levels, target, 0.0, np.eye(m + 1)[-1],
+                      np.eye(m + 1, m), stop)
+    return z[:-1], p
 
 
-def _tangent(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """cov^-1 rhs for a warm start's tangent; zero if cov is singular (a flat
-    lone charge, whose rhs is zero too), which only makes the start colder."""
-    try:
-        return np.linalg.solve(cov, rhs)
-    except np.linalg.LinAlgError:
-        return np.zeros_like(rhs)
-
-
-def _face_max_entropy(levels: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _face_max_entropy(levels: np.ndarray, target: np.ndarray, scale: float) -> np.ndarray:
     """The max-entropy p >= 0 on the columns of `levels` with levels @ p =
     target and sum(p) = 1, for a target inside their hull: the one solution
     on a simplex (affinely independent columns), else a GGE in the columns'
-    affine coordinates."""
+    affine coordinates. A direction in which the columns spread less than
+    FACE_RTOL of the widest, or than PIVOT_TOL of `scale` (the largest
+    |level| of the charges: the rounding of levels that coincide), is flat."""
     x = levels - target[:, None]
     u, sv, _ = np.linalg.svd(x, full_matrices=False)
-    coords = u[:, sv > FACE_RTOL * sv.max(initial=0.0)].T @ x
+    coords = u[:, sv > max(FACE_RTOL * sv.max(initial=0.0), PIVOT_TOL * scale)].T @ x
     r, m = coords.shape
     if r == m - 1:
         p = np.linalg.lstsq(np.vstack([coords, np.ones(m)]), np.eye(m)[-1], rcond=None)[0]
         return np.clip(p, 0.0, None)
-    return _max_entropy(lambda b: _boltzmann_weights(coords, b), coords,
-                        np.zeros(r), np.zeros(r))[1]
+    return _max_entropy(coords, np.zeros(r))[1]
 
 
 @dataclass(frozen=True)
 class BoundChargeSolution:
-    """On the LP floor value = L_k(gamma). On the active branch value is B_k
-    to first order from the root's last solve, and beta_vec (so gamma) that
-    solve's tangent taken on to the root theta: value and L_k(gamma) agree to
-    second order in the last step, not to rounding."""
+    """On the LP floor value = L_k(gamma). On the active branch value is B_k,
+    the dual value at the maximizer of the bound slice (the dual value at
+    every iterate is a lower bound on it), and gamma the GGE at that
+    maximizer's beta_vec = (lam, 1) / nu."""
 
     value: float                 # B_k
     free_charge: float           # F_k = L_k(rho) - B_k
@@ -429,7 +448,7 @@ def _lp_floor(fam: GGEFamily, k: int, pt: ChargesPoint) -> BoundChargeSolution |
     duals, face = _lp_face(ells[k], np.vstack([ells[idx], np.ones(fam.dim)]),
                            np.append(pt.L[idx], 1.0))
     p = np.zeros(fam.dim)
-    p[face] = _face_max_entropy(ells[idx][:, face], pt.L[idx])
+    p[face] = _face_max_entropy(ells[idx][:, face], pt.L[idx], np.abs(ells).max())
     if spectrum_entropy(p) < pt.S - ENTROPY_ATOL:
         return None
     root = np.sqrt(p)
@@ -469,32 +488,14 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
     if floor is not None:
         return floor
     ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
-    unit = np.eye(fam.q)
-    embed = unit[:, idx]  # the other charges' beta_j into beta_vec
-    path = []  # (theta, lam, dlam/dtheta, Schur variance, B_k estimate) per solved theta
-
-    def residual(theta: float, lam0: np.ndarray) -> tuple[float, float]:
-        """S_max(L_k(gamma), rho's other charges) - S(rho) and its slope in theta."""
-        lam, w = _max_entropy(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
-                              ells[idx], pt.L[idx], lam0)
-        cov = _covariance(ells, w)
-        coupling = _tangent(cov[np.ix_(idx, idx)], cov[idx, k])
-        variance = float(cov[k, k] - cov[k, idx] @ coupling)  # of L_k at fixed other charges
-        # to first order on the surface dS = theta dL_k + lam.dL_other
-        excess = float(spectrum_entropy(w) + lam @ (pt.L[idx] - ells[idx] @ w) - pt.S)
-        value = ells[k] @ w - (excess / theta if theta > 0 else 0.0)
-        path.append((theta, lam, -coupling, variance, value))
-        return excess, -theta * variance
-
-    theta = 0.0
-    excess, _ = residual(theta, np.zeros(fam.q - 1))
-    if excess > 0:  # start where S(0) - theta^2 V(0)/2, second order in theta, reaches S
-        variance = path[0][3]
-        start = math.sqrt(2.0 * excess / variance) if variance > 0 else math.inf
-        theta = newton_root(lambda th: _path_ascent(residual, path, th), 0.0, math.inf,
-                            start=min(start, BRACKET_CAP))
-    theta_last, lam, slope, _, value = path[-1]
-    beta = embed @ (lam + slope * (theta - theta_last)) + theta * unit[k]
+    try:  # near the beta_k = 0 end: roughly the max-entropy state at rho's other charges
+        start = np.append(_max_entropy(ells[idx], pt.L[idx], lambda grad, decrement, value:
+                                       decrement <= 1e-2)[0], 1.0)
+    except InfeasibleTargetError:  # those charges on their polytope's boundary
+        start = np.eye(fam.q)[-1]
+    z, value, _ = _ascend(ells[k], ells[idx], pt.L[idx], pt.S, np.ptp(ells[k]) * start,
+                          np.eye(fam.q), _decrement_stop)
+    beta = np.insert(z[:-1], k, 1.0) / z[-1]
     return BoundChargeSolution(
         value=float(value),
         free_charge=float(pt.L[k] - value),
@@ -511,6 +512,8 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec) -> tuple[float, 
     mu = np.asarray(mu_vec, dtype=float)
     if np.any(mu < 0):
         raise ValueError("mu components must be nonnegative")
+    if not mu.any():
+        raise ValueError("mu must have a nonzero component")
     mu = mu / np.linalg.norm(mu)
     h_eff = HermitianOperator._from_eigenpairs(
         sum(m * op.entries for m, op in zip(mu, fam.charge_set.charges)),
@@ -562,19 +565,10 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
                                    phi_beta=None, collinearity_residual=0.0)
 
     ells = fam.joint_eigenvalues
-    path = []  # (t, beta_vec, dbeta_vec/dt) of every solved t
-
-    def gap(t: float, beta0: np.ndarray) -> tuple[float, float]:
-        """S_max(L(t)) - S(t) and its slope in t."""
-        target = x_sigma.L + t * d_l
-        beta, w = _max_entropy(lambda b: _gge_weights(fam, b), ells, target, beta0)
-        path.append((t, beta, -_tangent(_covariance(ells, w), d_l)))
-        # S_max to first order in the ascent's charge residual: dS_max/dL = beta_vec
-        s_max = spectrum_entropy(w) + beta @ (target - ells @ w)
-        return s_max - (x_sigma.S + t * d_s), beta @ d_l - d_s
-
     try:
-        gap_1, slope_1 = gap(1.0, np.zeros(fam.q))
+        beta_1, p_1 = _max_entropy(ells, x_rho.L)
+        # S_max(L_rho) to first order in the ascent's charge residual: dS_max/dL = beta_vec
+        gap_1 = spectrum_entropy(p_1) + beta_1 @ (x_rho.L - ells @ p_1) - x_rho.S
     except InfeasibleTargetError:  # rho's charges on the polytope's boundary
         gap_1 = -1.0
     source_degenerate = ChargesRateSolution(r=0.0, phi_point=x_rho,
@@ -591,7 +585,7 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         t_wall = float(np.linalg.lstsq(a_eq[:, face], b_eq, rcond=None)[0][-1])
         if t_wall <= 1.0:  # rho on a wall face: the ray leaves at t = 1
             return source_degenerate
-        p = _face_max_entropy(ells[:, face[:-1]], x_sigma.L + t_wall * d_l)
+        p = _face_max_entropy(ells[:, face[:-1]], x_sigma.L + t_wall * d_l, np.abs(ells).max())
         gap_wall = spectrum_entropy(p) - (x_sigma.S + t_wall * d_s)
     t_pure = -x_sigma.S / d_s if d_s < 0 else math.inf
     beta = None
@@ -600,15 +594,16 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     elif gap_wall >= 0:
         t_star, kind = t_wall, "thermal"
     else:
-        # Newton from t = 1, or the midpoint; without a wall dL = 0 and gap is
-        # linear in t with slope -dS < 0, so the Newton point is the root
-        newton = 1.0 - gap_1 / slope_1 if slope_1 < 0 else math.inf
-        start = newton if newton < t_wall else (1.0 + t_wall) / 2
-        t_star = newton_root(lambda t: _path_ascent(gap, path, t), 1.0, t_wall,
-                             start=start, xtol=RATE_XTOL)
-        kind = "thermal"
-        t_last, beta_last, slope = path[-1]
-        beta = beta_last + slope * (t_star - t_last)
+        normal = np.append(-d_l, d_s)
+        z = np.append(beta_1, 1.0)
+        if normal @ z <= 0:
+            z[:-1] += 2.0 * (normal @ z) * d_l / (d_l @ d_l)
+        basis = np.linalg.svd(normal[None])[2][1:].T
+        if np.ptp(ells) <= FACE_RTOL * np.abs(ells).max():  # a flat lone charge: g is flat in lam
+            basis = basis[:, :0]
+        z, value, _ = _ascend(np.zeros(fam.dim), ells, x_sigma.L, x_sigma.S, z / (normal @ z),
+                              basis, _decrement_stop)
+        t_star, kind, beta = -value, "thermal", z[:-1] / z[-1]
     phi = ChargesPoint(L=x_sigma.L + t_star * d_l,
                        S=max(x_sigma.S + t_star * d_s, 0.0))
     r = 1.0 - 1.0 / t_star

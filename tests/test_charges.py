@@ -17,8 +17,13 @@ from isotherm.charges import (
     ChargeSet,
     GGEFamily,
     InfeasibleTargetError,
+    NEWTON_MAXITER,
+    _ascend,
     _boltzmann_weights,
+    _covariance,
+    _face_max_entropy,
     _gge_weights,
+    _gradient_stop,
     _lp_face,
     _max_entropy,
     absolute_athermality,
@@ -120,12 +125,42 @@ def segment_bound(fam, rho, k=0, n=20001):
     return min(float(ells[k] @ (p0 + s * v)) for s in ends)
 
 
-def nested_bound_charge(rho, fam, k=0):
-    """The active branch of bound_charge before its Newton in theta = beta_k,
-    kept as an oracle (for inputs off the LP floor): brentq in theta over
-    the bracket grown from 1/ptp(L_k), with a max-entropy ascent in the other
-    charges' lam at every theta, started from the last lam/theta ratio.
-    Returns (B_k, beta_vec)."""
+def nested_ascent(weights, levels, target, lam, tol=NEWTON_TOL):
+    """The max-entropy ascent of the nested route, kept with it as an oracle:
+    the lam at which weights(lam), proportional to e^(-lam.levels) times
+    fixed factors, give levels @ w = target to tol, with those weights, by
+    Newton steps from `lam`, each halved from 1 until the slope along it is
+    at least -1/2 of its starting value. Raises InfeasibleTargetError after
+    NEWTON_MAXITER steps, on a singular covariance or a step not taken."""
+    w = weights(lam)
+    grad = levels @ w - target
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAXITER):
+            if np.max(np.abs(grad), initial=0.0) <= tol:
+                return lam, w
+            try:  # the Hessian is -Cov(levels)
+                step = np.linalg.solve(_covariance(levels, w), grad)
+            except np.linalg.LinAlgError:
+                break
+            t, slope = 1.0, grad @ step
+            while t >= 1e-12:
+                w = weights(lam + t * step)
+                if (levels @ w - target) @ step >= -slope / 2:
+                    break
+                t /= 2.0
+            else:
+                break
+            lam = lam + t * step
+            grad = levels @ w - target
+    raise InfeasibleTargetError(f"no maximum-entropy state with charges {target}")
+
+
+def nested_bound_charge(rho, fam, k=0, tol=NEWTON_TOL):
+    """The active branch of bound_charge as a root around ascents, kept as
+    an oracle (for inputs off the LP floor): brentq in theta = beta_k over
+    the bracket grown from 1/ptp(L_k), with a max-entropy ascent to tol in
+    the other charges' lam at every theta, started from the last lam/theta
+    ratio. Returns (B_k, beta_vec)."""
     pt = charges_point(rho, fam)
     ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
     unit = np.eye(fam.q)
@@ -134,8 +169,8 @@ def nested_bound_charge(rho, fam, k=0):
 
     def tilted(theta):
         nonlocal ratio
-        lam = _max_entropy(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
-                           ells[idx], pt.L[idx], theta * ratio)[0]
+        lam = nested_ascent(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
+                            ells[idx], pt.L[idx], theta * ratio, tol)[0]
         ratio = lam / theta if theta > 0 else ratio
         return embed @ lam + theta * unit[k]
 
@@ -272,7 +307,7 @@ class TestSolve:
         assert abs(gge_charges(fam, rec)[0] - energy) <= NEWTON_TOL
         expected = spontaneous_beta(gibbs, energy)
         if math.isfinite(expected):
-            w = _boltzmann_weights(spectrum, beta)
+            w = _boltzmann_weights(-beta * spectrum)
             var = float(w @ (spectrum - w @ spectrum) ** 2)
             # var underflows to 0 where the energy no longer pins beta
             slack = NEWTON_TOL / var if var > 0 else math.inf
@@ -376,6 +411,10 @@ class TestBoundPotential:
         with pytest.raises(ValueError):
             bound_potential(random_density(4, rng), charge_family, [1.0, -0.5])
 
+    def test_rejects_zero_weights(self, charge_family, rng):
+        with pytest.raises(ValueError, match="mu must have a nonzero component"):
+            bound_potential(random_density(4, rng), charge_family, [0.0, 0.0])
+
 
 class TestSecondLaw:
     def test_random_gge_bath_processes(self, charge_family, rng):
@@ -458,12 +497,13 @@ class TestChargesRate:
         assert sol.phi_kind == "thermal"
         assert sol.r == pytest.approx(1 - 1 / t_star, abs=1e-12)
 
-    @pytest.mark.parametrize("a,tol", [(1e-4, 1e-9), (1e-6, 1e-9), (1e-8, 1e-4)])
+    @pytest.mark.parametrize("a,tol", [(1e-4, 1e-9), (1e-6, 1e-9), (1e-8, 1e-4), (1e-9, 1e-7)])
     def test_q1_ground_corner(self, a, tol):
         # near the ground corner gge_solve's absolute charge residual NEWTON_TOL
         # is a large part of L itself: the exit must still match the single
-        # charge rate (r = 0.0789886 for every small a), and a Gibbs source
-        # must still read source-degenerate
+        # charge rate to tol and a 50-digit root to 1e-12 (r = 0.0789886 for
+        # every small a), and a Gibbs source must still read source-degenerate
+        # down to a = 1e-8
         from isotherm.rates import conversion_rate
 
         h = HermitianOperator.diagonal([0.0, 1.0, 1.0])
@@ -474,9 +514,24 @@ class TestChargesRate:
         single = conversion_rate(rho, sigma, GibbsFamily(h))
         assert sol.phi_kind == single.phi_kind == "thermal"
         assert sol.r == pytest.approx(single.r, abs=tol)
+        x_rho = charges_point(rho, fam)
+        with mpmath.workdps(50):  # sigma = |0><0| at L = S = 0: S(beta) / E(beta) = S_rho / E_rho
+            e_rho, s_rho = mpmath.mpf(float(x_rho.L[0])), mpmath.mpf(x_rho.S)
+
+            def energy(beta):
+                return 2 * mpmath.exp(-beta) / (1 + 2 * mpmath.exp(-beta))
+
+            def excess(beta):
+                slope = s_rho / e_rho
+                return mpmath.log(1 + 2 * mpmath.exp(-beta)) + (beta - slope) * energy(beta)
+
+            beta = mpmath.findroot(excess, mpmath.mpf(sol.phi_beta[0]))
+            ref = float(1 - e_rho / energy(beta))
+        assert sol.r == pytest.approx(ref, abs=1e-12)
         assert sol.r == pytest.approx(0.0789886, abs=1e-4)
-        gibbs = DensityMatrix.diagonal([1.0 - a, a / 2, a / 2])
-        assert conversion_rate_charges(gibbs, sigma, fam).phi_kind == "source-degenerate"
+        if a >= 1e-8:
+            gibbs = DensityMatrix.diagonal([1.0 - a, a / 2, a / 2])
+            assert conversion_rate_charges(gibbs, sigma, fam).phi_kind == "source-degenerate"
 
     def test_flat_lone_charge(self):
         # a one-state family: S_max = ln d along the whole ray and no wall, so
@@ -493,6 +548,19 @@ class TestChargesRate:
         t_pure = s_rho / (s_rho - s_sigma)
         assert back.phi_kind == "pure"
         assert back.r == pytest.approx(1 - 1 / t_pure, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rotated_flat_lone_charge(self, seed):
+        # in a rotated basis the charges of the two states round off 3 by an
+        # ulp, so the ray is vertical only to rounding; from a pure sigma it
+        # leaves at S = ln 3
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(3, rng)
+        fam = GGEFamily(ChargeSet((HermitianOperator((u * 3.0) @ u.conj().T),)))
+        rho, sigma = random_density(3, rng), random_density(3, rng, rank=1)
+        sol = conversion_rate_charges(rho, sigma, fam)
+        assert sol.phi_kind == "thermal"
+        assert sol.r == pytest.approx(1.0 - entropy(rho) / math.log(3), abs=1e-12)
 
     def test_identical_points_rate_one(self, charge_family, rng):
         rho = random_density(4, rng)
@@ -513,14 +581,13 @@ class TestMaxEntropy:
 
     @staticmethod
     def _solve(levels, target):
-        return _max_entropy(lambda b: _boltzmann_weights(levels, b), levels,
-                            np.asarray(target, dtype=float), np.zeros(len(levels)))
+        return _max_entropy(levels, np.asarray(target, dtype=float))
 
     def test_converges_to_the_gge_of_the_target(self):
         lam = np.array([1.3, -0.7])
-        target = self.LEVELS @ _boltzmann_weights(self.LEVELS, lam)
+        target = self.LEVELS @ _boltzmann_weights(np.dot(-lam, self.LEVELS))
         rec, w = self._solve(self.LEVELS, target)
-        assert np.array_equal(w, _boltzmann_weights(self.LEVELS, rec))  # its final weights
+        assert np.array_equal(w, _boltzmann_weights(np.dot(-rec, self.LEVELS)))  # final weights
         assert np.max(np.abs(self.LEVELS @ w - target)) <= NEWTON_TOL
         assert rec == pytest.approx(lam, abs=1e-7)
 
@@ -541,8 +608,16 @@ class TestMaxEntropy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleTargetError):
-                _max_entropy(lambda b: _boltzmann_weights(levels, b), levels,
-                             np.array([0.99938968]), np.array([709.45259616]))
+                _ascend(np.zeros(3), levels, np.array([0.99938968]), 0.0,
+                        np.array([709.45259616, 1.0]), np.eye(2, 1), _gradient_stop)
+
+    def test_face_of_coinciding_levels_is_flat(self):
+        # levels equal but for rounding (a rotated basis leaves ~1e-16 between
+        # them) span no direction: the face's max-entropy state is uniform,
+        # not the vertex that solves the rounding as if it were a simplex
+        for levels in ([4.0, 4.0 + 8.9e-16], [4.5e-18, -3.5e-17]):
+            p = _face_max_entropy(np.array([levels]), np.array([levels[0]]), 4.0)
+            assert p == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def linprog_face(c, a_eq, b_eq, n_free=0):
@@ -706,6 +781,8 @@ class TestBoundChargeOracles:
     @given(levels=st.lists(st.integers(0, 3), min_size=2, max_size=5),
            seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 5))
     @example(levels=[0, 1, 2], seed=0, rank=3)
+    @example(levels=[0, 0, 1, 1, 3], seed=56, rank=3)  # a nu step capped at 4x, then halved
+    @example(levels=[0, 0, 1, 2, 2], seed=994, rank=4)  # a step past nu* to a vertex, halved
     def test_q1_agrees_with_nested_route(self, levels, seed, rank):
         h = HermitianOperator.diagonal([float(x) for x in levels])
         rank = min(rank, len(levels))
@@ -719,7 +796,7 @@ class TestBoundChargeOracles:
         assert sol.beta_vec == pytest.approx(beta, rel=1e-7)
 
     @pytest.mark.parametrize("f", range(32))
-    def test_benchmark_families_agree_with_nested_route(self, f, monkeypatch):
+    def test_benchmark_families_agree_with_nested_route(self, f):
         fam, rho, _ = benchmark_case(f)
         sol = bound_charge(rho, fam, 0)
         if not math.isfinite(sol.beta_vec[0]):
@@ -729,8 +806,15 @@ class TestBoundChargeOracles:
         assert sol.beta_vec == pytest.approx(beta, rel=1e-7)
         # the nested route with its ascents solved to near rounding: B_k to
         # first order in the charge residual is nearer it than the plain route
-        monkeypatch.setattr(charges_module, "NEWTON_TOL", 2e-14)
-        assert sol.value == pytest.approx(nested_bound_charge(rho, fam)[0], abs=1e-12)
+        assert sol.value == pytest.approx(nested_bound_charge(rho, fam, tol=2e-14)[0],
+                                          abs=1e-12)
+
+    @pytest.mark.parametrize("f", [0, 3, 25])
+    def test_active_bound_against_mpmath(self, f):
+        fam, rho, _ = benchmark_case(f)
+        sol = bound_charge(rho, fam, 0)
+        assert math.isfinite(sol.beta_vec[0])
+        assert sol.value == pytest.approx(mp_bound_charge(fam, rho, sol.beta_vec), abs=1e-12)
 
     def test_q1_near_degenerate_ground(self):
         # levels 1e-7 apart are distinct (bound_energy's threshold is 1e-10):
@@ -742,6 +826,25 @@ class TestBoundChargeOracles:
         assert math.isfinite(sol.beta_vec[0])
 
 
+def mp_gge(ells, beta):
+    """The GGE at beta_vec on an mpmath (q, d) joint spectrum, in the working
+    precision: its populations, charges, charge covariance and entropy."""
+    q, d = ells.rows, ells.cols
+    e = [-mpmath.fsum(beta[j] * ells[j, i] for j in range(q)) for i in range(d)]
+    top = max(e)
+    w = [mpmath.exp(ei - top) for ei in e]
+    z = mpmath.fsum(w)
+    p = [wi / z for wi in w]
+    l = [mpmath.fsum(p[i] * ells[j, i] for i in range(d)) for j in range(q)]
+    cov = mpmath.matrix(q, q)
+    for j in range(q):
+        for k in range(q):
+            cov[j, k] = mpmath.fsum(p[i] * (ells[j, i] - l[j]) * (ells[k, i] - l[k])
+                                    for i in range(d))
+    s = -mpmath.fsum(pi * mpmath.log(pi) for pi in p if pi > 0)
+    return p, l, cov, s
+
+
 def mp_thermal_exit(fam, rho, sigma, beta, t, dps=40):
     """r from a dps-digit root of the thermal exit, taking the joint spectrum,
     x_rho and x_sigma as exact: Newton in (beta_vec, t) from the given guess
@@ -750,23 +853,12 @@ def mp_thermal_exit(fam, rho, sigma, beta, t, dps=40):
     x_rho, x_sigma = charges_point(rho, fam), charges_point(sigma, fam)
     with mpmath.workdps(dps):
         ells = mpmath.matrix(fam.joint_eigenvalues.tolist())
-        q, d = ells.rows, ells.cols
+        q = ells.rows
         l_s, s_s = mpmath.matrix(x_sigma.L.tolist()), mpmath.mpf(x_sigma.S)
         d_l, d_s = mpmath.matrix((x_rho.L - x_sigma.L).tolist()), mpmath.mpf(x_rho.S) - s_s
         x = mpmath.matrix([float(b) for b in beta] + [float(t)])
         for _ in range(60):
-            e = [-mpmath.fsum(x[j] * ells[j, i] for j in range(q)) for i in range(d)]
-            top = max(e)
-            w = [mpmath.exp(ei - top) for ei in e]
-            z = mpmath.fsum(w)
-            p = [wi / z for wi in w]
-            l = [mpmath.fsum(p[i] * ells[j, i] for i in range(d)) for j in range(q)]
-            cov = mpmath.matrix(q, q)
-            for j in range(q):
-                for k in range(q):
-                    cov[j, k] = mpmath.fsum(p[i] * (ells[j, i] - l[j]) * (ells[k, i] - l[k])
-                                            for i in range(d))
-            s = -mpmath.fsum(pi * mpmath.log(pi) for pi in p if pi > 0)
+            _, l, cov, s = mp_gge(ells, x)
             f = mpmath.matrix([l[j] - l_s[j] - x[q] * d_l[j] for j in range(q)]
                               + [s - s_s - x[q] * d_s])
             jac = mpmath.matrix(q + 1, q + 1)
@@ -780,6 +872,33 @@ def mp_thermal_exit(fam, rho, sigma, beta, t, dps=40):
             x -= step
             if mpmath.norm(step) < mpmath.mpf(10) ** (5 - dps):
                 return float(1 - 1 / x[q])
+    raise AssertionError("mpmath Newton did not converge")
+
+
+def mp_bound_charge(fam, rho, beta, k=0, dps=50):
+    """B_k from a dps-digit solve of the active bound, taking the joint
+    spectrum and x_rho as exact: Newton in beta_vec from the given guess on
+    L_j(gamma(beta_vec)) = L_j(rho) for j != k and S(gamma(beta_vec)) = S(rho),
+    whose Jacobian holds dL/dbeta = -Cov and dS/dbeta = -Cov beta_vec."""
+    pt = charges_point(rho, fam)
+    with mpmath.workdps(dps):
+        ells = mpmath.matrix(fam.joint_eigenvalues.tolist())
+        q = ells.rows
+        idx = [j for j in range(q) if j != k]
+        x = mpmath.matrix([float(b) for b in beta])
+        for _ in range(60):
+            _, l, cov, s = mp_gge(ells, x)
+            f = mpmath.matrix([l[j] - mpmath.mpf(pt.L[j]) for j in idx] + [s - mpmath.mpf(pt.S)])
+            jac = mpmath.matrix(q, q)
+            for row, j in enumerate(idx):
+                for m in range(q):
+                    jac[row, m] = -cov[j, m]
+            for m in range(q):
+                jac[q - 1, m] = -mpmath.fsum(x[j] * cov[j, m] for j in range(q))
+            step = mpmath.lu_solve(jac, f)
+            x -= step
+            if mpmath.norm(step) < mpmath.mpf(10) ** (-dps // 2):  # then quadratic: done
+                return float(mp_gge(ells, x)[1][k])
     raise AssertionError("mpmath Newton did not converge")
 
 
@@ -839,12 +958,14 @@ class TestChargesRateOracle:
 
 
 class TestSolverGuards:
-    """The two charges roots (the active bound_charge in theta, the thermal
-    exit in t): cost, independence from brentq, and the warm-start retry."""
+    """The two free dual ascents (the active bound_charge, the thermal exit):
+    cost, and independence from brentq."""
 
-    # _gge_weights calls over the 32 benchmark families before the roots took
-    # their slopes (nested brentq over cold or ratio-started ascents)
-    NESTED_WEIGHT_CALLS = {"bound_charge": 1452, "conversion_rate_charges": 1810}
+    # calls of the one weight kernel over the 32 benchmark families with the
+    # bound and the thermal exit as roots around max-entropy ascents, and the
+    # most the one dual ascent may take
+    NESTED_WEIGHT_CALLS = {"bound_charge": 507, "conversion_rate_charges": 683}
+    MOST_WEIGHT_CALLS = {"bound_charge": 300, "conversion_rate_charges": 410}
 
     @staticmethod
     def _run(name, f):
@@ -856,16 +977,17 @@ class TestSolverGuards:
     @pytest.mark.parametrize("name", ["bound_charge", "conversion_rate_charges"])
     def test_weight_evaluations(self, name, monkeypatch):
         calls = []
-        weights = charges_module._gge_weights
+        weights = charges_module._boltzmann_weights
 
         def counting(*args):
             calls.append(None)
             return weights(*args)
 
-        monkeypatch.setattr(charges_module, "_gge_weights", counting)
+        monkeypatch.setattr(charges_module, "_boltzmann_weights", counting)
         for f in range(32):
             self._run(name, f)
-        assert len(calls) <= 0.6 * self.NESTED_WEIGHT_CALLS[name]
+        most = self.MOST_WEIGHT_CALLS[name]
+        assert len(calls) <= most < self.NESTED_WEIGHT_CALLS[name]
 
     def test_roots_do_not_use_brentq(self, monkeypatch):
         import scipy.optimize
@@ -877,39 +999,3 @@ class TestSolverGuards:
         for f in (0, 3, 25):  # active bounds and thermal exits
             assert math.isfinite(self._run("bound_charge", f).beta_vec[0])
             assert self._run("conversion_rate_charges", f).phi_beta is not None
-
-    @pytest.mark.parametrize("name,refused", [("bound_charge", 2), ("bound_charge", 3),
-                                              ("conversion_rate_charges", 2)])
-    def test_failed_warm_start_retries_along_the_path(self, name, refused, monkeypatch):
-        # refuse one tangent start and retry from the nearest solve. The bound's
-        # first tangent start lies at the second-order guess, far from the one
-        # solve at theta = 0, and the retry from lam(0) fails there too: the
-        # point halfway back is solved first, then the refused point from it
-        expected = self._run(name, 25)
-        starts, solved, points = [], [], []
-        ascent, path_ascent = charges_module._max_entropy, charges_module._path_ascent
-
-        def refusing_once(weights, levels, target, lam):
-            starts.append(lam)
-            if len(starts) == refused:
-                raise InfeasibleTargetError("refused")
-            solved.append(ascent(weights, levels, target, lam)[0])
-            return solved[-1], weights(solved[-1])
-
-        def recording(solve, path, x, *args):
-            points.append(x)
-            return path_ascent(solve, path, x, *args)
-
-        monkeypatch.setattr(charges_module, "_max_entropy", refusing_once)
-        monkeypatch.setattr(charges_module, "_path_ascent", recording)
-        sol = self._run(name, 25)
-        assert not np.any(starts[0])  # the first solve is cold
-        assert np.array_equal(starts[refused], solved[refused - 2])  # the nearest solve
-        if refused == 2 and name == "bound_charge":
-            assert points[:3] == [points[0], points[0] / 2, points[0]]
-        else:
-            assert len(points) == len(set(points))  # no halving
-        if name == "bound_charge":
-            assert sol.value == pytest.approx(expected.value, abs=1e-12)
-        else:
-            assert sol.r == pytest.approx(expected.r, abs=1e-12)

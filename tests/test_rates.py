@@ -369,6 +369,8 @@ class TestRateProperties:
     @settings(max_examples=150, deadline=None)
     @given(**RATE_CASES)
     @example(**SENTINEL_EDGE_CASE)
+    @example(levels=[4, 0, 4, 0, 2], split=0.0, unit=1.0, rotate=True, beta_norms=[-8.0, -5.0],
+             weights=[0.5, 0.5], seed=0)  # a wall exit on a top face of coinciding levels
     def test_q1_reduction(self, levels, split, unit, rotate, beta_norms, weights, seed):
         """conversion_rate_charges on the one-charge family exits the same way,
         with r within 1e-12 on pure exits, 1e-8 where the filler's beta is a
@@ -394,6 +396,25 @@ class TestRateProperties:
             slope = abs(beta * (x_rho.E - x_sigma.E) - (x_rho.S - x_sigma.S))
             tol = 1e-12 + NEWTON_TOL * abs(beta) / slope * (1.0 - single.r) ** 2
         assert multi.r == pytest.approx(single.r, abs=tol)
+
+    def test_q1_reduction_takes_no_overflowing_step(self, monkeypatch):
+        # a Newton step whose slope overflows must not be tried: on this case
+        # the charges rate once took a step of -3.9e307 with an infinite slope
+        from isotherm import charges as charges_module
+
+        points = []
+        dual = charges_module._dual
+
+        def recording(*args):
+            points.append(float(np.max(np.abs(args[-1]))))
+            return dual(*args)
+
+        monkeypatch.setattr(charges_module, "_dual", recording)
+        fam, rho, sigma = rate_case([0, 0, 1], 0.0, 10.0, False, [-18.0, -18.0],
+                                    [1e-6, 1e-6], 109154)
+        multi = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((fam.hamiltonian,))))
+        assert multi.phi_kind == conversion_rate(rho, sigma, fam).phi_kind == "thermal"
+        assert points and max(points) <= 1e300
 
 
 class TestEntropyOnlyRate:
