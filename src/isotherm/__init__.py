@@ -33,8 +33,6 @@ from .equilibrium import (
     EquilibrationOutcome,
     equilibrate_isoenergetic,
     equilibrate_isoentropic,
-    is_equilibrium,
-    lemma3_check,
 )
 from .processes import (
     EngineRun,
@@ -62,7 +60,7 @@ from .charges import (
     conversion_rate_charges,
     gge_solve,
     gge_state,
-    second_law_charges_check,
 )
+from .oracles import is_equilibrium, lemma3_check, second_law_charges_check
 
 __version__ = "0.1.0"

@@ -72,19 +72,23 @@ from .operators import (
     HermitianOperator,
     entropy,
     expectation,
-    partial_trace,
     spectrum_entropy,
 )
-
-COMMUTATOR_ATOL = 1e-10
-NEWTON_TOL = 1e-9
-NEWTON_MAXITER = 200
-FACE_RTOL = 1e-9  # relative reduced cost (or singular value) counted as zero
-ENTROPY_ATOL = 1e-10  # entropy shortfall of an LP face still taken as reaching S
-# simplex reduced costs and pivots within this of zero, relative to the LP's
-# largest datum, count as zero: levels 1e-10 apart stay distinct
-PIVOT_TOL = 1e-12
-SIMPLEX_MAXITER = 500
+from .tolerances import (
+    CHARGES_SOURCE_DEGENERATE_ATOL,
+    COINCIDENT_ATOL,
+    COMMUTATOR_ATOL,
+    DECREMENT_RTOL,
+    EIGENBASIS_ATOL,
+    ENTROPY_ATOL,
+    FACE_RTOL,
+    HOT_START_DECREMENT,
+    NEWTON_MAXITER,
+    NEWTON_TOL,
+    PIVOT_TOL,
+    SIMPLEX_MAXITER,
+    STEP_FLOOR,
+)
 
 
 class InfeasibleTargetError(ValueError):
@@ -101,7 +105,7 @@ def _common_eigenbasis(charges: list[HermitianOperator]) -> tuple[np.ndarray, np
         combo = sum(c * op.entries for c, op in zip(coeffs, charges))
         _, v = np.linalg.eigh(combo)
         blocks = [v.conj().T @ op.entries @ v for op in charges]
-        if all(np.max(np.abs(b - np.diag(np.diagonal(b)))) < 1e-8 for b in blocks):
+        if all(np.max(np.abs(b - np.diag(np.diagonal(b)))) < EIGENBASIS_ATOL for b in blocks):
             # C-contiguous rows: a strided np.real view shifts BLAS results' last bits
             return v, np.stack([np.real(np.diagonal(b)) for b in blocks])
     raise ValueError("failed to find a common eigenbasis; are the charges commuting?")
@@ -346,7 +350,7 @@ def _gradient_stop(grad: np.ndarray, decrement: float, value: float) -> bool:
 
 
 def _decrement_stop(grad: np.ndarray, decrement: float, value: float) -> bool:
-    return abs(decrement) <= 1e-16 * max(1.0, abs(value))
+    return abs(decrement) <= DECREMENT_RTOL * max(1.0, abs(value))
 
 
 def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndarray,
@@ -384,7 +388,7 @@ def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.nd
             # nu is affine along the step: it may grow or shrink at most 4x
             cap = (3.0 if dz[-1] > 0 else 0.75) * z[-1] / abs(dz[-1]) if dz[-1] else 1.0
             first = t = min(1.0, cap)
-            while t >= 1e-12 * first:
+            while t >= STEP_FLOOR * first:
                 trial = z + t * dz
                 point = newton(trial)
                 if point[2] @ step >= -slope / 2 and usable(point[2], point[4]):
@@ -490,7 +494,7 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
     ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
     try:  # near the beta_k = 0 end: roughly the max-entropy state at rho's other charges
         start = np.append(_max_entropy(ells[idx], pt.L[idx], lambda grad, decrement, value:
-                                       decrement <= 1e-2)[0], 1.0)
+                                       decrement <= HOT_START_DECREMENT)[0], 1.0)
     except InfeasibleTargetError:  # those charges on their polytope's boundary
         start = np.eye(fam.q)[-1]
     z, value, _ = _ascend(ells[k], ells[idx], pt.L[idx], pt.S, np.ptp(ells[k]) * start,
@@ -523,25 +527,6 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec) -> tuple[float, 
     return _bound_energy_at(eff, beta), gibbs_state(eff, beta)
 
 
-def second_law_charges_check(initial: DensityMatrix, final: DensityMatrix,
-                             split, fam_b: GGEFamily, beta_vec) -> bool:
-    """Second law for a GGE bath: sum_k beta_k dL_k^B >= dS_B, and
-    for an entropy-preserving global process also >= -dS_A."""
-    beta_vec = np.asarray(beta_vec, dtype=float)
-    b0 = partial_trace(initial, split, [1])
-    b1 = partial_trace(final, split, [1])
-    gamma = gge_state(fam_b, beta_vec)
-    if np.max(np.abs(b0.entries - gamma.entries)) > 1e-8:
-        raise ValueError("initial bath is not the stated GGE state")
-    a0 = partial_trace(initial, split, [0])
-    a1 = partial_trace(final, split, [0])
-    d_l = charges_point(b1, fam_b).L - charges_point(b0, fam_b).L
-    lhs = float(beta_vec @ d_l)
-    d_s_b = entropy(b1) - entropy(b0)
-    d_s_a = entropy(a1) - entropy(a0)
-    return bool(lhs >= d_s_b - 1e-9 and lhs >= -d_s_a - 1e-9)
-
-
 @dataclass(frozen=True)
 class ChargesRateSolution:
     r: float
@@ -560,7 +545,7 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     x_sigma = charges_point(sigma, fam)
     d_l = x_rho.L - x_sigma.L
     d_s = x_rho.S - x_sigma.S
-    if max(np.max(np.abs(d_l)), abs(d_s)) < 1e-12:
+    if max(np.max(np.abs(d_l)), abs(d_s)) < COINCIDENT_ATOL:
         return ChargesRateSolution(r=1.0, phi_point=x_rho, phi_kind="thermal",
                                    phi_beta=None, collinearity_residual=0.0)
 
@@ -574,7 +559,7 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     source_degenerate = ChargesRateSolution(r=0.0, phi_point=x_rho,
                                             phi_kind="source-degenerate", phi_beta=None,
                                             collinearity_residual=0.0)
-    if min(x_rho.S, gap_1) <= 1e-10:
+    if min(x_rho.S, gap_1) <= CHARGES_SOURCE_DEGENERATE_ATOL:
         return source_degenerate
     a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
     b_eq = np.append(x_sigma.L, 1.0)

@@ -21,7 +21,7 @@ from . import energetics
 from .diagram import _fmt, export_diagram, sample_boundary
 from .equilibrium import equilibrate_isoenergetic, equilibrate_isoentropic, joint_family
 from .gibbs import GibbsFamily, gibbs_state
-from .operators import DensityMatrix, HermitianOperator
+from .operators import DensityMatrix, HermitianOperator, _is_integral
 from .processes import (
     DegenerateEngineError,
     carnot_engine,
@@ -32,6 +32,7 @@ from .processes import (
     work_ledger,
 )
 from .rates import conversion_rate
+from .tolerances import BALANCE_ATOL, FIRST_LAW_ATOL, LAW_SLACK
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -97,7 +98,7 @@ def load_system(path):
     if "dim" not in data or "hamiltonian" not in data:
         raise SchemaError(f"{path}: need 'dim' and 'hamiltonian'")
     dim = data["dim"]  # a JSON number with no fractional part; no bool or string
-    if type(dim) not in (int, float) or dim % 1 != 0 or dim < 1:
+    if not _is_integral(dim) or dim < 1:
         raise SchemaError(f"{path}.dim: expected a positive integer, got {dim!r}")
     dim = int(dim)
     h = _parse_operator(data["hamiltonian"], dim, f"{path}.hamiltonian")
@@ -177,6 +178,11 @@ def cmd_info(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    if args.points < 3:
+        raise SchemaError(f"--points: need at least 3, got {args.points}")
+    if not args.beta_min < args.beta_max:
+        raise SchemaError(f"--beta-min {args.beta_min:g} is not below --beta-max "
+                          f"{args.beta_max:g}")
     fam, gge = load_system(args.system)
     sample = sample_boundary(fam, args.beta_min, args.beta_max, args.points)
     states = []
@@ -259,9 +265,9 @@ def cmd_laws(args) -> int:
     for _ in range(args.trials):
         proc = random_process((d_a, d_b), rng)
         checks = []
-        checks.append(("first-law", abs(first_law_residual(proc)) <= 1e-12))
+        checks.append(("first-law", abs(first_law_residual(proc)) <= FIRST_LAW_ATOL))
         kp_res, _ = kelvin_planck_check(proc)
-        checks.append(("kelvin-planck-balance", kp_res <= 1e-10))
+        checks.append(("kelvin-planck-balance", kp_res <= BALANCE_ATOL))
         try:
             _, _, holds = clausius_check(proc)
             checks.append(("clausius", holds))
@@ -269,7 +275,7 @@ def cmd_laws(args) -> int:
             pass  # sentinel temperatures: check not applicable
         led = work_ledger(proc)
         f_joint = energetics.free_energy(proc.initial, joint_family([proc.fam_a, proc.fam_b]))
-        checks.append(("work-extraction", -led.W <= f_joint + 1e-9))
+        checks.append(("work-extraction", -led.W <= f_joint + LAW_SLACK))
         for name, ok in checks:
             if not ok:
                 failures += 1

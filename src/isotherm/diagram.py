@@ -17,6 +17,7 @@ import numpy as np
 from .energetics import report
 from .gibbs import GibbsFamily, _boundary_grid, log_partition
 from .operators import DensityMatrix, entropy, expectation
+from .tolerances import TANH_CLIP
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ def warped_beta_grid(beta_min: float, beta_max: float, n_points: int) -> np.ndar
     """tanh-warped grid concentrating points near beta = 0, where the
     boundary curvature is largest."""
     u = np.linspace(math.tanh(beta_min / 4), math.tanh(beta_max / 4), n_points)
-    u = np.clip(u, -1 + 1e-15, 1 - 1e-15)
+    u = np.clip(u, -1 + TANH_CLIP, 1 - TANH_CLIP)
     grid = 4 * np.arctanh(u)
     grid[0], grid[-1] = beta_min, beta_max
     return grid

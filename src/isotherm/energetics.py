@@ -1,7 +1,8 @@
-"""Bound energy, free energy, athermality, and their variational forms.
+"""Bound energy, free energy, athermality and relative entropy.
 
-The primary computation path is the safeguarded Newton root in `gibbs`; the
-grid-based minimizations are independent verification routes.
+Every temperature here is a safeguarded Newton root in `gibbs`. The
+independent verification routes (the beta-grid minimizations of the
+variational forms, and F = T D) live in `oracles`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from .gibbs import (
     GibbsFamily,
-    _boundary_grid,
     _boundary_point,
     boundary_energy,
     boundary_entropy,
@@ -22,8 +22,7 @@ from .gibbs import (
     spontaneous_beta,
 )
 from .operators import DensityMatrix, _trace_product, entropy, expectation
-
-FREE_ENERGY_SNAP = 1e-12
+from .tolerances import FREE_ENERGY_SNAP, LOG_FLOOR, SUPPORT_ATOL, SUPPORT_LEAK_ATOL
 
 
 @dataclass(frozen=True)
@@ -72,30 +71,14 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     w, v = sigma.spectrum, sigma.eigenvectors
     if w.min() <= 0:
         # support check: rho must live inside supp(sigma)
-        null = v[:, w <= 1e-14]
+        null = v[:, w <= SUPPORT_ATOL]
         leak = np.linalg.norm(null.conj().T @ rho.entries @ null)
-        if leak > 1e-12:
+        if leak > SUPPORT_LEAK_ATOL:
             raise ValueError("support of rho not contained in support of sigma")
-        w = np.clip(w, 1e-300, None)
+        w = np.clip(w, LOG_FLOOR, None)
     log_sigma = (v * np.log(w)) @ v.conj().T
     cross = -_trace_product(rho.entries, log_sigma).real
     return float(cross - entropy(rho))
-
-
-def relative_entropy_check(rho: DensityMatrix, fam: GibbsFamily) -> float:
-    """Residual |F(rho) - T(rho) D(rho || gamma(rho))|; expected <= 1e-8.
-
-    D against a Gibbs state is taken spectrally, as beta E - S + ln Z: an
-    `eigh` of the dense Gibbs matrix would lose the relative precision of its
-    small eigenvalues at large beta."""
-    beta = intrinsic_beta(fam, entropy(rho))
-    f = _free_energy_at(rho, fam, beta)
-    if beta == 0.0:
-        # T = inf limit: a max-entropy state has F = 0 and D = 0
-        return abs(f)
-    if math.isinf(beta):
-        raise ValueError("relative_entropy_check needs finite positive intrinsic beta")
-    return abs(f - beta_athermality(rho, fam, beta) / beta)
 
 
 def beta_free_energy(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float:
@@ -115,25 +98,6 @@ def _check_free_energy_beta(beta):
         raise ValueError("beta_free_energy needs finite beta")
 
 
-def default_beta_grid(n: int = 2001, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
-
-
-def variational_free_energy(rho: DensityMatrix, fam: GibbsFamily,
-                            beta_grid: np.ndarray | None = None) -> tuple[float, float]:
-    """min over the grid of the beta-bath work; the minimum is F(rho) and the
-    argmin sits at beta(rho)."""
-    if beta_grid is None:
-        beta_grid = default_beta_grid()
-    beta_grid = np.asarray(beta_grid, dtype=float)
-    _check_free_energy_beta(beta_grid)
-    e_gamma, s_gamma, _ = _boundary_grid(fam, beta_grid)
-    f_rho = expectation(fam.hamiltonian, rho) - entropy(rho) / beta_grid
-    vals = f_rho - (e_gamma - s_gamma / beta_grid)
-    i = int(np.argmin(vals))
-    return float(vals[i]), float(beta_grid[i])
-
-
 def athermality(rho: DensityMatrix, fam: GibbsFamily) -> float:
     """Entropy the system can still absorb at fixed energy:
     S(gamma(beta~(rho))) - S(rho) >= 0; exact zero below 1e-12."""
@@ -145,27 +109,6 @@ def beta_athermality(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float
     """A_beta(rho) = beta E(rho) - S(rho) + ln Z_beta = D(rho || gamma(beta))."""
     e = expectation(fam.hamiltonian, rho)
     return beta * e - entropy(rho) + log_partition(fam, beta)
-
-
-def symmetric_beta_grid(n: int = 2001, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
-    """Log-spaced grid over both signs of beta, including 0."""
-    half = np.geomspace(lo, hi, (n - 1) // 2)
-    return np.concatenate([-half[::-1], [0.0], half])
-
-
-def variational_athermality(rho: DensityMatrix, fam: GibbsFamily,
-                            beta_grid: np.ndarray | None = None) -> tuple[float, float]:
-    """min_beta A_beta(rho) over the grid; the minimum equals A(rho) and the
-    argmin sits at beta~(rho)."""
-    if beta_grid is None:
-        beta_grid = symmetric_beta_grid()
-    beta_grid = np.asarray(beta_grid, dtype=float)
-    if np.any(np.isinf(beta_grid)):
-        raise ValueError("log_partition needs finite beta")
-    log_z = _boundary_grid(fam, beta_grid)[2]
-    vals = beta_grid * expectation(fam.hamiltonian, rho) - entropy(rho) + log_z
-    i = int(np.argmin(vals))
-    return float(vals[i]), float(beta_grid[i])
 
 
 def report(rho: DensityMatrix, fam: GibbsFamily) -> EnergeticsReport:

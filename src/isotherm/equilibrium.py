@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .energetics import _bound_energy_at, free_energy
+from .energetics import _bound_energy_at
 from .gibbs import (
     GibbsFamily,
     _joint_intrinsic_beta,
@@ -25,16 +25,7 @@ from .gibbs import (
     boundary_entropy,
     gibbs_state,
 )
-from .operators import (
-    DensityMatrix,
-    SubsystemSplit,
-    entropy,
-    expectation,
-    kron_sum,
-    tensor,
-)
-
-EQUILIBRIUM_FREE_ENERGY_ATOL = 1e-8
+from .operators import DensityMatrix, entropy, expectation, kron_sum, tensor
 
 
 @dataclass(frozen=True)
@@ -59,15 +50,6 @@ class EquilibrationOutcome:
 
 def joint_family(fams: list[GibbsFamily]) -> GibbsFamily:
     return GibbsFamily(kron_sum(*(f.hamiltonian for f in fams)))
-
-
-def is_equilibrium(rho_joint: DensityMatrix, fams: list[GibbsFamily],
-                   split: SubsystemSplit) -> tuple[bool, float]:
-    """Mutual equilibrium iff the joint free energy (under the Kronecker-sum
-    Hamiltonian) vanishes."""
-    split.check(rho_joint.dim)
-    f = free_energy(rho_joint, joint_family(fams))
-    return f <= EQUILIBRIUM_FREE_ENERGY_ATOL, f
 
 
 def _totals(pairs, joint_state=None):
@@ -123,10 +105,3 @@ def equilibrate_isoenergetic(pairs, joint_state: DensityMatrix | None = None) ->
         families=tuple(fams),
         degenerate=math.isinf(beta),
     )
-
-
-def lemma3_check(beta_a: float, beta_b: float, outcome: EquilibrationOutcome) -> bool:
-    """The joint temperature of an iso-entropic equilibration of two Gibbs
-    inputs lies between the two input temperatures."""
-    lo, hi = min(beta_a, beta_b), max(beta_a, beta_b)
-    return lo - 1e-9 <= outcome.beta_joint <= hi + 1e-9

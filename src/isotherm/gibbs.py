@@ -28,11 +28,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import DensityMatrix, HermitianOperator
-
-DEGENERACY_ATOL = 1e-10
-BETA_XTOL = 1e-12
-ENTROPY_RTOL = 1e-10
-BRACKET_CAP = 1e18
+from .tolerances import (
+    BETA_XTOL,
+    BRACKET_CAP,
+    DEGENERACY_ATOL,
+    ENERGY_RANGE_RTOL,
+    ENTROPY_RTOL,
+    ENTROPY_SLACK,
+    FLAT_ENERGY_ATOL,
+    SENTINEL_ENERGY_RTOL,
+)
 
 
 class BracketError(ValueError):
@@ -213,7 +218,7 @@ def _boundary_grid(fam: GibbsFamily, betas) -> tuple[np.ndarray, np.ndarray, np.
     return e, s, log_z
 
 
-def newton_root(f, lo: float, hi: float, start: float, xtol: float = BETA_XTOL) -> float:
+def newton_root(f, lo: float, hi: float, start: float) -> float:
     """Root of a decreasing residual f that returns (f(x), f'(x)), by a
     safeguarded Newton from `start`.
 
@@ -223,13 +228,13 @@ def newton_root(f, lo: float, hi: float, start: float, xtol: float = BETA_XTOL) 
     inside the current bracket and is at most half the previous step, and
     otherwise bisect, or double x while no upper end is known. Returns the
     last point stepped to, unevaluated, once the step or the bracket falls
-    below xtol * max(1, |x|). Raises BracketError once x passes BRACKET_CAP,
-    and ConvergenceError after as many steps as bisection needs to shrink any
-    finite bracket (width < 2**1025) to xtol.
+    below BETA_XTOL * max(1, |x|). Raises BracketError once x passes
+    BRACKET_CAP, and ConvergenceError after as many steps as bisection needs
+    to shrink any finite bracket (width < 2**1025) to BETA_XTOL.
     """
     if math.isinf(hi) and not start > 0:
         raise ValueError(f"an open bracket needs start > 0, got {start}")
-    maxiter = 1025 + math.ceil(-math.log2(xtol))
+    maxiter = 1025 + math.ceil(-math.log2(BETA_XTOL))
     x, step = start, hi - lo  # the previous step: at first the bracket
     for _ in range(maxiter):
         fx, slope = f(x)
@@ -249,9 +254,9 @@ def newton_root(f, lo: float, hi: float, start: float, xtol: float = BETA_XTOL) 
         else:
             nxt = lo + (hi - lo) / 2
         step, x = abs(nxt - x), nxt
-        if min(step, hi - lo) <= xtol * max(1.0, abs(x)):
+        if min(step, hi - lo) <= BETA_XTOL * max(1.0, abs(x)):
             return x
-    raise ConvergenceError(f"no root to {xtol:g} in [{lo:g}, {hi:g}] after {maxiter} steps")
+    raise ConvergenceError(f"no root to {BETA_XTOL:g} in [{lo:g}, {hi:g}] after {maxiter} steps")
 
 
 def intrinsic_beta(fam: GibbsFamily, target_entropy: float) -> float:
@@ -276,7 +281,7 @@ def _joint_intrinsic_beta(fams: list[GibbsFamily], target_entropy: float) -> flo
     """intrinsic_beta of the non-interacting sum of `fams`: S, ln d and ln g0
     add up over the families, and a one-term sum is exact."""
     log_dim = sum(math.log(f.dim) for f in fams)
-    if target_entropy < -1e-12 or target_entropy > log_dim + 1e-12:
+    if target_entropy < -ENTROPY_SLACK or target_entropy > log_dim + ENTROPY_SLACK:
         raise ValueError(
             f"target entropy {target_entropy} outside [0, ln {math.prod(f.dim for f in fams)}]"
         )
@@ -284,7 +289,7 @@ def _joint_intrinsic_beta(fams: list[GibbsFamily], target_entropy: float) -> flo
     if log_dim - target <= ENTROPY_RTOL:
         return 0.0
     floor = sum(math.log(f.ground_degeneracy) for f in fams)
-    if target <= floor + 1e-12:
+    if target <= floor + ENTROPY_SLACK:
         return math.inf
 
     def resid(b):
@@ -307,14 +312,14 @@ def _joint_spontaneous_beta(fams: list[GibbsFamily], target_energy: float) -> fl
     e_max = sum(f.energy_max for f in fams)
     scale = e_max - e_min
     if scale <= DEGENERACY_ATOL:
-        if abs(target_energy - e_min) > 1e-9:
+        if abs(target_energy - e_min) > FLAT_ENERGY_ATOL:
             raise ValueError(f"target energy {target_energy} unattainable for flat spectrum")
         return 0.0
     # a few ulps of the levels too: on a narrow spectrum far from 0, E rounds past an end
-    slack = 1e-9 * scale + 4 * math.ulp(max(abs(e_min), abs(e_max)))
+    slack = ENERGY_RANGE_RTOL * scale + 4 * math.ulp(max(abs(e_min), abs(e_max)))
     if target_energy < e_min - slack or target_energy > e_max + slack:
         raise ValueError(f"target energy {target_energy} outside [{e_min}, {e_max}]")
-    atol = 1e-10 * scale
+    atol = SENTINEL_ENERGY_RTOL * scale
     kernels = [f._kernel for f in fams]
     # floor/ceiling of the finite-beta branch: mean energy of the limit subspaces
     if target_energy <= sum(k.ground.limit_point[0] for k in kernels) + atol:

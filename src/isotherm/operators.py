@@ -16,12 +16,12 @@ matrices, with no matrix product.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-8
-EIGENVALUE_CLIP = 1e-12
+from .tolerances import EIGENVALUE_CLIP, HERMITICITY_ATOL, IMAGINARY_ATOL, TRACE_ATOL
 
 
 class DimensionMismatchError(ValueError):
@@ -90,7 +90,7 @@ class HermitianOperator:
 
 
 def _check_trace(tr: float):
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"state trace is {tr}, expected 1")
 
 
@@ -166,6 +166,11 @@ class DensityMatrix:
         return DensityMatrix(np.outer(v, v.conj()))
 
 
+def _is_integral(x) -> bool:
+    """An integral number: 2, 2.0 and numpy integers are; a bool is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and x % 1 == 0
+
+
 @dataclass(frozen=True)
 class SubsystemSplit:
     """Ordered tensor-factor dimensions of a composite system."""
@@ -173,6 +178,8 @@ class SubsystemSplit:
     dims: tuple
 
     def __post_init__(self):
+        if not all(map(_is_integral, self.dims)):
+            raise ValueError(f"invalid subsystem dims {tuple(self.dims)}: need integers")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid subsystem dims {dims}")
@@ -220,7 +227,7 @@ def expectation(a: HermitianOperator, rho: DensityMatrix) -> float:
     if a.dim != rho.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} != state dim {rho.dim}")
     val = _trace_product(a.entries, rho.entries)
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > IMAGINARY_ATOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
@@ -254,6 +261,9 @@ def kron_sum(*hamiltonians: HermitianOperator) -> HermitianOperator:
 def partial_trace(rho: DensityMatrix, split: SubsystemSplit, keep) -> DensityMatrix:
     """Trace out every factor not in `keep` (an iterable of factor indices)."""
     split.check(rho.dim)
+    keep = list(keep)
+    if not all(map(_is_integral, keep)):
+        raise ValueError(f"keep indices {keep} must be integers")
     keep = sorted(set(int(k) for k in keep))
     n = len(split.dims)
     if any(k < 0 or k >= n for k in keep):

@@ -37,8 +37,7 @@ from .operators import (
     random_hamiltonian,
     tensor,
 )
-
-GIBBS_ATOL = 1e-8
+from .tolerances import ENGINE_HEAT_ATOL, ENTROPY_SLACK, GIBBS_ATOL, ISENTROPIC_ATOL, LAW_SLACK
 
 
 class DegenerateEngineError(ValueError):
@@ -69,7 +68,7 @@ class ProcessRecord:
         if self.fam_a.dim != d_a or self.fam_b.dim != d_b:
             raise ValueError("local family dimensions do not match the split")
         ds = entropy(self.final) - entropy(self.initial)
-        if abs(ds) > 1e-9:
+        if abs(ds) > ISENTROPIC_ATOL:
             raise ValueError(f"process is not entropy preserving (dS = {ds:.3e})")
 
     def marginals(self, which: str = "initial") -> tuple[DensityMatrix, DensityMatrix]:
@@ -163,30 +162,6 @@ def first_law_residual(proc: ProcessRecord) -> float:
     return led.dE_A - (led.dW_A - led.dQ)
 
 
-def intrinsic_temperature_at_entropy(fam: GibbsFamily, s: float) -> float:
-    beta = intrinsic_beta(fam, s)
-    if beta == 0.0:
-        return math.inf
-    return 0.0 if math.isinf(beta) else 1.0 / beta
-
-
-def heat_integral_check(proc: ProcessRecord) -> float:
-    """Quadrature residual of dQ = int_{S_B}^{S'_B} T(s) ds with T the
-    intrinsic temperature of the thermal state of B at entropy s."""
-    from scipy.integrate import quad
-
-    s0 = entropy(proc.marginals("initial")[1])
-    s1 = entropy(proc.marginals("final")[1])
-    floor = math.log(proc.fam_b.ground_degeneracy)
-    if min(s0, s1) < floor - 1e-12:
-        raise ValueError("entropy segment crosses the degenerate sentinel region")
-    if abs(s1 - s0) < 1e-14:
-        return abs(heat(proc))
-    val, _ = quad(lambda s: intrinsic_temperature_at_entropy(proc.fam_b, s),
-                  s0, s1, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return abs(val - heat(proc))
-
-
 def is_gibbs(rho: DensityMatrix, fam: GibbsFamily) -> bool:
     return _is_gibbs_at(rho, fam, intrinsic_beta(fam, entropy(rho)))
 
@@ -205,7 +180,7 @@ def heat_bounds_check(proc: ProcessRecord) -> bool:
     led = work_ledger(proc)
     # T = 0 at beta = inf; at beta = 0, B starts maximally mixed, dS_B <= 0 and T = inf
     t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else -math.inf
-    return bool(t_ds <= led.dQ + 1e-9 and led.dQ <= led.dE_B + 1e-9)
+    return bool(t_ds <= led.dQ + LAW_SLACK and led.dQ <= led.dE_B + LAW_SLACK)
 
 
 def extractable_work(rho: DensityMatrix, fam: GibbsFamily) -> tuple[float, DensityMatrix]:
@@ -230,7 +205,7 @@ def clausius_check(proc: ProcessRecord) -> tuple[float, float, bool]:
     led = work_ledger(proc)
     lhs = (t_b - t_a) * led.dS_A
     rhs = led.dF_A + led.dF_B + t_b * led.dI - led.W
-    return lhs, rhs, bool(lhs >= rhs - 1e-9)
+    return lhs, rhs, bool(lhs >= rhs - LAW_SLACK)
 
 
 def kelvin_planck_check(proc: ProcessRecord) -> tuple[float, bool | None]:
@@ -244,7 +219,7 @@ def kelvin_planck_check(proc: ProcessRecord) -> tuple[float, bool | None]:
     corollary = None
     if (led.W < 0 and _is_gibbs_at(a0, proc.fam_a, beta_a0)
             and _is_gibbs_at(b0, proc.fam_b, beta_b0)):
-        corollary = bool(led.dQ_A + led.dQ <= led.W + 1e-9)
+        corollary = bool(led.dQ_A + led.dQ <= led.W + LAW_SLACK)
     return residual, corollary
 
 
@@ -283,7 +258,7 @@ def carnot_engine(bath_a: tuple[GibbsFamily, float, int],
     d_e_a = n_a * (boundary_energy(fam_a, beta_j) - boundary_energy(fam_a, beta_a))
     d_e_b = n_b * (boundary_energy(fam_b, beta_j) - boundary_energy(fam_b, beta_b))
     work = -(d_e_a + d_e_b)
-    if d_e_b >= -1e-15:
+    if d_e_b >= -ENGINE_HEAT_ATOL:
         raise DegenerateEngineError("no heat drawn from the hot bath")
     # thermal in, thermal out: bound-energy changes equal energy changes
     bound_finite = 1.0 - d_e_a / (-d_e_b)
@@ -308,7 +283,7 @@ def erasure(rho_s: DensityMatrix, fam_s: GibbsFamily,
     """
     s_s = entropy(rho_s)
     s_b = entropy(rho_b)
-    if s_s > math.log(fam_b.dim) - s_b + 1e-12:
+    if s_s > math.log(fam_b.dim) - s_b + ENTROPY_SLACK:
         return False, None
     beta_final = intrinsic_beta(fam_b, s_b + s_s)
     e_after = fam_s.hamiltonian.entries[0, 0].real + boundary_energy(fam_b, beta_final)

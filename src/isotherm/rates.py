@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .diagram import DiagramPoint, state_point
 from .gibbs import GibbsFamily, _boundary_point, boundary_entropy, newton_root, spontaneous_beta
 from .operators import DensityMatrix, entropy
+from .tolerances import COINCIDENT_ATOL, PURE_SOURCE_ATOL, SOURCE_DEGENERATE_ATOL
 
 
 @dataclass(frozen=True)
@@ -36,15 +37,16 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
     x_rho = state_point(rho, fam)
     x_sigma = state_point(sigma, fam)
     de, ds = x_rho.E - x_sigma.E, x_rho.S - x_sigma.S
-    if math.hypot(de, ds) < 1e-12:
+    if math.hypot(de, ds) < COINCIDENT_ATOL:
         return RateSolution(r=1.0, phi_point=x_rho, phi_kind="thermal",
                             phi_beta=None, collinearity_residual=0.0)
     beta = spontaneous_beta(fam, x_rho.E)
     s_cap = boundary_entropy(fam, beta)
-    if min(x_rho.S, x_rho.E - fam.energy_min, fam.energy_max - x_rho.E, s_cap - x_rho.S) <= 1e-12:
+    if min(x_rho.S, x_rho.E - fam.energy_min, fam.energy_max - x_rho.E,
+           s_cap - x_rho.S) <= SOURCE_DEGENERATE_ATOL:
         # x_rho already sits on the boundary along this ray: nothing to fill
         return RateSolution(r=0.0, phi_point=x_rho, phi_kind="source-degenerate",
-                            phi_beta=None if x_rho.S <= 1e-9 else beta,
+                            phi_beta=None if x_rho.S <= PURE_SOURCE_ATOL else beta,
                             collinearity_residual=0.0)
     step = -math.copysign(1.0, de)  # the sign of d(beta) toward the wall ahead
     t_wall = ((fam.energy_min if de < 0 else fam.energy_max) - x_sigma.E) / de if de else math.inf

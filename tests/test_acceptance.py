@@ -21,15 +21,12 @@ from isotherm.charges import (
     gge_covariance,
     gge_solve,
     gge_state,
-    second_law_charges_check,
 )
 from isotherm.cli import main as cli_main
 from isotherm.energetics import (
     athermality,
     bound_energy,
     free_energy,
-    variational_athermality,
-    variational_free_energy,
 )
 from isotherm.equilibrium import equilibrate_isoenergetic, equilibrate_isoentropic
 from isotherm.gibbs import (
@@ -51,6 +48,12 @@ from isotherm.operators import (
     random_hamiltonian,
     tensor,
 )
+from isotherm.oracles import (
+    heat_integral_check,
+    second_law_charges_check,
+    variational_athermality,
+    variational_free_energy,
+)
 from isotherm.processes import (
     DegenerateEngineError,
     ProcessRecord,
@@ -58,7 +61,6 @@ from isotherm.processes import (
     clausius_check,
     extractable_work,
     first_law_residual,
-    heat_integral_check,
     kelvin_planck_check,
     random_process,
     work_ledger,
@@ -155,7 +157,7 @@ def test_03_bound_free_energy_properties():
 
 
 def test_04_variational_forms():
-    from isotherm.energetics import default_beta_grid, symmetric_beta_grid
+    from isotherm.oracles import default_beta_grid, symmetric_beta_grid
 
     def within_one_step(grid, arg, target):
         i = int(np.argmin(np.abs(grid - arg)))

@@ -38,7 +38,6 @@ from isotherm.charges import (
     gge_log_partition,
     gge_solve,
     gge_state,
-    second_law_charges_check,
 )
 from isotherm.energetics import bound_energy, relative_entropy
 from isotherm.gibbs import (
@@ -60,6 +59,7 @@ from isotherm.operators import (
     spectrum_entropy,
     tensor,
 )
+from isotherm.oracles import second_law_charges_check
 
 
 PINNED = Path(__file__).parent / "data" / "charges_pinned.json"

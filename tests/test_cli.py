@@ -360,6 +360,9 @@ SCHEMA_ERRORS = {
     "gge-wrong-length": ("charges {sys} {state}", CHARGED, {"gge": {"beta_vec": [0.8]}}),
     "state-without-key": ("info {sys} {state}", QUBIT, {"probabilities": [0.1, 0.9]}),
     "laws-dims-unparsable": ("laws --dims 2by2", None, None),
+    "boundary-points-too-few": ("boundary {sys} --points 2 -o {sys}.csv", QUBIT, None),
+    "boundary-beta-range-reversed": ("boundary {sys} --beta-min 5 --beta-max 1 -o {sys}.csv",
+                                     QUBIT, None),
 }
 
 
@@ -376,6 +379,19 @@ class TestSchemaErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("schema error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [["--points", "2"], ["--beta-min", "5", "--beta-max", "1"],
+                                       ["--beta-min", "1", "--beta-max", "1"]])
+    def test_boundary_flags_checked_before_any_work(self, flags, monkeypatch, tmp_path,
+                                                    capsys):
+        def no_load(path):
+            raise AssertionError("system file loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_system", no_load)
+        out = tmp_path / "d.csv"
+        assert main(["boundary", "sys.json", *flags, "-o", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_integral_float_dim_accepted(self, p91_state, tmp_path, capsys):
         system = state_file(tmp_path, "sys.json", {**QUBIT, "dim": 2.0})

@@ -10,14 +10,9 @@ from isotherm.energetics import (
     beta_athermality,
     beta_free_energy,
     bound_energy,
-    default_beta_grid,
     free_energy,
     relative_entropy,
-    relative_entropy_check,
     report,
-    symmetric_beta_grid,
-    variational_athermality,
-    variational_free_energy,
 )
 from isotherm.gibbs import (
     GibbsFamily,
@@ -34,6 +29,13 @@ from isotherm.operators import (
     expectation,
     random_density,
     random_hamiltonian,
+)
+from isotherm.oracles import (
+    default_beta_grid,
+    relative_entropy_check,
+    symmetric_beta_grid,
+    variational_athermality,
+    variational_free_energy,
 )
 
 LN9 = math.log(9)

@@ -9,9 +9,7 @@ from isotherm import equilibrium
 from isotherm.equilibrium import (
     equilibrate_isoenergetic,
     equilibrate_isoentropic,
-    is_equilibrium,
     joint_family,
-    lemma3_check,
 )
 from isotherm.gibbs import (
     GibbsFamily,
@@ -34,6 +32,7 @@ from isotherm.operators import (
     random_hamiltonian,
     tensor,
 )
+from isotherm.oracles import is_equilibrium, lemma3_check
 
 # frozen oracle: gap-1 qubits with populations (0.9, 0.1) and (0.7, 0.3),
 # i.e. beta = ln 9 and ln(7/3), equilibrating iso-entropically

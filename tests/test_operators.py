@@ -54,6 +54,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="invalid subsystem dims"):
             SubsystemSplit(dims)
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (True, 2), (2, False), (2, math.inf),
+                                      (2, math.nan), ("2", 2)])
+    def test_split_rejects_non_integral_dims(self, dims):
+        with pytest.raises(ValueError, match="invalid subsystem dims"):
+            SubsystemSplit(dims)
+
+    def test_split_accepts_integral_floats_and_numpy_integers(self):
+        assert SubsystemSplit((2.0, np.int64(3))).dims == (2, 3)
+        assert all(type(d) is int for d in SubsystemSplit((np.int32(2), 3.0)).dims)
+
     def test_density_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.6, 0.6]))
@@ -241,6 +251,18 @@ class TestPartialTrace:
     def test_keep_index_out_of_range(self, keep):
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(DensityMatrix.maximally_mixed(4), SubsystemSplit((2, 2)), keep)
+
+    @pytest.mark.parametrize("keep", [[0.7], [True], [0, 1.5]])
+    def test_keep_index_not_integral(self, keep):
+        with pytest.raises(ValueError, match="must be integers"):
+            partial_trace(DensityMatrix.maximally_mixed(4), SubsystemSplit((2, 2)), keep)
+
+    def test_keep_index_integral_float_and_numpy_integer(self):
+        rho = tensor(DensityMatrix.diagonal([0.9, 0.1]), DensityMatrix.maximally_mixed(2))
+        split = SubsystemSplit((2, 2))
+        expected = partial_trace(rho, split, [0]).entries
+        for keep in ([0.0], [np.int64(0)], (k for k in [0])):
+            assert np.array_equal(partial_trace(rho, split, keep).entries, expected)
 
 
 class TestMutualInformation:

@@ -19,6 +19,7 @@ from isotherm.operators import (
     random_hamiltonian,
     tensor,
 )
+from isotherm.oracles import heat_integral_check
 from isotherm.processes import (
     DegenerateEngineError,
     LedgerEntry,
@@ -30,7 +31,6 @@ from isotherm.processes import (
     first_law_residual,
     heat,
     heat_bounds_check,
-    heat_integral_check,
     is_gibbs,
     kelvin_planck_check,
     random_process,

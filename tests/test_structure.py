@@ -1,0 +1,59 @@
+"""The package's layout rules: one tolerance table and one oracle module.
+
+Every number written in e-notation with a negative exponent lives in
+`tolerances.py`; docstrings and comments are STRING and COMMENT tokens, so
+the scan passes them by. The verification routes live in `oracles.py`, which
+only the package's `__init__.py` imports, and which alone imports scipy.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "isotherm"
+MODULES = sorted(PACKAGE.glob("*.py"))
+NEGATIVE_EXPONENT = re.compile(r"[eE]-")
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every module an import statement of `path` names, relative ones with
+    their leading dots dropped, plus each `from X import name` as X.name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+def test_package_modules_found():
+    assert {"tolerances.py", "oracles.py", "gibbs.py"} <= {p.name for p in MODULES}
+
+
+def test_no_tolerance_literal_outside_the_table():
+    found = []
+    for path in MODULES:
+        if path.name == "tolerances.py":
+            continue
+        source = io.StringIO(path.read_text(encoding="utf-8"))
+        for tok in tokenize.generate_tokens(source.readline):
+            if tok.type == tokenize.NUMBER and NEGATIVE_EXPONENT.search(tok.string):
+                found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []
+
+
+def test_only_the_package_imports_the_oracles():
+    importers = {path.name for path in MODULES
+                 if any(name.split(".")[-1] == "oracles" for name in imported_modules(path))}
+    assert importers == {"__init__.py"}
+
+
+def test_scipy_only_in_the_oracles():
+    importers = {path.name for path in MODULES
+                 if any(name.split(".")[0] == "scipy" for name in imported_modules(path))}
+    assert importers == {"oracles.py"}
