@@ -39,6 +39,8 @@ EXIT_SCHEMA = 2
 EXIT_DOMAIN = 3
 EXIT_DEGENERATE = 4
 
+MAX_POINTS = 10**6  # largest `boundary --points`: the sample and CSV grow with it
+
 
 class SchemaError(Exception):
     """Input file violates the SystemSpec/StateSpec schema."""
@@ -178,8 +180,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    if args.points < 3:
-        raise SchemaError(f"--points: need at least 3, got {args.points}")
+    if not 3 <= args.points <= MAX_POINTS:
+        raise SchemaError(f"--points: need 3 to {MAX_POINTS}, got {args.points}")
     if not args.beta_min < args.beta_max:
         raise SchemaError(f"--beta-min {args.beta_min:g} is not below --beta-max "
                           f"{args.beta_max:g}")

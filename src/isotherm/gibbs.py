@@ -49,22 +49,44 @@ class ConvergenceError(ValueError):
     (`newton_root`) or the charge-polytope simplex (`charges._lp_face`)."""
 
 
-class _Branch(NamedTuple):
+class _Limit(NamedTuple):
+    """The beta -> +-inf end of a branch: the state uniform on the levels
+    within DEGENERACY_ATOL of ref, and its (E, S, Var), S = ln(degeneracy)."""
+
+    state: np.ndarray
+    point: tuple[float, float, float]
+
+
+class _Branch:
     """One sign of beta in the gap form: `ref` is the most populated level,
     eps_0 for beta >= 0 and eps_max below 0, and `gaps` = eps_i - ref over the
     other levels in ascending order, exact where Sterbenz holds (a spectrum
     narrower than its distance from 0). `powers` stacks 1, g and g^2, so one
-    matrix-vector product gives the three sums of the kernel. `limit` is the
-    beta -> +-inf state, uniform on the `degeneracy` levels within
-    DEGENERACY_ATOL of ref, and `limit_point` its (E, S, Var), S = ln(degeneracy)
-    as in intrinsic_beta's floor rule."""
+    matrix-vector product gives the three sums of the kernel. `degeneracy`
+    counts the levels within DEGENERACY_ATOL of ref, as intrinsic_beta's floor
+    rule reads it; the sentinel rules read `limit`, built on first read."""
 
-    ref: float
-    gaps: np.ndarray
-    powers: np.ndarray
-    degeneracy: int
-    limit: np.ndarray
-    limit_point: tuple[float, float, float]
+    def __init__(self, levels: np.ndarray, top: bool):
+        ref = levels[-1] if top else levels[0]
+        gaps = (levels[:-1] if top else levels[1:]) - ref
+        self._levels = levels
+        self._near = levels >= ref - DEGENERACY_ATOL if top else levels <= ref + DEGENERACY_ATOL
+        self._limit = None
+        self.degeneracy = int(np.count_nonzero(self._near))
+        powers = np.empty((3, gaps.size))
+        powers[0], powers[1], powers[2] = 1.0, gaps, gaps * gaps
+        powers.setflags(write=False)
+        self.ref, self.gaps, self.powers = float(ref), powers[1], powers
+
+    @property
+    def limit(self) -> _Limit:
+        if self._limit is None:
+            p = self._near / self.degeneracy
+            p.setflags(write=False)  # shared by every call: _populations hands it out
+            e = float(np.dot(p, self._levels))
+            dev = self._levels - e
+            self._limit = _Limit(p, (e, math.log(self.degeneracy), float(np.dot(p, dev * dev))))
+        return self._limit
 
 
 class _Kernel(NamedTuple):
@@ -77,27 +99,12 @@ class _Kernel(NamedTuple):
     var0: float
 
 
-def _branch(levels: np.ndarray, top: bool) -> _Branch:
-    ref = levels[-1] if top else levels[0]
-    gaps = (levels[:-1] if top else levels[1:]) - ref
-    near = levels >= ref - DEGENERACY_ATOL if top else levels <= ref + DEGENERACY_ATOL
-    k = int(np.count_nonzero(near))
-    p = near / k
-    e = float(np.dot(p, levels))
-    dev = levels - e
-    point = (e, math.log(k), float(np.dot(p, dev * dev)))
-    powers = np.empty((3, gaps.size))
-    powers[0], powers[1], powers[2] = 1.0, gaps, gaps * gaps
-    for a in (powers, p):  # shared by every call: _populations hands out `p`
-        a.setflags(write=False)
-    return _Branch(float(ref), powers[1], powers, k, p, point)
-
-
 @dataclass(frozen=True)
 class GibbsFamily:
     """The one-parameter family gamma(beta) = e^(-beta H)/Z of a Hamiltonian;
     `eigenvalues` is the Hamiltonian's own ascending, read-only array. The
-    constants of its gap-form kernel are built on first use and then kept."""
+    constants of its gap-form kernel are built on first use and then kept,
+    and a branch's limit state only when a sentinel beta reads it."""
 
     hamiltonian: HermitianOperator
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
@@ -110,7 +117,7 @@ class GibbsFamily:
         lv = self.eigenvalues
         mean = float(lv.sum()) / self.dim
         dev = lv - mean
-        return _Kernel(_branch(lv, top=False), _branch(lv, top=True),
+        return _Kernel(_Branch(lv, top=False), _Branch(lv, top=True),
                        mean, float(np.dot(dev, dev)) / self.dim)
 
     @property
@@ -146,7 +153,7 @@ def _populations(fam: GibbsFamily, beta: float) -> tuple[np.ndarray, float]:
     (-inf): uniform on the ground (top) subspace."""
     if math.isinf(beta):
         br = fam._kernel.ground if beta > 0 else fam._kernel.top
-        return br.limit, br.limit_point[1]
+        return br.limit.state, br.limit.point[1]
     br, w, rest, mean_gap, _ = _gap_weights(fam, beta)
     w = np.concatenate(([1.0], w) if beta >= 0 else (w, [1.0]))
     return w / (1.0 + rest), beta * mean_gap + math.log1p(rest)
@@ -183,7 +190,7 @@ def _boundary_point(fam: GibbsFamily, beta: float) -> tuple[float, float, float]
     S = beta <g> + log1p(rest) and Var = <g^2> - <g>^2. The slopes are
     dE/dbeta = -Var and dS/dbeta = -beta Var."""
     if math.isinf(beta):
-        return (fam._kernel.ground if beta > 0 else fam._kernel.top).limit_point
+        return (fam._kernel.ground if beta > 0 else fam._kernel.top).limit.point
     br, _, rest, mean_gap, mean_sq = _gap_weights(fam, beta)
     return (br.ref + mean_gap, beta * mean_gap + math.log1p(rest),
             max(mean_sq - mean_gap * mean_gap, 0.0))
@@ -322,9 +329,9 @@ def _joint_spontaneous_beta(fams: list[GibbsFamily], target_energy: float) -> fl
     atol = SENTINEL_ENERGY_RTOL * scale
     kernels = [f._kernel for f in fams]
     # floor/ceiling of the finite-beta branch: mean energy of the limit subspaces
-    if target_energy <= sum(k.ground.limit_point[0] for k in kernels) + atol:
+    if target_energy <= sum(k.ground.limit.point[0] for k in kernels) + atol:
         return math.inf
-    if target_energy >= sum(k.top.limit_point[0] for k in kernels) - atol:
+    if target_energy >= sum(k.top.limit.point[0] for k in kernels) - atol:
         return -math.inf
     # the maximally mixed limit, where a root solve alone lands a rounding speck off 0
     mean = sum(k.mean for k in kernels)

@@ -7,7 +7,12 @@ except where its eigenpairs are already known: a Gibbs or generalized Gibbs
 state takes its charges' common eigenvectors and Boltzmann weights, a tensor
 product of two states and a Kronecker sum of Hamiltonians the Kronecker
 products of their factors' eigenvectors, and a combination of commuting
-charges their common eigenbasis. Entropy keeps a near-pure state's digits:
+charges their common eigenbasis. Every Kronecker product is one broadcast
+product, `_kron`, with the same entrywise products as `np.kron`. A marginal
+of a validated state and the product of two validated states are Hermitian,
+of unit trace and positive by construction, so they are derived without a
+second validation: only the symmetrization and the spectrum's clip and
+renormalization run again. Entropy keeps a near-pure state's digits:
 the largest eigenvalue's term is taken from the sum of the others. An
 expectation Tr(A rho) is an O(d^2) entrywise pairing of two Hermitian
 matrices, with no matrix product.
@@ -113,9 +118,16 @@ class DensityMatrix:
     Eigenvalues below -1e-12 are rejected; tiny negative residue is clipped
     to zero and the spectrum renormalized. The descending spectrum is cached
     for entropy evaluations. The constructor takes it from an `eigh` of the
-    entries; (generalized) Gibbs states and tensor products of states, whose
-    eigenpairs are known, are built by `_from_eigenpairs` with the same checks
-    and no `eigh`.
+    entries; (generalized) Gibbs states, whose eigenpairs are known, are built
+    by `_from_eigenpairs` with the same checks and no `eigh`. Marginals and
+    tensor products of validated states are built by `_derived`, which skips
+    the checks their inputs already passed: a partial trace of a Hermitian,
+    unit-trace, positive matrix is all three, and so is a Kronecker product
+    of two such matrices, whose spectrum is the products of the factors'.
+    The result is exact, not an approximation of the checked route: the
+    skipped checks can only raise, and the steps kept (symmetrization, the
+    clip, renormalization and sort of the spectrum) are the same arithmetic,
+    so entries, spectrum and eigenvectors match that route bit for bit.
     """
 
     entries: np.ndarray
@@ -140,6 +152,20 @@ class DensityMatrix:
         _check_trace(w.sum())
         state = object.__new__(cls)
         state._store(a, *_state_spectrum(w, np.asarray(v, dtype=complex)))
+        return state
+
+    @classmethod
+    def _derived(cls, entries: np.ndarray, w=None, v=None) -> "DensityMatrix":
+        """The state with complex matrix `entries` derived from validated states
+        (a marginal, or a tensor product with its known eigenpairs `w`, `v`),
+        symmetrized and with `_state_spectrum`'s rules but without the
+        asymmetry, finiteness and trace checks: they hold by construction. With
+        no pairs given, they come from an `eigh`."""
+        a = (entries + entries.conj().T) / 2
+        if w is None:
+            w, v = np.linalg.eigh(a)
+        state = object.__new__(cls)
+        state._store(a, *_state_spectrum(w, v))
         return state
 
     def _store(self, a: np.ndarray, spectrum: np.ndarray, v: np.ndarray):
@@ -187,7 +213,7 @@ class SubsystemSplit:
 
     @property
     def joint_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def check(self, dim: int):
         if self.joint_dim != dim:
@@ -232,12 +258,20 @@ def expectation(a: HermitianOperator, rho: DensityMatrix) -> float:
     return float(val.real)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or two matrices, as one broadcast product: the
+    same entrywise products a_ij b_kl, without np.kron's generic reshaping."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).ravel()
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states; joint Hamiltonians come from `kron_sum`."""
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix._from_eigenpairs(np.kron(a.entries, b.entries),
-                                              np.kron(a.spectrum, b.spectrum),
-                                              np.kron(a.eigenvectors, b.eigenvectors))
+        return DensityMatrix._derived(_kron(a.entries, b.entries), _kron(a.spectrum, b.spectrum),
+                                      _kron(a.eigenvectors, b.eigenvectors))
     raise TypeError("tensor expects two DensityMatrix")
 
 
@@ -249,12 +283,11 @@ def kron_sum(*hamiltonians: HermitianOperator) -> HermitianOperator:
     total = None
     levels, vecs = np.zeros(1), np.ones((1, 1))
     for i, h in enumerate(hamiltonians):
-        left = int(np.prod(dims[:i], dtype=int))
-        right = int(np.prod(dims[i + 1:], dtype=int))
-        term = np.kron(np.kron(np.eye(left), h.entries), np.eye(right))
+        left, right = math.prod(dims[:i]), math.prod(dims[i + 1:])
+        term = _kron(_kron(np.eye(left), h.entries), np.eye(right))
         total = term if total is None else total + term
         levels = np.add.outer(levels, h.eigenvalues).ravel()
-        vecs = np.kron(vecs, h.eigenvectors)
+        vecs = _kron(vecs, h.eigenvectors)
     return HermitianOperator._from_eigenpairs(total, levels, vecs)
 
 
@@ -277,8 +310,8 @@ def partial_trace(rho: DensityMatrix, split: SubsystemSplit, keep) -> DensityMat
             nd = t.ndim
             t = np.trace(t, axis1=ax, axis2=ax + nd // 2)
             traced += 1
-    d_keep = int(np.prod([dims[k] for k in keep], dtype=int))
-    return DensityMatrix(t.reshape(d_keep, d_keep))
+    d_keep = math.prod(dims[k] for k in keep)
+    return DensityMatrix._derived(t.reshape(d_keep, d_keep))
 
 
 def mutual_information(rho_ab: DensityMatrix, split: SubsystemSplit) -> float:

@@ -361,6 +361,8 @@ SCHEMA_ERRORS = {
     "state-without-key": ("info {sys} {state}", QUBIT, {"probabilities": [0.1, 0.9]}),
     "laws-dims-unparsable": ("laws --dims 2by2", None, None),
     "boundary-points-too-few": ("boundary {sys} --points 2 -o {sys}.csv", QUBIT, None),
+    "boundary-points-too-many": ("boundary {sys} --points 100000000000000000000 -o {sys}.csv",
+                                 QUBIT, None),
     "boundary-beta-range-reversed": ("boundary {sys} --beta-min 5 --beta-max 1 -o {sys}.csv",
                                      QUBIT, None),
 }
@@ -380,7 +382,8 @@ class TestSchemaErrors:
         assert captured.err.startswith("schema error:")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flags", [["--points", "2"], ["--beta-min", "5", "--beta-max", "1"],
+    @pytest.mark.parametrize("flags", [["--points", "2"], ["--points", str(cli.MAX_POINTS + 1)],
+                                       ["--beta-min", "5", "--beta-max", "1"],
                                        ["--beta-min", "1", "--beta-max", "1"]])
     def test_boundary_flags_checked_before_any_work(self, flags, monkeypatch, tmp_path,
                                                     capsys):

@@ -359,6 +359,15 @@ class TestLimitEntropy:
             assert boundary_entropy(fam, beta) == math.log(k)
             assert _populations(fam, beta)[1] == math.log(k)
 
+    def test_finite_intrinsic_solve_builds_no_limit_state(self):
+        # the floor rule reads only the degeneracy; the limit waits for a sentinel
+        fam = GibbsFamily(HermitianOperator.diagonal([0.0, 0.0, 1.0, 2.0]))
+        assert 0.0 < intrinsic_beta(fam, 1.0) < math.inf
+        ground, top = fam._kernel.ground, fam._kernel.top
+        assert ground._limit is None and top._limit is None
+        assert boundary_entropy(fam, math.inf) == LN2
+        assert ground._limit is not None and top._limit is None
+
 
 class TestBoundaryCurve:
     def test_matches_state_functions(self, qutrit):

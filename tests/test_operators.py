@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isotherm import operators
 from isotherm.gibbs import gibbs_state
 from isotherm.operators import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
     SubsystemSplit,
+    _kron,
     entropy,
     expectation,
     ginibre_matrix,
@@ -263,6 +266,121 @@ class TestPartialTrace:
         expected = partial_trace(rho, split, [0]).entries
         for keep in ([0.0], [np.int64(0)], (k for k in [0])):
             assert np.array_equal(partial_trace(rho, split, keep).entries, expected)
+
+
+def old_partial_trace(rho, split, keep):
+    """The validated route `partial_trace` replaced: the np.trace loop over the
+    traced factors, then the public constructor."""
+    dims = list(split.dims)
+    t = rho.entries.reshape(dims + dims)
+    traced = 0
+    for i in range(len(dims)):
+        if i not in keep:
+            ax = i - traced
+            t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+            traced += 1
+    d_keep = int(np.prod([dims[k] for k in keep], dtype=int))
+    return DensityMatrix(t.reshape(d_keep, d_keep))
+
+
+def old_tensor(a, b):
+    """The validated route `tensor` replaced: np.kron, then `_from_eigenpairs`."""
+    return DensityMatrix._from_eigenpairs(np.kron(a.entries, b.entries),
+                                          np.kron(a.spectrum, b.spectrum),
+                                          np.kron(a.eigenvectors, b.eigenvectors))
+
+
+def assert_same_state(state, ref):
+    for name in ("entries", "spectrum", "eigenvectors"):
+        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+SPLITS = [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2)]
+
+
+def haar_states(dim, rng):
+    """A Haar pure state, a full-rank and a rank-2 Hilbert-Schmidt state."""
+    return [DensityMatrix.pure(haar_unitary(dim, rng)[:, 0]), random_density(dim, rng),
+            random_density(dim, rng, rank=2)]
+
+
+def degenerate_states(dims, cases, rng):
+    """Products of Gibbs states of `degenerate_cases` families on the factors of
+    `dims`, as they are and turned by a joint Haar unitary, which keeps their
+    degenerate spectra and correlates the factors."""
+    states = []
+    for parts in zip(*(cases[d] for d in dims)):
+        product = parts[0]
+        for part in parts[1:]:
+            product = old_tensor(product, part)
+        u = haar_unitary(product.dim, rng)
+        states += [product, DensityMatrix(u @ product.entries @ u.conj().T)]
+    return states
+
+
+@pytest.fixture
+def degenerate_by_dim(degenerate_cases):
+    by_dim = {}
+    for fam, beta in degenerate_cases(60, 4):
+        by_dim.setdefault(fam.dim, []).append(gibbs_state(fam, beta))
+    return by_dim
+
+
+class TestDerivedStates:
+    """The broadcast Kronecker product and the derived marginals and products
+    against the routes they replaced, byte for byte."""
+
+    @pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (float, complex)],
+                             ids=["real", "complex", "mixed"])
+    def test_kron_matches_numpy(self, rng, dtypes):
+        def draw(shape, dtype):
+            x = rng.standard_normal(shape)
+            x = x + 1j * rng.standard_normal(shape) if dtype is complex else x
+            x.flat[0] = -0.0  # signed zeros keep their signs
+            return x
+
+        shapes = [(1,), (3,), (8,), (1, 1), (2, 3), (4, 4), (8, 8), (5, 2)]
+        for shape_a, shape_b in itertools.product(shapes, repeat=2):
+            if len(shape_a) == len(shape_b):
+                a, b = draw(shape_a, dtypes[0]), draw(shape_b, dtypes[1])
+                expected = np.kron(a, b)
+                assert _kron(a, b).shape == expected.shape
+                assert _kron(a, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dims", SPLITS, ids=str)
+    def test_marginals_match_validated_route(self, dims, rng, degenerate_by_dim):
+        split = SubsystemSplit(dims)
+        n = len(dims)
+        keeps = [list(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+        states = haar_states(split.joint_dim, rng) + degenerate_states(dims, degenerate_by_dim, rng)
+        for rho in states:
+            for keep in keeps:
+                assert_same_state(partial_trace(rho, split, keep),
+                                  old_partial_trace(rho, split, keep))
+
+    @pytest.mark.parametrize("dims", SPLITS, ids=str)
+    def test_products_match_validated_route(self, dims, rng, degenerate_by_dim):
+        factors = [haar_states(d, rng) + degenerate_by_dim[d][:8] for d in dims]
+        for parts in zip(*factors):
+            new, old = parts[0], parts[0]
+            for part in parts[1:]:
+                new, old = tensor(new, part), old_tensor(old, part)
+                assert_same_state(new, old)
+
+    def test_derived_states_skip_second_validation(self, rng, monkeypatch):
+        rho = random_density(6, rng)
+        calls = []
+        checked = operators._hermitian_entries
+
+        def counting(*args):
+            calls.append(args[1])
+            return checked(*args)
+
+        monkeypatch.setattr(operators, "_hermitian_entries", counting)
+        split = SubsystemSplit((2, 3))
+        rho_a, rho_b = partial_trace(rho, split, [0]), partial_trace(rho, split, [1])
+        tensor(rho_a, rho_b)
+        assert calls == []
 
 
 class TestMutualInformation:

@@ -1,9 +1,11 @@
-"""The package's layout rules: one tolerance table and one oracle module.
+"""The package's layout rules: one tolerance table, one oracle module and one
+Kronecker route.
 
 Every number written in e-notation with a negative exponent lives in
 `tolerances.py`; docstrings and comments are STRING and COMMENT tokens, so
 the scan passes them by. The verification routes live in `oracles.py`, which
 only the package's `__init__.py` imports, and which alone imports scipy.
+Every Kronecker product goes through `operators._kron`.
 """
 
 import ast
@@ -57,3 +59,12 @@ def test_scipy_only_in_the_oracles():
     importers = {path.name for path in MODULES
                  if any(name.split(".")[0] == "scipy" for name in imported_modules(path))}
     assert importers == {"oracles.py"}
+
+
+def test_no_numpy_kron_call():
+    # np.kron(...) and a bare kron(...) imported from numpy alike
+    calls = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "kron"]
+    assert calls == []
