@@ -216,10 +216,14 @@ def _gge_weights(fam: GGEFamily, beta_vec) -> np.ndarray:
 
 
 def gge_state(fam: GGEFamily, beta_vec) -> DensityMatrix:
-    """gamma(beta_vec) = e^(-sum_k beta_k L_k) / Z in the common eigenbasis."""
+    """gamma(beta_vec) = e^(-sum_k beta_k L_k) / Z in the common eigenbasis;
+    a non-finite beta_vec raises ValueError."""
+    beta_vec = np.asarray(beta_vec, dtype=float)
+    if not np.isfinite(beta_vec).all():
+        raise ValueError(f"beta_vec {beta_vec} is not finite")
     w = _gge_weights(fam, beta_vec)
     v = fam.basis
-    return DensityMatrix._from_eigenpairs((v * w) @ v.conj().T, w, v)
+    return DensityMatrix._derived((v * w) @ v.conj().T, w, v)
 
 
 def gge_log_partition(fam: GGEFamily, beta_vec) -> float:
@@ -299,39 +303,36 @@ def _pivot(t: np.ndarray, basis: np.ndarray, i: int, j: int):
     basis[i] = j
 
 
-def _lp_face(c, a_eq, b_eq, n_free: int = 0):
-    """min c.x subject to a_eq x = b_eq, x >= 0 but for the last n_free
-    entries, by a dense two-phase simplex (`_simplex`; a free entry is split
-    as x+ - x-): the equality duals y, from B^T y = c_B on the optimal basis
-    B, and the mask of the bounded entries on the optimal face, whose reduced
-    cost c - A^T y is at most FACE_RTOL of the largest; None if the LP is
+def _lp_face(c, a_eq, b_eq):
+    """min c.x subject to a_eq x = b_eq, x >= 0, by a dense two-phase simplex
+    (`_simplex`): the equality duals y, from B^T y = c_B on the optimal basis
+    B, and the mask of the entries on the optimal face, whose reduced cost
+    c - A^T y is at most FACE_RTOL of the largest; None if the LP is
     unbounded. Raises InfeasibleTargetError if it is infeasible."""
     c, a_eq, b_eq = (np.asarray(x, dtype=float) for x in (c, a_eq, b_eq))
-    (m, n), n_bounded = a_eq.shape, len(c) - n_free
+    m, n = a_eq.shape
     sign = np.where(b_eq < 0, -1.0, 1.0)
-    # columns: x, the negated free ones, then one artificial per row
-    a = np.hstack([a_eq, -a_eq[:, n_bounded:], np.diag(sign)])
-    cost = np.concatenate([c, -c[n_bounded:], np.zeros(m)])
-    cols = n + n_free
+    a = np.hstack([a_eq, np.diag(sign)])  # x, then one artificial per row
+    cost = np.concatenate([c, np.zeros(m)])
     tol = PIVOT_TOL * max(np.abs(a_eq).max(), np.abs(c).max())
-    t = np.zeros((m + 1, cols + m + 1))
+    t = np.zeros((m + 1, n + m + 1))
     t[:m, :-1] = sign[:, None] * a  # rows flipped to b >= 0: the artificials are the basis
     t[:m, -1] = sign * b_eq
-    t[-1, :cols] = -t[:m, :cols].sum(axis=0)  # phase 1: min the sum of the artificials
+    t[-1, :n] = -t[:m, :n].sum(axis=0)  # phase 1: min the sum of the artificials
     t[-1, -1] = -t[:m, -1].sum()
-    basis = np.arange(cols, cols + m)
-    _simplex(t, basis, cols, tol)
+    basis = np.arange(n, n + m)
+    _simplex(t, basis, n, tol)
     if t[-1, -1] < -tol:
         raise InfeasibleTargetError("charge polytope LP is infeasible")
-    for i in np.flatnonzero(basis >= cols):  # drive out artificials basic at zero
-        nonzero = np.flatnonzero(np.abs(t[i, :cols]) > tol)
+    for i in np.flatnonzero(basis >= n):  # drive out artificials basic at zero
+        nonzero = np.flatnonzero(np.abs(t[i, :n]) > tol)
         if nonzero.size:  # else row i is redundant and its artificial stays at zero
             _pivot(t, basis, i, nonzero[0])
     t[-1] = np.append(cost, 0.0) - cost[basis] @ t[:m]  # phase 2: min c.x
-    if not _simplex(t, basis, cols, tol):
+    if not _simplex(t, basis, n, tol):
         return None
     y = np.linalg.solve(a[:, basis].T, cost[basis])
-    reduced = c[:n_bounded] - a_eq[:, :n_bounded].T @ y
+    reduced = c - a_eq.T @ y
     return y, reduced <= FACE_RTOL * reduced.max()
 
 
@@ -477,7 +478,7 @@ def _lp_floor(fam: GGEFamily, k: int, pt: ChargesPoint) -> BoundChargeSolution |
     return BoundChargeSolution(
         value=value,
         free_charge=float(pt.L[k] - value),
-        gamma=DensityMatrix(fam.basis @ mixed(x) @ fam.basis.conj().T),
+        gamma=DensityMatrix._derived(fam.basis @ mixed(x) @ fam.basis.conj().T),
         beta_vec=np.where(limit == 0, 0.0, np.copysign(math.inf, limit)),
         certified=True,
     )
@@ -514,12 +515,14 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec) -> tuple[float, 
     iso-entropic states: treat V_mu as an effective Hamiltonian and apply
     the min-energy principle; mu >= 0 is scaled to unit norm first."""
     mu = np.asarray(mu_vec, dtype=float)
+    if not np.isfinite(mu).all():
+        raise ValueError("mu components must be finite")
     if np.any(mu < 0):
         raise ValueError("mu components must be nonnegative")
     if not mu.any():
         raise ValueError("mu must have a nonzero component")
     mu = mu / np.linalg.norm(mu)
-    h_eff = HermitianOperator._from_eigenpairs(
+    h_eff = HermitianOperator._derived(
         sum(m * op.entries for m, op in zip(mu, fam.charge_set.charges)),
         mu @ fam.joint_eigenvalues, fam.basis)
     eff = GibbsFamily(h_eff)
@@ -563,10 +566,10 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         return source_degenerate
     a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
     b_eq = np.append(x_sigma.L, 1.0)
-    lp = _lp_face(-np.eye(fam.dim + 1)[-1], a_eq, b_eq, n_free=1)
+    lp = _lp_face(-np.eye(fam.dim + 1)[-1], a_eq, b_eq)  # t >= 0: sigma itself is feasible
     t_wall, gap_wall = math.inf, -math.inf
     if lp is not None:  # t_wall to rounding, from the equalities on the face
-        face = np.append(lp[1], True)
+        face = lp[1]
         t_wall = float(np.linalg.lstsq(a_eq[:, face], b_eq, rcond=None)[0][-1])
         if t_wall <= 1.0:  # rho on a wall face: the ray leaves at t = 1
             return source_degenerate

@@ -161,10 +161,12 @@ def _populations(fam: GibbsFamily, beta: float) -> tuple[np.ndarray, float]:
 
 def gibbs_state(fam: GibbsFamily, beta: float) -> DensityMatrix:
     """gamma(beta) = e^(-beta H)/Z; sentinel +-inf gives the uniform mixture
-    on the ground/top eigenspace."""
+    on the ground/top eigenspace; a NaN beta raises ValueError."""
+    if math.isnan(beta):
+        raise ValueError("beta is NaN")
     v = fam.hamiltonian.eigenvectors
     w = _populations(fam, beta)[0]
-    return DensityMatrix._from_eigenpairs((v * w) @ v.conj().T, w, v)
+    return DensityMatrix._derived((v * w) @ v.conj().T, w, v)
 
 
 def log_partition(fam: GibbsFamily, beta: float) -> float:

@@ -2,17 +2,18 @@
 
 All logarithms are natural (entropy in nats) and temperature carries energy
 units (k_B = 1). Dimensions are desk-scale (d <= 64); everything is stored
-dense. A state or operator is eigendecomposed with LAPACK when it is built,
-except where its eigenpairs are already known: a Gibbs or generalized Gibbs
-state takes its charges' common eigenvectors and Boltzmann weights, a tensor
-product of two states and a Kronecker sum of Hamiltonians the Kronecker
-products of their factors' eigenvectors, and a combination of commuting
-charges their common eigenbasis. Every Kronecker product is one broadcast
-product, `_kron`, with the same entrywise products as `np.kron`. A marginal
-of a validated state and the product of two validated states are Hermitian,
-of unit trace and positive by construction, so they are derived without a
-second validation: only the symmetrization and the spectrum's clip and
-renormalization run again. Entropy keeps a near-pure state's digits:
+dense. Each class has one checked and one trusted constructor. The public
+constructor takes outside data: it rejects a non-square, non-finite or
+non-Hermitian matrix (a state also a trace off 1 or a negative eigenvalue)
+and takes the eigenpairs from an `eigh`. `_derived` takes data derived from
+validated objects and keeps only the symmetrization and, for a state, the
+spectrum's clip and renormalization: a (generalized) Gibbs state and a
+combination of commuting charges take their common eigenvectors, a tensor
+product and a Kronecker sum the Kronecker products of their factors'
+eigenpairs, and a marginal an `eigh`. An outside number that reaches such a
+build, such as a temperature, is checked where it enters.
+Every Kronecker product is one broadcast product, `_kron`, with the same
+entrywise products as `np.kron`. Entropy keeps a near-pure state's digits:
 the largest eigenvalue's term is taken from the sum of the others. An
 expectation Tr(A rho) is an O(d^2) entrywise pairing of two Hermitian
 matrices, with no matrix product.
@@ -50,12 +51,12 @@ def _hermitian_entries(entries, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A validated Hermitian matrix (observable or Hamiltonian).
+    """A Hermitian matrix (observable or Hamiltonian) with its eigenpairs.
 
-    Entries are symmetrized at construction; non-finite entries and
-    asymmetry beyond 1e-8 are rejected. Eigenvalues (ascending) and
-    eigenvectors are cached: the constructor takes them from an `eigh`, and
-    operators whose eigenpairs are known are built by `_from_eigenpairs`.
+    The constructor is the checked route: entries are symmetrized, and
+    non-finite entries or asymmetry beyond 1e-8 are rejected; the eigenvalues
+    (ascending) and eigenvectors come from an `eigh`. `_derived` is the
+    trusted route for an operator whose eigenpairs the library already knows.
     """
 
     entries: np.ndarray
@@ -67,17 +68,14 @@ class HermitianOperator:
         self._store(a, *np.linalg.eigh(a))
 
     @classmethod
-    def _from_eigenpairs(cls, entries, w, v) -> "HermitianOperator":
-        """The operator with matrix `entries` = (v * w) @ v^dag, for known real
-        eigenvalues `w` and unitary `v`, checked like the `eigh` route (square,
-        finite, Hermitian) without an `eigh`; the pairs are kept in ascending
-        order, as `eigh` returns them. The caller vouches that they belong to
-        `entries`."""
-        a = _hermitian_entries(entries, "matrix")
-        w = np.asarray(w, dtype=float)
+    def _derived(cls, entries: np.ndarray, w: np.ndarray, v: np.ndarray) -> "HermitianOperator":
+        """The operator with complex matrix `entries` = (v * w) @ v^dag, for
+        known real eigenvalues `w` and unitary `v` derived from validated
+        operators, symmetrized but not re-checked; the pairs are kept in
+        ascending order, as `eigh` returns them."""
         order = np.argsort(w)
         op = object.__new__(cls)
-        op._store(a, w[order], np.asarray(v, dtype=complex)[:, order])
+        op._store((entries + entries.conj().T) / 2, w[order], v[:, order])
         return op
 
     def _store(self, a: np.ndarray, w: np.ndarray, v: np.ndarray):
@@ -113,21 +111,22 @@ def _state_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state: finite, Hermitian, unit trace, positive.
+    """A quantum state: finite, Hermitian, unit trace, positive.
 
     Eigenvalues below -1e-12 are rejected; tiny negative residue is clipped
     to zero and the spectrum renormalized. The descending spectrum is cached
-    for entropy evaluations. The constructor takes it from an `eigh` of the
-    entries; (generalized) Gibbs states, whose eigenpairs are known, are built
-    by `_from_eigenpairs` with the same checks and no `eigh`. Marginals and
-    tensor products of validated states are built by `_derived`, which skips
-    the checks their inputs already passed: a partial trace of a Hermitian,
-    unit-trace, positive matrix is all three, and so is a Kronecker product
-    of two such matrices, whose spectrum is the products of the factors'.
-    The result is exact, not an approximation of the checked route: the
-    skipped checks can only raise, and the steps kept (symmetrization, the
-    clip, renormalization and sort of the spectrum) are the same arithmetic,
-    so entries, spectrum and eigenvectors match that route bit for bit.
+    for entropy evaluations. The constructor is the checked route for
+    outside data: it runs every check and takes the spectrum from an `eigh`.
+    `_derived` is the trusted route for a state derived from validated data:
+    a (generalized) Gibbs state, whose weights are normalized and finite once
+    its temperatures are, a marginal, and a tensor product. A partial trace
+    of a Hermitian, unit-trace, positive matrix is all three, and so is a
+    Kronecker product of two such matrices, whose spectrum is the products
+    of the factors'. The result is exact, not an approximation of the
+    checked route: the skipped checks can only raise, and the steps kept
+    (symmetrization, the clip, renormalization and sort of the spectrum) are
+    the same arithmetic, so entries, spectrum and eigenvectors match that
+    route bit for bit.
     """
 
     entries: np.ndarray
@@ -140,27 +139,11 @@ class DensityMatrix:
         self._store(a, *_state_spectrum(*np.linalg.eigh(a)))
 
     @classmethod
-    def _from_eigenpairs(cls, entries, w, v) -> "DensityMatrix":
-        """The state with matrix `entries` = (v * w) @ v^dag, for a known real
-        spectrum `w` and unitary `v`, checked like the `eigh` route (finite,
-        trace within 1e-10, no eigenvalue below -EIGENVALUE_CLIP) without an
-        `eigh`. The caller vouches that the pairs belong to `entries`."""
-        a = _hermitian_entries(entries, "state")
-        w = np.asarray(w, dtype=float)
-        if not np.isfinite(w).all():
-            raise ValueError("state has non-finite eigenvalues")
-        _check_trace(w.sum())
-        state = object.__new__(cls)
-        state._store(a, *_state_spectrum(w, np.asarray(v, dtype=complex)))
-        return state
-
-    @classmethod
     def _derived(cls, entries: np.ndarray, w=None, v=None) -> "DensityMatrix":
-        """The state with complex matrix `entries` derived from validated states
-        (a marginal, or a tensor product with its known eigenpairs `w`, `v`),
+        """The state with complex matrix `entries` derived from validated data
+        (with its known real spectrum `w` and unitary `v`, or else an `eigh`),
         symmetrized and with `_state_spectrum`'s rules but without the
-        asymmetry, finiteness and trace checks: they hold by construction. With
-        no pairs given, they come from an `eigh`."""
+        asymmetry, finiteness and trace checks: they hold by construction."""
         a = (entries + entries.conj().T) / 2
         if w is None:
             w, v = np.linalg.eigh(a)
@@ -288,7 +271,7 @@ def kron_sum(*hamiltonians: HermitianOperator) -> HermitianOperator:
         total = term if total is None else total + term
         levels = np.add.outer(levels, h.eigenvalues).ravel()
         vecs = _kron(vecs, h.eigenvectors)
-    return HermitianOperator._from_eigenpairs(total, levels, vecs)
+    return HermitianOperator._derived(total, levels, vecs)
 
 
 def partial_trace(rho: DensityMatrix, split: SubsystemSplit, keep) -> DensityMatrix:

@@ -307,6 +307,6 @@ def random_process(dims: tuple[int, int], rng: np.random.Generator,
     else:
         initial = random_density(d_a * d_b, rng)
     u = haar_unitary(d_a * d_b, rng)
-    final = DensityMatrix(u @ initial.entries @ u.conj().T)
+    final = DensityMatrix._derived(u @ initial.entries @ u.conj().T)
     return ProcessRecord(initial=initial, final=final, split=split,
                          fam_a=fam_a, fam_b=fam_b)

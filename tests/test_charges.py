@@ -21,6 +21,7 @@ from isotherm.charges import (
     _ascend,
     _boltzmann_weights,
     _covariance,
+    _decrement_stop,
     _face_max_entropy,
     _gge_weights,
     _gradient_stop,
@@ -249,6 +250,15 @@ class TestGGEState:
         for state in states + [gamma]:
             assert_matches_eigh_route(state)
 
+    @pytest.mark.parametrize("beta_vec", [[math.inf, 0.0], [math.nan, 0.0], [0.3, -math.inf]],
+                             ids=["inf", "nan", "minus-inf"])
+    def test_rejects_non_finite_beta_vec(self, charge_family, beta_vec):
+        # checked where it enters, before any weight is taken: no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta_vec .* is not finite"):
+                gge_state(charge_family, beta_vec)
+
     def test_charges_and_entropy_consistent(self, charge_family):
         beta = np.array([0.7, -0.4])
         rho = gge_state(charge_family, beta)
@@ -375,6 +385,26 @@ class TestBoundCharge:
         assert gpt.L[1] == pytest.approx(pt.L[1], abs=1e-7)
         assert sol.value <= pt.L[0] + 1e-9
 
+    def test_cold_start_when_the_hot_start_fails(self, charge_family, rng, monkeypatch):
+        # the hot start's ascent at rho's other charges raised on no input
+        # found (boundary charges included: its lax stop is met on the way
+        # out), so it is made to raise here; the bound slice then starts at
+        # lambda = 0, nu = ptp(L_0), and reaches the same maximizer
+        rho = random_density(4, rng)
+        hot = bound_charge(rho, charge_family, 0)
+        max_entropy = charges_module._max_entropy
+
+        def hot_start_fails(levels, target, stop=None):
+            if stop is not None:
+                raise InfeasibleTargetError("no hot start")
+            return max_entropy(levels, target)
+
+        monkeypatch.setattr(charges_module, "_max_entropy", hot_start_fails)
+        cold = bound_charge(rho, charge_family, 0)
+        assert math.isfinite(hot.beta_vec[0])  # the active branch, not the LP floor
+        assert cold.value == pytest.approx(hot.value, abs=1e-12)
+        assert cold.beta_vec == pytest.approx(hot.beta_vec, rel=1e-8)
+
     def test_certificate_sign(self, charge_family, rng):
         rho = random_density(4, rng)
         sol = bound_charge(rho, charge_family, 0, rng=rng)
@@ -410,6 +440,14 @@ class TestBoundPotential:
     def test_rejects_negative_weights(self, charge_family, rng):
         with pytest.raises(ValueError):
             bound_potential(random_density(4, rng), charge_family, [1.0, -0.5])
+
+    @pytest.mark.parametrize("mu", [[math.nan, 1.0], [math.inf, 1.0]], ids=["nan", "inf"])
+    def test_rejects_non_finite_weights(self, charge_family, rng, mu):
+        rho = random_density(4, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mu components must be finite"):
+                bound_potential(rho, charge_family, mu)
 
     def test_rejects_zero_weights(self, charge_family, rng):
         with pytest.raises(ValueError, match="mu must have a nonzero component"):
@@ -479,6 +517,24 @@ class TestChargesRate:
         assert (sol.r, sol.phi_kind) == (0.0, "source-degenerate")
         single = conversion_rate(rho, sigma, GibbsFamily(h))
         assert (single.r, single.phi_kind) == (0.0, "source-degenerate")
+
+    @pytest.mark.parametrize("p", [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.3, 0.7],
+                                   [0.5, 0.0, 0.0, 0.5]])
+    def test_source_charges_on_the_boundary(self, p):
+        # rho's charges on the edge L_0 = max of the polytope: the ray from the
+        # maximally mixed sigma leaves there, r = 0. At unit 1e8 the levels'
+        # rounding exceeds NEWTON_TOL, so the max-entropy ascent at rho's
+        # charges raises; at unit 1 it converges. Both read source-degenerate
+        sigma = DensityMatrix.maximally_mixed(4)
+        for unit in (1.0, 1e8):
+            ells = np.array([[2.0, 0.0, 2.0, 2.0], [3.0, 0.0, 1.0, 0.0]]) * unit
+            fam = GGEFamily(ChargeSet(tuple(HermitianOperator.diagonal(row) for row in ells)))
+            rho = DensityMatrix.diagonal(p)
+            if unit > 1:
+                with pytest.raises(InfeasibleTargetError):
+                    _max_entropy(ells, charges_point(rho, fam).L)
+            sol = conversion_rate_charges(rho, sigma, fam)
+            assert (sol.r, sol.phi_kind) == (0.0, "source-degenerate")
 
     def test_equal_charges_rising_entropy(self, qutrit, single_charge_family, charge_family):
         # a vertical ray (no t_pure, no wall) exits on the thermal surface
@@ -611,6 +667,21 @@ class TestMaxEntropy:
                 _ascend(np.zeros(3), levels, np.array([0.99938968]), 0.0,
                         np.array([709.45259616, 1.0]), np.eye(2, 1), _gradient_stop)
 
+    def test_singular_covariance_at_the_maximizer_is_accepted(self):
+        # a flat lone charge at its level, on the bound slice at S = ln 2: the
+        # start is the maximizer (uniform p, zero gradient), and the covariance
+        # of [levels; -x] is zero, so no Newton step exists. The decrement stop
+        # has no step to judge; the gradient is within NEWTON_TOL, so the
+        # ascent returns the start. Past NEWTON_TOL it raises
+        args = (np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]))
+        z, value, p = _ascend(*args, math.log(2), np.array([0.0, 1.0]), np.eye(2),
+                              _decrement_stop)
+        assert z.tolist() == [0.0, 1.0]
+        assert p.tolist() == [0.5, 0.5]
+        assert value == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(InfeasibleTargetError):
+            _ascend(*args, math.log(2) + 1e-6, np.array([0.0, 1.0]), np.eye(2), _decrement_stop)
+
     def test_face_of_coinciding_levels_is_flat(self):
         # levels equal but for rounding (a rotated basis leaves ~1e-16 between
         # them) span no direction: the face's max-entropy state is uniform,
@@ -620,11 +691,10 @@ class TestMaxEntropy:
             assert p == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
-def linprog_face(c, a_eq, b_eq, n_free=0):
+def linprog_face(c, a_eq, b_eq):
     """_lp_face's oracle: the same LP by scipy's linprog (HiGHS, at its
     smallest feasibility tolerances), with the same outputs and errors."""
-    n = len(c) - n_free
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * n + [(None, None)] * n_free,
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if res.status == 3:
@@ -632,23 +702,23 @@ def linprog_face(c, a_eq, b_eq, n_free=0):
     if res.status == 2:
         raise InfeasibleTargetError(res.message)
     assert res.status == 0, res.message
-    cost = res.lower.marginals[:n]
+    cost = res.lower.marginals
     return res.eqlin.marginals, cost <= FACE_RTOL * cost.max()
 
 
 class TestLPFace:
     """_lp_face against linprog on the module's two LP shapes: the floor LP
-    (min L_0 at the other charges and unit trace) and the rate LP (max t
-    with L_sigma + t dL on the polytope, t free)."""
+    (min L_0 at the other charges and unit trace) and the rate LP (max t >= 0
+    with L_sigma + t dL on the polytope)."""
 
     @staticmethod
     def lp(shape, ells, p_sigma, p_rho):
         q, d = ells.shape
         l_sigma, d_l = ells @ p_sigma, ells @ (p_rho - p_sigma)
         if shape == "floor":
-            return ells[0], np.vstack([ells[1:], np.ones(d)]), np.append(l_sigma[1:], 1.0), 0
+            return ells[0], np.vstack([ells[1:], np.ones(d)]), np.append(l_sigma[1:], 1.0)
         a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(d), 0.0)])
-        return -np.eye(d + 1)[-1], a_eq, np.append(l_sigma, 1.0), 1
+        return -np.eye(d + 1)[-1], a_eq, np.append(l_sigma, 1.0)
 
     @settings(max_examples=150, deadline=None)
     @given(q=st.integers(1, 3), d=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
@@ -656,27 +726,29 @@ class TestLPFace:
            target=st.sampled_from(["inside", "outside", "still"]))
     @example(q=2, d=4, seed=0, shape="rate", target="still")
     @example(q=2, d=4, seed=0, shape="floor", target="outside")
-    @example(q=2, d=4, seed=0, shape="rate", target="outside")
     def test_agrees_with_linprog(self, q, d, seed, shape, target):
         # rounded-degenerate levels: integers 0-3, so levels repeat within and
         # across charges; "still" gives rho sigma's charges (an unbounded rate
-        # ray), "outside" moves sigma's first charge off the polytope
+        # ray), "outside" moves the floor LP's first charge off the polytope.
+        # The rate LP keeps sigma on the polytope, where t = 0 is feasible, as
+        # every rate the library poses does
+        assume(not (shape == "rate" and target == "outside"))
         rng = np.random.default_rng(seed)
         ells = rng.integers(0, 4, (q, d)).astype(float)
         assume(np.linalg.matrix_rank(np.vstack([ells, np.ones(d)])) == q + 1)
         p_sigma, p_rho = rng.dirichlet(np.ones(d), 2)
         if target == "still":
             p_rho = p_sigma
-        c, a_eq, b_eq, n_free = self.lp(shape, ells, p_sigma, p_rho)
+        c, a_eq, b_eq = self.lp(shape, ells, p_sigma, p_rho)
         if target == "outside":
             b_eq[0] = np.max(a_eq[0, :d]) + 0.5
         try:
-            expected = linprog_face(c, a_eq, b_eq, n_free)
+            expected = linprog_face(c, a_eq, b_eq)
         except InfeasibleTargetError:
             with pytest.raises(InfeasibleTargetError):
-                _lp_face(c, a_eq, b_eq, n_free)
+                _lp_face(c, a_eq, b_eq)
             return
-        got = _lp_face(c, a_eq, b_eq, n_free)
+        got = _lp_face(c, a_eq, b_eq)
         if expected is None:
             assert got is None
             return
@@ -689,6 +761,16 @@ class TestLPFace:
         duals, face = _lp_face(np.array([1e-10, 0.0, 1.0, 2.0]), np.ones((1, 4)), [1.0])
         assert duals[0] == 0.0
         assert face.tolist() == [True, True, False, False]  # within FACE_RTOL of 2
+
+    def test_drives_a_zero_artificial_out_of_the_basis(self):
+        # min x0 - 2 x1 subject to x1 = 1 and 2 x0 + x1 = 1: the one feasible
+        # point is (0, 1). Phase 1 ends with x1 basic in row 1 and row 0's
+        # artificial basic at zero; x0, nonzero in row 0, replaces it. On the
+        # basis {x0, x1} the duals solve 2 y1 = 1 and y0 + y1 = -2
+        duals, face = _lp_face(np.array([1.0, -2.0]), np.array([[0.0, 1.0], [2.0, 1.0]]),
+                               [1.0, 1.0])
+        assert duals == pytest.approx([-2.5, 0.5], abs=1e-15)
+        assert face.tolist() == [True, True]
 
     def test_pivot_bound_raises(self, monkeypatch):
         monkeypatch.setattr(charges_module, "SIMPLEX_MAXITER", 0)

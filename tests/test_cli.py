@@ -7,8 +7,19 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from isotherm import cli
 from isotherm.cli import main
+from isotherm.gibbs import GibbsFamily
+from isotherm.operators import (
+    DensityMatrix,
+    HermitianOperator,
+    SubsystemSplit,
+    random_density,
+    tensor,
+)
+from isotherm.processes import ProcessRecord, clausius_check
 
 LN9 = math.log(9)
 DATA = Path(__file__).parent / "data"
@@ -193,6 +204,20 @@ class TestLaws:
         main(["laws", "--trials", "5"])
         assert capsys.readouterr().out == first
 
+    def test_clausius_skipped_at_a_sentinel_temperature(self, capsys, monkeypatch):
+        # B starts in its ground state, whose intrinsic beta is inf: Clausius
+        # does not apply, and the other three checks still run and pass
+        fam = GibbsFamily(HermitianOperator.diagonal([0.0, 1.0]))
+        rng = np.random.default_rng(3)
+        initial = tensor(random_density(2, rng), DensityMatrix.diagonal([1.0, 0.0]))
+        proc = ProcessRecord(initial=initial, final=initial, split=SubsystemSplit((2, 2)),
+                             fam_a=fam, fam_b=fam)
+        with pytest.raises(ValueError, match="finite nonzero"):
+            clausius_check(proc)
+        monkeypatch.setattr(cli, "random_process", lambda dims, rng: proc)
+        assert main(["laws", "--trials", "2"]) == 0
+        assert capsys.readouterr().out == "trials = 2, failures = 0\n"
+
     @pytest.mark.parametrize("flags", [
         ["--trials", "-3"], ["--trials", "0"],
         ["--dims", "0x2"], ["--dims", "2x0"], ["--dims=-1x2"],
@@ -218,6 +243,20 @@ class TestCharges:
         betas = [float(x) for x in values["beta_vec"].split(",")]
         assert betas[0] == pytest.approx(0.8, abs=1e-6)
         assert betas[1] == pytest.approx(-0.3, abs=1e-6)
+
+    def test_charges_on_the_boundary_exit_3(self, tmp_path, capsys):
+        # rho's charges (2e8, 3e7) lie on the polytope's edge L0 = 2e8, where no
+        # GGE state reaches them to NEWTON_TOL (the levels' rounding is larger)
+        system = state_file(tmp_path, "sys.json", {
+            "dim": 4,
+            "hamiltonian": {"diagonal": [2e8, 0.0, 2e8, 2e8]},
+            "charges": [{"diagonal": [3e8, 0.0, 1e8, 0.0]}],
+        })
+        rho = state_file(tmp_path, "edge.json", {"diagonal": [0.0, 0.0, 0.3, 0.7]})
+        assert main(["charges", system, rho]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: no maximum-entropy state")
 
     def test_system_without_charges_exit_2(self, qubit_system, p91_state):
         assert main(["charges", qubit_system, p91_state]) == 2
@@ -358,6 +397,9 @@ SCHEMA_ERRORS = {
     "gge-without-charges": ("info {sys} {state}", QUBIT, {"gge": {"beta_vec": [0.8]}}),
     "gge-without-beta-vec": ("charges {sys} {state}", CHARGED, {"gge": {}}),
     "gge-wrong-length": ("charges {sys} {state}", CHARGED, {"gge": {"beta_vec": [0.8]}}),
+    "gibbs-beta-nan": ("info {sys} {state}", QUBIT, {"gibbs": {"beta": "nan"}}),
+    "gge-beta-vec-nan": ("charges {sys} {state}", CHARGED, {"gge": {"beta_vec": [0.8, "nan"]}}),
+    "gge-beta-vec-inf": ("charges {sys} {state}", CHARGED, {"gge": {"beta_vec": ["inf", 0.0]}}),
     "state-without-key": ("info {sys} {state}", QUBIT, {"probabilities": [0.1, 0.9]}),
     "laws-dims-unparsable": ("laws --dims 2by2", None, None),
     "boundary-points-too-few": ("boundary {sys} --points 2 -o {sys}.csv", QUBIT, None),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -63,6 +64,13 @@ class TestGibbsState:
     def test_negative_zero_temperature_top_projector(self, qutrit):
         rho = gibbs_state(qutrit, -math.inf)
         assert np.allclose(np.diag(rho.entries).real, [0.0, 0.0, 1.0], atol=1e-12)
+
+    def test_nan_beta_raises(self, qutrit):
+        # checked where it enters, so no numpy warning comes first; +-inf stay sentinels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta is NaN"):
+                gibbs_state(qutrit, math.nan)
 
     def test_family_shares_hamiltonian_spectrum(self, rng):
         h = random_hamiltonian(5, rng)
@@ -446,6 +454,16 @@ class TestIntrinsicBeta:
 
     def test_zero_entropy_gives_inf(self, qutrit):
         assert intrinsic_beta(qutrit, 0.0) == math.inf
+
+    def test_unbracketed_root_reads_as_zero_temperature(self, qutrit, monkeypatch):
+        # above the floor, S(beta) falls below any target before BRACKET_CAP
+        # (a gap above DEGENERACY_ATOL puts S = 1e-12 near beta = 3e11), so no
+        # input found reaches this rule; forced here, it returns the sentinel
+        def unbracketed(*args, **kwargs):
+            raise BracketError("forced")
+
+        monkeypatch.setattr(gibbs, "newton_root", unbracketed)
+        assert intrinsic_beta(qutrit, 0.5) == math.inf
 
     def test_degenerate_sentinel(self, degenerate_qutrit):
         # any target at or below the ground floor ln 2 hits the sentinel

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isotherm import operators
-from isotherm.gibbs import gibbs_state
+from isotherm import charges as charges_module
+from isotherm import gibbs, operators
+from isotherm.charges import ChargeSet, GGEFamily, bound_potential, gge_state
+from isotherm.gibbs import GibbsFamily, gibbs_state
 from isotherm.operators import (
     DensityMatrix,
     DimensionMismatchError,
@@ -174,8 +176,33 @@ class TestTensorAndKronSum:
             expectation(ha, ra) + expectation(hb, rb), abs=1e-10)
 
 
+def validated_state(entries, w, v):
+    """The checked route for a state with known eigenpairs that `_derived`
+    replaced in gibbs_state, gge_state and tensor: the public constructor's
+    checks (square, finite, Hermitian, unit trace of the spectrum, no
+    eigenvalue below the clip) on the given pairs, with no `eigh`."""
+    a = operators._hermitian_entries(entries, "state")
+    w = np.asarray(w, dtype=float)
+    operators._check_trace(w.sum())
+    state = object.__new__(DensityMatrix)
+    state._store(a, *operators._state_spectrum(w, np.asarray(v, dtype=complex)))
+    return state
+
+
+def validated_operator(entries, w, v):
+    """The checked route for an operator with known eigenpairs that `_derived`
+    replaced in kron_sum and bound_potential: square, finite and Hermitian,
+    with the pairs in ascending order."""
+    a = operators._hermitian_entries(entries, "matrix")
+    w = np.asarray(w, dtype=float)
+    order = np.argsort(w)
+    op = object.__new__(HermitianOperator)
+    op._store(a, w[order], np.asarray(v, dtype=complex)[:, order])
+    return op
+
+
 class TestKnownSpectrum:
-    """tensor of two states and DensityMatrix._from_eigenpairs against the eigh route."""
+    """tensor of two states and the checked known-pairs route against the eigh route."""
 
     def test_gibbs_products_match_eigh_route(self, degenerate_cases, assert_matches_eigh_route):
         cases = list(degenerate_cases(40, 8))
@@ -196,19 +223,14 @@ class TestKnownSpectrum:
         (np.array([np.nan, 0.0, 0.0]), "non-finite entries"),
     ])
     def test_bad_spectrum_raises_like_eigh_route(self, rng, shift, match):
+        # the oracle of TestDerivedStates rejects what the public route rejects
         v = haar_unitary(3, rng)
         w = np.array([0.2, 0.3, 0.5]) + shift
         entries = (v * w) @ v.conj().T
         with pytest.raises(ValueError, match=match):
             DensityMatrix(entries)
         with pytest.raises(ValueError, match=match):
-            DensityMatrix._from_eigenpairs(entries, w, v)
-
-    def test_non_finite_known_spectrum_rejected(self, rng):
-        v = haar_unitary(2, rng)
-        entries = (v * [0.5, 0.5]) @ v.conj().T
-        with pytest.raises(ValueError, match="non-finite eigenvalues"):
-            DensityMatrix._from_eigenpairs(entries, [np.nan, 0.5], v)
+            validated_state(entries, w, v)
 
     def test_tensor_of_states_runs_no_eigh(self, rng, eigh_calls):
         a, b = random_density(8, rng), random_density(8, rng)
@@ -284,15 +306,51 @@ def old_partial_trace(rho, split, keep):
 
 
 def old_tensor(a, b):
-    """The validated route `tensor` replaced: np.kron, then `_from_eigenpairs`."""
-    return DensityMatrix._from_eigenpairs(np.kron(a.entries, b.entries),
-                                          np.kron(a.spectrum, b.spectrum),
-                                          np.kron(a.eigenvectors, b.eigenvectors))
+    """The validated route `tensor` replaced: np.kron, then the checked
+    known-pairs route."""
+    return validated_state(np.kron(a.entries, b.entries), np.kron(a.spectrum, b.spectrum),
+                           np.kron(a.eigenvectors, b.eigenvectors))
+
+
+def old_kron_sum(*hamiltonians):
+    """The validated route `kron_sum` replaced: np.kron sums, then the checked
+    known-pairs route."""
+    total, levels, vecs = 0, np.zeros(1), np.ones((1, 1))
+    for i, h in enumerate(hamiltonians):
+        left = int(np.prod([g.dim for g in hamiltonians[:i]], dtype=int))
+        right = int(np.prod([g.dim for g in hamiltonians[i + 1:]], dtype=int))
+        total = total + np.kron(np.kron(np.eye(left), h.entries), np.eye(right))
+        levels = np.add.outer(levels, h.eigenvalues).ravel()
+        vecs = np.kron(vecs, h.eigenvectors)
+    return validated_operator(total, levels, vecs)
 
 
 def assert_same_state(state, ref):
     for name in ("entries", "spectrum", "eigenvectors"):
         assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def assert_same_operator(op, ref):
+    for name in ("entries", "eigenvalues", "eigenvectors"):
+        assert getattr(op, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def gge_families(rng):
+    """q = 1 and q = 2 families of integer levels 0-3 (degenerate within and
+    across charges) at units 1e-2, 1 and 1e2, in a Haar basis."""
+    fams = []
+    for q in (1, 2):
+        for unit in (1e-2, 1.0, 1e2):
+            for d in range(q + 1, 9, 2):
+                u = haar_unitary(d, rng)
+                while True:
+                    ells = rng.integers(0, 4, (q, d)) * unit
+                    rows = np.vstack([ells, np.ones(d)])
+                    if np.ptp(ells) > 0 and np.linalg.matrix_rank(rows) == q + 1:
+                        break
+                ops = tuple(HermitianOperator((u * row) @ u.conj().T) for row in ells)
+                fams.append(GGEFamily(ChargeSet(ops)))
+    return fams
 
 
 SPLITS = [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2)]
@@ -367,8 +425,35 @@ class TestDerivedStates:
                 new, old = tensor(new, part), old_tensor(old, part)
                 assert_same_state(new, old)
 
-    def test_derived_states_skip_second_validation(self, rng, monkeypatch):
+    def test_gibbs_states_match_validated_route(self, degenerate_cases):
+        # beta = 0, +-inf, |beta| ||H|| = 700 and a random one on each family
+        for fam, beta in degenerate_cases(60, 64):
+            w, v = gibbs._populations(fam, beta)[0], fam.hamiltonian.eigenvectors
+            assert_same_state(gibbs_state(fam, beta), validated_state((v * w) @ v.conj().T, w, v))
+
+    def test_gge_states_match_validated_route(self, rng):
+        for fam in gge_families(rng):
+            for _ in range(5):
+                beta = rng.uniform(-3, 3, fam.q) / np.abs(fam.joint_eigenvalues).max()
+                for beta_vec in (np.zeros(fam.q), beta, 20 * beta):
+                    w = charges_module._gge_weights(fam, beta_vec)
+                    v = fam.basis
+                    assert_same_state(gge_state(fam, beta_vec),
+                                      validated_state((v * w) @ v.conj().T, w, v))
+
+    def test_kron_sums_match_validated_route(self, degenerate_cases):
+        hams = {}
+        for fam, beta in degenerate_cases(30, 4):
+            if beta == 0.0:  # the first of each family's six temperatures
+                hams.setdefault(fam.dim, []).append(fam.hamiltonian)
+        for dims in SPLITS:
+            for parts in zip(*(hams[d] for d in dims)):
+                assert_same_operator(kron_sum(*parts), old_kron_sum(*parts))
+
+    def test_derived_states_skip_second_validation(self, rng, monkeypatch, charge_family):
         rho = random_density(6, rng)
+        fam = GibbsFamily(random_hamiltonian(3, rng))
+        sigma = random_density(4, rng)
         calls = []
         checked = operators._hermitian_entries
 
@@ -380,6 +465,11 @@ class TestDerivedStates:
         split = SubsystemSplit((2, 3))
         rho_a, rho_b = partial_trace(rho, split, [0]), partial_trace(rho, split, [1])
         tensor(rho_a, rho_b)
+        for beta in (0.0, 1.3, -math.inf):
+            gibbs_state(fam, beta)
+        gge_state(charge_family, [0.4, -0.2])
+        kron_sum(fam.hamiltonian, fam.hamiltonian)
+        bound_potential(sigma, charge_family, [1.0, 2.0])
         assert calls == []
 
 

@@ -5,7 +5,8 @@ Every number written in e-notation with a negative exponent lives in
 `tolerances.py`; docstrings and comments are STRING and COMMENT tokens, so
 the scan passes them by. The verification routes live in `oracles.py`, which
 only the package's `__init__.py` imports, and which alone imports scipy.
-Every Kronecker product goes through `operators._kron`.
+Every Kronecker product goes through `operators._kron`. A state or an
+operator is built by its checked constructor or by its trusted `_derived`.
 """
 
 import ast
@@ -68,3 +69,13 @@ def test_no_numpy_kron_call():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "kron"]
     assert calls == []
+
+
+def test_only_derived_skips_the_constructor():
+    # object.__new__ builds an instance without __post_init__'s checks
+    owners = [f"{path.name}:{fn.name}" for path in MODULES
+              for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"]
+    assert owners == ["operators.py:_derived"] * 2
