@@ -46,8 +46,9 @@ most 4x. With the hot start, this keeps the iterates off near-vertex states:
 their covariance is singular to rounding, and Newton steps run along a ray
 on which g is flat. The max-entropy slice stops at max|gradient| <=
 NEWTON_TOL; the free slices stop one step after the Newton decrement
-gradient.step falls to 1e-16 max(1, |g|), as an absolute gradient stop ends
-them early near the ground corner, where L is that small. A singular
+gradient.step falls to 1e-16 max(1, sum of the magnitudes of g's terms), the
+rounding floor of g: near the ground corner L is below an absolute stop, and
+on a nearly tangent ray g ~ -t* is a sum of terms of size nu ~ 1e9. A singular
 covariance is accepted once the gradient is within NEWTON_TOL. A step not
 taken, a non-finite slope or NEWTON_MAXITER steps raise InfeasibleTargetError.
 """
@@ -75,7 +76,6 @@ from .operators import (
     spectrum_entropy,
 )
 from .tolerances import (
-    CHARGES_SOURCE_DEGENERATE_ATOL,
     COINCIDENT_ATOL,
     COMMUTATOR_ATOL,
     DECREMENT_RTOL,
@@ -87,6 +87,7 @@ from .tolerances import (
     NEWTON_TOL,
     PIVOT_TOL,
     SIMPLEX_MAXITER,
+    SOURCE_DEGENERATE_ATOL,
     STEP_FLOOR,
 )
 
@@ -346,40 +347,45 @@ def _dual(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndar
     return float(c @ p + z @ grad), grad, p, e
 
 
-def _gradient_stop(grad: np.ndarray, decrement: float, value: float) -> bool:
+def _gradient_stop(grad: np.ndarray, decrement: float, size) -> bool:
     return bool(np.max(np.abs(grad), initial=0.0) <= NEWTON_TOL)
 
 
-def _decrement_stop(grad: np.ndarray, decrement: float, value: float) -> bool:
-    return abs(decrement) <= DECREMENT_RTOL * max(1.0, abs(value))
+def _decrement_stop(grad: np.ndarray, decrement: float, size) -> bool:
+    return abs(decrement) <= DECREMENT_RTOL * max(1.0, size())  # g's rounding floor
 
 
 def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndarray,
             basis: np.ndarray, stop) -> tuple[np.ndarray, float, np.ndarray]:
     """The maximizer z of the dual (`_dual`) on the slice z + basis @ u, with
     the dual value and GGE weights there, by the Newton ascent of the module
-    docstring: stop(gradient, decrement, value) on the slice ends it, with
-    the Newton decrement of the step that led there (inf at the start). A
-    nearly singular covariance gives a huge step whose slope and trial
-    weights may overflow; the tests compare them as they come out."""
+    docstring: stop(gradient, decrement, size) on the slice ends it, with
+    the Newton decrement of the step that led there (inf at the start) and
+    size() the sum of the magnitudes of g's terms there. A nearly singular
+    covariance gives a huge step whose slope and trial weights may overflow;
+    the tests compare them as they come out."""
 
-    def newton(z):  # the dual at z, its slice gradient and the Newton step there
-        value, grad, p, e = _dual(c, levels, b, s, z)
-        grad = basis.T @ grad
+    def newton(z):  # the dual at z, its gradient, slice gradient and Newton step there
+        value, full, p, e = _dual(c, levels, b, s, z)
+        grad = basis.T @ full
         try:  # the Hessian on the slice is -Cov_p(basis^T [levels; -x]) / nu
             step = z[-1] * np.linalg.solve(_covariance(basis.T @ np.vstack([levels, e]), p), grad)
         except np.linalg.LinAlgError:
             step = np.full_like(grad, np.nan)
-        return value, p, grad, step, grad @ step
+        return value, p, grad, step, grad @ step, full
+
+    def size() -> float:  # |c|.p + |lam|.(|A p| + |b|) + nu (|S| + H(p)) at the current z
+        return float(np.abs(c) @ p + np.abs(z[:-1]) @ (np.abs(full[:-1] + b) + np.abs(b))
+                     + z[-1] * (abs(s) + s - full[-1]))
 
     def usable(grad, slope) -> bool:  # a next step, or a gradient within NEWTON_TOL
-        return bool(np.isfinite(slope)) or _gradient_stop(grad, slope, 0.0)
+        return bool(np.isfinite(slope)) or _gradient_stop(grad, slope, None)
 
     with np.errstate(over="ignore", invalid="ignore"):  # entered once per ascent
-        value, p, grad, step, slope = point = newton(z)
+        value, p, grad, step, slope, full = point = newton(z)
         taken = math.inf
         for _ in range(NEWTON_MAXITER):
-            if stop(grad, taken, value):
+            if stop(grad, taken, size):
                 return z, value, p
             if not np.isfinite(slope):  # singular or overflowing: done only within NEWTON_TOL
                 if usable(grad, slope):
@@ -397,7 +403,7 @@ def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.nd
                 t /= 2.0
             else:
                 break
-            z, (value, p, grad, step, slope), taken = trial, point, slope
+            z, (value, p, grad, step, slope, full), taken = trial, point, slope
     raise InfeasibleTargetError(f"no maximum-entropy state with charges {b}")
 
 
@@ -494,7 +500,7 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
         return floor
     ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
     try:  # near the beta_k = 0 end: roughly the max-entropy state at rho's other charges
-        start = np.append(_max_entropy(ells[idx], pt.L[idx], lambda grad, decrement, value:
+        start = np.append(_max_entropy(ells[idx], pt.L[idx], lambda grad, decrement, size:
                                        decrement <= HOT_START_DECREMENT)[0], 1.0)
     except InfeasibleTargetError:  # those charges on their polytope's boundary
         start = np.eye(fam.q)[-1]
@@ -559,10 +565,9 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         gap_1 = spectrum_entropy(p_1) + beta_1 @ (x_rho.L - ells @ p_1) - x_rho.S
     except InfeasibleTargetError:  # rho's charges on the polytope's boundary
         gap_1 = -1.0
-    source_degenerate = ChargesRateSolution(r=0.0, phi_point=x_rho,
-                                            phi_kind="source-degenerate", phi_beta=None,
-                                            collinearity_residual=0.0)
-    if min(x_rho.S, gap_1) <= CHARGES_SOURCE_DEGENERATE_ATOL:
+    source_degenerate = ChargesRateSolution(r=0.0, phi_point=x_rho, phi_kind="source-degenerate",
+                                            phi_beta=None, collinearity_residual=0.0)
+    if min(x_rho.S, gap_1) <= SOURCE_DEGENERATE_ATOL:
         return source_degenerate
     a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
     b_eq = np.append(x_sigma.L, 1.0)

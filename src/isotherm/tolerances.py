@@ -43,9 +43,7 @@ EQUILIBRIUM_FREE_ENERGY_ATOL = 1e-8  # joint free energy of a mutual equilibrium
 
 # interconversion rates
 COINCIDENT_ATOL = 1e-12  # source and target points this close: r = 1
-# source on the boundary along the ray, r = 0: the two rate layers' values
-SOURCE_DEGENERATE_ATOL = 1e-12  # rates.conversion_rate
-CHARGES_SOURCE_DEGENERATE_ATOL = 1e-10  # charges.conversion_rate_charges
+SOURCE_DEGENERATE_ATOL = 1e-12  # source on the ray's boundary, r = 0: rates and charges alike
 PURE_SOURCE_ATOL = 1e-9  # a source-degenerate source this close to S = 0 has no phi_beta
 
 # charges: the common eigenbasis, the dual Newton ascent and the simplex
@@ -53,7 +51,7 @@ COMMUTATOR_ATOL = 1e-10  # entrywise commutator of two charges
 EIGENBASIS_ATOL = 1e-8  # off-diagonal residue of a charge in the common eigenbasis
 NEWTON_TOL = 1e-9  # max |gradient| that ends the max-entropy ascent
 NEWTON_MAXITER = 200  # Newton steps of one ascent
-DECREMENT_RTOL = 1e-16  # Newton decrement (x max(1, |g|)) that ends a free ascent
+DECREMENT_RTOL = 1e-16  # Newton decrement (x max(1, sum of |terms of g|)) ending a free ascent
 STEP_FLOOR = 1e-12  # a step is halved down to this fraction of its first trial
 HOT_START_DECREMENT = 1e-2  # Newton decrement that ends the bound's start ascent
 FACE_RTOL = 1e-9  # relative reduced cost (or singular value) counted as zero

@@ -343,6 +343,20 @@ class TestVariationalForms:
             assert abs(val - min(vals)) <= 1e-12
             assert abs(beta_athermality(rho, fam, arg) - min(vals)) <= 1e-12
 
+    def test_default_grids(self, qubit, rho_qubit_91):
+        # diag(0.1, 0.9) on a gap-1 qubit: F = 0.8 at beta = ln 9, and it is the
+        # Gibbs state at beta~ = -ln 9, so A = 0 there; each minimum within a grid step
+        val, arg = variational_free_energy(rho_qubit_91, qubit)
+        assert (val, arg) == variational_free_energy(rho_qubit_91, qubit, default_beta_grid())
+        assert val == pytest.approx(0.8, abs=1e-4)
+        step = 1e6 ** (1 / 2000)
+        assert arg / step <= LN9 <= arg * step
+        val, arg = variational_athermality(rho_qubit_91, qubit)
+        assert (val, arg) == variational_athermality(rho_qubit_91, qubit, symmetric_beta_grid())
+        assert val == pytest.approx(0.0, abs=1e-4)
+        step = 1e6 ** (1 / 999)
+        assert -arg / step <= LN9 <= -arg * step
+
     def test_grids_reject_sentinels(self, qubit, rho_qubit_91):
         for bad in (0.0, math.inf):
             with pytest.raises(ValueError):

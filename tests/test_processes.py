@@ -19,7 +19,7 @@ from isotherm.operators import (
     random_hamiltonian,
     tensor,
 )
-from isotherm.oracles import heat_integral_check
+from isotherm.oracles import heat_integral_check, intrinsic_temperature_at_entropy
 from isotherm.processes import (
     DegenerateEngineError,
     LedgerEntry,
@@ -301,6 +301,30 @@ class TestHeat:
         for _ in range(10):
             proc = random_process((2, 3), rng, thermal_b=True, beta_b=1.0)
             assert heat_integral_check(proc) <= 1e-7
+
+    def test_temperature_at_maximal_entropy_is_infinite(self, qubit):
+        # S = ln d is the maximally mixed state, beta = 0
+        assert intrinsic_temperature_at_entropy(qubit, math.log(2)) == math.inf
+        assert intrinsic_temperature_at_entropy(qubit, entropy(
+            DensityMatrix.diagonal([0.9, 0.1]))) == pytest.approx(1 / math.log(9), rel=1e-10)
+
+    def test_integral_rejects_a_segment_below_the_ground_floor(self, qubit):
+        # a doubly degenerate ground: S_B = 0 < ln 2 has no intrinsic temperature
+        fam_b = GibbsFamily(HermitianOperator.diagonal([0.0, 0.0, 1.0]))
+        pure = tensor(DensityMatrix.diagonal([1.0, 0.0]), DensityMatrix.diagonal([1.0, 0.0, 0.0]))
+        proc = ProcessRecord(initial=pure, final=pure, split=SubsystemSplit((2, 3)),
+                             fam_a=qubit, fam_b=fam_b)
+        with pytest.raises(ValueError, match="sentinel region"):
+            heat_integral_check(proc)
+
+    def test_integral_over_an_empty_segment_is_the_heat(self, qubit):
+        # flipping B's populations keeps S_B: no segment, and the heat is B(S_B) - B(S_B) = 0
+        a = DensityMatrix.diagonal([1.0, 0.0])
+        proc = ProcessRecord(initial=tensor(a, DensityMatrix.diagonal([0.7, 0.3])),
+                             final=tensor(a, DensityMatrix.diagonal([0.3, 0.7])),
+                             split=SubsystemSplit((2, 2)), fam_a=qubit, fam_b=qubit)
+        assert heat(proc) == 0.0
+        assert heat_integral_check(proc) == 0.0
 
     def test_bounds_for_thermal_bath(self, rng):
         for _ in range(30):

@@ -371,20 +371,36 @@ class TestRateProperties:
     @example(**SENTINEL_EDGE_CASE)
     @example(levels=[4, 0, 4, 0, 2], split=0.0, unit=1.0, rotate=True, beta_norms=[-8.0, -5.0],
              weights=[0.5, 0.5], seed=0)  # a wall exit on a top face of coinciding levels
+    # nearly tangent rays: the thermal exit's optimum sits at nu ~ 1e9-1e12, where g
+    # is a sum of terms of that size and cannot be resolved to 1e-16 of itself
+    @example(levels=[0, 0, 1], split=0.0, unit=10.0, rotate=False, beta_norms=[2.0, 2.0],
+             weights=[10**-4.5] * 2, seed=11)
+    @example(levels=[0, 0, 1], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
+             weights=[1e-5] * 2, seed=2)
+    @example(levels=[0, 1, 2], split=0.0, unit=10.0, rotate=False, beta_norms=[0.5, 0.5],
+             weights=[10**-4.5] * 2, seed=3)
+    @example(levels=[0, 1, 1, 3], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
+             weights=[1e-5] * 2, seed=9)
+    @example(levels=[0, 0, 1], split=0.0, unit=10.0, rotate=False, beta_norms=[6.0, 6.0],
+             weights=[1e-6] * 2, seed=0)
+    @example(levels=[0, 0, 1], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
+             weights=[1e-5] * 2, seed=8)
+    @example(levels=[0, 1, 1, 3], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
+             weights=[1e-5] * 2, seed=8)
     def test_q1_reduction(self, levels, split, unit, rotate, beta_norms, weights, seed):
         """conversion_rate_charges on the one-charge family exits the same way,
-        with r within 1e-12 on pure exits, 1e-8 where the filler's beta is a
-        sentinel (wall exits come from an LP's equalities, as in test_charges),
-        and on curve exits within NEWTON_TOL, the charge tolerance of gge_solve,
-        carried through the root: NEWTON_TOL |beta| / |beta dE - dS| / t*^2."""
+        source-degenerate sources of the charges layer included (both layers
+        read SOURCE_DEGENERATE_ATOL), with r within 1e-12 on pure exits, 1e-8
+        where the filler's beta is a sentinel (wall exits come from an LP's
+        equalities, as in test_charges), and on curve exits within NEWTON_TOL,
+        the charge tolerance of gge_solve, carried through the root:
+        NEWTON_TOL |beta| / |beta dE - dS| / t*^2."""
         assume(max(levels) > min(levels))
         fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed)
         single = conversion_rate(rho, sigma, fam)
         if single.phi_kind == "source-degenerate":
             return
         multi = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((fam.hamiltonian,))))
-        if multi.phi_kind == "source-degenerate":  # its margin is 1e-10, not 1e-12
-            return
         assert multi.phi_kind == single.phi_kind
         beta = single.phi_beta
         if beta is None:

@@ -2,9 +2,10 @@
 Kronecker route.
 
 Every number written in e-notation with a negative exponent lives in
-`tolerances.py`; docstrings and comments are STRING and COMMENT tokens, so
-the scan passes them by. The verification routes live in `oracles.py`, which
-only the package's `__init__.py` imports, and which alone imports scipy.
+`tolerances.py`, and another module imports every name there; docstrings
+and comments are STRING and COMMENT tokens, so the scan passes them by. The
+verification routes live in `oracles.py`, which only the package's
+`__init__.py` imports, and which alone imports scipy.
 Every Kronecker product goes through `operators._kron`. A state or an
 operator is built by its checked constructor or by its trusted `_derived`.
 """
@@ -36,6 +37,15 @@ def imported_modules(path: Path) -> set[str]:
 
 def test_package_modules_found():
     assert {"tolerances.py", "oracles.py", "gibbs.py"} <= {p.name for p in MODULES}
+
+
+def test_every_tolerance_is_read():
+    # an entry whose role is gone leaves the table with it
+    table = PACKAGE / "tolerances.py"
+    names = {target.id for node in ast.parse(table.read_text(encoding="utf-8")).body
+             if isinstance(node, ast.Assign) for target in node.targets}
+    imported = set().union(*(imported_modules(path) for path in MODULES if path != table))
+    assert sorted(name for name in names if f"tolerances.{name}" not in imported) == []
 
 
 def test_no_tolerance_literal_outside_the_table():
