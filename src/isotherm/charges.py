@@ -24,19 +24,16 @@ the perspective of log-sum-exp, on an affine slice z0 + basis u of z =
   (S = S(rho), lam and nu free; g at every iterate is below it), and
   beta_vec = (lam, 1) / nu with the 1 at k. The start is hot: nu = ptp(L_k)
   and lam / nu roughly the max-entropy beta_vec at the other charges.
-- `conversion_rate_charges` follows the ray x_sigma + t (x_rho - x_sigma),
-  t >= 1. One LP gives t_wall, where L(t) leaves the polytope, and the face
-  it leaves through. f(t) = S_max(L(t)) - S(t) is concave on [1, t_wall]
-  with f(1) > 0, so the ray exits at S = 0 ("pure") iff t_pure <= t_wall,
-  through the wall (kind "thermal", phi_beta None) iff S(t_wall) is at most
-  the maximum entropy on the face, and otherwise ("thermal") at the root of
-  f: t* = -max g on the thermal-exit slice, c = 0, A all levels, b =
-  L_sigma, S = S_sigma on the hyperplane nu dS - lam.dL = 1, and beta_vec =
-  lam / nu. This solves the fractional program t* = min (ln Z +
-  beta_vec.L_sigma - S_sigma) / (dS - beta_vec.dL) without Dinkelbach's
-  root. The start is the t = 1 ascent's beta_vec, reflected through dS =
-  beta_vec.dL where dS - beta_vec.dL <= 0, scaled onto the hyperplane. On a
-  flat lone charge g is flat in lam, and the slice has no direction.
+- `conversion_rate_charges` hands `rates.ray_exit` its primitives: the gap
+  from the ascent at L_rho; t_wall from one LP, and the maximum entropy of
+  the face it leaves through, only if the ray gets there (a wall exit,
+  phi_beta None); the curve exit t* = -max g = min (ln Z + beta_vec.L_sigma
+  - S_sigma) / (dS - beta_vec.dL) on the thermal-exit slice, c = 0, A all
+  levels, b = L_sigma, S = S_sigma on nu dS - lam.dL = 1, from the ascent's
+  beta_vec = lam / nu, reflected through dS = beta_vec.dL if dS <=
+  beta_vec.dL. A flat lone charge exits at ln d; a vertical ray above L_rho
+  (b = L_rho), or at the maximum entropy of the face the LP along the ray
+  from the levels' centre puts L_rho on (within PIVOT_TOL max|level|).
 
 Each step is halved from its first trial, down to 1e-12 of it, until the
 slope along it is at least -1/2 of its starting value at a point whose own
@@ -75,8 +72,8 @@ from .operators import (
     expectation,
     spectrum_entropy,
 )
+from .rates import RateSolution, ray_exit
 from .tolerances import (
-    COINCIDENT_ATOL,
     COMMUTATOR_ATOL,
     DECREMENT_RTOL,
     EIGENBASIS_ATOL,
@@ -87,7 +84,6 @@ from .tolerances import (
     NEWTON_TOL,
     PIVOT_TOL,
     SIMPLEX_MAXITER,
-    SOURCE_DEGENERATE_ATOL,
     STEP_FLOOR,
 )
 
@@ -536,73 +532,49 @@ def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec) -> tuple[float, 
     return _bound_energy_at(eff, beta), gibbs_state(eff, beta)
 
 
-@dataclass(frozen=True)
-class ChargesRateSolution:
-    r: float
-    phi_point: ChargesPoint
-    phi_kind: str  # "pure" | "thermal" | "source-degenerate"
-    phi_beta: np.ndarray | None
-    collinearity_residual: float
-
-
 def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
-                            fam: GGEFamily) -> ChargesRateSolution:
-    """Interconversion rate r = 1 - 1/t* in the (q+1)-dimensional
-    charges-entropy diagram, where the ray x_sigma + t (x_rho - x_sigma),
-    t >= 1, leaves the region (see the module docstring)."""
-    x_rho = charges_point(rho, fam)
-    x_sigma = charges_point(sigma, fam)
-    d_l = x_rho.L - x_sigma.L
-    d_s = x_rho.S - x_sigma.S
-    if max(np.max(np.abs(d_l)), abs(d_s)) < COINCIDENT_ATOL:
-        return ChargesRateSolution(r=1.0, phi_point=x_rho, phi_kind="thermal",
-                                   phi_beta=None, collinearity_residual=0.0)
+                            fam: GGEFamily) -> RateSolution:
+    """Rate r = 1 - 1/t* in the charges-entropy diagram, by `rates.ray_exit` (see above)."""
+    x_rho, x_sigma = charges_point(rho, fam), charges_point(sigma, fam)
+    ells, scale = fam.joint_eigenvalues, np.abs(fam.joint_eigenvalues).max()
 
-    ells = fam.joint_eigenvalues
-    try:
-        beta_1, p_1 = _max_entropy(ells, x_rho.L)
+    def above():
+        try:
+            beta, p = _max_entropy(ells, x_rho.L)
+        except InfeasibleTargetError:  # rho's charges on the polytope's boundary
+            return -1.0, None
         # S_max(L_rho) to first order in the ascent's charge residual: dS_max/dL = beta_vec
-        gap_1 = spectrum_entropy(p_1) + beta_1 @ (x_rho.L - ells @ p_1) - x_rho.S
-    except InfeasibleTargetError:  # rho's charges on the polytope's boundary
-        gap_1 = -1.0
-    source_degenerate = ChargesRateSolution(r=0.0, phi_point=x_rho, phi_kind="source-degenerate",
-                                            phi_beta=None, collinearity_residual=0.0)
-    if min(x_rho.S, gap_1) <= SOURCE_DEGENERATE_ATOL:
-        return source_degenerate
-    a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
-    b_eq = np.append(x_sigma.L, 1.0)
-    lp = _lp_face(-np.eye(fam.dim + 1)[-1], a_eq, b_eq)  # t >= 0: sigma itself is feasible
-    t_wall, gap_wall = math.inf, -math.inf
-    if lp is not None:  # t_wall to rounding, from the equalities on the face
-        face = lp[1]
+        return spectrum_entropy(p) + beta @ (x_rho.L - ells @ p) - x_rho.S, beta
+
+    def leave(base, d_l):  # where base + t d_l, t >= 0, leaves the polytope: ray_exit's wall
+        a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
+        b_eq = np.append(base, 1.0)
+        lp = _lp_face(-np.eye(fam.dim + 1)[-1], a_eq, b_eq)  # base itself is feasible
+        if lp is None:
+            return math.inf, None
+        face = lp[1]  # t_wall to rounding, from the equalities on the face
         t_wall = float(np.linalg.lstsq(a_eq[:, face], b_eq, rcond=None)[0][-1])
-        if t_wall <= 1.0:  # rho on a wall face: the ray leaves at t = 1
-            return source_degenerate
-        p = _face_max_entropy(ells[:, face[:-1]], x_sigma.L + t_wall * d_l, np.abs(ells).max())
-        gap_wall = spectrum_entropy(p) - (x_sigma.S + t_wall * d_s)
-    t_pure = -x_sigma.S / d_s if d_s < 0 else math.inf
-    beta = None
-    if d_s < 0 and t_pure <= t_wall:
-        t_star, kind = t_pure, "pure"
-    elif gap_wall >= 0:
-        t_star, kind = t_wall, "thermal"
-    else:
-        normal = np.append(-d_l, d_s)
-        z = np.append(beta_1, 1.0)
+        return t_wall, lambda: (spectrum_entropy(_face_max_entropy(
+            ells[:, face[:-1]], base + t_wall * d_l, scale)), None)
+
+    def curve(d, t_wall, beta):
+        if np.ptp(ells) <= FACE_RTOL * scale:  # a flat lone charge: one state, I/d
+            return (math.log(fam.dim) - x_sigma.S) / d[-1], beta
+        d_l = np.array(d[:-1])
+        if not d_l.any():  # vertical: on a face (g unbounded past rounding), its max entropy
+            centre = ells.mean(axis=1)
+            t_face, face = leave(centre, x_rho.L - centre)
+            if face and (t_face - 1.0) * np.abs(x_rho.L - centre).max() <= PIVOT_TOL * scale:
+                return (face()[0] - x_sigma.S) / d[-1], None
+        normal = np.append(-d_l, d[-1])
+        z = np.append(beta, 1.0)
         if normal @ z <= 0:
             z[:-1] += 2.0 * (normal @ z) * d_l / (d_l @ d_l)
         basis = np.linalg.svd(normal[None])[2][1:].T
-        if np.ptp(ells) <= FACE_RTOL * np.abs(ells).max():  # a flat lone charge: g is flat in lam
-            basis = basis[:, :0]
-        z, value, _ = _ascend(np.zeros(fam.dim), ells, x_sigma.L, x_sigma.S, z / (normal @ z),
-                              basis, _decrement_stop)
-        t_star, kind, beta = -value, "thermal", z[:-1] / z[-1]
-    phi = ChargesPoint(L=x_sigma.L + t_star * d_l,
-                       S=max(x_sigma.S + t_star * d_s, 0.0))
-    r = 1.0 - 1.0 / t_star
-    res = max(
-        float(np.max(np.abs(x_rho.L - (r * x_sigma.L + (1 - r) * phi.L)))),
-        abs(x_rho.S - (r * x_sigma.S + (1 - r) * phi.S)),
-    )
-    return ChargesRateSolution(r=r, phi_point=phi, phi_kind=kind, phi_beta=beta,
-                               collinearity_residual=res)
+        z, value, _ = _ascend(np.zeros(fam.dim), ells, x_sigma.L if d_l.any() else x_rho.L,
+                              x_sigma.S, z / (normal @ z), basis, _decrement_stop)
+        return -value, z[:-1] / z[-1]
+
+    return ray_exit([*x_rho.L.tolist(), x_rho.S], [*x_sigma.L.tolist(), x_sigma.S], above,
+                    lambda d: leave(x_sigma.L, np.array(d[:-1])), curve,
+                    lambda x: ChargesPoint(L=np.array(x[:-1]), S=x[-1]))

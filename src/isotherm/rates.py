@@ -1,14 +1,20 @@
 """Asymptotic interconversion rates via energy-entropy geometry.
 
-The maximal rate r for rho^n -> sigma^m (x) phi^(n-m) puts the filler state
-phi where the ray x_sigma + t (x_rho - x_sigma), t >= 1, leaves the convex
-diagram: r = 1 - 1/t* = (S(rho) - S(phi)) / (S(sigma) - S(phi)). As in
-`charges.conversion_rate_charges`, with t_wall where E(t) reaches the wall
-ahead, the ray exits at S = 0 ("pure") iff t_pure <= t_wall, through the wall
-("thermal", phi_beta +-inf) iff S(t_wall) <= ln g of its level, and else on the
-curve ("thermal") at the one root in beta of the side of the ray gamma(beta) is
-on, sought toward the wall from beta~(rho) = spontaneous_beta(E(rho)). That is
-solved once, and also marks a source on the boundary ("source-degenerate").
+The maximal rate r for rho^n -> sigma^m (x) phi^(n-m) puts the filler phi
+where the ray x_sigma + t d, d = x_rho - x_sigma, t >= 1, leaves the region
+of states: r = 1 - 1/t* = (S(rho) - S(phi)) / (S(sigma) - S(phi)).
+`ray_exit` finds it for both rate layers on (L_1 .. L_q, S) points (q = 1,
+L = E here): r = 1 for points within COINCIDENT_ATOL (max-norm); dL = 0 and
+no wall ahead for max|dL| below it (a vertical ray); r = 0
+("source-degenerate", phi_beta the beta above x_rho, None at S ~ 0) if
+S(rho), S_max(L_rho) - S(rho) or (t_wall - 1) max|dL| is within
+SOURCE_DEGENERATE_ATOL; else an exit at S = 0 ("pure") iff t_pure <=
+t_wall, through the wall ("thermal") iff S(t_wall) is at most the maximum
+entropy there, or on the curve ("thermal"), no earlier than x_rho. Here
+t_wall is closed-form, the wall's maximum entropy ln g (phi_beta +-inf), and
+the curve exit one root in beta of the side of the ray gamma(beta) is on,
+from beta~(rho) = spontaneous_beta(E(rho)), or straight up for a vertical
+ray: at +-inf along a wall, 0 on a flat spectrum.
 """
 
 from __future__ import annotations
@@ -25,42 +31,67 @@ from .tolerances import COINCIDENT_ATOL, PURE_SOURCE_ATOL, SOURCE_DEGENERATE_ATO
 @dataclass(frozen=True)
 class RateSolution:
     r: float
-    phi_point: DiagramPoint
+    phi_point: object  # a DiagramPoint, or a charges.ChargesPoint
     phi_kind: str  # "pure" | "thermal" | "source-degenerate"
-    phi_beta: float | None
+    phi_beta: object  # a float (or a charges beta_vec array) or None
     collinearity_residual: float
+
+
+def ray_exit(x_rho: list, x_sigma: list, above, wall, curve, point) -> RateSolution:
+    """The exit of the module docstring from above() -> (gap, beta), wall(d) -> (t_wall, face
+    or None), face() -> (S_max, beta), curve(d, t_wall, beta) -> (t*, beta), point(list)."""
+    d = [a - b for a, b in zip(x_rho, x_sigma)]
+    ds, reach = d[-1], max(map(abs, d[:-1]))
+    if max(reach, abs(ds)) < COINCIDENT_ATOL:
+        return RateSolution(1.0, point(x_rho), "thermal", None, 0.0)
+    gap, beta = above()
+    t_wall, face = math.inf, None
+    if reach < COINCIDENT_ATOL:  # vertical
+        d[:-1] = [0.0] * (len(d) - 1)
+    elif min(x_rho[-1], gap) > SOURCE_DEGENERATE_ATOL:
+        t_wall, face = wall(d)
+    if min(x_rho[-1], gap, (t_wall - 1.0) * reach if face else math.inf) <= SOURCE_DEGENERATE_ATOL:
+        return RateSolution(0.0, point(x_rho), "source-degenerate",
+                            None if x_rho[-1] <= PURE_SOURCE_ATOL else beta, 0.0)
+    if ds < 0 and -x_sigma[-1] / ds <= t_wall:
+        t_star, kind, beta = -x_sigma[-1] / ds, "pure", None
+    elif face and x_sigma[-1] + t_wall * ds <= (cap := face())[0]:
+        t_star, kind, beta = t_wall, "thermal", cap[1]
+    else:
+        (t_star, beta), kind = curve(d, t_wall, beta), "thermal"
+        t_star = max(t_star, 1.0)
+    phi = [a + t_star * b for a, b in zip(x_sigma[:-1], d)] + [max(x_sigma[-1] + t_star * ds, 0.0)]
+    r = 1.0 - 1.0 / t_star
+    res = max(abs(a - (r * b + (1 - r) * c)) for a, b, c in zip(x_rho, x_sigma, phi))
+    return RateSolution(r, point(phi), kind, beta, res)
 
 
 def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
                     fam: GibbsFamily) -> RateSolution:
     """Maximal interconversion rate of rho into sigma under one family."""
-    x_rho = state_point(rho, fam)
-    x_sigma = state_point(sigma, fam)
-    de, ds = x_rho.E - x_sigma.E, x_rho.S - x_sigma.S
-    if math.hypot(de, ds) < COINCIDENT_ATOL:
-        return RateSolution(r=1.0, phi_point=x_rho, phi_kind="thermal",
-                            phi_beta=None, collinearity_residual=0.0)
-    beta = spontaneous_beta(fam, x_rho.E)
-    s_cap = boundary_entropy(fam, beta)
-    if min(x_rho.S, x_rho.E - fam.energy_min, fam.energy_max - x_rho.E,
-           s_cap - x_rho.S) <= SOURCE_DEGENERATE_ATOL:
-        # x_rho already sits on the boundary along this ray: nothing to fill
-        return RateSolution(r=0.0, phi_point=x_rho, phi_kind="source-degenerate",
-                            phi_beta=None if x_rho.S <= PURE_SOURCE_ATOL else beta,
-                            collinearity_residual=0.0)
-    step = -math.copysign(1.0, de)  # the sign of d(beta) toward the wall ahead
-    t_wall = ((fam.energy_min if de < 0 else fam.energy_max) - x_sigma.E) / de if de else math.inf
-    if ds < 0 and -x_sigma.S / ds <= t_wall:
-        t_star, beta = -x_sigma.S / ds, None
-    elif x_sigma.S + t_wall * ds <= boundary_entropy(fam, step * math.inf):
-        t_star, beta = t_wall, step * math.inf
-    elif math.isinf(beta):
-        # by a sentinel the curve is S = ln g to rounding: the ray meets it there while E(t)
-        # maps to the sentinel, else further on, past beta = 0 if it stays below ln g
-        t_star = (s_cap - x_sigma.S) / ds if ds > 0 else math.inf
-        beta = spontaneous_beta(fam, x_sigma.E + t_star * de) if t_star < t_wall else 0.0
-    if beta is not None and math.isfinite(beta):
-        b0 = beta
+    x_rho, x_sigma = state_point(rho, fam), state_point(sigma, fam)
+
+    def above():
+        beta = spontaneous_beta(fam, x_rho.E)
+        return boundary_entropy(fam, beta) - x_rho.S, beta
+
+    def wall(d):
+        b_wall = -math.copysign(math.inf, d[0])  # +inf (the ground wall) ahead as E falls
+        t_wall = ((fam.energy_min if d[0] < 0 else fam.energy_max) - x_sigma.E) / d[0]
+        return t_wall, lambda: (boundary_entropy(fam, b_wall), b_wall)
+
+    def curve(d, t_wall, b0):
+        de, ds = d
+        if not de:  # straight up to the curve point above x_rho
+            return (boundary_entropy(fam, b0) - x_sigma.S) / ds, b0
+        step = -math.copysign(1.0, de)  # the sign of d(beta) toward the wall ahead
+        if math.isinf(b0):
+            # by a sentinel the curve is S = ln g to rounding: the ray meets it there while
+            # E(t) maps to the sentinel, else further on, past beta = 0 if it stays below ln g
+            t_star = (boundary_entropy(fam, b0) - x_sigma.S) / ds if ds > 0 else math.inf
+            b0 = spontaneous_beta(fam, x_sigma.E + t_star * de) if t_star < t_wall else 0.0
+            if math.isinf(b0):
+                return t_star, b0
 
         def side(u: float) -> tuple[float, float]:  # > 0 while gamma(b) is above the ray
             b = b0 + step * u
@@ -69,15 +100,11 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
 
         beta = b0 if side(0.0)[0] <= 0 else b0 + step * newton_root(side, 0.0, math.inf, 1.0)
         e, s, _ = _boundary_point(fam, beta)
-        # the ray meets the tangent S = beta E + ln Z there: second order in the
-        # root's error, and no earlier than x_rho itself
-        t_star = max((s - x_sigma.S - beta * (e - x_sigma.E)) / (ds - beta * de), 1.0)
-    phi = DiagramPoint(x_sigma.E + t_star * de, max(x_sigma.S + t_star * ds, 0.0))
-    r = 1.0 - 1.0 / t_star
-    res = max(abs(x_rho.E - (r * x_sigma.E + (1 - r) * phi.E)),
-              abs(x_rho.S - (r * x_sigma.S + (1 - r) * phi.S)))
-    return RateSolution(r=r, phi_point=phi, phi_kind="pure" if beta is None else "thermal",
-                        phi_beta=beta, collinearity_residual=res)
+        # the ray meets the tangent S = beta E + ln Z there: second order in the root's error
+        return (s - x_sigma.S - beta * (e - x_sigma.E)) / (ds - beta * de), beta
+
+    return ray_exit([x_rho.E, x_rho.S], [x_sigma.E, x_sigma.S], above, wall, curve,
+                    lambda x: DiagramPoint(*x))
 
 
 def rate_entropy_only(rho: DensityMatrix, sigma: DensityMatrix) -> float:

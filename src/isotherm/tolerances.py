@@ -42,8 +42,8 @@ ENGINE_HEAT_ATOL = 1e-15  # hot-bath energy change that counts as no heat drawn
 EQUILIBRIUM_FREE_ENERGY_ATOL = 1e-8  # joint free energy of a mutual equilibrium
 
 # interconversion rates
-COINCIDENT_ATOL = 1e-12  # source and target points this close: r = 1
-SOURCE_DEGENERATE_ATOL = 1e-12  # source on the ray's boundary, r = 0: rates and charges alike
+COINCIDENT_ATOL = 1e-12  # ray coordinates this close coincide: all (r = 1), or the L's (vertical)
+SOURCE_DEGENERATE_ATOL = 1e-12  # source on the ray's boundary, r = 0 (`rates.ray_exit`)
 PURE_SOURCE_ATOL = 1e-9  # a source-degenerate source this close to S = 0 has no phi_beta
 
 # charges: the common eigenbasis, the dual Newton ascent and the simplex

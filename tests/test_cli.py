@@ -113,6 +113,17 @@ class TestRate:
         values = dict(line.split(" = ") for line in out.strip().splitlines())
         assert float(values["r"]) == pytest.approx(0.4689955935892812, abs=1e-3)
 
+    def test_flat_qubit(self, tmp_path, capsys):
+        # dE = 0 on a flat spectrum: the ray falls to S = 0, r = S(rho)/S(sigma)
+        system = state_file(tmp_path, "flat.json",
+                            {"dim": 2, "hamiltonian": {"diagonal": [1.0, 1.0]}})
+        src = state_file(tmp_path, "src.json", {"diagonal": [0.9, 0.1]})
+        tgt = state_file(tmp_path, "tgt.json", {"diagonal": [0.5, 0.5]})
+        assert main(["rate", system, src, tgt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "r = 0.468995593589" in lines
+        assert "phi_kind = pure" in lines
+
 
 class TestEquilibrate:
     def test_two_qubit_fixture(self, qubit_system, tmp_path, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -50,15 +50,17 @@ def margin_rate(rho, sigma, fam):
     """The rate route that the closed-form exits replaced, kept as an oracle:
     a root in t of the smallest of four inside margins (S, the distances to
     E_min and E_max, and the gap below the curve, each gap a spontaneous_beta
-    solve at E(t)), with the exit classified after the fact. Returns
-    (r, phi_kind, phi_beta)."""
+    solve at E(t)), with the exit classified after the fact. A vertical ray
+    (|dE| < 1e-12) runs along E = E(rho) and meets no wall, so the wall
+    margins do not count on it. Returns (r, phi_kind, phi_beta)."""
     x_rho, x_sigma = state_point(rho, fam), state_point(sigma, fam)
     de, ds = x_rho.E - x_sigma.E, x_rho.S - x_sigma.S
     if math.hypot(de, ds) < 1e-12:
         return 1.0, "thermal", None
+    walls = abs(de) >= 1e-12
 
     def inside_margin(e, s):
-        margin = min(s, e - fam.energy_min, fam.energy_max - e)
+        margin = min(s, e - fam.energy_min, fam.energy_max - e) if walls else s
         if margin < 0:
             return margin
         return min(margin, boundary_entropy(fam, spontaneous_beta(fam, e)) - s)
@@ -159,8 +161,9 @@ class TestConversionRate:
         rho = gibbs_state(qubit, 2.0)
         sigma = DensityMatrix.diagonal([0.55, 0.45])
         sol = conversion_rate(rho, sigma, qubit)
-        if sol.phi_kind == "source-degenerate":
-            assert sol.r == 0.0
+        assert (sol.phi_kind, sol.r, sol.phi_beta) == ("source-degenerate", 0.0, 2.0)
+        multi = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((qubit.hamiltonian,))))
+        assert (multi.phi_kind, multi.r) == ("source-degenerate", 0.0)
 
     def test_collinearity_on_random_pairs(self, rng):
         for _ in range(20):
@@ -246,6 +249,48 @@ class TestMarginOracle:
         assert exits == {"pure", "wall", "thermal", "source-degenerate"}
 
 
+def h2(*p):
+    return -sum(x * math.log(x) for x in p if x > 0)
+
+
+class TestWallRunningRays:
+    """Rays with dE = 0 along an energy wall or on a flat spectrum stay in the
+    diagram up to S = 0 or straight up to the curve point above x_rho: the
+    scalar layer gives the closed form to 1e-12, and the charges layer the
+    same exit within test_q1_reduction's tolerances (1e-12 on pure exits and
+    at beta = 0, 1e-8 where the filler's beta is a sentinel)."""
+
+    CASES = {
+        # flat qubit: phi is pure, r = S(rho)/S(sigma)
+        "flat-qubit": ([1.0, 1.0], [0.9, 0.1], [0.5, 0.5], "pure", None,
+                       h2(0.9, 0.1) / math.log(2)),
+        # along the ground wall E = 1 of diag(1, 1, 2), up to its top at S = ln 2
+        "ground-wall": ([1.0, 1.0, 2.0], [0.7, 0.3, 0.0], [0.95, 0.05, 0.0], "thermal",
+                        math.inf, (math.log(2) - h2(0.7, 0.3)) / (math.log(2) - h2(0.95, 0.05))),
+        "top-wall": ([0.0, 1.0, 1.0], [0.0, 0.3, 0.7], [0.0, 0.05, 0.95], "thermal", -math.inf,
+                     (math.log(2) - h2(0.7, 0.3)) / (math.log(2) - h2(0.95, 0.05))),
+        # flat qutrit, entropy rising to ln 3
+        "flat-qutrit": ([2.0, 2.0, 2.0], [0.4, 0.3, 0.3], [0.9, 0.05, 0.05], "thermal", 0.0,
+                        (math.log(3) - h2(0.4, 0.3, 0.3)) / (math.log(3) - h2(0.9, 0.05, 0.05))),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_both_layers_take_the_closed_form(self, name):
+        levels, p_rho, p_sigma, kind, beta, r = self.CASES[name]
+        h = HermitianOperator.diagonal(levels)
+        rho, sigma = DensityMatrix.diagonal(p_rho), DensityMatrix.diagonal(p_sigma)
+        single = conversion_rate(rho, sigma, GibbsFamily(h))
+        assert (single.phi_kind, single.phi_beta) == (kind, beta)
+        assert single.r == pytest.approx(r, abs=1e-12)
+        if kind == "thermal":
+            s_phi = math.log(2) if math.isinf(beta) else math.log(3)
+            assert single.phi_point.S == pytest.approx(s_phi, abs=1e-15)
+        multi = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((h,))))
+        assert multi.phi_kind == kind
+        tol = 1e-8 if beta is not None and math.isinf(beta) else 1e-12
+        assert multi.r == pytest.approx(single.r, abs=tol)
+
+
 class TestSentinelEdges:
     def test_ground_sentinel_edge(self, degenerate_qutrit):
         rho = DensityMatrix.diagonal([0.6, 0.4 - 1e-11, 1e-11])
@@ -321,15 +366,25 @@ def test_curve_exit_against_mpmath(levels, unit, p_rho, p_sigma):
     assert sol.r == pytest.approx(mp_ray_curve_rate(fam, rho, sigma, sol.phi_beta), abs=1e-11)
 
 
-def rate_case(levels, split, unit, rotate, beta_norms, weights, seed):
+def rate_case(levels, split, unit, rotate, beta_norms, weights, seed, end=None):
     """A family unit * (levels + split * index), in a Haar basis if `rotate`,
     and two states (1 - w) gamma(b / ||H||) + w * (a random state), where
-    ||H|| is the width of the spectrum."""
+    ||H|| is the width of the spectrum; on a flat spectrum every gamma is I/d.
+    With `end` ("ground" or "top") both states live on that end level's
+    degenerate subspace, where every gamma is uniform, so the ray runs along
+    the wall."""
     rng = np.random.default_rng(seed)
     h = unit * (np.array(levels, dtype=float) + split * np.arange(len(levels)))
     u = haar_unitary(len(levels), rng) if rotate else np.eye(len(levels))
     fam = GibbsFamily(HermitianOperator((u * h) @ u.conj().T))
-    width = fam.energy_max - fam.energy_min
+    if end is not None:
+        v = u[:, h == (h.min() if end == "ground" else h.max())]
+        g = v.shape[1]
+        rho, sigma = (DensityMatrix(v @ ((1 - w) * np.eye(g) / g
+                                         + w * random_density(g, rng).entries) @ v.conj().T)
+                      for w in weights)
+        return fam, rho, sigma
+    width = fam.energy_max - fam.energy_min if np.ptp(h) else math.inf
     rho, sigma = (DensityMatrix((1 - w) * gibbs_state(fam, b / width).entries
                                 + w * random_density(len(levels), rng).entries)
                   for b, w in zip(beta_norms, weights))
@@ -345,9 +400,10 @@ RATE_CASES = dict(
     weights=st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0]),
                      min_size=2, max_size=2),
     seed=st.integers(0, 2**32 - 1),
+    end=st.sampled_from([None, "ground", "top"]),
 )
 SENTINEL_EDGE_CASE = dict(levels=[0, 0, 1], split=0.0, unit=1.0, rotate=False,
-                          beta_norms=[700.0, 0.0], weights=[1e-6, 0.5], seed=0)
+                          beta_norms=[700.0, 0.0], weights=[1e-6, 0.5], seed=0, end=None)
 
 
 class TestRateProperties:
@@ -356,11 +412,15 @@ class TestRateProperties:
     @settings(max_examples=150, deadline=None)
     @given(**RATE_CASES)
     @example(**SENTINEL_EDGE_CASE)
+    # rho on the curve, to rounding
     @example(levels=[1, 2], split=0.0, unit=10.0 ** 1.890625, rotate=False,
-             beta_norms=[1.5, 0.0], weights=[0.0, 0.0], seed=0)  # rho on the curve, to rounding
-    def test_collinearity(self, levels, split, unit, rotate, beta_norms, weights, seed):
-        assume(max(levels) > min(levels))
-        fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed)
+             beta_norms=[1.5, 0.0], weights=[0.0, 0.0], seed=0, end=None)
+    # two copies of the ground state of a narrow spectrum, E a few ulps below E_min: r = 1
+    # before any solve for beta, which rejects that E
+    @example(levels=[3, 3], split=1e-6, unit=0.162868102685084, rotate=True,
+             beta_norms=[0.0, 0.0], weights=[1.0, 0.0], seed=3, end="ground")
+    def test_collinearity(self, levels, split, unit, rotate, beta_norms, weights, seed, end):
+        fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed, end)
         sol = conversion_rate(rho, sigma, fam)
         if sol.phi_kind != "source-degenerate":
             assert sol.collinearity_residual <= 1e-8
@@ -369,34 +429,38 @@ class TestRateProperties:
     @settings(max_examples=150, deadline=None)
     @given(**RATE_CASES)
     @example(**SENTINEL_EDGE_CASE)
+    # a wall exit on a top face of coinciding levels
     @example(levels=[4, 0, 4, 0, 2], split=0.0, unit=1.0, rotate=True, beta_norms=[-8.0, -5.0],
-             weights=[0.5, 0.5], seed=0)  # a wall exit on a top face of coinciding levels
+             weights=[0.5, 0.5], seed=0, end=None)
     # nearly tangent rays: the thermal exit's optimum sits at nu ~ 1e9-1e12, where g
     # is a sum of terms of that size and cannot be resolved to 1e-16 of itself
     @example(levels=[0, 0, 1], split=0.0, unit=10.0, rotate=False, beta_norms=[2.0, 2.0],
-             weights=[10**-4.5] * 2, seed=11)
+             weights=[10**-4.5] * 2, seed=11, end=None)
     @example(levels=[0, 0, 1], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
-             weights=[1e-5] * 2, seed=2)
+             weights=[1e-5] * 2, seed=2, end=None)
     @example(levels=[0, 1, 2], split=0.0, unit=10.0, rotate=False, beta_norms=[0.5, 0.5],
-             weights=[10**-4.5] * 2, seed=3)
+             weights=[10**-4.5] * 2, seed=3, end=None)
     @example(levels=[0, 1, 1, 3], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
-             weights=[1e-5] * 2, seed=9)
+             weights=[1e-5] * 2, seed=9, end=None)
     @example(levels=[0, 0, 1], split=0.0, unit=10.0, rotate=False, beta_norms=[6.0, 6.0],
-             weights=[1e-6] * 2, seed=0)
+             weights=[1e-6] * 2, seed=0, end=None)
     @example(levels=[0, 0, 1], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
-             weights=[1e-5] * 2, seed=8)
+             weights=[1e-5] * 2, seed=8, end=None)
     @example(levels=[0, 1, 1, 3], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
-             weights=[1e-5] * 2, seed=8)
-    def test_q1_reduction(self, levels, split, unit, rotate, beta_norms, weights, seed):
+             weights=[1e-5] * 2, seed=8, end=None)
+    def test_q1_reduction(self, levels, split, unit, rotate, beta_norms, weights, seed, end):
         """conversion_rate_charges on the one-charge family exits the same way,
-        source-degenerate sources of the charges layer included (both layers
-        read SOURCE_DEGENERATE_ATOL), with r within 1e-12 on pure exits, 1e-8
+        on flat spectra and rays along a wall (`end`) too, source-degenerate
+        sources of the charges layer included (both layers share
+        `rates.ray_exit`), with r within 1e-12 on pure exits, 1e-8
         where the filler's beta is a sentinel (wall exits come from an LP's
         equalities, as in test_charges), and on curve exits within NEWTON_TOL,
-        the charge tolerance of gge_solve, carried through the root:
-        NEWTON_TOL |beta| / |beta dE - dS| / t*^2."""
-        assume(max(levels) > min(levels))
-        fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed)
+        the charge tolerance of gge_solve, and a few ulps of rounding in each
+        of S_rho, S_sigma and S_phi (3e-15 in all, with ln d <= ln 5), carried
+        through the root: (NEWTON_TOL |beta| / t* + 3e-15) / |beta dE - dS| / t*.
+        The rounding term counts on flat spectra (beta = 0), where the first
+        vanishes and a nearly vertical ray divides it by a small dS."""
+        fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed, end)
         single = conversion_rate(rho, sigma, fam)
         if single.phi_kind == "source-degenerate":
             return
@@ -410,7 +474,8 @@ class TestRateProperties:
         else:
             x_rho, x_sigma = state_point(rho, fam), state_point(sigma, fam)
             slope = abs(beta * (x_rho.E - x_sigma.E) - (x_rho.S - x_sigma.S))
-            tol = 1e-12 + NEWTON_TOL * abs(beta) / slope * (1.0 - single.r) ** 2
+            tol = 1e-12 + (NEWTON_TOL * abs(beta) * (1.0 - single.r) + 3e-15) / slope \
+                * (1.0 - single.r)
         assert multi.r == pytest.approx(single.r, abs=tol)
 
     def test_q1_reduction_takes_no_overflowing_step(self, monkeypatch):

@@ -8,6 +8,8 @@ verification routes live in `oracles.py`, which only the package's
 `__init__.py` imports, and which alone imports scipy.
 Every Kronecker product goes through `operators._kron`. A state or an
 operator is built by its checked constructor or by its trusted `_derived`.
+The coincident and source-degenerate rules of a rate are read in
+`rates.py` alone, where `ray_exit` serves both rate layers.
 """
 
 import ast
@@ -89,3 +91,9 @@ def test_only_derived_skips_the_constructor():
               for node in ast.walk(fn)
               if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"]
     assert owners == ["operators.py:_derived"] * 2
+
+
+def test_only_rates_reads_the_ray_exit_tolerances():
+    names = {"tolerances.COINCIDENT_ATOL", "tolerances.SOURCE_DEGENERATE_ATOL"}
+    readers = {path.name for path in MODULES if names & imported_modules(path)}
+    assert readers == {"rates.py"}
