@@ -25,15 +25,15 @@ the perspective of log-sum-exp, on an affine slice z0 + basis u of z =
   beta_vec = (lam, 1) / nu with the 1 at k. The start is hot: nu = ptp(L_k)
   and lam / nu roughly the max-entropy beta_vec at the other charges.
 - `conversion_rate_charges` hands `rates.ray_exit` its primitives: the gap
-  from the ascent at L_rho; t_wall from one LP, and the maximum entropy of
-  the face it leaves through, only if the ray gets there (a wall exit,
-  phi_beta None); the curve exit t* = -max g = min (ln Z + beta_vec.L_sigma
-  - S_sigma) / (dS - beta_vec.dL) on the thermal-exit slice, c = 0, A all
-  levels, b = L_sigma, S = S_sigma on nu dS - lam.dL = 1, from the ascent's
-  beta_vec = lam / nu, reflected through dS = beta_vec.dL if dS <=
-  beta_vec.dL. A flat lone charge exits at ln d; a vertical ray above L_rho
-  (b = L_rho), or at the maximum entropy of the face the LP along the ray
-  from the levels' centre puts L_rho on (within PIVOT_TOL max|level|).
+  from the ascent at L_rho (ln d on a flat lone charge, as `gibbs` rounds
+  it; on a vertical ray along a face, found within PIVOT_TOL max|level| by
+  the LP from the levels' centre, the face's maximum entropy, phi_beta None,
+  as beta_vec diverges and the ascent stops too coarse); t_wall from one LP,
+  with its face's maximum entropy only if the ray gets there (phi_beta
+  None); the curve exit t* = -max g = min (ln Z + beta_vec.L_sigma -
+  S_sigma) / (dS - beta_vec.dL) on the thermal-exit slice (c = 0, A all
+  levels, b = L_sigma, S = S_sigma, nu dS - lam.dL = 1) from the ascent's
+  beta_vec = lam / nu, reflected through dS = beta_vec.dL if below.
 
 Each step is halved from its first trial, down to 1e-12 of it, until the
 slope along it is at least -1/2 of its starting value at a point whose own
@@ -538,7 +538,14 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     x_rho, x_sigma = charges_point(rho, fam), charges_point(sigma, fam)
     ells, scale = fam.joint_eigenvalues, np.abs(fam.joint_eigenvalues).max()
 
-    def above():
+    def above(vertical):
+        if np.ptp(ells) <= FACE_RTOL * scale:  # a flat lone charge
+            return math.log1p(fam.dim - 1) - x_rho.S, np.zeros(fam.q)
+        if vertical:  # on a face: its maximum entropy
+            centre = ells.mean(axis=1)
+            t_face, face = leave(centre, x_rho.L - centre)
+            if face and (t_face - 1.0) * np.abs(x_rho.L - centre).max() <= PIVOT_TOL * scale:
+                return face()[0] - x_rho.S, None
         try:
             beta, p = _max_entropy(ells, x_rho.L)
         except InfeasibleTargetError:  # rho's charges on the polytope's boundary
@@ -558,21 +565,14 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
             ells[:, face[:-1]], base + t_wall * d_l, scale)), None)
 
     def curve(d, t_wall, beta):
-        if np.ptp(ells) <= FACE_RTOL * scale:  # a flat lone charge: one state, I/d
-            return (math.log(fam.dim) - x_sigma.S) / d[-1], beta
         d_l = np.array(d[:-1])
-        if not d_l.any():  # vertical: on a face (g unbounded past rounding), its max entropy
-            centre = ells.mean(axis=1)
-            t_face, face = leave(centre, x_rho.L - centre)
-            if face and (t_face - 1.0) * np.abs(x_rho.L - centre).max() <= PIVOT_TOL * scale:
-                return (face()[0] - x_sigma.S) / d[-1], None
         normal = np.append(-d_l, d[-1])
         z = np.append(beta, 1.0)
         if normal @ z <= 0:
             z[:-1] += 2.0 * (normal @ z) * d_l / (d_l @ d_l)
         basis = np.linalg.svd(normal[None])[2][1:].T
-        z, value, _ = _ascend(np.zeros(fam.dim), ells, x_sigma.L if d_l.any() else x_rho.L,
-                              x_sigma.S, z / (normal @ z), basis, _decrement_stop)
+        z, value, _ = _ascend(np.zeros(fam.dim), ells, x_sigma.L, x_sigma.S, z / (normal @ z),
+                              basis, _decrement_stop)
         return -value, z[:-1] / z[-1]
 
     return ray_exit([*x_rho.L.tolist(), x_rho.S], [*x_sigma.L.tolist(), x_sigma.S], above,

@@ -2,51 +2,54 @@
 
 The maximal rate r for rho^n -> sigma^m (x) phi^(n-m) puts the filler phi
 where the ray x_sigma + t d, d = x_rho - x_sigma, t >= 1, leaves the region
-of states: r = 1 - 1/t* = (S(rho) - S(phi)) / (S(sigma) - S(phi)).
-`ray_exit` finds it for both rate layers on (L_1 .. L_q, S) points (q = 1,
-L = E here): r = 1 for points within COINCIDENT_ATOL (max-norm); dL = 0 and
-no wall ahead for max|dL| below it (a vertical ray); r = 0
-("source-degenerate", phi_beta the beta above x_rho, None at S ~ 0) if
-S(rho), S_max(L_rho) - S(rho) or (t_wall - 1) max|dL| is within
-SOURCE_DEGENERATE_ATOL; else an exit at S = 0 ("pure") iff t_pure <=
-t_wall, through the wall ("thermal") iff S(t_wall) is at most the maximum
-entropy there, or on the curve ("thermal"), no earlier than x_rho. Here
-t_wall is closed-form, the wall's maximum entropy ln g (phi_beta +-inf), and
-the curve exit one root in beta of the side of the ray gamma(beta) is on,
-from beta~(rho) = spontaneous_beta(E(rho)), or straight up for a vertical
-ray: at +-inf along a wall, 0 on a flat spectrum.
+of states: r = 1 - 1/t* = (S(rho) - S(phi)) / (S(sigma) - S(phi)). Both rate
+layers find t* by `ray_exit` on (L_1 .. L_q, S) points (L = E here): r = 1
+within COINCIDENT_ATOL (max-norm); r = 0 ("source-degenerate", phi_beta the
+beta above x_rho, None at S ~ 0) if S, gap = S_max(L) - S or (t_wall - 1)
+max|dL| at x_rho is within SOURCE_DEGENERATE_ATOL; else the exit at S = 0
+("pure") iff t_pure <= t_wall, through the wall ("thermal") iff S(t_wall) is
+at most the maximum entropy there, or on the curve ("thermal"), at t* = 1 +
+gap / dS on a vertical ray (max|dL| below COINCIDENT_ATOL: no wall), else at
+one root, t* >= 1. Here the wall is closed-form (S = ln g, phi_beta +-inf),
+the root in beta is sought from beta~ = spontaneous_beta(E(rho)), and the
+gap is ln g along a wall, ln d on a flat spectrum (beta~ +-inf, 0).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .diagram import DiagramPoint, state_point
 from .gibbs import GibbsFamily, _boundary_point, boundary_entropy, newton_root, spontaneous_beta
 from .operators import DensityMatrix, entropy
 from .tolerances import COINCIDENT_ATOL, PURE_SOURCE_ATOL, SOURCE_DEGENERATE_ATOL
 
+if TYPE_CHECKING:
+    import numpy as np
+    from .charges import ChargesPoint
+
 
 @dataclass(frozen=True)
 class RateSolution:
     r: float
-    phi_point: object  # a DiagramPoint, or a charges.ChargesPoint
+    phi_point: DiagramPoint | ChargesPoint
     phi_kind: str  # "pure" | "thermal" | "source-degenerate"
-    phi_beta: object  # a float (or a charges beta_vec array) or None
+    phi_beta: float | np.ndarray | None  # a charges rate's is a beta_vec
     collinearity_residual: float
 
 
 def ray_exit(x_rho: list, x_sigma: list, above, wall, curve, point) -> RateSolution:
-    """The exit of the module docstring from above() -> (gap, beta), wall(d) -> (t_wall, face
-    or None), face() -> (S_max, beta), curve(d, t_wall, beta) -> (t*, beta), point(list)."""
+    """The exit of the module docstring from above(vertical) -> (gap, beta), wall(d) -> (t_wall,
+    face or None), face() -> (S_max, beta), curve(d, t_wall, beta) -> (t*, beta), point(x)."""
     d = [a - b for a, b in zip(x_rho, x_sigma)]
     ds, reach = d[-1], max(map(abs, d[:-1]))
     if max(reach, abs(ds)) < COINCIDENT_ATOL:
         return RateSolution(1.0, point(x_rho), "thermal", None, 0.0)
-    gap, beta = above()
+    gap, beta = above(vertical := reach < COINCIDENT_ATOL)
     t_wall, face = math.inf, None
-    if reach < COINCIDENT_ATOL:  # vertical
+    if vertical:
         d[:-1] = [0.0] * (len(d) - 1)
     elif min(x_rho[-1], gap) > SOURCE_DEGENERATE_ATOL:
         t_wall, face = wall(d)
@@ -57,9 +60,9 @@ def ray_exit(x_rho: list, x_sigma: list, above, wall, curve, point) -> RateSolut
         t_star, kind, beta = -x_sigma[-1] / ds, "pure", None
     elif face and x_sigma[-1] + t_wall * ds <= (cap := face())[0]:
         t_star, kind, beta = t_wall, "thermal", cap[1]
-    else:
-        (t_star, beta), kind = curve(d, t_wall, beta), "thermal"
-        t_star = max(t_star, 1.0)
+    else:  # on the curve, straight above x_rho on a vertical ray
+        t_star, beta = (1.0 + gap / ds, beta) if vertical else curve(d, t_wall, beta)
+        t_star, kind = max(t_star, 1.0), "thermal"
     phi = [a + t_star * b for a, b in zip(x_sigma[:-1], d)] + [max(x_sigma[-1] + t_star * ds, 0.0)]
     r = 1.0 - 1.0 / t_star
     res = max(abs(a - (r * b + (1 - r) * c)) for a, b, c in zip(x_rho, x_sigma, phi))
@@ -71,7 +74,7 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
     """Maximal interconversion rate of rho into sigma under one family."""
     x_rho, x_sigma = state_point(rho, fam), state_point(sigma, fam)
 
-    def above():
+    def above(_vertical):  # a wall or a flat spectrum is one more beta~ (+-inf or 0)
         beta = spontaneous_beta(fam, x_rho.E)
         return boundary_entropy(fam, beta) - x_rho.S, beta
 
@@ -82,8 +85,6 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
 
     def curve(d, t_wall, b0):
         de, ds = d
-        if not de:  # straight up to the curve point above x_rho
-            return (boundary_entropy(fam, b0) - x_sigma.S) / ds, b0
         step = -math.copysign(1.0, de)  # the sign of d(beta) toward the wall ahead
         if math.isinf(b0):
             # by a sentinel the curve is S = ln g to rounding: the ray meets it there while
@@ -110,8 +111,7 @@ def conversion_rate(rho: DensityMatrix, sigma: DensityMatrix,
 def rate_entropy_only(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Rate under the entropy constraint alone: S(rho)/S(sigma). May exceed
     1 when S(rho) > S(sigma); direction reversal is the caller's business."""
-    s_sigma = entropy(sigma)
-    s_rho = entropy(rho)
+    s_rho, s_sigma = entropy(rho), entropy(sigma)
     if s_sigma <= 0:
         if s_rho > 0:
             raise ValueError("sigma is pure; entropy-only rate undefined")

@@ -455,11 +455,9 @@ class TestRateProperties:
         `rates.ray_exit`), with r within 1e-12 on pure exits, 1e-8
         where the filler's beta is a sentinel (wall exits come from an LP's
         equalities, as in test_charges), and on curve exits within NEWTON_TOL,
-        the charge tolerance of gge_solve, and a few ulps of rounding in each
-        of S_rho, S_sigma and S_phi (3e-15 in all, with ln d <= ln 5), carried
-        through the root: (NEWTON_TOL |beta| / t* + 3e-15) / |beta dE - dS| / t*.
-        The rounding term counts on flat spectra (beta = 0), where the first
-        vanishes and a nearly vertical ray divides it by a small dS."""
+        the charge tolerance of gge_solve, carried through the root:
+        NEWTON_TOL |beta| / |beta dE - dS| / t*^2. On a flat spectrum both
+        layers round S_max = ln d alike, so r agrees to the bit there."""
         fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed, end)
         single = conversion_rate(rho, sigma, fam)
         if single.phi_kind == "source-degenerate":
@@ -474,8 +472,7 @@ class TestRateProperties:
         else:
             x_rho, x_sigma = state_point(rho, fam), state_point(sigma, fam)
             slope = abs(beta * (x_rho.E - x_sigma.E) - (x_rho.S - x_sigma.S))
-            tol = 1e-12 + (NEWTON_TOL * abs(beta) * (1.0 - single.r) + 3e-15) / slope \
-                * (1.0 - single.r)
+            tol = 1e-12 + NEWTON_TOL * abs(beta) / slope * (1.0 - single.r) ** 2
         assert multi.r == pytest.approx(single.r, abs=tol)
 
     def test_q1_reduction_takes_no_overflowing_step(self, monkeypatch):
