@@ -16,6 +16,7 @@ the perspective of log-sum-exp, on an affine slice z0 + basis u of z =
   at its charges, on the max-entropy slice: c = 0, A the levels, b the
   target, S = 0, nu pinned at 1, from lam = 0 (`_max_entropy`, also run on
   the LP faces). A target on or outside the polytope's boundary raises.
+  The same ascent gives S_max(L) to `absolute_athermality` and the rate.
 - `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
   (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
   the polytope; if the maximum entropy on its optimal face reaches S, the
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import _bound_energy_at
+from .energetics import _bound_energy_at, _snap
 from .gibbs import (
     ConvergenceError,
     GibbsFamily,
@@ -264,11 +265,10 @@ def beta_vec_athermality(rho: DensityMatrix, fam: GGEFamily, beta_vec) -> float:
 
 def absolute_athermality(rho: DensityMatrix, fam: GGEFamily,
                          rng: np.random.Generator | None = None) -> float:
-    """min over beta_vec of the beta-athermality; the minimizer matches all
-    charge expectations, so the value is S(gamma) - S(rho). `rng` is unused."""
+    """min over beta_vec of the beta-athermality, S_max(L(rho)) - S(rho) at
+    the minimizer (`_max_entropy`); exact zero below 1e-12. `rng` is unused."""
     pt = charges_point(rho, fam)
-    beta = gge_solve(fam, pt.L)
-    return gge_entropy(fam, beta) - pt.S
+    return _snap(_max_entropy(fam.joint_eigenvalues, pt.L)[2] - pt.S)
 
 
 def _simplex(t: np.ndarray, basis: np.ndarray, cols: int, tol: float) -> bool:
@@ -404,14 +404,16 @@ def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.nd
 
 
 def _max_entropy(levels: np.ndarray, target: np.ndarray,
-                 stop=_gradient_stop) -> tuple[np.ndarray, np.ndarray]:
+                 stop=_gradient_stop) -> tuple[np.ndarray, np.ndarray, float]:
     """The lam at which the weights p ~ e^(-lam.levels) give levels @ p =
-    target to NEWTON_TOL (or until `stop`), with those weights: the
-    max-entropy slice, nu pinned at 1, from lam = 0."""
+    target to NEWTON_TOL (or until `stop`), with those weights and S_max at
+    the target: the max-entropy slice, nu pinned at 1, from lam = 0. S_max is
+    H(p) to first order in the charge residual, as dS_max/dL = lam; by
+    concavity that tangent is never below the truth."""
     m, d = levels.shape
     z, _, p = _ascend(np.zeros(d), levels, target, 0.0, np.eye(m + 1)[-1],
                       np.eye(m + 1, m), stop)
-    return z[:-1], p
+    return z[:-1], p, spectrum_entropy(p) + z[:-1] @ (target - levels @ p)
 
 
 def _face_max_entropy(levels: np.ndarray, target: np.ndarray, scale: float) -> np.ndarray:
@@ -547,11 +549,10 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
             if face and (t_face - 1.0) * np.abs(x_rho.L - centre).max() <= PIVOT_TOL * scale:
                 return face()[0] - x_rho.S, None
         try:
-            beta, p = _max_entropy(ells, x_rho.L)
+            beta, _, s_max = _max_entropy(ells, x_rho.L)
         except InfeasibleTargetError:  # rho's charges on the polytope's boundary
             return -1.0, None
-        # S_max(L_rho) to first order in the ascent's charge residual: dS_max/dL = beta_vec
-        return spectrum_entropy(p) + beta @ (x_rho.L - ells @ p) - x_rho.S, beta
+        return s_max - x_rho.S, beta
 
     def leave(base, d_l):  # where base + t d_l, t >= 0, leaves the polytope: ray_exit's wall
         a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])

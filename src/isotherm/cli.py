@@ -293,11 +293,10 @@ def cmd_charges(args) -> int:
     rho = load_state(args.state, fam, gge)
     pt = charges_mod.charges_point(rho, gge)
     beta = charges_mod.gge_solve(gge, pt.L)  # InfeasibleTargetError is a ValueError: exit 3
-    ath = charges_mod.gge_entropy(gge, beta) - pt.S
     for k, val in enumerate(pt.L):
         print(f"L{k} = {_fmt(val)}")
     print(f"S = {_fmt(pt.S)}")
-    print(f"A = {_fmt(ath)}")
+    print(f"A = {_fmt(charges_mod.absolute_athermality(rho, gge))}")
     print("beta_vec = " + ",".join(_fmt(b) for b in beta))
     return EXIT_OK
 

@@ -324,8 +324,8 @@ def _joint_spontaneous_beta(fams: list[GibbsFamily], target_energy: float) -> fl
         if abs(target_energy - e_min) > FLAT_ENERGY_ATOL:
             raise ValueError(f"target energy {target_energy} unattainable for flat spectrum")
         return 0.0
-    # a few ulps of the levels too: on a narrow spectrum far from 0, E rounds past an end
-    slack = ENERGY_RANGE_RTOL * scale + 4 * math.ulp(max(abs(e_min), abs(e_max)))
+    # 8 ulps of the larger |end| per level: Tr(H rho) of an end eigenstate rounds past it
+    slack = ENERGY_RANGE_RTOL * scale + 8 * sum(f.dim for f in fams) * math.ulp(max(-e_min, e_max))
     if target_energy < e_min - slack or target_energy > e_max + slack:
         raise ValueError(f"target energy {target_energy} outside [{e_min}, {e_max}]")
     atol = SENTINEL_ENERGY_RTOL * scale

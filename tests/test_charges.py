@@ -356,8 +356,24 @@ class TestAthermality:
         rho = random_density(4, rng)
         assert absolute_athermality(rho, charge_family, rng=rng) >= -1e-10
         gamma = gge_state(charge_family, [0.8, 0.1])
-        assert absolute_athermality(gamma, charge_family, rng=rng) == pytest.approx(
-            0.0, abs=1e-8)
+        assert absolute_athermality(gamma, charge_family, rng=rng) == 0.0
+
+    @pytest.mark.parametrize("a", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_zero_on_a_gibbs_state_near_the_ground(self, a):
+        # diag(1 - a, a/2, a/2) is the Gibbs state of diag(0, 1, 1) at
+        # beta = ln(2 (1 - a) / a); the uncorrected S(gamma(beta_hat)) is off
+        # by up to 3e-9 here
+        fam = GGEFamily(ChargeSet((HermitianOperator.diagonal([0.0, 1.0, 1.0]),)))
+        rho = DensityMatrix.diagonal([1.0 - a, a / 2, a / 2])
+        assert absolute_athermality(rho, fam) == 0.0
+
+    def test_zero_on_gge_states_of_the_benchmark_families(self):
+        rng = np.random.default_rng(0)
+        for f in range(32):
+            fam = benchmark_case(f)[0]
+            for _ in range(8):
+                gamma = gge_state(fam, rng.uniform(-1.0, 1.0, fam.q))
+                assert absolute_athermality(gamma, fam) == 0.0
 
     def test_absolute_is_the_minimum_over_beta(self, charge_family, rng):
         rho = random_density(4, rng)
@@ -642,7 +658,7 @@ class TestMaxEntropy:
     def test_converges_to_the_gge_of_the_target(self):
         lam = np.array([1.3, -0.7])
         target = self.LEVELS @ _boltzmann_weights(np.dot(-lam, self.LEVELS))
-        rec, w = self._solve(self.LEVELS, target)
+        rec, w, _ = self._solve(self.LEVELS, target)
         assert np.array_equal(w, _boltzmann_weights(np.dot(-rec, self.LEVELS)))  # final weights
         assert np.max(np.abs(self.LEVELS @ w - target)) <= NEWTON_TOL
         assert rec == pytest.approx(lam, abs=1e-7)
@@ -1041,7 +1057,7 @@ class TestChargesRateOracle:
 
 class TestSolverGuards:
     """The two free dual ascents (the active bound_charge, the thermal exit):
-    cost, and independence from brentq."""
+    cost, and independence from brentq; and the cost of absolute_athermality."""
 
     # calls of the one weight kernel over the 32 benchmark families with the
     # bound and the thermal exit as roots around max-entropy ascents, and the
@@ -1056,8 +1072,8 @@ class TestSolverGuards:
             return bound_charge(rho, fam, 0)
         return conversion_rate_charges(rho, sigma, fam)
 
-    @pytest.mark.parametrize("name", ["bound_charge", "conversion_rate_charges"])
-    def test_weight_evaluations(self, name, monkeypatch):
+    @staticmethod
+    def _count_weight_calls(monkeypatch) -> list:
         calls = []
         weights = charges_module._boltzmann_weights
 
@@ -1066,10 +1082,23 @@ class TestSolverGuards:
             return weights(*args)
 
         monkeypatch.setattr(charges_module, "_boltzmann_weights", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["bound_charge", "conversion_rate_charges"])
+    def test_weight_evaluations(self, name, monkeypatch):
+        calls = self._count_weight_calls(monkeypatch)
         for f in range(32):
             self._run(name, f)
         most = self.MOST_WEIGHT_CALLS[name]
         assert len(calls) <= most < self.NESTED_WEIGHT_CALLS[name]
+
+    def test_athermality_takes_one_max_entropy_solve(self, monkeypatch):
+        # S_max comes from the ascent's own weights: no further pass at beta_hat
+        calls = self._count_weight_calls(monkeypatch)
+        for f in range(32):
+            fam, rho, _ = benchmark_case(f)
+            absolute_athermality(rho, fam)
+        assert len(calls) <= 150
 
     def test_roots_do_not_use_brentq(self, monkeypatch):
         import scipy.optimize

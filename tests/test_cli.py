@@ -16,6 +16,7 @@ from isotherm.operators import (
     DensityMatrix,
     HermitianOperator,
     SubsystemSplit,
+    haar_unitary,
     random_density,
     tensor,
 )
@@ -77,6 +78,22 @@ class TestInfo:
         assert main(["info", "--json", qubit_system, ground]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["beta_intrinsic"] == "inf"
+
+    def test_rotated_narrow_ground_state(self, tmp_path, capsys):
+        # the pure ground state of a narrow qubit in a Haar basis (test_rates'
+        # rate_case): Tr(H rho) rounds 8 ulps below E_min, and is still attainable
+        rng = np.random.default_rng(3)
+        u = haar_unitary(2, rng)
+        h = (u * (0.162868102685084 * np.array([3.0, 3.0 + 1e-6]))) @ u.conj().T
+        rho = u[:, :1] @ random_density(1, rng).entries @ u[:, :1].conj().T
+        system = state_file(tmp_path, "narrow.json", {"dim": 2, "hamiltonian": {
+            "matrix": {"re": h.real.tolist(), "im": h.imag.tolist()}}})
+        ground = state_file(tmp_path, "ground.json", {
+            "matrix": {"re": rho.real.tolist(), "im": rho.imag.tolist()}})
+        assert main(["info", "--json", system, ground]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["E"] < GibbsFamily(HermitianOperator(h)).energy_min
+        assert data["beta_spontaneous"] == "inf"
 
     def test_deterministic_across_runs(self, qubit_system, p91_state, capsys):
         main(["info", qubit_system, p91_state])

@@ -544,6 +544,19 @@ class TestSpontaneousBeta:
         for beta in (3e8, -3e8):
             assert fam.energy_min <= boundary_energy(fam, beta) <= fam.energy_max
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_end_eigenstates_in_haar_bases(self, dim):
+        # Tr(H rho) of an end eigenstate of a narrow spectrum far from 0, in a
+        # Haar basis, rounds up to ~10 ulps past that end
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            u = haar_unitary(dim, rng)
+            h = rng.uniform(0.1, 10.0) * (1.0 + 1e-6 * np.sort(rng.random(dim)))
+            fam = GibbsFamily(HermitianOperator((u * h) @ u.conj().T))
+            for i, sign in ((0, 1.0), (dim - 1, -1.0)):
+                rho = DensityMatrix(np.outer(u[:, i], u[:, i].conj()))
+                assert sign * spontaneous_beta(fam, expectation(fam.hamiltonian, rho)) > 0
+
 
 class TestNewtonRoot:
     """newton_root (rtsafe): f returns (f, f'), the ends are not evaluated."""

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from isotherm import rates
 from isotherm.charges import NEWTON_TOL, ChargeSet, GGEFamily, conversion_rate_charges
 from isotherm.diagram import state_point
+from isotherm.energetics import report
 from isotherm.gibbs import (
     GibbsFamily,
     boundary_entropy,
@@ -308,6 +309,17 @@ class TestSentinelEdges:
         sol = conversion_rate(rho, sigma, fam)
         assert sol.phi_kind == "thermal" and sol.phi_beta == -math.inf
         assert sol.r == pytest.approx(SENTINEL_EDGE_R, abs=1e-12)
+
+    def test_rotated_narrow_ground_state(self):
+        # the pure ground state of a narrow qubit in a Haar basis: Tr(H rho)
+        # rounds 8 ulps below E_min, and is still the ground sentinel
+        fam, rho, _ = rate_case([3, 3], 1e-6, 0.162868102685084, True, [0.0, 0.0],
+                                [1.0, 0.0], 3, "ground")
+        assert state_point(rho, fam).E < fam.energy_min
+        rep = report(rho, fam)
+        assert (rep.spontaneous_beta, rep.athermality) == (math.inf, 0.0)
+        sol = conversion_rate(rho, DensityMatrix.maximally_mixed(2), fam)
+        assert (sol.r, sol.phi_kind) == (0.0, "source-degenerate")
 
     def test_ray_leaving_the_sentinel_band(self, degenerate_qutrit):
         # a slowly rising ray leaves the band before S reaches ln 2: a finite exit
