@@ -15,8 +15,9 @@ the perspective of log-sum-exp, on an affine slice z0 + basis u of z =
 - `gge_solve` inverts beta_vec -> L(gamma), gamma the maximum-entropy state
   at its charges, on the max-entropy slice: c = 0, A the levels, b the
   target, S = 0, nu pinned at 1, from lam = 0 (`_max_entropy`, also run on
-  the LP faces). A target on or outside the polytope's boundary raises.
-  The same ascent gives S_max(L) to `absolute_athermality` and the rate.
+  the LP faces; a flat lone charge takes lam = 0, uniform p). A target
+  outside the polytope raises. The same ascent gives S_max(L) to
+  `absolute_athermality` and the rate.
 - `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
   (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
   the polytope; if the maximum entropy on its optimal face reaches S, the
@@ -38,17 +39,21 @@ the perspective of log-sum-exp, on an affine slice z0 + basis u of z =
 
 Each step is halved from its first trial, down to 1e-12 of it, until the
 slope along it is at least -1/2 of its starting value at a point whose own
-Newton step can be found (or whose gradient is within NEWTON_TOL). The first
-trial is the full step, shortened so that nu (affine along it) changes at
-most 4x. With the hot start, this keeps the iterates off near-vertex states:
-their covariance is singular to rounding, and Newton steps run along a ray
-on which g is flat. The max-entropy slice stops at max|gradient| <=
-NEWTON_TOL; the free slices stop one step after the Newton decrement
-gradient.step falls to 1e-16 max(1, sum of the magnitudes of g's terms), the
-rounding floor of g: near the ground corner L is below an absolute stop, and
-on a nearly tangent ray g ~ -t* is a sum of terms of size nu ~ 1e9. A singular
-covariance is accepted once the gradient is within NEWTON_TOL. A step not
-taken, a non-finite slope or NEWTON_MAXITER steps raise InfeasibleTargetError.
+Newton step can be found (or whose gradient passes the no-step test below).
+The first trial is the full step, shortened so that nu (affine along it)
+changes at most 4x. With the hot start, this keeps the iterates off
+near-vertex states: their covariance is singular to rounding, and Newton
+steps run along a ray on which g is flat. Every slice stops by one rule,
+one step after the Newton decrement gradient.step falls to DECREMENT_RTOL
+max(1, sum of the magnitudes of g's terms), the rounding floor of g (the
+bound's hot start at HOT_START_DECREMENT instead). The rule is scale-free:
+near the ground corner L is below any absolute stop, on levels of size 1e8
+its rounding is above one, and on a nearly tangent ray g ~ -t* is a sum of
+terms of size nu ~ 1e9. Where no step can be taken (a singular covariance,
+a step halved to its floor, NEWTON_MAXITER steps), a slice gradient within
+NEWTON_TOL max(1, max|level|) ends the ascent: so ends a target on the
+polytope's boundary, where lam runs off to infinity. Otherwise it raises
+InfeasibleTargetError.
 """
 
 from __future__ import annotations
@@ -343,23 +348,15 @@ def _dual(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndar
     return float(c @ p + z @ grad), grad, p, e
 
 
-def _gradient_stop(grad: np.ndarray, decrement: float, size) -> bool:
-    return bool(np.max(np.abs(grad), initial=0.0) <= NEWTON_TOL)
-
-
-def _decrement_stop(grad: np.ndarray, decrement: float, size) -> bool:
-    return abs(decrement) <= DECREMENT_RTOL * max(1.0, size())  # g's rounding floor
-
-
 def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndarray,
-            basis: np.ndarray, stop) -> tuple[np.ndarray, float, np.ndarray]:
+            basis: np.ndarray,
+            rtol: float = DECREMENT_RTOL) -> tuple[np.ndarray, float, np.ndarray]:
     """The maximizer z of the dual (`_dual`) on the slice z + basis @ u, with
     the dual value and GGE weights there, by the Newton ascent of the module
-    docstring: stop(gradient, decrement, size) on the slice ends it, with
-    the Newton decrement of the step that led there (inf at the start) and
-    size() the sum of the magnitudes of g's terms there. A nearly singular
-    covariance gives a huge step whose slope and trial weights may overflow;
-    the tests compare them as they come out."""
+    docstring: its one decrement rule at `rtol`, and its no-step test. A
+    nearly singular covariance gives a huge step whose slope and trial
+    weights may overflow; the tests compare them as they come out."""
+    gradient_tol = NEWTON_TOL * max(1.0, np.abs(levels).max(initial=0.0))
 
     def newton(z):  # the dual at z, its gradient, slice gradient and Newton step there
         value, full, p, e = _dual(c, levels, b, s, z)
@@ -370,22 +367,19 @@ def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.nd
             step = np.full_like(grad, np.nan)
         return value, p, grad, step, grad @ step, full
 
-    def size() -> float:  # |c|.p + |lam|.(|A p| + |b|) + nu (|S| + H(p)) at the current z
-        return float(np.abs(c) @ p + np.abs(z[:-1]) @ (np.abs(full[:-1] + b) + np.abs(b))
-                     + z[-1] * (abs(s) + s - full[-1]))
-
-    def usable(grad, slope) -> bool:  # a next step, or a gradient within NEWTON_TOL
-        return bool(np.isfinite(slope)) or _gradient_stop(grad, slope, None)
+    def within(grad) -> bool:  # the no-step test
+        return bool(np.max(np.abs(grad), initial=0.0) <= gradient_tol)
 
     with np.errstate(over="ignore", invalid="ignore"):  # entered once per ascent
         value, p, grad, step, slope, full = point = newton(z)
-        taken = math.inf
+        taken = math.inf  # the decrement of the step that led to z
         for _ in range(NEWTON_MAXITER):
-            if stop(grad, taken, size):
+            # |c|.p + |lam|.(|A p| + |b|) + nu (|S| + H(p)): g's rounding floor over eps
+            size = (np.abs(c) @ p + np.abs(z[:-1]) @ (np.abs(full[:-1] + b) + np.abs(b))
+                    + z[-1] * (abs(s) + s - full[-1]))
+            if abs(taken) <= rtol * max(1.0, size):
                 return z, value, p
-            if not np.isfinite(slope):  # singular or overflowing: done only within NEWTON_TOL
-                if usable(grad, slope):
-                    return z, value, p
+            if not np.isfinite(slope):  # singular or overflowing
                 break
             dz = basis @ step
             # nu is affine along the step: it may grow or shrink at most 4x
@@ -394,25 +388,31 @@ def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.nd
             while t >= STEP_FLOOR * first:
                 trial = z + t * dz
                 point = newton(trial)
-                if point[2] @ step >= -slope / 2 and usable(point[2], point[4]):
+                if point[2] @ step >= -slope / 2 and (np.isfinite(point[4]) or within(point[2])):
                     break
                 t /= 2.0
             else:
                 break
             z, (value, p, grad, step, slope, full), taken = trial, point, slope
+        if within(grad):  # no step can be taken
+            return z, value, p
     raise InfeasibleTargetError(f"no maximum-entropy state with charges {b}")
 
 
 def _max_entropy(levels: np.ndarray, target: np.ndarray,
-                 stop=_gradient_stop) -> tuple[np.ndarray, np.ndarray, float]:
+                 rtol: float = DECREMENT_RTOL) -> tuple[np.ndarray, np.ndarray, float]:
     """The lam at which the weights p ~ e^(-lam.levels) give levels @ p =
-    target to NEWTON_TOL (or until `stop`), with those weights and S_max at
-    the target: the max-entropy slice, nu pinned at 1, from lam = 0. S_max is
-    H(p) to first order in the charge residual, as dS_max/dL = lam; by
-    concavity that tangent is never below the truth."""
+    target, with those weights and S_max at the target: the max-entropy
+    slice, nu pinned at 1, from lam = 0, ended by `_ascend`'s decrement rule
+    at `rtol`. S_max is H(p) to first order in the charge residual, as
+    dS_max/dL = lam; by concavity that tangent is never below the truth.
+    Charges that spread at most PIVOT_TOL of their largest |level| are flat:
+    lam = 0, uniform p and S_max = ln d, rounded as `gibbs` rounds it."""
     m, d = levels.shape
+    if np.ptp(levels, axis=1).max(initial=0.0) <= PIVOT_TOL * np.abs(levels).max(initial=0.0):
+        return np.zeros(m), np.full(d, 1.0 / d), math.log1p(d - 1)
     z, _, p = _ascend(np.zeros(d), levels, target, 0.0, np.eye(m + 1)[-1],
-                      np.eye(m + 1, m), stop)
+                      np.eye(m + 1, m), rtol)
     return z[:-1], p, spectrum_entropy(p) + z[:-1] @ (target - levels @ p)
 
 
@@ -498,12 +498,11 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
         return floor
     ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
     try:  # near the beta_k = 0 end: roughly the max-entropy state at rho's other charges
-        start = np.append(_max_entropy(ells[idx], pt.L[idx], lambda grad, decrement, size:
-                                       decrement <= HOT_START_DECREMENT)[0], 1.0)
+        start = np.append(_max_entropy(ells[idx], pt.L[idx], HOT_START_DECREMENT)[0], 1.0)
     except InfeasibleTargetError:  # those charges on their polytope's boundary
         start = np.eye(fam.q)[-1]
     z, value, _ = _ascend(ells[k], ells[idx], pt.L[idx], pt.S, np.ptp(ells[k]) * start,
-                          np.eye(fam.q), _decrement_stop)
+                          np.eye(fam.q))
     beta = np.insert(z[:-1], k, 1.0) / z[-1]
     return BoundChargeSolution(
         value=float(value),
@@ -541,8 +540,6 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     ells, scale = fam.joint_eigenvalues, np.abs(fam.joint_eigenvalues).max()
 
     def above(vertical):
-        if np.ptp(ells) <= FACE_RTOL * scale:  # a flat lone charge
-            return math.log1p(fam.dim - 1) - x_rho.S, np.zeros(fam.q)
         if vertical:  # on a face: its maximum entropy
             centre = ells.mean(axis=1)
             t_face, face = leave(centre, x_rho.L - centre)
@@ -573,7 +570,7 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
             z[:-1] += 2.0 * (normal @ z) * d_l / (d_l @ d_l)
         basis = np.linalg.svd(normal[None])[2][1:].T
         z, value, _ = _ascend(np.zeros(fam.dim), ells, x_sigma.L, x_sigma.S, z / (normal @ z),
-                              basis, _decrement_stop)
+                              basis)
         return -value, z[:-1] / z[-1]
 
     return ray_exit([*x_rho.L.tolist(), x_rho.S], [*x_sigma.L.tolist(), x_sigma.S], above,

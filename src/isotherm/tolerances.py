@@ -49,11 +49,11 @@ PURE_SOURCE_ATOL = 1e-9  # a source-degenerate source this close to S = 0 has no
 # charges: the common eigenbasis, the dual Newton ascent and the simplex
 COMMUTATOR_ATOL = 1e-10  # entrywise commutator of two charges
 EIGENBASIS_ATOL = 1e-8  # off-diagonal residue of a charge in the common eigenbasis
-NEWTON_TOL = 1e-9  # max |gradient| that ends the max-entropy ascent
+NEWTON_TOL = 1e-9  # max |gradient| (x max(1, max |level|)) ending an ascent that can take no step
 NEWTON_MAXITER = 200  # Newton steps of one ascent
-DECREMENT_RTOL = 1e-16  # Newton decrement (x max(1, sum of |terms of g|)) ending a free ascent
+DECREMENT_RTOL = 1e-16  # Newton decrement (x max(1, sum of |terms of g|)) ending an ascent
 STEP_FLOOR = 1e-12  # a step is halved down to this fraction of its first trial
-HOT_START_DECREMENT = 1e-2  # Newton decrement that ends the bound's start ascent
+HOT_START_DECREMENT = 1e-2  # DECREMENT_RTOL's role for the bound's start ascent
 FACE_RTOL = 1e-9  # relative reduced cost (or singular value) counted as zero
 ENTROPY_ATOL = 1e-10  # entropy shortfall of an LP face still taken as reaching S
 # simplex reduced costs and pivots within this of zero, relative to the LP's

@@ -21,10 +21,8 @@ from isotherm.charges import (
     _ascend,
     _boltzmann_weights,
     _covariance,
-    _decrement_stop,
     _face_max_entropy,
     _gge_weights,
-    _gradient_stop,
     _lp_face,
     _max_entropy,
     absolute_athermality,
@@ -410,8 +408,8 @@ class TestBoundCharge:
         hot = bound_charge(rho, charge_family, 0)
         max_entropy = charges_module._max_entropy
 
-        def hot_start_fails(levels, target, stop=None):
-            if stop is not None:
+        def hot_start_fails(levels, target, rtol=None):
+            if rtol is not None:
                 raise InfeasibleTargetError("no hot start")
             return max_entropy(levels, target)
 
@@ -538,19 +536,19 @@ class TestChargesRate:
                                    [0.5, 0.0, 0.0, 0.5]])
     def test_source_charges_on_the_boundary(self, p):
         # rho's charges on the edge L_0 = max of the polytope: the ray from the
-        # maximally mixed sigma leaves there, r = 0. At unit 1e8 the levels'
-        # rounding exceeds NEWTON_TOL, so the max-entropy ascent at rho's
-        # charges raises; at unit 1 it converges. Both read source-degenerate
+        # maximally mixed sigma leaves there, r = 0, at unit 1 and 1e8 alike.
+        # The levels' rounding at 1e8 is far above 1e-9, and the max-entropy
+        # ascent at rho's charges still ends, with the same athermality
         sigma = DensityMatrix.maximally_mixed(4)
+        athermality = []
         for unit in (1.0, 1e8):
             ells = np.array([[2.0, 0.0, 2.0, 2.0], [3.0, 0.0, 1.0, 0.0]]) * unit
             fam = GGEFamily(ChargeSet(tuple(HermitianOperator.diagonal(row) for row in ells)))
             rho = DensityMatrix.diagonal(p)
-            if unit > 1:
-                with pytest.raises(InfeasibleTargetError):
-                    _max_entropy(ells, charges_point(rho, fam).L)
+            athermality.append(absolute_athermality(rho, fam))
             sol = conversion_rate_charges(rho, sigma, fam)
             assert (sol.r, sol.phi_kind) == (0.0, "source-degenerate")
+        assert athermality[1] == pytest.approx(athermality[0], abs=1e-12)
 
     def test_equal_charges_rising_entropy(self, qutrit, single_charge_family, charge_family):
         # a vertical ray (no t_pure, no wall) exits on the thermal surface
@@ -569,13 +567,12 @@ class TestChargesRate:
         assert sol.phi_kind == "thermal"
         assert sol.r == pytest.approx(1 - 1 / t_star, abs=1e-12)
 
-    @pytest.mark.parametrize("a,tol", [(1e-4, 1e-9), (1e-6, 1e-9), (1e-8, 1e-4), (1e-9, 1e-7)])
-    def test_q1_ground_corner(self, a, tol):
-        # near the ground corner gge_solve's absolute charge residual NEWTON_TOL
-        # is a large part of L itself: the exit must still match the single
-        # charge rate to tol and a 50-digit root to 1e-12 (r = 0.0789886 for
-        # every small a), and a Gibbs source must still read source-degenerate
-        # down to a = 1e-8
+    @pytest.mark.parametrize("a", [1e-4, 1e-6, 1e-8, 1e-9])
+    def test_q1_ground_corner(self, a):
+        # near the ground corner L is far below 1e-9: the exit must still match
+        # the single charge rate and a 50-digit root to 1e-13 and 1e-12 (r =
+        # 0.0789886 for every small a), and a Gibbs source must still read
+        # source-degenerate
         from isotherm.rates import conversion_rate
 
         h = HermitianOperator.diagonal([0.0, 1.0, 1.0])
@@ -585,7 +582,7 @@ class TestChargesRate:
         sol = conversion_rate_charges(rho, sigma, fam)
         single = conversion_rate(rho, sigma, GibbsFamily(h))
         assert sol.phi_kind == single.phi_kind == "thermal"
-        assert sol.r == pytest.approx(single.r, abs=tol)
+        assert sol.r == pytest.approx(single.r, abs=1e-13)
         x_rho = charges_point(rho, fam)
         with mpmath.workdps(50):  # sigma = |0><0| at L = S = 0: S(beta) / E(beta) = S_rho / E_rho
             e_rho, s_rho = mpmath.mpf(float(x_rho.L[0])), mpmath.mpf(x_rho.S)
@@ -601,9 +598,21 @@ class TestChargesRate:
             ref = float(1 - e_rho / energy(beta))
         assert sol.r == pytest.approx(ref, abs=1e-12)
         assert sol.r == pytest.approx(0.0789886, abs=1e-4)
-        if a >= 1e-8:
-            gibbs = DensityMatrix.diagonal([1.0 - a, a / 2, a / 2])
-            assert conversion_rate_charges(gibbs, sigma, fam).phi_kind == "source-degenerate"
+        gibbs = DensityMatrix.diagonal([1.0 - a, a / 2, a / 2])
+        assert conversion_rate_charges(gibbs, sigma, fam).phi_kind == "source-degenerate"
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-10])
+    def test_gibbs_source_at_the_ground_corner(self, a):
+        # a Gibbs source whose charge a is below 1e-9: source-degenerate, as in
+        # the single charge layer
+        from isotherm.rates import conversion_rate
+
+        h = HermitianOperator.diagonal([0.0, 1.0, 1.0])
+        rho = DensityMatrix.diagonal([1.0 - a, a / 2, a / 2])
+        sigma = DensityMatrix.diagonal([1.0, 0.0, 0.0])
+        assert conversion_rate(rho, sigma, GibbsFamily(h)).phi_kind == "source-degenerate"
+        sol = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((h,))))
+        assert (sol.r, sol.phi_kind) == (0.0, "source-degenerate")
 
     def test_flat_lone_charge(self):
         # a one-state family: S_max = ln d along the whole ray and no wall, so
@@ -681,22 +690,21 @@ class TestMaxEntropy:
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleTargetError):
                 _ascend(np.zeros(3), levels, np.array([0.99938968]), 0.0,
-                        np.array([709.45259616, 1.0]), np.eye(2, 1), _gradient_stop)
+                        np.array([709.45259616, 1.0]), np.eye(2, 1))
 
     def test_singular_covariance_at_the_maximizer_is_accepted(self):
         # a flat lone charge at its level, on the bound slice at S = ln 2: the
         # start is the maximizer (uniform p, zero gradient), and the covariance
-        # of [levels; -x] is zero, so no Newton step exists. The decrement stop
-        # has no step to judge; the gradient is within NEWTON_TOL, so the
-        # ascent returns the start. Past NEWTON_TOL it raises
+        # of [levels; -x] is zero, so no Newton step exists. The decrement rule
+        # has no step to judge; the gradient is within NEWTON_TOL max(1,
+        # max|level|), so the ascent returns the start. Past that it raises
         args = (np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]))
-        z, value, p = _ascend(*args, math.log(2), np.array([0.0, 1.0]), np.eye(2),
-                              _decrement_stop)
+        z, value, p = _ascend(*args, math.log(2), np.array([0.0, 1.0]), np.eye(2))
         assert z.tolist() == [0.0, 1.0]
         assert p.tolist() == [0.5, 0.5]
         assert value == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(InfeasibleTargetError):
-            _ascend(*args, math.log(2) + 1e-6, np.array([0.0, 1.0]), np.eye(2), _decrement_stop)
+            _ascend(*args, math.log(2) + 1e-6, np.array([0.0, 1.0]), np.eye(2))
 
     def test_face_of_coinciding_levels_is_flat(self):
         # levels equal but for rounding (a rotated basis leaves ~1e-16 between
@@ -705,6 +713,105 @@ class TestMaxEntropy:
         for levels in ([4.0, 4.0 + 8.9e-16], [4.5e-18, -3.5e-17]):
             p = _face_max_entropy(np.array([levels]), np.array([levels[0]]), 4.0)
             assert p == pytest.approx([0.5, 0.5], abs=1e-15)
+
+
+def diagonal_family(ells) -> GGEFamily:
+    return GGEFamily(ChargeSet(tuple(HermitianOperator.diagonal(row) for row in ells)))
+
+
+def integer_level_cases(n, seed=11):
+    """n draws of (levels, rho, k): q = 2, 3 charges with integer levels 0-3
+    on d = q + 1 .. 6 affinely independent joint eigenvalues, and a diagonal
+    state on a random support."""
+    rng = np.random.default_rng(seed)
+    while n:
+        q = int(rng.integers(2, 4))
+        d = int(rng.integers(q + 1, 7))
+        ells = rng.integers(0, 4, (q, d)).astype(float)
+        if np.linalg.matrix_rank(np.vstack([ells, np.ones(d)])) < q + 1:
+            continue
+        support = rng.random(d) < 0.7
+        if not support.any():
+            continue
+        p = np.where(support, rng.dirichlet(np.ones(d)), 0.0)
+        n -= 1
+        yield ells, DensityMatrix.diagonal(p / p.sum()), int(rng.integers(0, q))
+
+
+class TestScaleFreeStop:
+    """The ascent's stop and its no-step test are relative to the charges'
+    scale: the same state on levels times u gives the same answers, scaled,
+    and a max-entropy p meets its charges to rounding at any scale."""
+
+    EDGE_LEVELS = np.array([[2.0, 0.0, 2.0, 2.0], [3.0, 0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("unit", [1.0, 1e4, 1e6, 1e8])
+    def test_edge_state_athermality_against_mpmath(self, unit):
+        # diag(0, 0, 0.3, 0.7) on the edge L_0 = 2u, whose levels of L_1 are
+        # (3, 1, 0)u: S_max is that edge's maximum entropy at L_1 = 0.3u
+        rho = DensityMatrix.diagonal([0.0, 0.0, 0.3, 0.7])
+        with mpmath.workdps(40):
+            edge, mean = [mpmath.mpf(3), mpmath.mpf(1), mpmath.mpf(0)], mpmath.mpf("0.3")
+
+            def log_z(lam):
+                return mpmath.log(sum(mpmath.exp(-lam * x) for x in edge))
+
+            lam = mpmath.findroot(lambda lam: -mpmath.diff(log_z, lam) - mean, 1.0)
+            s_rho = -(mean * mpmath.log(mean) + (1 - mean) * mpmath.log(1 - mean))
+            ref = float(lam * mean + log_z(lam) - s_rho)
+        assert ref == pytest.approx(0.032998892959148, abs=1e-15)
+        athermality = absolute_athermality(rho, diagonal_family(self.EDGE_LEVELS * unit))
+        assert athermality == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("unit", [1e7, 1e8, 1e9])
+    def test_interior_states_at_large_units(self, unit):
+        # 50 Hilbert-Schmidt states: beta_vec scales as 1/u
+        levels = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0]])
+        rng = np.random.default_rng(0)
+        states = [random_density(4, rng) for _ in range(50)]
+        fam_1, fam_u = diagonal_family(levels), diagonal_family(levels * unit)
+        for rho in states:
+            beta = gge_solve(fam_u, charges_point(rho, fam_u).L)
+            assert beta * unit == pytest.approx(gge_solve(fam_1, charges_point(rho, fam_1).L),
+                                                abs=1e-12)
+
+    def test_bound_charge_at_unit_1e8(self):
+        # an active bound or an LP floor: B_k at 1e8 is 1e8 times B_k at 1.
+        # The no-step test reads the bound slice's entropy part against 1e-9
+        # max|level| too
+        for ells, rho, k in integer_level_cases(60):
+            value = bound_charge(rho, diagonal_family(ells), k).value
+            scaled = bound_charge(rho, diagonal_family(ells * 1e8), k).value / 1e8
+            assert scaled == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    def test_lp_floor_is_the_lp_optimum(self):
+        # on the floor B_k = L_k of the face's maximum-entropy p, which equals
+        # the LP's optimum as far as p meets the other charges
+        floors = 0
+        for ells, rho, k in integer_level_cases(300):
+            sol = bound_charge(rho, diagonal_family(ells), k)
+            if math.isfinite(sol.beta_vec[k]):
+                continue
+            floors += 1
+            idx = [i for i in range(len(ells)) if i != k]
+            res = linprog(ells[k], A_eq=np.vstack([ells[idx], np.ones(ells.shape[1])]),
+                          b_eq=np.append(ells[idx] @ np.diagonal(rho.entries).real, 1.0),
+                          bounds=(0, None))
+            assert sol.value == pytest.approx(res.fun, abs=1e-12)
+        assert floors > 100
+
+    def test_narrow_lone_charge_gibbs_state(self):
+        # levels (0, 3e-9): every diagonal state is Gibbs, so A = 0 and the
+        # source is degenerate in both rate layers
+        from isotherm.rates import conversion_rate
+
+        h = HermitianOperator.diagonal([0.0, 3e-9])
+        fam = GGEFamily(ChargeSet((h,)))
+        rho, sigma = DensityMatrix.diagonal([0.9, 0.1]), DensityMatrix.diagonal([0.6, 0.4])
+        assert absolute_athermality(rho, fam) == 0.0
+        assert conversion_rate(rho, sigma, GibbsFamily(h)).phi_kind == "source-degenerate"
+        sol = conversion_rate_charges(rho, sigma, fam)
+        assert (sol.r, sol.phi_kind) == (0.0, "source-degenerate")
 
 
 def linprog_face(c, a_eq, b_eq):
@@ -1093,12 +1200,16 @@ class TestSolverGuards:
         assert len(calls) <= most < self.NESTED_WEIGHT_CALLS[name]
 
     def test_athermality_takes_one_max_entropy_solve(self, monkeypatch):
-        # S_max comes from the ascent's own weights: no further pass at beta_hat
+        # S_max comes from the ascent's own weights: no further pass at beta_hat,
+        # so absolute_athermality costs what gge_solve costs at rho's charges
         calls = self._count_weight_calls(monkeypatch)
-        for f in range(32):
-            fam, rho, _ = benchmark_case(f)
+        cases = [benchmark_case(f)[:2] for f in range(32)]
+        for fam, rho in cases:
             absolute_athermality(rho, fam)
-        assert len(calls) <= 150
+        athermality = len(calls)
+        for fam, rho in cases:
+            gge_solve(fam, charges_point(rho, fam).L)
+        assert athermality == len(calls) - athermality
 
     def test_roots_do_not_use_brentq(self, monkeypatch):
         import scipy.optimize

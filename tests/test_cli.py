@@ -272,19 +272,18 @@ class TestCharges:
         assert betas[0] == pytest.approx(0.8, abs=1e-6)
         assert betas[1] == pytest.approx(-0.3, abs=1e-6)
 
-    def test_charges_on_the_boundary_exit_3(self, tmp_path, capsys):
-        # rho's charges (2e8, 3e7) lie on the polytope's edge L0 = 2e8, where no
-        # GGE state reaches them to NEWTON_TOL (the levels' rounding is larger)
+    def test_charges_on_the_boundary_at_unit_1e8(self, tmp_path, capsys):
+        # rho's charges (2e8, 3e7) lie on the polytope's edge L0 = 2e8, where
+        # the levels' rounding is far above 1e-9: the ascent still ends, with
+        # the athermality of the same state at unit 1
         system = state_file(tmp_path, "sys.json", {
             "dim": 4,
             "hamiltonian": {"diagonal": [2e8, 0.0, 2e8, 2e8]},
             "charges": [{"diagonal": [3e8, 0.0, 1e8, 0.0]}],
         })
         rho = state_file(tmp_path, "edge.json", {"diagonal": [0.0, 0.0, 0.3, 0.7]})
-        assert main(["charges", system, rho]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("domain error: no maximum-entropy state")
+        assert main(["charges", system, rho]) == 0
+        assert "A = 0.0329988929592\n" in capsys.readouterr().out
 
     def test_system_without_charges_exit_2(self, qubit_system, p91_state):
         assert main(["charges", qubit_system, p91_state]) == 2

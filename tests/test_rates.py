@@ -460,21 +460,39 @@ class TestRateProperties:
              weights=[1e-5] * 2, seed=8, end=None)
     @example(levels=[0, 1, 1, 3], split=0.0, unit=10.0, rotate=False, beta_norms=[-3.0, -3.0],
              weights=[1e-5] * 2, seed=8, end=None)
+    # Gibbs sources whose scalar gap is a few rounding units of E times beta~ from 0:
+    # one layer reads "thermal" (r = 2.7e-9 here) or "pure" (r = 0.548 below), the
+    # other "source-degenerate"
+    @example(levels=[2, 2], split=1e-6, unit=10**0.125, rotate=True, beta_norms=[0.5, 0.0],
+             weights=[0.0, 0.0], seed=0, end=None)
+    @example(levels=[1, 1], split=1e-6, unit=1.0, rotate=False, beta_norms=[-14.0, -14.0],
+             weights=[0.0, 1e-6], seed=0, end=None)
     def test_q1_reduction(self, levels, split, unit, rotate, beta_norms, weights, seed, end):
         """conversion_rate_charges on the one-charge family exits the same way,
-        on flat spectra and rays along a wall (`end`) too, source-degenerate
-        sources of the charges layer included (both layers share
-        `rates.ray_exit`), with r within 1e-12 on pure exits, 1e-8
-        where the filler's beta is a sentinel (wall exits come from an LP's
-        equalities, as in test_charges), and on curve exits within NEWTON_TOL,
-        the charge tolerance of gge_solve, carried through the root:
-        NEWTON_TOL |beta| / |beta dE - dS| / t*^2. On a flat spectrum both
-        layers round S_max = ln d alike, so r agrees to the bit there."""
+        on flat spectra and rays along a wall (`end`) too (both layers share
+        `rates.ray_exit`), with r within 1e-12 on pure exits, 1e-8 where the
+        filler's beta is a sentinel (wall exits come from an LP's equalities,
+        as in test_charges), and on curve exits within NEWTON_TOL carried
+        through the root: NEWTON_TOL |beta| / |beta dE - dS| / t*^2. On a flat
+        spectrum both layers round S_max = ln d alike, so r agrees to the bit
+        there. Where both read source-degenerate, r = 0 in both. Where only
+        one does, the source is on the curve to the rounding of its scalar gap
+        S(gamma(beta~)) - S(rho), |beta~| times the rounding of E, and r is
+        ill-conditioned: r jumps from 0 within that rounding."""
         fam, rho, sigma = rate_case(levels, split, unit, rotate, beta_norms, weights, seed, end)
         single = conversion_rate(rho, sigma, fam)
-        if single.phi_kind == "source-degenerate":
-            return
         multi = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((fam.hamiltonian,))))
+        degenerate = [sol.phi_kind == "source-degenerate" for sol in (single, multi)]
+        if all(degenerate):
+            assert single.r == multi.r == 0.0
+            return
+        if any(degenerate):
+            x_rho = state_point(rho, fam)
+            b = spontaneous_beta(fam, x_rho.E)
+            e_ulp = math.ulp(max(-fam.energy_min, fam.energy_max))
+            gap = boundary_entropy(fam, b) - x_rho.S
+            assert abs(gap) <= 1e-12 + 8 * fam.dim * abs(b) * e_ulp
+            return
         assert multi.phi_kind == single.phi_kind
         beta = single.phi_beta
         if beta is None:

@@ -9,7 +9,9 @@ verification routes live in `oracles.py`, which only the package's
 Every Kronecker product goes through `operators._kron`. A state or an
 operator is built by its checked constructor or by its trusted `_derived`.
 The coincident and source-degenerate rules of a rate are read in
-`rates.py` alone, where `ray_exit` serves both rate layers.
+`rates.py` alone, where `ray_exit` serves both rate layers. The stop
+tolerances of the dual ascent are read in `charges.py` alone, and its
+ascent takes them as numbers, not as stop callables.
 """
 
 import ast
@@ -97,3 +99,24 @@ def test_only_rates_reads_the_ray_exit_tolerances():
     names = {"tolerances.COINCIDENT_ATOL", "tolerances.SOURCE_DEGENERATE_ATOL"}
     readers = {path.name for path in MODULES if names & imported_modules(path)}
     assert readers == {"rates.py"}
+
+
+def test_only_charges_reads_the_ascent_tolerances():
+    names = {"tolerances.NEWTON_TOL", "tolerances.DECREMENT_RTOL",
+             "tolerances.HOT_START_DECREMENT"}
+    readers = {path.name for path in MODULES if names & imported_modules(path)}
+    assert readers == {"charges.py"}
+
+
+def test_the_ascent_calls_no_argument():
+    # one stop rule, given as a number: no parameter of `_ascend` or
+    # `_max_entropy` is called, so none is a stop callable
+    tree = ast.parse((PACKAGE / "charges.py").read_text(encoding="utf-8"))
+    found = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_ascend", "_max_entropy"):
+            params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            found[fn.name] = sorted(node.func.id for node in ast.walk(fn)
+                                    if isinstance(node, ast.Call)
+                                    and isinstance(node.func, ast.Name) and node.func.id in params)
+    assert found == {"_ascend": [], "_max_entropy": []}
