@@ -4,20 +4,21 @@ A ChargeSet holds q pairwise-commuting observables (the Hamiltonian first).
 Dephased in their common eigenbasis a state is a distribution p on the d
 joint eigenvalues ell_i, whose charges L = sum_i p_i ell_i fill the charge
 polytope conv{ell_i}; GGE algebra runs on this (q, d) joint spectrum through
-this module's kernel of shifted exponents, `_boltzmann_weights`.
+this module's one kernel, `_boltzmann_weights`: the weights, ln Z and H(p)
+from one exp pass in `gibbs`' gap form.
 
 Every solve here is one Newton ascent (`_ascend`) of the concave dual
     g(lam, nu) = -nu ln sum_i e^(-x_i) - lam.b + nu S,  x = (c + A^T lam) / nu,
 the perspective of log-sum-exp, on an affine slice z0 + basis u of z =
-(lam, nu). At p ~ e^(-x) its gradient is (A p - b, S - H(p)), its Hessian
--Cov_p([A; -x]) / nu, and g = c.p + z.gradient.
+(lam, nu). At p ~ e^(-x) its gradient is (A p - b, S - H(p)), H(p) read off
+the kernel, its Hessian -Cov_p([A; -x]) / nu, and g = c.p + z.gradient.
 
 - `gge_solve` inverts beta_vec -> L(gamma), gamma the maximum-entropy state
   at its charges, on the max-entropy slice: c = 0, A the levels, b the
   target, S = 0, nu pinned at 1, from lam = 0 (`_max_entropy`, also run on
   the LP faces; a flat lone charge takes lam = 0, uniform p). A target
-  outside the polytope raises. The same ascent gives S_max(L) to
-  `absolute_athermality` and the rate.
+  outside the polytope raises. The same ascent's value -g gives S_max(L)
+  to `absolute_athermality` and the rate.
 - `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
   (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
   the polytope; if the maximum entropy on its optimal face reaches S, the
@@ -207,14 +208,22 @@ def charges_point(rho: DensityMatrix, fam: GGEFamily) -> ChargesPoint:
     return ChargesPoint(L=vals, S=entropy(rho))
 
 
-def _boltzmann_weights(x: np.ndarray) -> np.ndarray:
-    """Normalized probabilities e^x / sum e^x, with the largest exponent
-    shifted out: the one weight kernel of this module."""
-    w = np.exp(x - x.max())
-    return w / w.sum()
+def _boltzmann_weights(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The one kernel of this module, from one exp pass in `gibbs`' gap form:
+    the probabilities p = e^x / Z, ln Z = ln sum e^x and H(p). With the gaps
+    g = max x - x and rest the sum of e^-g over all entries but one largest,
+    ln Z = max x + log1p(rest) and H = <g> + log1p(rest)."""
+    i = x.argmax()
+    g = x[i] - x
+    g[i] = math.inf  # its weight, 1, stays out of rest
+    w = np.exp(-g)
+    rest = float(w.sum())
+    w[i], g[i] = 1.0, 0.0
+    p, log1p_rest = w / (1.0 + rest), math.log1p(rest)
+    return p, float(x[i]) + log1p_rest, float(p @ g) + log1p_rest
 
 
-def _gge_weights(fam: GGEFamily, beta_vec) -> np.ndarray:
+def _gge_weights(fam: GGEFamily, beta_vec) -> tuple[np.ndarray, float, float]:
     return _boltzmann_weights(np.dot(-np.asarray(beta_vec, dtype=float), fam.joint_eigenvalues))
 
 
@@ -224,24 +233,22 @@ def gge_state(fam: GGEFamily, beta_vec) -> DensityMatrix:
     beta_vec = np.asarray(beta_vec, dtype=float)
     if not np.isfinite(beta_vec).all():
         raise ValueError(f"beta_vec {beta_vec} is not finite")
-    w = _gge_weights(fam, beta_vec)
+    w = _gge_weights(fam, beta_vec)[0]
     v = fam.basis
     return DensityMatrix._derived((v * w) @ v.conj().T, w, v)
 
 
 def gge_log_partition(fam: GGEFamily, beta_vec) -> float:
-    """ln sum_i e^(-beta_vec . ell_i), with the largest exponent shifted out."""
-    x = np.dot(-np.asarray(beta_vec, dtype=float), fam.joint_eigenvalues)
-    m = x.max()
-    return float(m + np.log(np.sum(np.exp(x - m))))
+    """ln sum_i e^(-beta_vec . ell_i), in the kernel's gap form."""
+    return _gge_weights(fam, beta_vec)[1]
 
 
 def gge_charges(fam: GGEFamily, beta_vec) -> np.ndarray:
-    return fam.joint_eigenvalues @ _gge_weights(fam, beta_vec)
+    return fam.joint_eigenvalues @ _gge_weights(fam, beta_vec)[0]
 
 
 def gge_entropy(fam: GGEFamily, beta_vec) -> float:
-    return spectrum_entropy(_gge_weights(fam, beta_vec))
+    return _gge_weights(fam, beta_vec)[2]
 
 
 def _covariance(levels: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -252,7 +259,7 @@ def _covariance(levels: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def gge_covariance(fam: GGEFamily, beta_vec) -> np.ndarray:
     """Cov_gamma(L_j, L_k); the negative of the Jacobian dL/dbeta."""
-    return _covariance(fam.joint_eigenvalues, _gge_weights(fam, beta_vec))
+    return _covariance(fam.joint_eigenvalues, _gge_weights(fam, beta_vec)[0])
 
 
 def gge_solve(fam: GGEFamily, target, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -338,28 +345,21 @@ def _lp_face(c, a_eq, b_eq):
     return y, reduced <= FACE_RTOL * reduced.max()
 
 
-def _dual(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndarray):
-    """The dual g of the module docstring at z = (lam, nu) as c.p + z.grad,
-    its gradient grad = (levels @ p - b, s - H(p)), the GGE weights p and
-    their exponents -x."""
-    e = -(c + np.dot(z[:-1], levels)) / z[-1]
-    p = _boltzmann_weights(e)
-    grad = np.append(levels @ p - b, s - spectrum_entropy(p))
-    return float(c @ p + z @ grad), grad, p, e
-
-
 def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndarray,
             basis: np.ndarray,
             rtol: float = DECREMENT_RTOL) -> tuple[np.ndarray, float, np.ndarray]:
-    """The maximizer z of the dual (`_dual`) on the slice z + basis @ u, with
+    """The maximizer z of the dual g on the slice z + basis @ u, with
     the dual value and GGE weights there, by the Newton ascent of the module
     docstring: its one decrement rule at `rtol`, and its no-step test. A
     nearly singular covariance gives a huge step whose slope and trial
     weights may overflow; the tests compare them as they come out."""
     gradient_tol = NEWTON_TOL * max(1.0, np.abs(levels).max(initial=0.0))
 
-    def newton(z):  # the dual at z, its gradient, slice gradient and Newton step there
-        value, full, p, e = _dual(c, levels, b, s, z)
+    def newton(z):  # g = c.p + z.full at z, its gradient full, slice gradient and Newton step
+        e = -(c + np.dot(z[:-1], levels)) / z[-1]
+        p, _, h = _boltzmann_weights(e)
+        full = np.append(levels @ p - b, s - h)
+        value = float(c @ p + z @ full)
         grad = basis.T @ full
         try:  # the Hessian on the slice is -Cov_p(basis^T [levels; -x]) / nu
             step = z[-1] * np.linalg.solve(_covariance(basis.T @ np.vstack([levels, e]), p), grad)
@@ -404,16 +404,16 @@ def _max_entropy(levels: np.ndarray, target: np.ndarray,
     """The lam at which the weights p ~ e^(-lam.levels) give levels @ p =
     target, with those weights and S_max at the target: the max-entropy
     slice, nu pinned at 1, from lam = 0, ended by `_ascend`'s decrement rule
-    at `rtol`. S_max is H(p) to first order in the charge residual, as
-    dS_max/dL = lam; by concavity that tangent is never below the truth.
+    at `rtol`. S_max is -g = ln Z + lam.target, the dual value, which by
+    weak duality is never below the truth.
     Charges that spread at most PIVOT_TOL of their largest |level| are flat:
     lam = 0, uniform p and S_max = ln d, rounded as `gibbs` rounds it."""
     m, d = levels.shape
     if np.ptp(levels, axis=1).max(initial=0.0) <= PIVOT_TOL * np.abs(levels).max(initial=0.0):
         return np.zeros(m), np.full(d, 1.0 / d), math.log1p(d - 1)
-    z, _, p = _ascend(np.zeros(d), levels, target, 0.0, np.eye(m + 1)[-1],
-                      np.eye(m + 1, m), rtol)
-    return z[:-1], p, spectrum_entropy(p) + z[:-1] @ (target - levels @ p)
+    z, value, p = _ascend(np.zeros(d), levels, target, 0.0, np.eye(m + 1)[-1],
+                          np.eye(m + 1, m), rtol)
+    return z[:-1], p, -value
 
 
 def _face_max_entropy(levels: np.ndarray, target: np.ndarray, scale: float) -> np.ndarray:

@@ -249,8 +249,8 @@ def cmd_engine(args) -> int:
 
 def _digest(proc) -> str:
     led = work_ledger(proc)
-    return (f"dims={proc.split.dims} W={led.W:.6g} dQ={led.dQ:.6g} "
-            f"dS_A={led.dS_A:.6g} dS_B={led.dS_B:.6g}")
+    return (f"dims={proc.split.dims} W={_fmt(led.W)} dQ={_fmt(led.dQ)} "
+            f"dS_A={_fmt(led.dS_A)} dS_B={_fmt(led.dS_B)}")
 
 
 def cmd_laws(args) -> int:

@@ -67,21 +67,22 @@ PINNED = Path(__file__).parent / "data" / "charges_pinned.json"
 def bisection_rate(rho, sigma, fam):
     """The charges rate route that the LP exits replaced, kept as an oracle:
     double t from 2, then bisect 80 times on an inside margin that reads -1
-    where gge_solve fails, with S_max corrected to first order in gge_solve's
-    charge residual (dS_max/dL = beta_vec), each solve cold from 0. Returns
-    (r, kind); r is None if source-degenerate."""
+    where the nnls residual of [levels; 1] p = [L; 1] exceeds 1e-13 (the
+    polytope's wall, found apart from gge_solve), with S_max corrected to
+    first order in gge_solve's charge residual (dS_max/dL = beta_vec), each
+    solve cold from 0. Returns (r, kind); r is None if source-degenerate."""
     x_rho, x_sigma = charges_point(rho, fam), charges_point(sigma, fam)
     d_l, d_s = x_rho.L - x_sigma.L, x_rho.S - x_sigma.S
+    rows = np.vstack([fam.joint_eigenvalues, np.ones(fam.dim)])
 
     def margin(t):
         s = x_sigma.S + t * d_s
         if s < 0:
             return s
         target = x_sigma.L + t * d_l
-        try:
-            beta = gge_solve(fam, target)
-        except InfeasibleTargetError:
+        if nnls(rows, np.append(target, 1.0))[1] > 1e-13:
             return -1.0
+        beta = gge_solve(fam, target)
         s_max = gge_entropy(fam, beta) + beta @ (target - gge_charges(fam, beta))
         return min(s, s_max - s)
 
@@ -168,7 +169,7 @@ def nested_bound_charge(rho, fam, k=0, tol=NEWTON_TOL):
 
     def tilted(theta):
         nonlocal ratio
-        lam = nested_ascent(lambda b: _gge_weights(fam, embed @ b + theta * unit[k]),
+        lam = nested_ascent(lambda b: _gge_weights(fam, embed @ b + theta * unit[k])[0],
                             ells[idx], pt.L[idx], theta * ratio, tol)[0]
         ratio = lam / theta if theta > 0 else ratio
         return embed @ lam + theta * unit[k]
@@ -282,6 +283,73 @@ class TestGGEState:
             assert np.max(np.abs(fd + cov[:, k])) <= 1e-5
 
 
+def shifted_weights(x):
+    """The weight kernel that the gap form replaced, kept as the oracle for
+    p: e^(x - max x) normalized by its sum."""
+    w = np.exp(x - x.max())
+    return w / w.sum()
+
+
+def mp_kernel(x, dps=50):
+    """(ln Z, H) of the weights e^x / Z at `dps` digits. ln Z and every
+    ln p take log1p of the sum over all but one largest entry: the sum 1 +
+    rest at dps digits would round away a rest below 10^-dps."""
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        top = max(range(len(xs)), key=lambda i: xs[i])
+        log1p_rest = mpmath.log1p(mpmath.fsum(
+            mpmath.exp(v - xs[top]) for i, v in enumerate(xs) if i != top))
+        log_p = [v - xs[top] - log1p_rest for v in xs]
+        return (float(xs[top] + log1p_rest),
+                float(-mpmath.fsum(mpmath.exp(v) * v for v in log_p)))
+
+
+class TestKernel:
+    """`_boltzmann_weights`: p against the shifted-exponent kernel, ln Z and
+    H against 50-digit mpmath."""
+
+    EXPONENTS = {
+        "near-pure": [0.0, -40.0, -45.5, -60.0],
+        "near-pure-wide": [78.10700613, -50.06720063],
+        "tied": [1.5, 1.5, -0.3, 0.2],
+        "all-tied": [0.0, 0.0, 0.0],
+        "wide-spread": [300.0, -200.0, 0.1, 150.0, 299.0],
+        "narrow": [1e-3, -2e-3, 0.0, 5e-4],
+    }
+
+    @staticmethod
+    def _check(x):
+        p, log_z, h = _boltzmann_weights(x)
+        ref_log_z, ref_h = mp_kernel(x)
+        np.testing.assert_allclose(p, shifted_weights(x), rtol=2e-15, atol=0)
+        assert abs(log_z - ref_log_z) <= 1e-15 * max(abs(x.max()), abs(ref_log_z))
+        # both kernels are within 1.5e-14 of H on the random draws below
+        assert h == pytest.approx(ref_h, rel=5e-14, abs=0)
+
+    @pytest.mark.parametrize("name", EXPONENTS)
+    def test_known_exponents(self, name):
+        self._check(np.array(self.EXPONENTS[name]))
+
+    def test_random_exponents(self):
+        # d = 2..8, spread 1e-3..1e2, three in ten with a tied maximum
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            d = int(rng.integers(2, 9))
+            x = rng.uniform(-1.0, 1.0, d) * 10 ** rng.uniform(-3.0, 2.0)
+            if rng.random() < 0.3:
+                x[rng.integers(d)] = x.max()
+            self._check(x)
+
+    def test_near_pure_log_partition(self):
+        # ln Z = log1p(e^-40.5 + e^-42.5): the sum 1 + rest rounds it to 0
+        fam = GGEFamily(ChargeSet((HermitianOperator.diagonal([0.0, 40.0, 41.0]),
+                                   HermitianOperator.diagonal([0.0, 1.0, 3.0]))))
+        assert gge_log_partition(fam, [1.0, 0.5]) == pytest.approx(2.9254832623544258e-18,
+                                                                   rel=1e-15, abs=0)
+        assert gge_entropy(fam, [1.0, 0.5]) == pytest.approx(
+            mp_kernel([0.0, -40.5, -42.5])[1], rel=1e-15, abs=0)
+
+
 class TestSolve:
     def test_round_trip(self, charge_family, rng):
         for _ in range(20):
@@ -315,7 +383,7 @@ class TestSolve:
         assert abs(gge_charges(fam, rec)[0] - energy) <= NEWTON_TOL
         expected = spontaneous_beta(gibbs, energy)
         if math.isfinite(expected):
-            w = _boltzmann_weights(-beta * spectrum)
+            w = _boltzmann_weights(-beta * spectrum)[0]
             var = float(w @ (spectrum - w @ spectrum) ** 2)
             # var underflows to 0 where the energy no longer pins beta
             slack = NEWTON_TOL / var if var > 0 else math.inf
@@ -666,9 +734,9 @@ class TestMaxEntropy:
 
     def test_converges_to_the_gge_of_the_target(self):
         lam = np.array([1.3, -0.7])
-        target = self.LEVELS @ _boltzmann_weights(np.dot(-lam, self.LEVELS))
+        target = self.LEVELS @ _boltzmann_weights(np.dot(-lam, self.LEVELS))[0]
         rec, w, _ = self._solve(self.LEVELS, target)
-        assert np.array_equal(w, _boltzmann_weights(np.dot(-rec, self.LEVELS)))  # final weights
+        assert np.array_equal(w, _boltzmann_weights(np.dot(-rec, self.LEVELS))[0])  # final weights
         assert np.max(np.abs(self.LEVELS @ w - target)) <= NEWTON_TOL
         assert rec == pytest.approx(lam, abs=1e-7)
 
@@ -1117,9 +1185,9 @@ class TestChargesRateOracle:
         r_old, kind_old = bisection_rate(rho, sigma, fam)
         assert sol.phi_kind == kind_old
         if sol.phi_kind == "thermal" and sol.phi_beta is None:
-            # a wall exit: the bisection ends just outside the polytope, while
-            # phi lies on it, to the rounding of the LP equalities
-            assert sol.r == pytest.approx(r_old, abs=1e-8)
+            # a wall exit: the bisection ends where nnls leaves the polytope,
+            # while phi lies on it, to the rounding of the LP equalities
+            assert sol.r == pytest.approx(r_old, abs=1e-11)
             ells = fam.joint_eigenvalues
             _, resid = nnls(np.vstack([ells, np.ones(fam.dim)]),
                             np.append(sol.phi_point.L, 1.0))

@@ -473,12 +473,18 @@ class TestSchemaErrors:
 
 class TestLawsFailureReport:
     def test_each_failed_check_is_printed(self, monkeypatch, capsys):
+        procs = []
+        make = cli.random_process
+        monkeypatch.setattr(cli, "random_process", lambda *a: procs.append(make(*a)) or procs[-1])
         monkeypatch.setattr(cli, "first_law_residual", lambda proc: 1.0)
         assert main(["laws", "--trials", "3", "--seed", "1"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(" W=")[0] for line in lines[:-1]] == [
             "FAIL first-law: dims=(2, 2)"] * 3
         assert lines[-1] == "trials = 3, failures = 3"
+        # the one number formatter: 12 significant digits, as every output
+        assert [line.split(" W=")[1].split()[0] for line in lines[:-1]] == [
+            cli._fmt(cli.work_ledger(proc).W) for proc in procs]
 
 
 class TestGoldenStdout:

@@ -436,7 +436,7 @@ class TestDerivedStates:
             for _ in range(5):
                 beta = rng.uniform(-3, 3, fam.q) / np.abs(fam.joint_eigenvalues).max()
                 for beta_vec in (np.zeros(fam.q), beta, 20 * beta):
-                    w = charges_module._gge_weights(fam, beta_vec)
+                    w = charges_module._gge_weights(fam, beta_vec)[0]
                     v = fam.basis
                     assert_same_state(gge_state(fam, beta_vec),
                                       validated_state((v * w) @ v.conj().T, w, v))

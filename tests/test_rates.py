@@ -511,13 +511,13 @@ class TestRateProperties:
         from isotherm import charges as charges_module
 
         points = []
-        dual = charges_module._dual
+        weights = charges_module._boltzmann_weights
 
-        def recording(*args):
-            points.append(float(np.max(np.abs(args[-1]))))
-            return dual(*args)
+        def recording(x):  # the trial point z of the ascent's Newton evaluation
+            points.append(float(np.max(np.abs(sys._getframe(1).f_locals["z"]))))
+            return weights(x)
 
-        monkeypatch.setattr(charges_module, "_dual", recording)
+        monkeypatch.setattr(charges_module, "_boltzmann_weights", recording)
         fam, rho, sigma = rate_case([0, 0, 1], 0.0, 10.0, False, [-18.0, -18.0],
                                     [1e-6, 1e-6], 109154)
         multi = conversion_rate_charges(rho, sigma, GGEFamily(ChargeSet((fam.hamiltonian,))))

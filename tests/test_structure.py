@@ -11,7 +11,8 @@ operator is built by its checked constructor or by its trusted `_derived`.
 The coincident and source-degenerate rules of a rate are read in
 `rates.py` alone, where `ray_exit` serves both rate layers. The stop
 tolerances of the dual ascent are read in `charges.py` alone, and its
-ascent takes them as numbers, not as stop callables.
+ascent takes them as numbers, not as stop callables. Every GGE exponent pass
+there is its kernel's, `_boltzmann_weights`.
 """
 
 import ast
@@ -120,3 +121,13 @@ def test_the_ascent_calls_no_argument():
                                     if isinstance(node, ast.Call)
                                     and isinstance(node.func, ast.Name) and node.func.id in params)
     assert found == {"_ascend": [], "_max_entropy": []}
+
+
+def test_one_exp_pass_in_charges():
+    # the weights, ln Z and H(p) of a GGE all come from the kernel's one exp pass
+    tree = ast.parse((PACKAGE / "charges.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.exp"]
+    owners = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn) if node in calls]
+    assert len(calls) == 1 and owners == ["_boltzmann_weights"]
