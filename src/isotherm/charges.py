@@ -416,21 +416,22 @@ def _max_entropy(levels: np.ndarray, target: np.ndarray,
     return z[:-1], p, -value
 
 
-def _face_max_entropy(levels: np.ndarray, target: np.ndarray, scale: float) -> np.ndarray:
-    """The max-entropy p >= 0 on the columns of `levels` with levels @ p =
-    target and sum(p) = 1, for a target inside their hull: the one solution
-    on a simplex (affinely independent columns), else a GGE in the columns'
-    affine coordinates. A direction in which the columns spread less than
-    FACE_RTOL of the widest, or than PIVOT_TOL of `scale` (the largest
-    |level| of the charges: the rounding of levels that coincide), is flat."""
+def _face_max_entropy(levels: np.ndarray, target: np.ndarray,
+                      scale: float) -> tuple[np.ndarray, float]:
+    """The max-entropy p >= 0 on the columns of `levels` with levels @ p = target
+    and sum(p) = 1, for a target inside their hull, and its entropy: the one
+    solution on a simplex (affinely independent columns) and H(p), else a GGE in
+    the columns' affine coordinates and its S_max. A direction in which the
+    columns spread less than FACE_RTOL of the widest, or than PIVOT_TOL of `scale`
+    (the largest |level|: the rounding of levels that coincide), is flat."""
     x = levels - target[:, None]
     u, sv, _ = np.linalg.svd(x, full_matrices=False)
     coords = u[:, sv > max(FACE_RTOL * sv.max(initial=0.0), PIVOT_TOL * scale)].T @ x
     r, m = coords.shape
     if r == m - 1:
         p = np.linalg.lstsq(np.vstack([coords, np.ones(m)]), np.eye(m)[-1], rcond=None)[0]
-        return np.clip(p, 0.0, None)
-    return _max_entropy(coords, np.zeros(r))[1]
+        return np.clip(p, 0.0, None), spectrum_entropy(p)  # H(p) drops p <= 0 itself
+    return _max_entropy(coords, np.zeros(r))[1:]
 
 
 @dataclass(frozen=True)
@@ -457,8 +458,8 @@ def _lp_floor(fam: GGEFamily, k: int, pt: ChargesPoint) -> BoundChargeSolution |
     duals, face = _lp_face(ells[k], np.vstack([ells[idx], np.ones(fam.dim)]),
                            np.append(pt.L[idx], 1.0))
     p = np.zeros(fam.dim)
-    p[face] = _face_max_entropy(ells[idx][:, face], pt.L[idx], np.abs(ells).max())
-    if spectrum_entropy(p) < pt.S - ENTROPY_ATOL:
+    p[face], s_max = _face_max_entropy(ells[idx][:, face], pt.L[idx], np.abs(ells).max())
+    if s_max < pt.S - ENTROPY_ATOL:
         return None
     root = np.sqrt(p)
 
@@ -559,8 +560,8 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
             return math.inf, None
         face = lp[1]  # t_wall to rounding, from the equalities on the face
         t_wall = float(np.linalg.lstsq(a_eq[:, face], b_eq, rcond=None)[0][-1])
-        return t_wall, lambda: (spectrum_entropy(_face_max_entropy(
-            ells[:, face[:-1]], base + t_wall * d_l, scale)), None)
+        return t_wall, lambda: (_face_max_entropy(ells[:, face[:-1]], base + t_wall * d_l,
+                                                  scale)[1], None)
 
     def curve(d, t_wall, beta):
         d_l = np.array(d[:-1])

@@ -33,10 +33,8 @@ from .tolerances import (
     BRACKET_CAP,
     DEGENERACY_ATOL,
     ENERGY_RANGE_RTOL,
-    ENTROPY_RTOL,
     ENTROPY_SLACK,
     FLAT_ENERGY_ATOL,
-    SENTINEL_ENERGY_RTOL,
 )
 
 
@@ -281,9 +279,14 @@ def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
     """The beta~ in R u {+-inf} with E(gamma(beta~)) = target_energy.
 
     Returns +-inf at the mean energy of the ground (top) subspace and 0.0 at
-    the mean energy, each within 1e-10 of the width of the spectrum.
+    the mean energy, each only within 8 d ulps of the largest |level| (`_rounding`).
     """
     return _joint_spontaneous_beta([fam], target_energy)
+
+
+def _rounding(fams: list[GibbsFamily], magnitude: float) -> float:
+    """8 ulps of `magnitude` per level: the rounding of Tr(H rho) or S(rho) on `fams`."""
+    return 8 * sum(f.dim for f in fams) * math.ulp(magnitude)
 
 
 def _joint_intrinsic_beta(fams: list[GibbsFamily], target_entropy: float) -> float:
@@ -295,7 +298,7 @@ def _joint_intrinsic_beta(fams: list[GibbsFamily], target_entropy: float) -> flo
             f"target entropy {target_entropy} outside [0, ln {math.prod(f.dim for f in fams)}]"
         )
     target = min(max(target_entropy, 0.0), log_dim)
-    if log_dim - target <= ENTROPY_RTOL:
+    if log_dim - target <= _rounding(fams, log_dim):  # ln d, to its rounding
         return 0.0
     floor = sum(math.log(f.ground_degeneracy) for f in fams)
     if target <= floor + ENTROPY_SLACK:
@@ -324,13 +327,12 @@ def _joint_spontaneous_beta(fams: list[GibbsFamily], target_energy: float) -> fl
         if abs(target_energy - e_min) > FLAT_ENERGY_ATOL:
             raise ValueError(f"target energy {target_energy} unattainable for flat spectrum")
         return 0.0
-    # 8 ulps of the larger |end| per level: Tr(H rho) of an end eigenstate rounds past it
-    slack = ENERGY_RANGE_RTOL * scale + 8 * sum(f.dim for f in fams) * math.ulp(max(-e_min, e_max))
+    atol = _rounding(fams, max(-e_min, e_max))  # Tr(H rho) of an end eigenstate rounds past it
+    slack = ENERGY_RANGE_RTOL * scale + atol
     if target_energy < e_min - slack or target_energy > e_max + slack:
         raise ValueError(f"target energy {target_energy} outside [{e_min}, {e_max}]")
-    atol = SENTINEL_ENERGY_RTOL * scale
     kernels = [f._kernel for f in fams]
-    # floor/ceiling of the finite-beta branch: mean energy of the limit subspaces
+    # floor/ceiling of the finite-beta branch: mean energy of the limit subspaces, to rounding
     if target_energy <= sum(k.ground.limit.point[0] for k in kernels) + atol:
         return math.inf
     if target_energy >= sum(k.top.limit.point[0] for k in kernels) - atol:

@@ -18,9 +18,6 @@ ISENTROPIC_ATOL = 1e-9  # |dS| of a process that still counts as entropy preserv
 # the edge rules of the Gibbs solvers
 DEGENERACY_ATOL = 1e-10  # levels this close to an end level share its limit subspace
 ENTROPY_SLACK = 1e-12  # entropy rounding: past [0, ln d], at the ln g0 floor, erasure's room
-ENTROPY_RTOL = 1e-10  # target entropy this close to ln d: beta = 0
-# target energy this close (x width) to a limit subspace's mean, or the mean level: +-inf, 0
-SENTINEL_ENERGY_RTOL = 1e-10
 ENERGY_RANGE_RTOL = 1e-9  # target energy this far (x width) past [E_min, E_max] still attainable
 FLAT_ENERGY_ATOL = 1e-9  # target energy this far from a flat spectrum's level still attainable
 

@@ -740,25 +740,48 @@ class TestMaxEntropy:
         assert np.max(np.abs(self.LEVELS @ w - target)) <= NEWTON_TOL
         assert rec == pytest.approx(lam, abs=1e-7)
 
-    def test_singular_covariance_raises(self):
-        # a constant row has zero variance under every weight
+    def test_singular_covariance_raises(self, monkeypatch):
+        # a constant row has zero variance under every weight: no Newton step
+        # exists at the start, so the ascent stops there, with no line search
         levels = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+        calls = TestSolverGuards._count_weight_calls(monkeypatch)
         with pytest.raises(InfeasibleTargetError):
             self._solve(levels, [0.5, 0.1])
+        assert len(calls) == 1
 
     def test_target_outside_hull_raises(self):
         with pytest.raises(InfeasibleTargetError):
             self._solve(self.LEVELS, [4.0, 1.0])
 
-    def test_overflowing_step_raises_without_warnings(self):
+    def test_overflowing_step_raises_without_warnings(self, monkeypatch):
         # at lam = 709.45 the lone level's weight is subnormal, so its variance
-        # is too, and the Newton step grad / var overflows to -inf
+        # is too, and the Newton step grad / var overflows to -inf: the ascent
+        # stops at the start and tries no step
         levels = np.array([[1.0, 0.0, 0.0]])
+        calls = TestSolverGuards._count_weight_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleTargetError):
                 _ascend(np.zeros(3), levels, np.array([0.99938968]), 0.0,
                         np.array([709.45259616, 1.0]), np.eye(2, 1))
+        assert len(calls) == 1
+
+    def test_singular_trial_point_is_not_taken(self, monkeypatch):
+        # three affinely independent levels and a target inside their hull, at
+        # p = (0.042, 0.958, 5.3e-9): from this start the full first step lands
+        # where the third weight is 1e-19, below the rounding of the covariance,
+        # which is singular there. The line search halves past that point, and
+        # the ascent ends on the one solution, p itself
+        levels = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0]])
+        p = np.array([0.04220173199109838, 0.9577982627537166, 5.255184995415472e-09])
+        target = np.array([1.0422017267359134, 2.87339478826115])
+        assert levels @ p == pytest.approx(target, abs=1e-15)
+        calls = TestSolverGuards._count_weight_calls(monkeypatch)
+        _, _, weights = _ascend(np.zeros(3), levels, target, 0.0,
+                                np.array([3.5293970204114418, 0.10498570370139663, 1.0]),
+                                np.eye(3, 2))
+        assert weights == pytest.approx(p, abs=1e-15)
+        assert len(calls) <= 9
 
     def test_singular_covariance_at_the_maximizer_is_accepted(self):
         # a flat lone charge at its level, on the bound slice at S = ln 2: the
@@ -779,8 +802,9 @@ class TestMaxEntropy:
         # them) span no direction: the face's max-entropy state is uniform,
         # not the vertex that solves the rounding as if it were a simplex
         for levels in ([4.0, 4.0 + 8.9e-16], [4.5e-18, -3.5e-17]):
-            p = _face_max_entropy(np.array([levels]), np.array([levels[0]]), 4.0)
+            p, s_max = _face_max_entropy(np.array([levels]), np.array([levels[0]]), 4.0)
             assert p == pytest.approx([0.5, 0.5], abs=1e-15)
+            assert s_max == math.log(2)
 
 
 def diagonal_family(ells) -> GGEFamily:

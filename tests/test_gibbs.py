@@ -31,6 +31,7 @@ from isotherm.gibbs import (
     newton_root,
     spontaneous_beta,
 )
+from isotherm.energetics import report
 from isotherm.operators import (
     DensityMatrix,
     HermitianOperator,
@@ -771,7 +772,7 @@ class TestMpmathOracle:
             if 8 * self.EPS * norm > 1e-11 * beta * float(var):
                 continue
             got = spontaneous_beta(fam, target)
-            if math.isinf(got):  # within 1e-10 of the width of a limit subspace's energy
+            if math.isinf(got):  # within the rounding of a limit subspace's energy
                 continue
             root = self.newton(lambda b: (mp_point(levels, b)[0] - target,
                                           -mp_point(levels, b)[2]), sign * beta)
@@ -807,6 +808,73 @@ class TestMpmathOracle:
             assert abs(run.beta_joint - root) <= 1e-10 * root
             checked += 1
         assert checked >= 25
+
+
+class TestSentinelRounding:
+    """A target reads as a sentinel beta (+-inf, 0) only within its own rounding,
+    so F = E - B >= 0 and A = S(gamma(beta~)) - S >= 0 hold next to every limit,
+    to the conditioning of the roots there: |beta~| ulp(E) for A, and for F the
+    sqrt-ulp floor of B(S) at ln d, sqrt(16 d ulp(ln d) Var0) <= 7.3e-8 here."""
+
+    QUBIT = [0.0, 1.0]
+
+    def test_near_ground_qubit(self):
+        # E = 1e-10 is 1e-10 of the width above the ground: beta~ = ln((1 - E) / E)
+        fam = GibbsFamily(HermitianOperator.diagonal(self.QUBIT))
+        rep = report(DensityMatrix.diagonal([1.0 - 1e-10, 1e-10]), fam)
+        assert rep.spontaneous_beta == pytest.approx(23.0258509298, rel=1e-10)
+        assert rep.athermality == 0.0
+
+    def test_gibbs_state_deep_in_the_ground_tail(self):
+        fam = GibbsFamily(HermitianOperator.diagonal([0.0, 0.919, 0.992]))
+        rep = report(gibbs_state(fam, 25.9), fam)
+        assert rep.spontaneous_beta == pytest.approx(25.9, rel=1e-10)
+        assert rep.athermality == 0.0
+
+    @pytest.mark.parametrize("eps", [5e-6, 1e-6, 1e-7])
+    def test_near_maximally_mixed_qubit(self, eps):
+        fam = GibbsFamily(HermitianOperator.diagonal(self.QUBIT))
+        rep = report(DensityMatrix.diagonal([0.5 + eps, 0.5 - eps]), fam)
+        assert rep.intrinsic_beta > 0
+        assert abs(rep.free_energy) <= 1e-9
+
+    def test_near_maximally_mixed_qutrit_against_mpmath(self):
+        levels = [0.0, 1.0, 3.0]
+        fam = GibbsFamily(HermitianOperator.diagonal(levels))
+        probs = [1 / 3 + 6e-6, 1 / 3 - 3e-6, 1 / 3 - 3e-6]
+        rho = DensityMatrix.diagonal(probs)
+        # F = E - B(S) of the float populations, in 50 digits, from a root started
+        # where the high-temperature expansion S = ln 3 - beta^2 Var0 / 2 meets S
+        with mpmath.workdps(50):
+            p = [mpmath.mpf(x) for x in probs]
+            s = -mpmath.fsum(x * mpmath.log(x) for x in p)
+            start = mpmath.sqrt(2 * (mpmath.log(3) - s) / mpmath.mpf(np.var(levels)))
+            root = TestMpmathOracle.newton(
+                lambda b: (mp_point(levels, b)[1] - s, -b * mp_point(levels, b)[2]), start)
+            ref = float(mpmath.fsum(x * lv for x, lv in zip(p, levels)) - mp_point(levels, root)[0])
+        assert ref == pytest.approx(3.87447119764e-6, rel=1e-11)
+        assert report(rho, fam).free_energy == pytest.approx(ref, abs=1e-9)
+
+    @staticmethod
+    def spectra(n):
+        """Diagonal families with d = 2..6 levels uniform in [0, 1]."""
+        rng = np.random.default_rng(0)
+        for _ in range(n):
+            levels = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 7))))
+            yield GibbsFamily(HermitianOperator.diagonal(levels)), levels, rng
+
+    def test_athermality_of_gibbs_states_near_either_end(self):
+        # beta times the end's gap from 10 to 200: E - E_end ~ e^-200 .. e^-10 of that gap
+        for fam, levels, rng in self.spectra(300):
+            top = bool(rng.integers(2))
+            gap = levels[-1] - levels[-2] if top else levels[1] - levels[0]
+            beta = (-1.0 if top else 1.0) * 10 ** rng.uniform(1.0, math.log10(200.0)) / gap
+            assert report(gibbs_state(fam, beta), fam).athermality >= -1e-10
+
+    def test_free_energy_of_hot_gibbs_states(self):
+        for fam, _, rng in self.spectra(300):
+            rep = report(gibbs_state(fam, 10 ** rng.uniform(-8.0, -3.0)), fam)
+            assert rep.free_energy >= -1e-7
 
 
 def test_import_leaves_scipy_unloaded():

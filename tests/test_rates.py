@@ -36,10 +36,21 @@ from isotherm.rates import conversion_rate, rate_entropy_only
 RATE_FIXTURE_R = 0.4689955935892812
 RATE_FIXTURE_PHI_E = 0.12335529124535183
 
-# degenerate qutrit diag(0, 0, 1): rho = diag(0.6, 0.4 - 1e-11, 1e-11) sits
-# within the sentinel band of the ground (beta~ = +inf) yet below ln 2, and the
-# ray from sigma = diag(0.99, 0.01, 0) meets S = ln 2 while E is still there
-SENTINEL_EDGE_R = 0.031602685220398774
+# degenerate qutrit diag(0, 0, 1): rho = diag(0.6, 0.4 - 1e-11, 1e-11) lies
+# 1e-11 above the ground subspace's mean energy, far past the rounding of E, so
+# its beta~ is finite; the ray from sigma = diag(0.99, 0.01, 0) meets the curve
+# there. The pins are 50-digit roots from the states' float (E, S)
+# (`mp_ray_curve_rate`); its mirror on diag(0, 1, 1) has the same r
+SENTINEL_EDGE_BETA_TILDE = 24.6352888424
+SENTINEL_EDGE_R = 0.0316026856222406
+SENTINEL_EDGE_PHI_BETA = 24.6031760151850
+MIRROR_EDGE_PHI_BETA = -24.6031759324446
+
+# a ground pair split by 8e-11 < DEGENERACY_ATOL is one limit subspace, with mean
+# energy 4e-11: rho = diag(0.6, 0.4 - 6e-12, 6e-12) at E = 3.8e-11 lies below
+# it, a sentinel beta~ = +inf that remains
+SPLIT_GROUND = [0.0, 8e-11, 1.0]
+SPLIT_GROUND_RHO = [0.6, 0.4 - 6e-12, 6e-12]
 
 
 def rotated_qubit_source():
@@ -111,9 +122,27 @@ def report_pool(seed):
             for inp in workloads._report_inputs(np.random.default_rng(seed))]
 
 
+def mp_curve_point(levels, b):
+    """(E, S) of gamma(b) on mpmath levels, at the working precision."""
+    w = [mpmath.exp(-b * (x - levels[0])) for x in levels]
+    p = [wi / mpmath.fsum(w) for wi in w]
+    return (mpmath.fsum(pi * x for pi, x in zip(p, levels)),
+            -mpmath.fsum(pi * mpmath.log(pi) for pi in p if pi > 0))
+
+
+def mp_bisect(f, lo, hi):
+    """A root of f in [lo, hi], where f changes sign, bisected to the working precision."""
+    positive = f(lo) > 0
+    for _ in range(mpmath.mp.prec + 64):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if (f(mid) > 0) == positive else (lo, mid)
+    return (lo + hi) / 2
+
+
 def mp_ray_curve_rate(fam, rho, sigma, beta, dps=50):
-    """r from a dps-digit root in beta of the side of the ray that gamma(beta)
-    lies on, bracketed around `beta`, taking x_rho and x_sigma as exact."""
+    """(r, phi_beta) from a dps-digit bisection in beta of the side of the ray
+    that gamma(beta) lies on, bracketed around `beta`, taking x_rho and x_sigma
+    as exact."""
     with mpmath.workdps(dps):
         levels = [mpmath.mpf(float(x)) for x in fam.eigenvalues]
         e_r, s_r, e_s, s_s = (mpmath.mpf(x) for pt in (state_point(rho, fam),
@@ -121,24 +150,18 @@ def mp_ray_curve_rate(fam, rho, sigma, beta, dps=50):
                               for x in (pt.E, pt.S))
         de, ds = e_r - e_s, s_r - s_s
 
-        def point(b):
-            w = [mpmath.exp(-b * (x - levels[0])) for x in levels]
-            p = [wi / mpmath.fsum(w) for wi in w]
-            return (mpmath.fsum(pi * x for pi, x in zip(p, levels)),
-                    -mpmath.fsum(pi * mpmath.log(pi) for pi in p if pi > 0))
-
         def side(b):
-            e, s = point(b)
+            e, s = mp_curve_point(levels, b)
             return de * (s - s_r) - ds * (e - e_r)
 
         h = mpmath.mpf(1e-6) * max(1, abs(beta))
         while side(beta - h) * side(beta + h) > 0:
             h *= 2
-        b = mpmath.findroot(side, (beta - h, beta + h), solver="anderson")
-        e, s = point(b)
+        b = mp_bisect(side, beta - h, beta + h)
+        e, s = mp_curve_point(levels, b)
         t_star = ((e - e_s) * de + (s - s_s) * ds) / (de * de + ds * ds)
         assert t_star > 1
-        return float(1 - 1 / t_star)
+        return float(1 - 1 / t_star), float(b)
 
 
 class TestConversionRate:
@@ -296,19 +319,36 @@ class TestSentinelEdges:
     def test_ground_sentinel_edge(self, degenerate_qutrit):
         rho = DensityMatrix.diagonal([0.6, 0.4 - 1e-11, 1e-11])
         sigma = DensityMatrix.diagonal([0.99, 0.01, 0.0])
-        assert spontaneous_beta(degenerate_qutrit, state_point(rho, degenerate_qutrit).E) == math.inf
+        energy = state_point(rho, degenerate_qutrit).E
+        with mpmath.workdps(50):
+            levels = [mpmath.mpf(float(x)) for x in degenerate_qutrit.eigenvalues]
+            beta_tilde = float(mp_bisect(lambda b: mp_curve_point(levels, b)[0] - energy,
+                                         mpmath.mpf(1), mpmath.mpf(100)))
+        assert beta_tilde == pytest.approx(SENTINEL_EDGE_BETA_TILDE, rel=1e-11)
+        assert spontaneous_beta(degenerate_qutrit, energy) == pytest.approx(beta_tilde, rel=1e-10)
         sol = conversion_rate(rho, sigma, degenerate_qutrit)
-        assert sol.phi_kind == "thermal" and sol.phi_beta == math.inf
-        assert sol.r == pytest.approx(SENTINEL_EDGE_R, abs=1e-12)
-        assert sol.phi_point.S == pytest.approx(math.log(2), abs=1e-15)
+        r, beta = mp_ray_curve_rate(degenerate_qutrit, rho, sigma, sol.phi_beta)
+        assert r == pytest.approx(SENTINEL_EDGE_R, abs=1e-15)
+        assert beta == pytest.approx(SENTINEL_EDGE_PHI_BETA, rel=1e-13)
+        assert sol.phi_kind == "thermal"
+        assert sol.r == pytest.approx(r, abs=1e-12)
+        assert sol.phi_beta == pytest.approx(beta, rel=1e-10)
+        with mpmath.workdps(50):
+            s_phi = float(mp_curve_point(levels, mpmath.mpf(beta))[1])
+        assert sol.phi_point.S == pytest.approx(s_phi, abs=1e-15)
 
     def test_top_sentinel_mirror(self):
+        # r hardly moves with beta there: the float root lands 4e-8 off relative, r 2e-15
         fam = GibbsFamily(HermitianOperator.diagonal([0.0, 1.0, 1.0]))
         rho = DensityMatrix.diagonal([1e-11, 0.4 - 1e-11, 0.6])
         sigma = DensityMatrix.diagonal([0.0, 0.01, 0.99])
         sol = conversion_rate(rho, sigma, fam)
-        assert sol.phi_kind == "thermal" and sol.phi_beta == -math.inf
-        assert sol.r == pytest.approx(SENTINEL_EDGE_R, abs=1e-12)
+        r, beta = mp_ray_curve_rate(fam, rho, sigma, sol.phi_beta)
+        assert r == pytest.approx(SENTINEL_EDGE_R, abs=1e-15)
+        assert beta == pytest.approx(MIRROR_EDGE_PHI_BETA, rel=1e-13)
+        assert sol.phi_kind == "thermal"
+        assert sol.r == pytest.approx(r, abs=1e-12)
+        assert sol.phi_beta == pytest.approx(beta, rel=1e-7)
 
     def test_rotated_narrow_ground_state(self):
         # the pure ground state of a narrow qubit in a Haar basis: Tr(H rho)
@@ -321,23 +361,39 @@ class TestSentinelEdges:
         sol = conversion_rate(rho, DensityMatrix.maximally_mixed(2), fam)
         assert (sol.r, sol.phi_kind) == (0.0, "source-degenerate")
 
-    def test_ray_leaving_the_sentinel_band(self, degenerate_qutrit):
-        # a slowly rising ray leaves the band before S reaches ln 2: a finite exit
-        rho = DensityMatrix.diagonal([0.6, 0.4 - 1e-11, 1e-11])
-        sigma = DensityMatrix.diagonal([0.6, 0.4 - 1e-12, 1e-12])
-        sol = assert_matches_margin_rate(rho, sigma, degenerate_qutrit)
-        assert math.isfinite(sol.phi_beta)
+    def test_ray_meeting_the_sentinel_curve(self):
+        # from a sentinel beta~ = +inf on a ground pair split by 1e-11, the ray
+        # reaches S = ln 2 while E(t) still maps to +inf: the exit is there
+        fam = GibbsFamily(HermitianOperator.diagonal([0.0, 1e-11, 1.0]))
+        rho = DensityMatrix.diagonal([0.6, 0.4, 0.0])
+        sigma = DensityMatrix.diagonal([0.65, 0.35 - 2.5e-12, 2.5e-12])
+        assert spontaneous_beta(fam, state_point(rho, fam).E) == math.inf
+        sol = assert_matches_margin_rate(rho, sigma, fam)
+        assert (sol.phi_kind, sol.phi_beta) == ("thermal", math.inf)
+        assert sol.r == pytest.approx(0.440596826821, abs=1e-12)
+
+    def test_ray_leaving_the_sentinel_band(self):
+        # from the sentinel rho of SPLIT_GROUND, a slowly rising ray has left
+        # the ground's mean energy when S reaches ln 2: a finite exit, sought
+        # from beta~ there
+        fam = GibbsFamily(HermitianOperator.diagonal(SPLIT_GROUND))
+        rho = DensityMatrix.diagonal(SPLIT_GROUND_RHO)
+        sigma = DensityMatrix.diagonal([0.6, 0.4 - 6e-13, 6e-13])
+        assert spontaneous_beta(fam, state_point(rho, fam).E) == math.inf
+        sol = assert_matches_margin_rate(rho, sigma, fam)
+        assert sol.phi_kind == "thermal" and math.isfinite(sol.phi_beta)
 
     @pytest.mark.parametrize("excess", [0.0, 3e-12])
-    def test_level_or_falling_ray_from_the_sentinel_band(self, degenerate_qutrit, excess):
-        # sigma = diag(p, 1 - p, 0) with S(sigma) = S(rho) + excess: the ray
-        # never rises to ln 2, misses S = 0 and the wall, and meets the curve
-        # at beta < 0
-        rho = DensityMatrix.diagonal([0.6, 0.4 - 1e-11, 1e-11])
+    def test_level_or_falling_ray_from_the_sentinel_band(self, excess):
+        # sigma = diag(p, 1 - p, 0) with S(sigma) = S(rho) + excess, from the
+        # sentinel rho of SPLIT_GROUND: the ray never rises to ln 2, misses S = 0
+        # and the wall, and meets the curve at beta < 0, sought from beta = 0
+        fam = GibbsFamily(HermitianOperator.diagonal(SPLIT_GROUND))
+        rho = DensityMatrix.diagonal(SPLIT_GROUND_RHO)
+        assert spontaneous_beta(fam, state_point(rho, fam).E) == math.inf
         p = brentq(lambda p: entropy(DensityMatrix.diagonal([p, 1 - p, 0.0]))
                    - entropy(rho) - excess, 0.5, 0.7, xtol=1e-16)
-        sol = assert_matches_margin_rate(rho, DensityMatrix.diagonal([p, 1 - p, 0.0]),
-                                         degenerate_qutrit)
+        sol = assert_matches_margin_rate(rho, DensityMatrix.diagonal([p, 1 - p, 0.0]), fam)
         assert sol.phi_kind == "thermal" and sol.phi_beta < 0
 
     @pytest.mark.parametrize("pops", [([0.25, 0.5, 0.25], [0.45, 0.1, 0.45]),
@@ -375,7 +431,7 @@ def test_curve_exit_against_mpmath(levels, unit, p_rho, p_sigma):
     rho, sigma = DensityMatrix.diagonal(p_rho), DensityMatrix.diagonal(p_sigma)
     sol = conversion_rate(rho, sigma, fam)
     assert sol.phi_kind == "thermal" and math.isfinite(sol.phi_beta)
-    assert sol.r == pytest.approx(mp_ray_curve_rate(fam, rho, sigma, sol.phi_beta), abs=1e-11)
+    assert sol.r == pytest.approx(mp_ray_curve_rate(fam, rho, sigma, sol.phi_beta)[0], abs=1e-11)
 
 
 def rate_case(levels, split, unit, rotate, beta_norms, weights, seed, end=None):
@@ -505,9 +561,12 @@ class TestRateProperties:
             tol = 1e-12 + NEWTON_TOL * abs(beta) / slope * (1.0 - single.r) ** 2
         assert multi.r == pytest.approx(single.r, abs=tol)
 
-    def test_q1_reduction_takes_no_overflowing_step(self, monkeypatch):
-        # a Newton step whose slope overflows must not be tried: on this case
-        # the charges rate once took a step of -3.9e307 with an infinite slope
+    def test_q1_reduction_trial_points_stay_finite(self, monkeypatch):
+        # on this case the charges rate once took a step of -3.9e307 with an
+        # infinite slope; its ascents now meet no singular or overflowing point
+        # (the largest |z| tried is 1.2e7), so this checks the exit and the
+        # size of the trial points. The ascent's guards against such points
+        # are pinned on `_ascend` itself, in test_charges.py's TestMaxEntropy
         from isotherm import charges as charges_module
 
         points = []

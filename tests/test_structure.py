@@ -12,7 +12,8 @@ The coincident and source-degenerate rules of a rate are read in
 `rates.py` alone, where `ray_exit` serves both rate layers. The stop
 tolerances of the dual ascent are read in `charges.py` alone, and its
 ascent takes them as numbers, not as stop callables. Every GGE exponent pass
-there is its kernel's, `_boltzmann_weights`.
+there is its kernel's, `_boltzmann_weights`. Both joint beta solvers of
+`gibbs.py` take "at a sentinel" from one rounding rule, `_rounding`.
 """
 
 import ast
@@ -131,3 +132,12 @@ def test_one_exp_pass_in_charges():
     owners = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
               for node in ast.walk(fn) if node in calls]
     assert len(calls) == 1 and owners == ["_boltzmann_weights"]
+
+
+def test_both_beta_solvers_read_one_rounding_rule():
+    # a target is a sentinel beta (+-inf, 0) only within its own rounding
+    tree = ast.parse((PACKAGE / "gibbs.py").read_text(encoding="utf-8"))
+    callers = sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)
+                     if isinstance(node, ast.Call) and ast.unparse(node.func) == "_rounding")
+    assert callers == ["_joint_intrinsic_beta", "_joint_spontaneous_beta"]
