@@ -18,7 +18,11 @@ the kernel, its Hessian -Cov_p([A; -x]) / nu, and g = c.p + z.gradient.
   target, S = 0, nu pinned at 1, from lam = 0 (`_max_entropy`, also run on
   the LP faces; a flat lone charge takes lam = 0, uniform p). A target
   outside the polytope raises. The same ascent's value -g gives S_max(L)
-  to `absolute_athermality` and the rate.
+  to `absolute_athermality` and the rate. The module keeps the two most
+  recent max-entropy solves, keyed by the exact bytes of the levels' shape,
+  the levels, the target and the stop tolerance: the three share one ascent
+  at rho's charges (the bound's hot start, at its own tolerance, keeps its
+  own), and every call hands out fresh copies, so no caller holds a kept array.
 - `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
   (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
   the polytope; if the maximum entropy on its optimal face reaches S, the
@@ -59,6 +63,7 @@ InfeasibleTargetError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -264,8 +269,9 @@ def gge_covariance(fam: GGEFamily, beta_vec) -> np.ndarray:
 
 def gge_solve(fam: GGEFamily, target, rng: np.random.Generator | None = None) -> np.ndarray:
     """Invert beta_vec -> L_vec(gamma): the maximum-entropy ascent from
-    beta_vec = 0; raises on boundary/infeasible targets. `rng` is unused."""
-    return _max_entropy(fam.joint_eigenvalues, np.asarray(target, dtype=float))[0]
+    beta_vec = 0, shared through `_max_entropy`'s two kept solves (a fresh
+    copy); raises on boundary/infeasible targets. `rng` is unused."""
+    return _max_entropy(fam.joint_eigenvalues, target)[0]
 
 
 def beta_vec_athermality(rho: DensityMatrix, fam: GGEFamily, beta_vec) -> float:
@@ -278,7 +284,9 @@ def beta_vec_athermality(rho: DensityMatrix, fam: GGEFamily, beta_vec) -> float:
 def absolute_athermality(rho: DensityMatrix, fam: GGEFamily,
                          rng: np.random.Generator | None = None) -> float:
     """min over beta_vec of the beta-athermality, S_max(L(rho)) - S(rho) at
-    the minimizer (`_max_entropy`); exact zero below 1e-12. `rng` is unused."""
+    the minimizer (`_max_entropy`, whose two kept solves it shares with
+    gge_solve and the rate at rho's charges); exact zero below 1e-12. `rng`
+    is unused."""
     pt = charges_point(rho, fam)
     return _snap(_max_entropy(fam.joint_eigenvalues, pt.L)[2] - pt.S)
 
@@ -345,6 +353,34 @@ def _lp_face(c, a_eq, b_eq):
     return y, reduced <= FACE_RTOL * reduced.max()
 
 
+def _dual_newton(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float,
+                 basis: np.ndarray):
+    """The evaluation of the dual g for one ascent on the slice z + basis @ u:
+    newton(z) gives g = c.p + z.full at z, its gradient full, the slice gradient,
+    the Newton step and the slope along it. One (q+1, d) stack [levels; -x],
+    allocated here with -x rewritten at every z, gives the means of all its
+    rows in one product and the slice covariance from one centred product."""
+    stack = np.empty((len(levels) + 1, levels.shape[1]))
+    stack[:-1] = levels
+
+    def newton(z):
+        np.divide(-(c + np.dot(z[:-1], levels)), z[-1], out=stack[-1])
+        p, _, h = _boltzmann_weights(stack[-1])
+        full = stack @ p
+        centred = basis.T @ (stack - full[:, None])
+        full[:-1] -= b
+        full[-1] = s - h
+        value = float(c @ p + z @ full)
+        grad = basis.T @ full
+        try:  # the Hessian on the slice is -Cov_p(basis^T [levels; -x]) / nu
+            step = z[-1] * np.linalg.solve((centred * p) @ centred.T, grad)
+        except np.linalg.LinAlgError:
+            step = np.full_like(grad, np.nan)
+        return value, p, grad, step, grad @ step, full
+
+    return newton
+
+
 def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.ndarray,
             basis: np.ndarray,
             rtol: float = DECREMENT_RTOL) -> tuple[np.ndarray, float, np.ndarray]:
@@ -354,18 +390,7 @@ def _ascend(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float, z: np.nd
     nearly singular covariance gives a huge step whose slope and trial
     weights may overflow; the tests compare them as they come out."""
     gradient_tol = NEWTON_TOL * max(1.0, np.abs(levels).max(initial=0.0))
-
-    def newton(z):  # g = c.p + z.full at z, its gradient full, slice gradient and Newton step
-        e = -(c + np.dot(z[:-1], levels)) / z[-1]
-        p, _, h = _boltzmann_weights(e)
-        full = np.append(levels @ p - b, s - h)
-        value = float(c @ p + z @ full)
-        grad = basis.T @ full
-        try:  # the Hessian on the slice is -Cov_p(basis^T [levels; -x]) / nu
-            step = z[-1] * np.linalg.solve(_covariance(basis.T @ np.vstack([levels, e]), p), grad)
-        except np.linalg.LinAlgError:
-            step = np.full_like(grad, np.nan)
-        return value, p, grad, step, grad @ step, full
+    newton = _dual_newton(c, levels, b, s, basis)
 
     def within(grad) -> bool:  # the no-step test
         return bool(np.max(np.abs(grad), initial=0.0) <= gradient_tol)
@@ -407,8 +432,24 @@ def _max_entropy(levels: np.ndarray, target: np.ndarray,
     at `rtol`. S_max is -g = ln Z + lam.target, the dual value, which by
     weak duality is never below the truth.
     Charges that spread at most PIVOT_TOL of their largest |level| are flat:
-    lam = 0, uniform p and S_max = ln d, rounded as `gibbs` rounds it."""
-    m, d = levels.shape
+    lam = 0, uniform p and S_max = ln d, rounded as `gibbs` rounds it.
+    The two most recent solves are kept (`_max_entropy_solve`, two entries),
+    keyed by the exact bytes of the levels' shape, the levels, the target and
+    `rtol`, so gge_solve, absolute_athermality and the rate's S_max at one
+    state's charges share one ascent; every call hands out fresh copies of
+    lam and p. A solve that raises is not kept."""
+    levels, target = np.asarray(levels, dtype=float), np.asarray(target, dtype=float)
+    lam, p, s_max = _max_entropy_solve(levels.shape, levels.tobytes(), target.tobytes(), rtol)
+    return lam.copy(), p.copy(), s_max
+
+
+@functools.lru_cache(maxsize=2)
+def _max_entropy_solve(shape: tuple, levels: bytes, target: bytes,
+                       rtol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """`_max_entropy`'s solve, on the levels and target as bytes; the kept
+    entries sit in front of it, and `__wrapped__` is the uncached route."""
+    levels, target = np.frombuffer(levels).reshape(shape), np.frombuffer(target)
+    m, d = shape
     if np.ptp(levels, axis=1).max(initial=0.0) <= PIVOT_TOL * np.abs(levels).max(initial=0.0):
         return np.zeros(m), np.full(d, 1.0 / d), math.log1p(d - 1)
     z, value, p = _ascend(np.zeros(d), levels, target, 0.0, np.eye(m + 1)[-1],

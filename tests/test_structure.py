@@ -12,8 +12,9 @@ The coincident and source-degenerate rules of a rate are read in
 `rates.py` alone, where `ray_exit` serves both rate layers. The stop
 tolerances of the dual ascent are read in `charges.py` alone, and its
 ascent takes them as numbers, not as stop callables. Every GGE exponent pass
-there is its kernel's, `_boltzmann_weights`. Both joint beta solvers of
-`gibbs.py` take "at a sentinel" from one rounding rule, `_rounding`.
+there is its kernel's, `_boltzmann_weights`, and the max-entropy state at
+a point's charges is reached through `_max_entropy` alone. Both joint beta
+solvers of `gibbs.py` take "at a sentinel" from one rounding rule, `_rounding`.
 """
 
 import ast
@@ -141,3 +142,22 @@ def test_both_beta_solvers_read_one_rounding_rule():
                      for node in ast.walk(fn)
                      if isinstance(node, ast.Call) and ast.unparse(node.func) == "_rounding")
     assert callers == ["_joint_intrinsic_beta", "_joint_spontaneous_beta"]
+
+
+def test_one_route_to_the_max_entropy_ascent():
+    # the ascent's evaluation builds no stack per point; the three callers of
+    # the max-entropy state at rho's charges reach the ascent only through
+    # `_max_entropy`, whose kept solves they share, and only it reads them
+    tree = ast.parse((PACKAGE / "charges.py").read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+    def called(name: str) -> set[str]:
+        return {ast.unparse(node.func) for node in ast.walk(functions[name])
+                if isinstance(node, ast.Call)}
+
+    assert {"np.vstack", "np.append"} & (called("_ascend") | called("_dual_newton")) == set()
+    for name in ("gge_solve", "absolute_athermality", "above"):  # `above`: the rate's S_max
+        assert "_max_entropy" in called(name)
+        assert {"_ascend", "_max_entropy_solve"} & called(name) == set(), name
+    readers = sorted(name for name in functions if "_max_entropy_solve" in called(name))
+    assert readers == ["_max_entropy"]
