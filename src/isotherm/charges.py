@@ -174,9 +174,10 @@ class ChargeSet:
         return self.charges[0].dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GGEFamily:
-    """Generalized Gibbs family gamma(beta_vec) of a charge set."""
+    """Generalized Gibbs family gamma(beta_vec) of a charge set; families
+    compare and hash by identity, as `GibbsFamily` does."""
 
     charge_set: ChargeSet
     basis: np.ndarray = field(init=False, repr=False, compare=False)

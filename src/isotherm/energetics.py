@@ -54,12 +54,7 @@ def _bound_energy_at(fam: GibbsFamily, beta: float) -> float:
 
 def free_energy(rho: DensityMatrix, fam: GibbsFamily) -> float:
     """F(rho) = E(rho) - B(rho) >= 0; exact zero below 1e-12."""
-    return _free_energy_at(rho, fam, intrinsic_beta(fam, entropy(rho)))
-
-
-def _free_energy_at(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float:
-    """free_energy of rho, given its intrinsic beta."""
-    return _snap(expectation(fam.hamiltonian, rho) - _bound_energy_at(fam, beta))
+    return _snap(expectation(fam.hamiltonian, rho) - bound_energy(rho, fam))
 
 
 def _snap(x: float) -> float:
@@ -112,7 +107,9 @@ def beta_athermality(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> float
 
 
 def report(rho: DensityMatrix, fam: GibbsFamily) -> EnergeticsReport:
-    """Every EnergeticsReport field, solving for each temperature once."""
+    """Every EnergeticsReport field, from one intrinsic and one spontaneous
+    beta: the kept roots of `gibbs`, which bound_energy, free_energy and
+    athermality on the same state and family share."""
     e = expectation(fam.hamiltonian, rho)
     s = entropy(rho)
     beta = intrinsic_beta(fam, s)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,22 +69,19 @@ class _Branch:
         gaps = (levels[:-1] if top else levels[1:]) - ref
         self._levels = levels
         self._near = levels >= ref - DEGENERACY_ATOL if top else levels <= ref + DEGENERACY_ATOL
-        self._limit = None
         self.degeneracy = int(np.count_nonzero(self._near))
         powers = np.empty((3, gaps.size))
         powers[0], powers[1], powers[2] = 1.0, gaps, gaps * gaps
         powers.setflags(write=False)
         self.ref, self.gaps, self.powers = float(ref), powers[1], powers
 
-    @property
+    @cached_property
     def limit(self) -> _Limit:
-        if self._limit is None:
-            p = self._near / self.degeneracy
-            p.setflags(write=False)  # shared by every call: _populations hands it out
-            e = float(np.dot(p, self._levels))
-            dev = self._levels - e
-            self._limit = _Limit(p, (e, math.log(self.degeneracy), float(np.dot(p, dev * dev))))
-        return self._limit
+        p = self._near / self.degeneracy
+        p.setflags(write=False)  # shared by every call: _populations hands it out
+        e = float(np.dot(p, self._levels))
+        dev = self._levels - e
+        return _Limit(p, (e, math.log(self.degeneracy), float(np.dot(p, dev * dev))))
 
 
 class _Kernel(NamedTuple):
@@ -97,12 +94,13 @@ class _Kernel(NamedTuple):
     var0: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsFamily:
     """The one-parameter family gamma(beta) = e^(-beta H)/Z of a Hamiltonian;
     `eigenvalues` is the Hamiltonian's own ascending, read-only array. The
     constants of its gap-form kernel are built on first use and then kept,
-    and a branch's limit state only when a sentinel beta reads it."""
+    and a branch's limit state only when a sentinel beta reads it. Families
+    compare and hash by identity, which keys the kept roots of `_solve`."""
 
     hamiltonian: HermitianOperator
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
@@ -271,8 +269,9 @@ def intrinsic_beta(fam: GibbsFamily, target_entropy: float) -> float:
 
     Returns math.inf when the target entropy is at or below ln g0 (the
     entropy floor of the beta >= 0 branch); the bound energy then is E_min.
+    The root is one of the kept roots of `_solve`.
     """
-    return _joint_intrinsic_beta([fam], target_entropy)
+    return _solve(fam, _joint_intrinsic_beta, target_entropy)
 
 
 def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
@@ -280,8 +279,19 @@ def spontaneous_beta(fam: GibbsFamily, target_energy: float) -> float:
 
     Returns +-inf at the mean energy of the ground (top) subspace and 0.0 at
     the mean energy, each only within 8 d ulps of the largest |level| (`_rounding`).
+    The root is one of the kept roots of `_solve`.
     """
-    return _joint_spontaneous_beta([fam], target_energy)
+    return _solve(fam, _joint_spontaneous_beta, target_energy)
+
+
+@lru_cache(maxsize=8)
+def _solve(fam: GibbsFamily, solver, target: float) -> float:
+    """solver([fam], target), the single-family root of a joint solver. The
+    eight most recent roots are kept, keyed by the family's identity, the
+    solver and the target, so the callers that ask for one state's beta
+    against one family share one solve; a target that raises is not kept,
+    and `__wrapped__` is the uncached route."""
+    return solver([fam], target)
 
 
 def _rounding(fams: list[GibbsFamily], magnitude: float) -> float:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .charges import GGEFamily, charges_point, gge_state
-from .energetics import _check_free_energy_beta, _free_energy_at, beta_athermality, free_energy
+from .energetics import _check_free_energy_beta, beta_athermality, free_energy
 from .equilibrium import EquilibrationOutcome, joint_family
 from .gibbs import GibbsFamily, _boundary_grid, intrinsic_beta
 from .operators import DensityMatrix, SubsystemSplit, entropy, expectation, partial_trace
@@ -87,7 +87,7 @@ def relative_entropy_check(rho: DensityMatrix, fam: GibbsFamily) -> float:
     `eigh` of the dense Gibbs matrix would lose the relative precision of its
     small eigenvalues at large beta."""
     beta = intrinsic_beta(fam, entropy(rho))
-    f = _free_energy_at(rho, fam, beta)
+    f = free_energy(rho, fam)
     if beta == 0.0:
         # T = inf limit: a max-entropy state has F = 0 and D = 0
         return abs(f)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .energetics import _bound_energy_at, _free_energy_at, bound_energy
+from .energetics import bound_energy, free_energy
 from .gibbs import (
     GibbsFamily,
     _boundary_point,
@@ -48,9 +48,10 @@ class DegenerateEngineError(ValueError):
 class ProcessRecord:
     """An entropy-preserving transformation rho_AB -> rho'_AB.
 
-    The marginals, the intrinsic betas of the initial marginals and the
-    ledger are computed on first use and kept: the states are read-only, so
-    the kept values cannot go stale, and every law check reads the same ones.
+    The marginals and the ledger are computed on first use and kept: the
+    states are read-only, so the kept values cannot go stale, and every law
+    check reads the same ones. Each check takes the intrinsic betas of the
+    marginals from `gibbs`, whose kept roots serve the repeats.
     """
 
     initial: DensityMatrix
@@ -86,13 +87,6 @@ class ProcessRecord:
     @cached_property
     def _final_marginals(self) -> tuple[DensityMatrix, DensityMatrix]:
         return _marginals(self.final, self.split)
-
-    @cached_property
-    def _initial_betas(self) -> tuple[float, float]:
-        """Intrinsic betas of the initial marginals of A and B."""
-        a0, b0 = self._initial_marginals
-        return (intrinsic_beta(self.fam_a, entropy(a0)),
-                intrinsic_beta(self.fam_b, entropy(b0)))
 
     @cached_property
     def _ledger(self) -> LedgerEntry:
@@ -132,14 +126,13 @@ def work_ledger(proc: ProcessRecord) -> LedgerEntry:
 def _build_ledger(proc: ProcessRecord) -> LedgerEntry:
     a0, b0 = proc.marginals("initial")
     a1, b1 = proc.marginals("final")
-    beta_a0, beta_b0 = proc._initial_betas
     e_a0 = expectation(proc.fam_a.hamiltonian, a0)
     e_a1 = expectation(proc.fam_a.hamiltonian, a1)
     e_b0 = expectation(proc.fam_b.hamiltonian, b0)
     e_b1 = expectation(proc.fam_b.hamiltonian, b1)
-    ba0 = _bound_energy_at(proc.fam_a, beta_a0)
+    ba0 = bound_energy(a0, proc.fam_a)
     ba1 = bound_energy(a1, proc.fam_a)
-    bb0 = _bound_energy_at(proc.fam_b, beta_b0)
+    bb0 = bound_energy(b0, proc.fam_b)
     bb1 = bound_energy(b1, proc.fam_b)
     d_e_a, d_e_b = e_a1 - e_a0, e_b1 - e_b0
     d_q_a, d_q = ba1 - ba0, bb1 - bb0
@@ -163,20 +156,17 @@ def first_law_residual(proc: ProcessRecord) -> float:
 
 
 def is_gibbs(rho: DensityMatrix, fam: GibbsFamily) -> bool:
-    return _is_gibbs_at(rho, fam, intrinsic_beta(fam, entropy(rho)))
-
-
-def _is_gibbs_at(rho: DensityMatrix, fam: GibbsFamily, beta: float) -> bool:
-    """is_gibbs, given the intrinsic beta of rho."""
-    gamma = gibbs_state(fam, beta)
+    """rho equals the Gibbs state at its intrinsic beta, entrywise to GIBBS_ATOL."""
+    gamma = gibbs_state(fam, intrinsic_beta(fam, entropy(rho)))
     return bool(np.max(np.abs(rho.entries - gamma.entries)) <= GIBBS_ATOL)
 
 
 def heat_bounds_check(proc: ProcessRecord) -> bool:
     """For an initially thermal environment: T dS_B <= dQ <= dE_B."""
-    beta = proc._initial_betas[1]
-    if not _is_gibbs_at(proc.marginals("initial")[1], proc.fam_b, beta):
+    b0 = proc.marginals("initial")[1]
+    if not is_gibbs(b0, proc.fam_b):
         raise ValueError("heat_bounds_check requires an initially thermal environment")
+    beta = intrinsic_beta(proc.fam_b, entropy(b0))
     led = work_ledger(proc)
     # T = 0 at beta = inf; at beta = 0, B starts maximally mixed, dS_B <= 0 and T = inf
     t_ds = 0.0 if math.isinf(beta) else led.dS_B / beta if beta > 0 else -math.inf
@@ -186,12 +176,12 @@ def heat_bounds_check(proc: ProcessRecord) -> bool:
 def extractable_work(rho: DensityMatrix, fam: GibbsFamily) -> tuple[float, DensityMatrix]:
     """Maximum work under entropy-preserving maps: F(rho), with the witness
     final state gamma(beta(rho))."""
-    beta = intrinsic_beta(fam, entropy(rho))
-    return _free_energy_at(rho, fam, beta), gibbs_state(fam, beta)
+    return free_energy(rho, fam), gibbs_state(fam, intrinsic_beta(fam, entropy(rho)))
 
 
 def _initial_temperatures(proc: ProcessRecord) -> tuple[float, float]:
-    betas = proc._initial_betas
+    betas = [intrinsic_beta(fam, entropy(rho))
+             for rho, fam in zip(proc.marginals("initial"), (proc.fam_a, proc.fam_b))]
     for beta in betas:
         if math.isinf(beta) or beta == 0.0:
             raise ValueError("clausius_check needs finite nonzero intrinsic temperatures")
@@ -215,10 +205,8 @@ def kelvin_planck_check(proc: ProcessRecord) -> tuple[float, bool | None]:
     led = work_ledger(proc)
     residual = abs((led.dQ_A + led.dQ) - (-(led.dF_A + led.dF_B) + led.W))
     a0, b0 = proc.marginals("initial")
-    beta_a0, beta_b0 = proc._initial_betas
     corollary = None
-    if (led.W < 0 and _is_gibbs_at(a0, proc.fam_a, beta_a0)
-            and _is_gibbs_at(b0, proc.fam_b, beta_b0)):
+    if led.W < 0 and is_gibbs(a0, proc.fam_a) and is_gibbs(b0, proc.fam_b):
         corollary = bool(led.dQ_A + led.dQ <= led.W + LAW_SLACK)
     return residual, corollary
 

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from isotherm.charges import ChargeSet, GGEFamily, _max_entropy_solve
-from isotherm.gibbs import GibbsFamily
+from isotherm.gibbs import GibbsFamily, _solve
 from isotherm.operators import DensityMatrix, HermitianOperator, entropy, haar_unitary
 
 
 @pytest.fixture(autouse=True)
 def cold_max_entropy_solves():
-    """Every test starts with none of `charges`' two kept max-entropy solves,
-    so what a test counts does not depend on the tests run before it."""
+    """Every test starts with none of `charges`' two kept max-entropy solves
+    and none of `gibbs`' kept beta roots, so what a test counts does not
+    depend on the tests run before it."""
     _max_entropy_solve.cache_clear()
+    _solve.cache_clear()
 
 
 @pytest.fixture

@@ -224,6 +224,11 @@ class TestChargeSet:
             ChargeSet((HermitianOperator.diagonal([0.0, 1.0]),
                        HermitianOperator.diagonal([0.0, 1.0, 2.0])))
 
+    def test_families_compare_and_hash_by_identity(self, charge_family):
+        twin = GGEFamily(charge_family.charge_set)
+        assert charge_family == charge_family and charge_family != twin
+        assert len({charge_family, twin, charge_family}) == 2
+
     def test_common_eigenbasis_diagonalizes_all(self, charge_family):
         for op in charge_family.charge_set.charges:
             rotated = charge_family.basis.conj().T @ op.entries @ charge_family.basis

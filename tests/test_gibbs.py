@@ -286,7 +286,8 @@ class TestEvaluationCount:
     average (4.5; 6.7 from a start at beta = 1). Near-pure states, a Haar pure
     state mixed with weight a = 1e-1 ... 1e-4 of a random one, put the
     intrinsic root deep in the low-temperature tail, 9.2 on average; every
-    solve stays within 16 evaluations."""
+    solve stays within 16 evaluations. Every solve counted is fresh: the
+    kept roots are dropped before each, since a bulk pair shares one entropy."""
 
     def test_residual_evaluations_per_root(self, rng, monkeypatch):
         calls = []
@@ -315,12 +316,99 @@ class TestEvaluationCount:
                     for solve, target in ((intrinsic_beta, entropy(rho)),
                                           (spontaneous_beta, expectation(fam.hamiltonian, rho))):
                         calls.clear()
+                        gibbs._solve.cache_clear()
                         solve(fam, target)
                         if calls:
                             counts[kind].append(len(calls))
         assert len(counts["bulk"]) >= 240
         assert np.mean(counts["bulk"]) <= 5
         assert max(counts["bulk"] + counts["near_pure"]) <= 16
+
+
+def counted_points(monkeypatch) -> list:
+    """A list that records the beta of every `_joint_point` evaluation."""
+    calls = []
+    point = gibbs._joint_point
+
+    def counting_point(fams, beta):
+        calls.append(beta)
+        return point(fams, beta)
+
+    monkeypatch.setattr(gibbs, "_joint_point", counting_point)
+    return calls
+
+
+class TestKeptRoots:
+    """intrinsic_beta and spontaneous_beta keep their eight most recent roots,
+    keyed by the family's identity, the solver and the target."""
+
+    @staticmethod
+    def sweep_cases(rng):
+        """(family, entropy targets, energy targets) for d = 2..64: a random
+        spectrum and integer levels 0-4 in a Haar basis (ln g0 > 0), each at
+        ln d, ln g0, the ground, top and mean levels, and a random state with
+        its populations falling and rising with energy (beta > 0 and < 0)."""
+        for d in range(2, 65):
+            u = haar_unitary(d, rng)
+            integer = HermitianOperator((u * rng.integers(0, 5, d).astype(float)) @ u.conj().T)
+            for fam in (GibbsFamily(random_hamiltonian(d, rng)), GibbsFamily(integer)):
+                k = fam._kernel
+                v, w = fam.hamiltonian.eigenvectors, random_density(d, rng).spectrum
+                rhos = [DensityMatrix((v * w) @ v.conj().T),
+                        DensityMatrix((v * w[::-1]) @ v.conj().T)]
+                entropies = [math.log(d), math.log(fam.ground_degeneracy), entropy(rhos[0])]
+                energies = [k.ground.limit.point[0], k.top.limit.point[0], k.mean]
+                energies += [expectation(fam.hamiltonian, rho) for rho in rhos]
+                yield fam, entropies, energies
+
+    def test_bit_identical_to_the_joint_solvers(self, rng):
+        pairs = ((intrinsic_beta, gibbs._joint_intrinsic_beta),
+                 (spontaneous_beta, gibbs._joint_spontaneous_beta))
+        roots = []
+        for fam, entropies, energies in self.sweep_cases(rng):
+            for (solve, joint), targets in zip(pairs, (entropies, energies)):
+                for t in targets:
+                    fresh = joint([fam], t)
+                    assert repr(solve(fam, t)) == repr(fresh)  # a miss
+                    assert repr(solve(fam, t)) == repr(fresh)  # a hit
+                    roots.append(fresh)
+        assert {0.0, math.inf, -math.inf} <= set(roots)
+        assert min(roots) < 0 < max(b for b in roots if math.isfinite(b))
+
+    def test_repeat_call_evaluates_nothing(self, rng, monkeypatch):
+        calls = counted_points(monkeypatch)
+        fam = GibbsFamily(random_hamiltonian(5, rng))
+        rho = random_density(5, rng)
+        for solve, target in ((intrinsic_beta, entropy(rho)),
+                              (spontaneous_beta, expectation(fam.hamiltonian, rho))):
+            first = solve(fam, target)
+            assert calls
+            calls.clear()
+            assert solve(fam, target) == first
+            assert calls == []
+
+    def test_raising_target_is_not_kept(self, qutrit):
+        for solve, target in ((intrinsic_beta, 2.0), (spontaneous_beta, 5.0)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="outside"):
+                    solve(qutrit, target)
+        assert gibbs._solve.cache_info().currsize == 0
+
+    def test_same_spectrum_shares_no_entry(self, rng, monkeypatch):
+        calls = counted_points(monkeypatch)
+        h = random_hamiltonian(4, rng)
+        first, second = GibbsFamily(h), GibbsFamily(h)
+        beta = intrinsic_beta(first, 1.0)
+        evaluations = len(calls)
+        calls.clear()
+        assert intrinsic_beta(second, 1.0) == beta
+        assert len(calls) == evaluations > 0
+        assert gibbs._solve.cache_info().currsize == 2
+
+    def test_families_compare_and_hash_by_identity(self, qutrit):
+        twin = GibbsFamily(qutrit.hamiltonian)
+        assert qutrit == qutrit and qutrit != twin
+        assert len({qutrit, twin, qutrit}) == 2
 
 
 class TestLogPartition:
@@ -373,9 +461,9 @@ class TestLimitEntropy:
         fam = GibbsFamily(HermitianOperator.diagonal([0.0, 0.0, 1.0, 2.0]))
         assert 0.0 < intrinsic_beta(fam, 1.0) < math.inf
         ground, top = fam._kernel.ground, fam._kernel.top
-        assert ground._limit is None and top._limit is None
+        assert "limit" not in vars(ground) and "limit" not in vars(top)  # cached_property slot
         assert boundary_entropy(fam, math.inf) == LN2
-        assert ground._limit is not None and top._limit is None
+        assert "limit" in vars(ground) and "limit" not in vars(top)
 
 
 class TestBoundaryCurve:

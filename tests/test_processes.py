@@ -1,8 +1,11 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from isotherm import gibbs
 from isotherm.energetics import bound_energy, free_energy
 from isotherm.equilibrium import joint_family
 from isotherm.gibbs import GibbsFamily, gibbs_state, intrinsic_beta
@@ -93,12 +96,24 @@ class TestProcessRecord:
 
 # ---------------------------------------------------------------- oracle
 # The uncached route the record's cached marginals, betas and ledger replaced:
-# fresh partial traces, bound_energy and mutual_information on every call.
+# fresh partial traces, bound_energy and mutual_information on every call, and
+# fresh beta roots, past the kept roots of `gibbs._solve`.
+
+def uncached(oracle):
+    fresh_solve = gibbs._solve.__wrapped__
+
+    @functools.wraps(oracle)
+    def run(*args):
+        with mock.patch.object(gibbs, "_solve", fresh_solve):
+            return oracle(*args)
+    return run
+
 
 def _fresh_marginals(rho, split):
     return partial_trace(rho, split, [0]), partial_trace(rho, split, [1])
 
 
+@uncached
 def oracle_ledger(proc):
     a0, b0 = _fresh_marginals(proc.initial, proc.split)
     a1, b1 = _fresh_marginals(proc.final, proc.split)
@@ -118,17 +133,20 @@ def oracle_ledger(proc):
         - mutual_information(proc.initial, proc.split))
 
 
+@uncached
 def oracle_heat(proc):
     b0 = partial_trace(proc.initial, proc.split, [1])
     b1 = partial_trace(proc.final, proc.split, [1])
     return bound_energy(b1, proc.fam_b) - bound_energy(b0, proc.fam_b)
 
 
+@uncached
 def oracle_first_law(proc):
     led = oracle_ledger(proc)
     return led.dE_A - (led.dW_A - led.dQ)
 
 
+@uncached
 def oracle_kelvin_planck(proc):
     led = oracle_ledger(proc)
     residual = abs((led.dQ_A + led.dQ) - (-(led.dF_A + led.dF_B) + led.W))
@@ -139,6 +157,7 @@ def oracle_kelvin_planck(proc):
     return residual, corollary
 
 
+@uncached
 def oracle_clausius(proc):
     a0, b0 = _fresh_marginals(proc.initial, proc.split)
     betas = (intrinsic_beta(proc.fam_a, entropy(a0)),
@@ -152,6 +171,7 @@ def oracle_clausius(proc):
     return lhs, rhs, bool(lhs >= rhs - 1e-9)
 
 
+@uncached
 def oracle_heat_bounds(proc):
     b0 = partial_trace(proc.initial, proc.split, [1])
     if not is_gibbs(b0, proc.fam_b):
@@ -162,6 +182,7 @@ def oracle_heat_bounds(proc):
     return bool(t_ds <= led.dQ + 1e-9 and led.dQ <= led.dE_B + 1e-9)
 
 
+@uncached
 def oracle_extractable_work(rho, fam):
     beta = intrinsic_beta(fam, entropy(rho))
     return free_energy(rho, fam), gibbs_state(fam, beta)

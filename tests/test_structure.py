@@ -14,7 +14,10 @@ tolerances of the dual ascent are read in `charges.py` alone, and its
 ascent takes them as numbers, not as stop callables. Every GGE exponent pass
 there is its kernel's, `_boltzmann_weights`, and the max-entropy state at
 a point's charges is reached through `_max_entropy` alone. Both joint beta
-solvers of `gibbs.py` take "at a sentinel" from one rounding rule, `_rounding`.
+solvers of `gibbs.py` take "at a sentinel" from one rounding rule, `_rounding`,
+and a single family's beta has one route: `intrinsic_beta` and
+`spontaneous_beta` alone reach the kept roots, `_solve`, and no caller
+threads a solved beta through a private fork.
 """
 
 import ast
@@ -161,3 +164,19 @@ def test_one_route_to_the_max_entropy_ascent():
         assert {"_ascend", "_max_entropy_solve"} & called(name) == set(), name
     readers = sorted(name for name in functions if "_max_entropy_solve" in called(name))
     assert readers == ["_max_entropy"]
+
+
+def test_one_route_to_a_single_family_beta():
+    # one root per (family, target): only the two public solvers call the
+    # kept roots, no module imports them, and the hand-threaded forks are gone
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    functions = [(name, fn) for name, tree in trees.items() for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)]
+    callers = sorted(f"{name}:{fn.name}" for name, fn in functions for node in ast.walk(fn)
+                     if isinstance(node, ast.Call)
+                     and ast.unparse(node.func).split(".")[-1] == "_solve")
+    assert callers == ["gibbs.py:intrinsic_beta", "gibbs.py:spontaneous_beta"]
+    assert not any(name.endswith("gibbs._solve") for path in MODULES
+                   for name in imported_modules(path))
+    forks = {"_free_energy_at", "_is_gibbs_at", "_initial_betas"}
+    assert sorted(f"{name}:{fn.name}" for name, fn in functions if fn.name in forks) == []
