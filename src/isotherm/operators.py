@@ -4,14 +4,17 @@ All logarithms are natural (entropy in nats) and temperature carries energy
 units (k_B = 1). Dimensions are desk-scale (d <= 64); everything is stored
 dense. Each class has one checked and one trusted constructor. The public
 constructor takes outside data: it rejects a non-square, non-finite or
-non-Hermitian matrix (a state also a trace off 1 or a negative eigenvalue)
-and takes the eigenpairs from an `eigh`. `_derived` takes data derived from
-validated objects and keeps only the symmetrization and, for a state, the
-spectrum's clip and renormalization: a (generalized) Gibbs state and a
-combination of commuting charges take their common eigenvectors, a tensor
-product and a Kronecker sum the Kronecker products of their factors'
-eigenpairs, and a marginal an `eigh`. An outside number that reaches such a
-build, such as a temperature, is checked where it enters.
+non-Hermitian matrix (a state also a trace off 1 or a negative eigenvalue).
+An operator takes its eigenpairs from an `eigh`; a state takes its spectrum
+from an `eigvalsh`, and its eigenvectors, which only a relative entropy and
+a tensor product read, from an `eigh` on first read. `_derived` takes data
+derived from validated objects and keeps only the symmetrization and, for a
+state, the spectrum's clip and renormalization: a (generalized) Gibbs state
+and a combination of commuting charges take their common eigenvectors, a
+Kronecker sum the Kronecker products of its factors' eigenpairs, a tensor
+product its factors' spectra (their eigenvectors' product on first read),
+and a marginal an `eigvalsh`. An outside number that reaches such a build,
+such as a temperature, is checked where it enters.
 Every Kronecker product is one broadcast product, `_kron`, with the same
 entrywise products as `np.kron`. Entropy keeps a near-pure state's digits:
 the largest eigenvalue's term is taken from the sum of the others. An
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,16 +101,18 @@ def _check_trace(tr: float):
         raise ValueError(f"state trace is {tr}, expected 1")
 
 
-def _state_spectrum(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _state_spectrum(w: np.ndarray,
+                    v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """A state's eigenpairs as DensityMatrix keeps them: eigenvalues below
     -EIGENVALUE_CLIP rejected, tiny negative residue clipped to zero, the
-    spectrum renormalized and sorted descending, with `v`'s columns to match."""
+    spectrum renormalized and sorted descending, with `v`'s columns to match
+    when `v` is given."""
     if w.min() < -EIGENVALUE_CLIP:
         raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
     order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    return w[order], None if v is None else v[:, order]
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,10 @@ class DensityMatrix:
     Eigenvalues below -1e-12 are rejected; tiny negative residue is clipped
     to zero and the spectrum renormalized. The descending spectrum is cached
     for entropy evaluations. The constructor is the checked route for
-    outside data: it runs every check and takes the spectrum from an `eigh`.
+    outside data: it runs every check and takes the spectrum from an
+    `eigvalsh`. `eigenvectors`, in the spectrum's order, are computed on
+    first read (an `eigh`, ordered by the same rule) and kept read-only; a
+    state that `_derived` built from known eigenvectors keeps those.
     `_derived` is the trusted route for a state derived from validated data:
     a (generalized) Gibbs state, whose weights are normalized and finite once
     its temperatures are, a marginal, and a tensor product. A partial trace
@@ -131,30 +140,47 @@ class DensityMatrix:
 
     entries: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+    _factors = None  # a tensor product's two factors, whose eigenvectors it reads
 
     def __post_init__(self):
         a = _hermitian_entries(self.entries, "state")
         _check_trace(np.trace(a).real)
-        self._store(a, *_state_spectrum(*np.linalg.eigh(a)))
+        self._store(a, *_state_spectrum(np.linalg.eigvalsh(a)))
 
     @classmethod
     def _derived(cls, entries: np.ndarray, w=None, v=None) -> "DensityMatrix":
         """The state with complex matrix `entries` derived from validated data
-        (with its known real spectrum `w` and unitary `v`, or else an `eigh`),
-        symmetrized and with `_state_spectrum`'s rules but without the
-        asymmetry, finiteness and trace checks: they hold by construction."""
+        (with its known real spectrum `w`, else an `eigvalsh`, and its known
+        unitary `v`, else the eigenvectors on first read), symmetrized and
+        with `_state_spectrum`'s rules but without the asymmetry, finiteness
+        and trace checks: they hold by construction."""
         a = (entries + entries.conj().T) / 2
         if w is None:
-            w, v = np.linalg.eigh(a)
+            w = np.linalg.eigvalsh(a)
         state = object.__new__(cls)
         state._store(a, *_state_spectrum(w, v))
         return state
 
-    def _store(self, a: np.ndarray, spectrum: np.ndarray, v: np.ndarray):
+    def _store(self, a: np.ndarray, spectrum: np.ndarray, v: np.ndarray | None = None):
         for name, value in (("entries", a), ("spectrum", spectrum), ("eigenvectors", v)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            if value is not None:  # no `v`: the eigenvectors wait for their first read
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The unitary whose columns are the eigenvectors, in the spectrum's
+        order, computed on first read: an `eigh` of the entries, or for a
+        tensor product the Kronecker product of its factors' eigenvectors,
+        ordered by `_state_spectrum` as the spectrum was."""
+        if self._factors is None:
+            w, v = np.linalg.eigh(self.entries)
+        else:
+            a, b = self._factors
+            w, v = _kron(a.spectrum, b.spectrum), _kron(a.eigenvectors, b.eigenvectors)
+        v = _state_spectrum(w, v)[1]
+        v.setflags(write=False)
+        return v
 
     @property
     def dim(self) -> int:
@@ -251,10 +277,13 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product of two states; joint Hamiltonians come from `kron_sum`."""
+    """Kronecker product of two states, whose spectrum is the products of
+    theirs; it keeps the two factors and forms the Kronecker product of their
+    eigenvectors on first read. Joint Hamiltonians come from `kron_sum`."""
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix._derived(_kron(a.entries, b.entries), _kron(a.spectrum, b.spectrum),
-                                      _kron(a.eigenvectors, b.eigenvectors))
+        product = DensityMatrix._derived(_kron(a.entries, b.entries), _kron(a.spectrum, b.spectrum))
+        object.__setattr__(product, "_factors", (a, b))
+        return product
     raise TypeError("tensor expects two DensityMatrix")
 
 

@@ -155,16 +155,24 @@ class TestRelativeEntropy:
         return float(-np.trace(rho.entries @ log_sigma).real - entropy(rho))
 
     def test_reads_the_kept_eigenpairs(self, rng, eigh_calls):
+        # a checked state computes its eigenvectors on first read, with one
+        # eigh, and keeps them; a Gibbs state keeps the ones it was built from
         for d in (2, 16, 64):
             fam = GibbsFamily(random_hamiltonian(d, rng))
             sigma_r = random_density(d, rng, rank=d // 2)
             # rho inside sigma_r's support: a random state on its leading eigenvectors
             v = sigma_r.eigenvectors[:, : d // 2]
             inside = DensityMatrix((v * random_density(d // 2, rng).spectrum) @ v.conj().T)
-            cases = [(random_density(d, rng), random_density(d, rng)), (inside, sigma_r),
-                     (random_density(d, rng), gibbs_state(fam, float(rng.uniform(0.1, 0.5))))]
-            for rho, sigma in cases:
+            cases = [(random_density(d, rng), random_density(d, rng), 1),
+                     (inside, DensityMatrix(sigma_r.entries), 1),
+                     (random_density(d, rng), gibbs_state(fam, float(rng.uniform(0.1, 0.5))), 0)]
+            for rho, sigma, first_read_eighs in cases:
                 eigh_calls.clear()
+                sigma.eigenvectors
+                assert len(eigh_calls) == first_read_eighs
+                eigh_calls.clear()
+                sigma.eigenvectors
+                assert eigh_calls == []
                 got = relative_entropy(rho, sigma)
                 assert eigh_calls == []
                 assert abs(got - self.eigh_route(rho, sigma)) <= 1e-12

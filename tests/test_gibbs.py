@@ -324,6 +324,31 @@ class TestEvaluationCount:
         assert np.mean(counts["bulk"]) <= 5
         assert max(counts["bulk"] + counts["near_pure"]) <= 16
 
+    # near-pure ceilings that the high-temperature start meets (9.43 on
+    # average, 15 at most, on this sweep); a start from the first gap must beat them
+    NEAR_PURE_MEAN = 9.5
+    NEAR_PURE_MAX = 15
+
+    def test_near_pure_intrinsic_evaluations(self, rng, monkeypatch):
+        # a Haar pure state mixed with weight a = 1e-1 ... 1e-4 of a random
+        # one, at every a for d = 2..64: the intrinsic root lies deep in the
+        # low-temperature tail, where the start is far from it
+        calls = counted_points(monkeypatch)
+        counts = []
+        for d in range(2, 65):
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            psi = haar_unitary(d, rng)[:, :1]
+            for a in (1e-1, 1e-2, 1e-3, 1e-4):
+                rho = DensityMatrix((1 - a) * psi @ psi.conj().T
+                                    + a * random_density(d, rng).entries)
+                calls.clear()
+                gibbs._solve.cache_clear()
+                intrinsic_beta(fam, entropy(rho))
+                counts.append(len(calls))
+        assert len(counts) == 252
+        assert np.mean(counts) <= self.NEAR_PURE_MEAN
+        assert max(counts) <= self.NEAR_PURE_MAX
+
 
 def counted_points(monkeypatch) -> list:
     """A list that records the beta of every `_joint_point` evaluation."""

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from isotherm import charges as charges_module
 from isotherm import gibbs, operators
 from isotherm.charges import ChargeSet, GGEFamily, bound_potential, gge_state
+from isotherm.diagram import project_state
+from isotherm.energetics import bound_energy, report
 from isotherm.gibbs import GibbsFamily, gibbs_state
 from isotherm.operators import (
     DensityMatrix,
@@ -27,6 +30,7 @@ from isotherm.operators import (
     random_hamiltonian,
     tensor,
 )
+from isotherm.rates import conversion_rate
 
 LN2 = math.log(2)
 
@@ -471,6 +475,132 @@ class TestDerivedStates:
         kron_sum(fam.hamiltonian, fam.hamiltonian)
         bound_potential(sigma, charge_family, [1.0, 2.0])
         assert calls == []
+
+
+DEFERRED_DIMS = (2, 4, 9, 16, 64)
+TENSOR_FACTORS = {2: (2, 1), 4: (2, 2), 9: (3, 3), 16: (4, 4), 64: (8, 8)}
+EPS = np.finfo(float).eps
+
+
+def eager_pairs(state):
+    """The eager route that the deferred read replaced in the checked
+    constructor and in a marginal: an `eigh` of the entries, then
+    `_state_spectrum`'s clip, renormalization and descending order."""
+    return operators._state_spectrum(*np.linalg.eigh(state.entries))
+
+
+def checked_entries(d, rng):
+    """Entries of a maximally mixed state, Hilbert-Schmidt states of full rank
+    and of rank d // 2, a Haar pure state, and that pure state mixed with
+    weight 1e-4 and 1e-10 of a random one (near-pure)."""
+    psi = haar_unitary(d, rng)[:, :1]
+    pure = psi @ psi.conj().T
+    return ([np.eye(d) / d, random_density(d, rng).entries,
+             random_density(d, rng, rank=max(1, d // 2)).entries, pure]
+            + [(1 - a) * pure + a * random_density(d, rng).entries for a in (1e-4, 1e-10)])
+
+
+def marginals(d, rng):
+    """Both d-dimensional marginals of each checked state on d x 2 and 2 x d:
+    a pure joint state gives a marginal of rank 2 at most."""
+    states = []
+    for dims, keep in (((d, 2), [0]), ((2, d), [1])):
+        split = SubsystemSplit(dims)
+        states += [partial_trace(DensityMatrix(e), split, keep)
+                   for e in checked_entries(2 * d, rng)]
+    return states
+
+
+def products(d, rng):
+    """(a, b) factor pairs whose tensor product has dimension d."""
+    d_a, d_b = TENSOR_FACTORS[d]
+    return [(DensityMatrix(e_a), DensityMatrix(e_b))
+            for e_a, e_b in zip(checked_entries(d_a, rng), checked_entries(d_b, rng))]
+
+
+def assert_read_only_eigenpairs(state):
+    """Every kept array is read-only, and the eigenvectors take the spectrum
+    to within rounding: ||rho v - v diag(spectrum)|| <= 4 d eps."""
+    v = state.eigenvectors
+    for array in (state.entries, state.spectrum, v):
+        assert not array.flags.writeable
+    residual = np.linalg.norm(state.entries @ v - v * state.spectrum)
+    assert residual <= 4 * state.dim * EPS
+
+
+class TestDeferredEigenvectors:
+    """A state's spectrum from `eigvalsh` and its eigenvectors on first read,
+    against the eager route they replaced: checked states and marginals
+    against `eager_pairs`, tensor products against `old_tensor`."""
+
+    @pytest.mark.parametrize("d", DEFERRED_DIMS)
+    def test_checked_states_and_marginals_match_eager_route(self, d, rng):
+        states = [DensityMatrix(e) for e in checked_entries(d, rng)] + marginals(d, rng)
+        for state in states:
+            spectrum, v = eager_pairs(state)
+            # an ulp of the unit trace: the scale of either solver's rounding
+            assert np.max(np.abs(state.spectrum - spectrum)) <= 4 * EPS
+            assert state.eigenvectors.tobytes() == v.tobytes()
+            assert_read_only_eigenpairs(state)
+
+    @pytest.mark.parametrize("d", DEFERRED_DIMS)
+    def test_tensor_products_match_old_tensor(self, d, rng):
+        for a, b in products(d, rng):
+            product = tensor(a, b)
+            assert_same_state(product, old_tensor(a, b))
+            assert_read_only_eigenpairs(product)
+
+    @pytest.mark.parametrize("d", DEFERRED_DIMS)
+    def test_builds_run_no_eigh(self, d, rng, eigh_calls):
+        entries = checked_entries(d, rng)
+        eigh_calls.clear()
+        states = [DensityMatrix(e) for e in entries] + marginals(d, rng)
+        for a, b in products(d, rng):
+            tensor(a, b)
+        assert eigh_calls == []
+        # the first read makes one eigh, which the state keeps
+        states[1].eigenvectors
+        states[1].eigenvectors
+        assert len(eigh_calls) == 1
+
+    def test_product_of_read_factors_runs_no_eigh(self, rng, eigh_calls):
+        a, b = random_density(4, rng), random_density(3, rng, rank=2)
+        a.eigenvectors, b.eigenvectors
+        eigh_calls.clear()
+        product = tensor(a, b)
+        product.eigenvectors
+        assert eigh_calls == []
+
+    def test_quantities_on_fresh_states_run_no_eigh(self, rng, eigh_calls):
+        for d in DEFERRED_DIMS:
+            fam = GibbsFamily(random_hamiltonian(d, rng))
+            entries = checked_entries(d, rng)
+            eigh_calls.clear()
+            for rho_entries, sigma_entries in zip(entries, entries[1:]):
+                rho = DensityMatrix(rho_entries)
+                report(rho, fam)
+                project_state(rho, fam)
+                conversion_rate(rho, DensityMatrix(sigma_entries), fam)
+                bound_energy(rho, fam)
+            assert eigh_calls == []
+
+    def test_pickle_round_trip(self, rng, charge_family):
+        fam = GibbsFamily(random_hamiltonian(3, rng))
+        read = random_density(4, rng)
+        read.eigenvectors
+        states = {
+            "checked": random_density(6, rng),
+            "checked, read": read,
+            "marginal": partial_trace(random_density(6, rng), SubsystemSplit((2, 3)), [1]),
+            "tensor": tensor(random_density(2, rng), random_density(3, rng, rank=1)),
+            "tensor of read factors": tensor(read, read),
+            "gibbs": gibbs_state(fam, 0.7),
+            "gge": gge_state(charge_family, [0.4, -0.2]),
+        }
+        for kind, state in states.items():
+            copy = pickle.loads(pickle.dumps(state))
+            for name in ("entries", "spectrum", "eigenvectors"):
+                assert getattr(copy, name).tobytes() == getattr(state, name).tobytes(), kind
 
 
 class TestMutualInformation:

@@ -17,7 +17,9 @@ a point's charges is reached through `_max_entropy` alone. Both joint beta
 solvers of `gibbs.py` take "at a sentinel" from one rounding rule, `_rounding`,
 and a single family's beta has one route: `intrinsic_beta` and
 `spontaneous_beta` alone reach the kept roots, `_solve`, and no caller
-threads a solved beta through a private fork.
+threads a solved beta through a private fork. In `operators.py` a state's
+spectrum comes from `eigvalsh` alone, and `eigh` runs only in an operator's
+checked constructor and in a state's one deferred eigenvector read.
 """
 
 import ast
@@ -180,3 +182,23 @@ def test_one_route_to_a_single_family_beta():
                    for name in imported_modules(path))
     forks = {"_free_energy_at", "_is_gibbs_at", "_initial_betas"}
     assert sorted(f"{name}:{fn.name}" for name, fn in functions if fn.name in forks) == []
+
+
+def test_a_state_runs_eigh_only_on_its_eigenvector_read():
+    # a state's spectrum needs no eigenvectors: the checked constructor and
+    # `_derived` take it from `eigvalsh`, and only the deferred read of a
+    # state's eigenvectors and an operator's checked constructor run `eigh`
+    tree = ast.parse((PACKAGE / "operators.py").read_text(encoding="utf-8"))
+
+    def callers(name: str) -> list[str]:
+        found = []
+        for node in tree.body:
+            scopes = ([(f"{node.name}.", fn) for fn in node.body if isinstance(fn, ast.FunctionDef)]
+                      if isinstance(node, ast.ClassDef) else [("", node)])
+            found += [f"{owner}{fn.name}" for owner, fn in scopes for call in ast.walk(fn)
+                      if isinstance(call, ast.Call)
+                      and ast.unparse(call.func).split(".")[-1] == name]
+        return sorted(found)
+
+    assert callers("eigh") == ["DensityMatrix.eigenvectors", "HermitianOperator.__post_init__"]
+    assert callers("eigvalsh") == ["DensityMatrix.__post_init__", "DensityMatrix._derived"]
