@@ -15,32 +15,30 @@ the kernel, its Hessian -Cov_p([A; -x]) / nu, and g = c.p + z.gradient.
 
 - `gge_solve` inverts beta_vec -> L(gamma), gamma the maximum-entropy state
   at its charges, on the max-entropy slice: c = 0, A the levels, b the
-  target, S = 0, nu pinned at 1, from lam = 0 (`_max_entropy`, also run on
-  the LP faces; a flat lone charge takes lam = 0, uniform p). A target
-  outside the polytope raises. The same ascent's value -g gives S_max(L)
-  to `absolute_athermality` and the rate. The module keeps the two most
-  recent max-entropy solves, keyed by the exact bytes of the levels' shape,
-  the levels, the target and the stop tolerance: the three share one ascent
-  at rho's charges (the bound's hot start, at its own tolerance, keeps its
-  own), and every call hands out fresh copies, so no caller holds a kept array.
+  target, S = 0, nu pinned at 1, from lam = 0 (`_max_entropy`, whose two
+  kept solves it shares with `absolute_athermality` and the rate at rho's
+  charges; a flat lone charge takes lam = 0, uniform p). A target outside
+  the polytope raises. The same ascent's value -g gives S_max(L).
+- `_face_exit` is the one face routine: one LP finds where a ray leaves the
+  polytope, with beta_vec's limit (+-inf, 0) on the face it leaves through
+  and, on call, that face's maximum entropy there.
 - `bound_charge` minimizes c.p (c the levels of L_k) subject to A p = b
-  (the other charges) and H(p) >= S. One LP gives the minimum of c.p on
-  the polytope; if the maximum entropy on its optimal face reaches S, the
-  entropy constraint is inactive and that LP floor is the bound (beta_k =
-  +inf, as in `bound_energy`). Otherwise B_k = max g on the bound slice
-  (S = S(rho), lam and nu free; g at every iterate is below it), and
-  beta_vec = (lam, 1) / nu with the 1 at k. The start is hot: nu = ptp(L_k)
-  and lam / nu roughly the max-entropy beta_vec at the other charges.
+  (the other charges) and H(p) >= S. If the maximum entropy of the face on
+  which the ray from L(rho) down L_k leaves (the LP floor) reaches S, the
+  floor is the bound, at the face's limit (beta_k = +inf, as in
+  `bound_energy`). Otherwise B_k = max g on the bound slice (S = S(rho),
+  lam and nu free; g at every iterate is below it), and beta_vec = (lam, 1)
+  / nu with the 1 at k, from a hot start: nu = ptp(L_k) and lam / nu roughly
+  the max-entropy beta_vec at the other charges.
 - `conversion_rate_charges` hands `rates.ray_exit` its primitives: the gap
-  from the ascent at L_rho (ln d on a flat lone charge, as `gibbs` rounds
-  it; on a vertical ray along a face, found within PIVOT_TOL max|level| by
-  the LP from the levels' centre, the face's maximum entropy, phi_beta None,
-  as beta_vec diverges and the ascent stops too coarse); t_wall from one LP,
-  with its face's maximum entropy only if the ray gets there (phi_beta
-  None); the curve exit t* = -max g = min (ln Z + beta_vec.L_sigma -
-  S_sigma) / (dS - beta_vec.dL) on the thermal-exit slice (c = 0, A all
-  levels, b = L_sigma, S = S_sigma, nu dS - lam.dL = 1) from the ascent's
-  beta_vec = lam / nu, reflected through dS = beta_vec.dL if below.
+  at L_rho from the ascent (ln d on a flat lone charge, as `gibbs` rounds
+  it) or, on a vertical ray, from the face on which the ray from the levels'
+  centre leaves at L_rho within PIVOT_TOL max|level|, as beta_vec diverges
+  and the ascent stops too coarse; the wall, `_face_exit` from L_sigma; the
+  curve exit t* = -max g = min (ln Z + beta_vec.L_sigma - S_sigma) / (dS -
+  beta_vec.dL) on the thermal-exit slice (c = 0, A all levels, b = L_sigma,
+  S = S_sigma, nu dS - lam.dL = 1) from the ascent's beta_vec = lam / nu,
+  reflected through dS = beta_vec.dL if below.
 
 Each step is halved from its first trial, down to 1e-12 of it, until the
 slope along it is at least -1/2 of its starting value at a point whose own
@@ -151,18 +149,14 @@ class ChargeSet:
         ops = tuple(self.charges)
         if not ops:
             raise ValueError("need at least one charge")
-        dim = ops[0].dim
-        for a in ops:
-            if a.dim != dim:
-                raise ValueError("charges must share one Hilbert space")
+        if any(a.dim != ops[0].dim for a in ops):
+            raise ValueError("charges must share one Hilbert space")
         for i, a in enumerate(ops):
             for b in ops[i + 1:]:
-                comm = a.entries @ b.entries - b.entries @ a.entries
-                if np.max(np.abs(comm)) > COMMUTATOR_ATOL:
-                    raise ValueError(
-                        f"charges {i} and beyond do not commute "
-                        f"(residue {np.max(np.abs(comm)):.3e})"
-                    )
+                residue = np.max(np.abs(a.entries @ b.entries - b.entries @ a.entries))
+                if residue > COMMUTATOR_ATOL:
+                    raise ValueError(f"charges {i} and beyond do not commute "
+                                     f"(residue {residue:.3e})")
         object.__setattr__(self, "charges", ops)
 
     @property
@@ -323,19 +317,18 @@ def _pivot(t: np.ndarray, basis: np.ndarray, i: int, j: int):
 
 def _lp_face(c, a_eq, b_eq):
     """min c.x subject to a_eq x = b_eq, x >= 0, by a dense two-phase simplex
-    (`_simplex`): the equality duals y, from B^T y = c_B on the optimal basis
-    B, and the mask of the entries on the optimal face, whose reduced cost
-    c - A^T y is at most FACE_RTOL of the largest; None if the LP is
-    unbounded. Raises InfeasibleTargetError if it is infeasible."""
+    (`_simplex`), read off the optimal tableau: the equality duals y, the mask
+    of the entries on the optimal face, whose reduced cost c - A^T y is at
+    most FACE_RTOL of the largest or the pivots' zero, and the optimal vertex
+    x; None if the LP is unbounded. Raises InfeasibleTargetError if it is
+    infeasible."""
     c, a_eq, b_eq = (np.asarray(x, dtype=float) for x in (c, a_eq, b_eq))
     m, n = a_eq.shape
     sign = np.where(b_eq < 0, -1.0, 1.0)
-    a = np.hstack([a_eq, np.diag(sign)])  # x, then one artificial per row
-    cost = np.concatenate([c, np.zeros(m)])
+    cost = np.concatenate([c, np.zeros(m + 1)])  # x, then one artificial per row, then b
     tol = PIVOT_TOL * max(np.abs(a_eq).max(), np.abs(c).max())
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :-1] = sign[:, None] * a  # rows flipped to b >= 0: the artificials are the basis
-    t[:m, -1] = sign * b_eq
+    t = np.zeros((m + 1, n + m + 1))  # rows flipped to b >= 0: the artificials are the basis
+    t[:m] = sign[:, None] * np.hstack([a_eq, np.diag(sign), b_eq[:, None]])
     t[-1, :n] = -t[:m, :n].sum(axis=0)  # phase 1: min the sum of the artificials
     t[-1, -1] = -t[:m, -1].sum()
     basis = np.arange(n, n + m)
@@ -346,12 +339,12 @@ def _lp_face(c, a_eq, b_eq):
         nonzero = np.flatnonzero(np.abs(t[i, :n]) > tol)
         if nonzero.size:  # else row i is redundant and its artificial stays at zero
             _pivot(t, basis, i, nonzero[0])
-    t[-1] = np.append(cost, 0.0) - cost[basis] @ t[:m]  # phase 2: min c.x
+    t[-1] = cost - cost[basis] @ t[:m]  # phase 2: min c.x
     if not _simplex(t, basis, n, tol):
         return None
-    y = np.linalg.solve(a[:, basis].T, cost[basis])
-    reduced = c - a_eq.T @ y
-    return y, reduced <= FACE_RTOL * reduced.max()
+    reduced, x = t[-1, :n], np.zeros(n + m)  # the artificials' reduced costs are -sign y
+    x[basis] = t[:m, -1]
+    return -sign * t[-1, n:-1], reduced <= max(FACE_RTOL * reduced.max(), tol), x[:n]
 
 
 def _dual_newton(c: np.ndarray, levels: np.ndarray, b: np.ndarray, s: float,
@@ -434,11 +427,10 @@ def _max_entropy(levels: np.ndarray, target: np.ndarray,
     weak duality is never below the truth.
     Charges that spread at most PIVOT_TOL of their largest |level| are flat:
     lam = 0, uniform p and S_max = ln d, rounded as `gibbs` rounds it.
-    The two most recent solves are kept (`_max_entropy_solve`, two entries),
-    keyed by the exact bytes of the levels' shape, the levels, the target and
-    `rtol`, so gge_solve, absolute_athermality and the rate's S_max at one
-    state's charges share one ascent; every call hands out fresh copies of
-    lam and p. A solve that raises is not kept."""
+    The two most recent solves are kept (`_max_entropy_solve`), keyed by the
+    exact bytes of the levels' shape, the levels, the target and `rtol`;
+    every call hands out fresh copies of lam and p. A solve that raises is
+    not kept."""
     levels, target = np.asarray(levels, dtype=float), np.asarray(target, dtype=float)
     lam, p, s_max = _max_entropy_solve(levels.shape, levels.tobytes(), target.tobytes(), rtol)
     return lam.copy(), p.copy(), s_max
@@ -458,22 +450,53 @@ def _max_entropy_solve(shape: tuple, levels: bytes, target: bytes,
     return z[:-1], p, -value
 
 
-def _face_max_entropy(levels: np.ndarray, target: np.ndarray,
-                      scale: float) -> tuple[np.ndarray, float]:
-    """The max-entropy p >= 0 on the columns of `levels` with levels @ p = target
-    and sum(p) = 1, for a target inside their hull, and its entropy: the one
-    solution on a simplex (affinely independent columns) and H(p), else a GGE in
-    the columns' affine coordinates and its S_max. A direction in which the
-    columns spread less than FACE_RTOL of the widest, or than PIVOT_TOL of `scale`
-    (the largest |level|: the rounding of levels that coincide), is flat."""
-    x = levels - target[:, None]
-    u, sv, _ = np.linalg.svd(x, full_matrices=False)
-    coords = u[:, sv > max(FACE_RTOL * sv.max(initial=0.0), PIVOT_TOL * scale)].T @ x
-    r, m = coords.shape
-    if r == m - 1:
-        p = np.linalg.lstsq(np.vstack([coords, np.ones(m)]), np.eye(m)[-1], rcond=None)[0]
-        return np.clip(p, 0.0, None), spectrum_entropy(p)  # H(p) drops p <= 0 itself
-    return _max_entropy(coords, np.zeros(r))[1:]
+def _face_exit(levels: np.ndarray, base: np.ndarray, direction: np.ndarray):
+    """Where the ray base + t direction, t >= 0, from a point of the charge
+    polytope conv{levels} leaves it, as `rates.ray_exit` reads a wall: None
+    on a direction within PIVOT_TOL max|level| of zero, which never leaves,
+    else the exit t and a call giving, on the face left through, S_max at
+    the exit, beta_vec's limit and the maximum-entropy p (zero off the face).
+    One `_lp_face`, max t at levels p - t v = base, sum(p) = 1, p >= 0, v and
+    t's cost scaled to max|level| to be read against PIVOT_TOL as the levels
+    are. Its duals give the face's outward normal n: the limit's entries are
+    +inf, 0, -inf as n's are negative, within FACE_RTOL of max|n|, positive.
+    The exit is its optimal vertex, a convex combination of the face's
+    columns, of which those within PIVOT_TOL max|level| count as one, with
+    their multiplicity. On a simplex (those affinely independent), p is the
+    vertex's weights spread evenly over each column's copies and S_max =
+    H(p); else the GGE in the face's affine coordinates (a direction of
+    spread below FACE_RTOL of the widest or PIVOT_TOL max|level| is flat) and
+    its dual value."""
+    (q, d), scale = levels.shape, np.abs(levels).max()
+    reach = np.abs(direction).max(initial=0.0)
+    if reach <= PIVOT_TOL * scale:
+        return None
+    size = scale or 1.0  # a zero spectrum's polytope is a point
+    unit = size / reach
+    lp = _lp_face(-size * np.eye(d + 1)[-1],
+                  np.vstack([np.column_stack([levels, -unit * direction]),
+                             np.append(np.ones(d), 0.0)]),
+                  np.append(base, 1.0))  # bounded: the polytope is, and v is not zero
+    normal, face, x = lp[0][:q], lp[1][:-1], lp[2]
+
+    def on_face() -> tuple[float, np.ndarray, np.ndarray]:
+        flat = np.abs(normal) <= FACE_RTOL * np.abs(normal).max()
+        limit, out = np.where(flat, 0.0, np.copysign(math.inf, -normal)), np.zeros(d)
+        cols, p = levels[:, face], np.clip(x[:-1][face], 0.0, None)
+        spread = cols - (cols @ p)[:, None]
+        u, sv, _ = np.linalg.svd(spread, full_matrices=False)
+        coords = u[:, sv > max(FACE_RTOL * sv.max(initial=0.0), PIVOT_TOL * scale)].T @ spread
+        r, m = coords.shape
+        if r < m - 1:  # equal columns count once, with their multiplicity
+            close = np.abs(cols[:, :, None] - cols[:, None]).max(axis=0) <= PIVOT_TOL * scale
+            if r < np.count_nonzero(close.argmax(axis=0) == np.arange(m)) - 1:  # no simplex
+                out[face], s_max = _max_entropy(coords, np.zeros(r))[1:]
+                return s_max, limit, out
+            p = close @ p / close.sum(axis=0)
+        out[face] = p
+        return spectrum_entropy(p), limit, out
+
+    return float(x[-1] * unit), on_face
 
 
 @dataclass(frozen=True)
@@ -490,17 +513,13 @@ class BoundChargeSolution:
     certified: bool              # beta_k > 0 at the minimizer: always true
 
 
-def _lp_floor(fam: GGEFamily, k: int, pt: ChargesPoint) -> BoundChargeSolution | None:
-    """The LP minimum of L_k at the other charges of pt, if the maximum
-    entropy on the optimal face reaches pt.S; gamma is then
-    x diag(p) + (1 - x)|psi><psi| with psi = sum_i sqrt(p_i)|i>, whose
-    diagonal is the face's max-entropy p for every x and whose entropy,
-    concave in x from 0 to H(p), is S at the x found by a root."""
-    ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
-    duals, face = _lp_face(ells[k], np.vstack([ells[idx], np.ones(fam.dim)]),
-                           np.append(pt.L[idx], 1.0))
-    p = np.zeros(fam.dim)
-    p[face], s_max = _face_max_entropy(ells[idx][:, face], pt.L[idx], np.abs(ells).max())
+def _lp_floor(fam: GGEFamily, k: int, pt: ChargesPoint):
+    """(value, gamma, beta_vec) on the LP floor of L_k at pt's other charges
+    if its face's maximum entropy reaches pt.S, else None. gamma = x diag(p)
+    + (1 - x)|psi><psi|, psi = sum_i sqrt(p_i)|i>, has the face's p on its
+    diagonal for every x and entropy concave in x from 0 to H(p), S at a root."""
+    ells = fam.joint_eigenvalues
+    s_max, limit, p = _face_exit(ells, pt.L, -np.eye(fam.q)[k])[1]()  # L_k down to its floor
     if s_max < pt.S - ENTROPY_ATOL:
         return None
     root = np.sqrt(p)
@@ -520,15 +539,8 @@ def _lp_floor(fam: GGEFamily, k: int, pt: ChargesPoint) -> BoundChargeSolution |
         x = 0.0
     else:
         x = newton_root(excess, 0.0, 1.0, start=0.5)
-    limit = np.insert(-duals[:-1], k, 1.0)  # beta_vec = lim (lambda, 1)/nu
-    value = float(ells[k] @ p)
-    return BoundChargeSolution(
-        value=value,
-        free_charge=float(pt.L[k] - value),
-        gamma=DensityMatrix._derived(fam.basis @ mixed(x) @ fam.basis.conj().T),
-        beta_vec=np.where(limit == 0, 0.0, np.copysign(math.inf, limit)),
-        certified=True,
-    )
+    gamma = DensityMatrix._derived(fam.basis @ mixed(x) @ fam.basis.conj().T)
+    return float(ells[k] @ p), gamma, limit
 
 
 def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
@@ -536,24 +548,20 @@ def bound_charge(rho: DensityMatrix, fam: GGEFamily, k: int,
     """Minimum of L_k over states with rho's entropy and other charges: the
     LP floor, or the dual maximizer of the module docstring. `rng` is unused."""
     pt = charges_point(rho, fam)
-    floor = _lp_floor(fam, k, pt)
-    if floor is not None:
-        return floor
-    ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
-    try:  # near the beta_k = 0 end: roughly the max-entropy state at rho's other charges
-        start = np.append(_max_entropy(ells[idx], pt.L[idx], HOT_START_DECREMENT)[0], 1.0)
-    except InfeasibleTargetError:  # those charges on their polytope's boundary
-        start = np.eye(fam.q)[-1]
-    z, value, _ = _ascend(ells[k], ells[idx], pt.L[idx], pt.S, np.ptp(ells[k]) * start,
-                          np.eye(fam.q))
-    beta = np.insert(z[:-1], k, 1.0) / z[-1]
-    return BoundChargeSolution(
-        value=float(value),
-        free_charge=float(pt.L[k] - value),
-        gamma=gge_state(fam, beta),
-        beta_vec=beta,
-        certified=True,
-    )
+    found = _lp_floor(fam, k, pt)
+    if found is None:
+        ells, idx = fam.joint_eigenvalues, [i for i in range(fam.q) if i != k]
+        try:  # near the beta_k = 0 end: roughly the max-entropy state at rho's other charges
+            start = np.append(_max_entropy(ells[idx], pt.L[idx], HOT_START_DECREMENT)[0], 1.0)
+        except InfeasibleTargetError:  # those charges on their polytope's boundary
+            start = np.eye(fam.q)[-1]
+        z, value, _ = _ascend(ells[k], ells[idx], pt.L[idx], pt.S, np.ptp(ells[k]) * start,
+                              np.eye(fam.q))
+        beta = np.insert(z[:-1], k, 1.0) / z[-1]
+        found = float(value), gge_state(fam, beta), beta
+    value, gamma, beta = found
+    return BoundChargeSolution(value=value, free_charge=float(pt.L[k] - value), gamma=gamma,
+                               beta_vec=beta, certified=True)
 
 
 def bound_potential(rho: DensityMatrix, fam: GGEFamily, mu_vec) -> tuple[float, DensityMatrix]:
@@ -585,25 +593,15 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
     def above(vertical):
         if vertical:  # on a face: its maximum entropy
             centre = ells.mean(axis=1)
-            t_face, face = leave(centre, x_rho.L - centre)
-            if face and (t_face - 1.0) * np.abs(x_rho.L - centre).max() <= PIVOT_TOL * scale:
-                return face()[0] - x_rho.S, None
+            out = _face_exit(ells, centre, x_rho.L - centre)
+            if out and (out[0] - 1.0) * np.abs(x_rho.L - centre).max() <= PIVOT_TOL * scale:
+                s_max, limit, _ = out[1]()
+                return s_max - x_rho.S, limit
         try:
             beta, _, s_max = _max_entropy(ells, x_rho.L)
         except InfeasibleTargetError:  # rho's charges on the polytope's boundary
             return -1.0, None
         return s_max - x_rho.S, beta
-
-    def leave(base, d_l):  # where base + t d_l, t >= 0, leaves the polytope: ray_exit's wall
-        a_eq = np.vstack([np.column_stack([ells, -d_l]), np.append(np.ones(fam.dim), 0.0)])
-        b_eq = np.append(base, 1.0)
-        lp = _lp_face(-np.eye(fam.dim + 1)[-1], a_eq, b_eq)  # base itself is feasible
-        if lp is None:
-            return math.inf, None
-        face = lp[1]  # t_wall to rounding, from the equalities on the face
-        t_wall = float(np.linalg.lstsq(a_eq[:, face], b_eq, rcond=None)[0][-1])
-        return t_wall, lambda: (_face_max_entropy(ells[:, face[:-1]], base + t_wall * d_l,
-                                                  scale)[1], None)
 
     def curve(d, t_wall, beta):
         d_l = np.array(d[:-1])
@@ -617,5 +615,5 @@ def conversion_rate_charges(rho: DensityMatrix, sigma: DensityMatrix,
         return -value, z[:-1] / z[-1]
 
     return ray_exit([*x_rho.L.tolist(), x_rho.S], [*x_sigma.L.tolist(), x_sigma.S], above,
-                    lambda d: leave(x_sigma.L, np.array(d[:-1])), curve,
-                    lambda x: ChargesPoint(L=np.array(x[:-1]), S=x[-1]))
+                    lambda d: _face_exit(ells, x_sigma.L, np.array(d[:-1])) or (math.inf, None),
+                    curve, lambda x: ChargesPoint(L=np.array(x[:-1]), S=x[-1]))

@@ -61,9 +61,7 @@ def sample_boundary(fam: GibbsFamily, beta_min: float = -20.0, beta_max: float =
 
 def tangent_line(fam: GibbsFamily, beta: float) -> tuple[float, float]:
     """Line S = beta E + intercept tangent to the thermal curve; the
-    intercept equals ln Z_beta."""
-    if math.isinf(beta):
-        raise ValueError("tangent_line needs finite beta")
+    intercept equals ln Z_beta; `log_partition` raises on an infinite beta."""
     return beta, log_partition(fam, beta)
 
 
@@ -91,8 +89,6 @@ def project_state(rho: DensityMatrix, fam: GibbsFamily) -> StateProjection:
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     if x == 0.0:
         return "0"  # normalize -0.0
     return f"{x:.12g}"

@@ -53,6 +53,15 @@ def _hermitian_entries(entries, what: str) -> np.ndarray:
     return (a + h) / 2
 
 
+def _read_only_state(obj, state: dict):
+    """`__setstate__` of both classes: pickle hands back writeable arrays,
+    which are kept read-only again, as `_store` keeps them."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj.__dict__.update(state)
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A Hermitian matrix (observable or Hamiltonian) with its eigenpairs.
@@ -86,6 +95,8 @@ class HermitianOperator:
         for name, value in (("entries", a), ("eigenvalues", w), ("eigenvectors", v)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    __setstate__ = _read_only_state
 
     @property
     def dim(self) -> int:
@@ -166,6 +177,8 @@ class DensityMatrix:
             if value is not None:  # no `v`: the eigenvectors wait for their first read
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
+
+    __setstate__ = _read_only_state
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from isotherm.charges import (
     _ascend,
     _boltzmann_weights,
     _covariance,
-    _face_max_entropy,
+    _face_exit,
     _gge_weights,
     _lp_face,
     _max_entropy,
@@ -733,6 +733,89 @@ class TestChargesRate:
             assert 0.0 <= sol.r <= 1.0 + 1e-12
 
 
+def vertical_face_cases(n=400, seed=0):
+    """n vertical rays along faces that hold coinciding joint eigenvalues:
+    q = 1, 2 charges on d = 3-6 integer levels 0-2, and rho and sigma on the
+    face of least L_0 with the same weights on its distinct columns, each
+    split differently over that column's copies. Yields the levels, the two
+    populations and the face's distinct columns, copies and weights."""
+    rng = np.random.default_rng(seed)
+    while n:
+        q, d = int(rng.integers(1, 3)), int(rng.integers(3, 7))
+        ells = rng.integers(0, 3, (q, d)).astype(float)
+        if np.linalg.matrix_rank(np.vstack([ells, np.ones(d)])) < q + 1:
+            continue
+        face = np.flatnonzero(ells[0] == ells[0].min())
+        cols, group = np.unique(ells[:, face], axis=1, return_inverse=True)
+        counts = np.bincount(group.ravel())
+        if counts.max() < 2:
+            continue
+        weights = rng.dirichlet(np.ones(len(counts)))
+        p_rho, p_sigma = np.zeros(d), np.zeros(d)
+        for j, copies in enumerate(counts):
+            members = face[group.ravel() == j]
+            p_rho[members] = weights[j] * rng.dirichlet(np.ones(copies))
+            p_sigma[members] = weights[j] * rng.dirichlet(np.ones(copies))
+        n -= 1
+        yield ells, p_rho, p_sigma, cols, counts, weights
+
+
+def face_max_entropy(cols, counts, weights):
+    """The face oracle: the maximum entropy at L = cols @ weights over the
+    face's distinct columns, each with its count of copies. On a vertex it
+    is ln count; on an edge (the face of least L_0 when q = 2) the weights
+    counts e^(-lam v) over its free charge v meet the target mean at a root
+    in lam, by brentq, and S_max = ln sum counts e^(-lam (v - mean))."""
+    if len(counts) == 1:
+        return math.log(counts[0])
+    v = cols[-1]
+    mean = weights @ v
+
+    def excess(lam):
+        x = -lam * v
+        w = counts * np.exp(x - x.max())
+        return w @ v / w.sum() - mean
+
+    lam = brentq(excess, -100.0, 100.0, xtol=1e-15)
+    return math.log(counts @ np.exp(-lam * (v - mean)))
+
+
+class TestFaceExit:
+    """Vertical rays along faces whose joint eigenvalues coincide: the face's
+    copies of one column count as one, with their multiplicity, and the face
+    is read at the LP's own vertex. rho and sigma share their charges, so
+    the exit is pure at r = S(rho)/S(sigma) as S falls, else on the face's
+    maximum entropy S_max, at r = (S_max - S(rho))/(S_max - S(sigma))."""
+
+    @pytest.mark.parametrize("ells, p_rho, p_sigma, kind, r", [
+        # the vertex (0, 2) of two copies, S_max = ln 2
+        ([[1, 0, 0, 1], [1, 2, 2, 0]], [0, 0.3556, 0.6444, 0], [0, 0.9151, 0.0849, 0],
+         "thermal", 0.105081422398759),
+        # the vertex (1, 0) of two copies
+        ([[1, 1, 2, 2], [0, 0, 2, 0]], [0.6748, 0.3252, 0, 0], [0.3628, 0.6372, 0, 0],
+         "pure", 0.962924195578545),
+    ], ids=["thermal", "pure"])
+    def test_exit_on_a_vertex_of_two_copies(self, ells, p_rho, p_sigma, kind, r):
+        rho, sigma = DensityMatrix.diagonal(p_rho), DensityMatrix.diagonal(p_sigma)
+        s_rho, s_sigma = entropy(rho), entropy(sigma)
+        closed_form = ((math.log(2) - s_rho) / (math.log(2) - s_sigma) if kind == "thermal"
+                       else s_rho / s_sigma)
+        assert closed_form == pytest.approx(r, abs=1e-15)
+        sol = conversion_rate_charges(rho, sigma, diagonal_family(np.array(ells, dtype=float)))
+        assert sol.phi_kind == kind
+        assert sol.r == pytest.approx(r, abs=1e-12)
+
+    def test_vertical_face_rays_against_the_face_oracle(self):
+        for ells, p_rho, p_sigma, cols, counts, weights in vertical_face_cases():
+            rho, sigma = DensityMatrix.diagonal(p_rho), DensityMatrix.diagonal(p_sigma)
+            s_rho, s_sigma = entropy(rho), entropy(sigma)
+            s_max = face_max_entropy(cols, counts, weights)
+            kind, r = (("thermal", (s_max - s_rho) / (s_max - s_sigma)) if s_rho > s_sigma
+                       else ("pure", s_rho / s_sigma))
+            sol = conversion_rate_charges(rho, sigma, diagonal_family(ells))
+            assert (sol.phi_kind, sol.r) == (kind, pytest.approx(r, abs=1e-8)), ells.tolist()
+
+
 class TestMaxEntropy:
     LEVELS = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0]])
 
@@ -808,10 +891,15 @@ class TestMaxEntropy:
     def test_face_of_coinciding_levels_is_flat(self):
         # levels equal but for rounding (a rotated basis leaves ~1e-16 between
         # them) span no direction: the face's max-entropy state is uniform,
-        # not the vertex that solves the rounding as if it were a simplex
+        # not the vertex that solves the rounding as if it were a simplex. Each
+        # pair gets a third level 4 away, so the largest |level| is 4, and the
+        # ray from that level leaves on the pair
         for levels in ([4.0, 4.0 + 8.9e-16], [4.5e-18, -3.5e-17]):
-            p, s_max = _face_max_entropy(np.array([levels]), np.array([levels[0]]), 4.0)
-            assert p == pytest.approx([0.5, 0.5], abs=1e-15)
+            far = 4.0 - levels[0]
+            ells = np.array([levels + [far]])
+            _, face = _face_exit(ells, np.array([far]), np.array([levels[0] - far]))
+            s_max, _, p = face()
+            assert p == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
             assert s_max == math.log(2)
 
 
@@ -981,7 +1069,7 @@ class TestLPFace:
     def test_levels_1e10_apart_stay_distinct(self):
         # the first column entering is the upper level; the lower one, 1e-10
         # below, must still replace it, so the dual is the lower level
-        duals, face = _lp_face(np.array([1e-10, 0.0, 1.0, 2.0]), np.ones((1, 4)), [1.0])
+        duals, face, _ = _lp_face(np.array([1e-10, 0.0, 1.0, 2.0]), np.ones((1, 4)), [1.0])
         assert duals[0] == 0.0
         assert face.tolist() == [True, True, False, False]  # within FACE_RTOL of 2
 
@@ -990,10 +1078,11 @@ class TestLPFace:
         # point is (0, 1). Phase 1 ends with x1 basic in row 1 and row 0's
         # artificial basic at zero; x0, nonzero in row 0, replaces it. On the
         # basis {x0, x1} the duals solve 2 y1 = 1 and y0 + y1 = -2
-        duals, face = _lp_face(np.array([1.0, -2.0]), np.array([[0.0, 1.0], [2.0, 1.0]]),
-                               [1.0, 1.0])
+        duals, face, vertex = _lp_face(np.array([1.0, -2.0]),
+                                       np.array([[0.0, 1.0], [2.0, 1.0]]), [1.0, 1.0])
         assert duals == pytest.approx([-2.5, 0.5], abs=1e-15)
         assert face.tolist() == [True, True]
+        assert vertex.tolist() == [0.0, 1.0]
 
     def test_pivot_bound_raises(self, monkeypatch):
         monkeypatch.setattr(charges_module, "SIMPLEX_MAXITER", 0)
@@ -1145,6 +1234,26 @@ class TestBoundChargeOracles:
         assert sol.value == pytest.approx(bound_energy(rho, GibbsFamily(h)), abs=1e-12)
         assert math.isfinite(sol.beta_vec[0])
 
+    FLOOR_FAMILY = ([0.0, 0.0, 1.0],)  # one charge, its floor a vertex of two copies
+
+    def test_floor_gamma_at_the_face_maximum(self):
+        # rho is the floor face's own maximum-entropy state: S = H(p), so
+        # gamma = diag(p) = rho, not a root near x = 1, where S(x) is flat
+        # and the root stops 4.7e-9 short
+        rho = DensityMatrix.diagonal([0.5, 0.5, 0.0])
+        sol = bound_charge(rho, diagonal_family(np.array(self.FLOOR_FAMILY)), 0)
+        assert (sol.value, sol.beta_vec.tolist()) == (0.0, [math.inf])
+        assert np.max(np.abs(sol.gamma.entries - rho.entries)) <= 1e-15
+
+    def test_floor_gamma_of_a_pure_source(self):
+        # a pure rho on the floor: S = 0, so gamma is |psi><psi| itself, pure,
+        # not a root near x = 0 whose entropy is 1.3e-11
+        rho = DensityMatrix.pure([1.0, 1.0, 0.0])
+        sol = bound_charge(rho, diagonal_family(np.array(self.FLOOR_FAMILY)), 0)
+        assert (sol.value, sol.beta_vec.tolist()) == (0.0, [math.inf])
+        assert entropy(sol.gamma) <= 1e-15
+        assert np.max(np.abs(sol.gamma.entries - rho.entries)) <= 1e-15
+
 
 def mp_gge(ells, beta):
     """The GGE at beta_vec on an mpmath (q, d) joint spectrum, in the working
@@ -1231,9 +1340,10 @@ class TestChargesRateOracle:
         sol = conversion_rate_charges(rho, sigma, fam)
         r_old, kind_old = bisection_rate(rho, sigma, fam)
         assert sol.phi_kind == kind_old
-        if sol.phi_kind == "thermal" and sol.phi_beta is None:
-            # a wall exit: the bisection ends where nnls leaves the polytope,
-            # while phi lies on it, to the rounding of the LP equalities
+        if sol.phi_kind == "thermal" and not np.isfinite(sol.phi_beta).all():
+            # a wall exit, whose beta_vec is the face's limit: the bisection
+            # ends where nnls leaves the polytope, while phi lies on it, to the
+            # rounding of the LP equalities
             assert sol.r == pytest.approx(r_old, abs=1e-11)
             ells = fam.joint_eigenvalues
             _, resid = nnls(np.vstack([ells, np.ones(fam.dim)]),
@@ -1271,7 +1381,8 @@ class TestChargesRateOracle:
         h = -(0.45 * math.log(0.45) + 0.55 * math.log(0.55))
         assert h < s_wall < h + 0.45 * math.log(2)
         sol = conversion_rate_charges(rho, sigma, fam)
-        assert sol.phi_kind == "thermal" and sol.phi_beta is None
+        assert sol.phi_kind == "thermal"
+        assert sol.phi_beta.tolist() == [0.0, math.inf]  # the limit toward L_1 = 0
         assert sol.r == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert sol.phi_point.L == pytest.approx([0.45, 0.0], abs=1e-12)
         assert sol.r == pytest.approx(bisection_rate(rho, sigma, fam)[0], abs=1e-8)

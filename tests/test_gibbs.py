@@ -999,10 +999,10 @@ def test_import_leaves_scipy_unloaded():
 
 def test_charge_polytope_lp_leaves_scipy_unloaded():
     src = str(Path(isotherm.__file__).resolve().parents[1])
-    code = ("import sys, numpy as np; from isotherm.charges import _lp_face; "
+    code = ("import sys, numpy as np; from isotherm.charges import _face_exit; "
             "ells = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0]]); "
-            "duals, face = _lp_face(ells[0], np.vstack([ells[1], np.ones(4)]), [1.2, 1.0]); "
-            "assert face.any() and 'scipy' not in sys.modules")
+            "_, face = _face_exit(ells, np.array([1.5, 1.2]), np.array([-1.0, 0.0])); "
+            "assert face()[2].any() and 'scipy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
 

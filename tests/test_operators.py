@@ -602,6 +602,17 @@ class TestDeferredEigenvectors:
             for name in ("entries", "spectrum", "eigenvectors"):
                 assert getattr(copy, name).tobytes() == getattr(state, name).tobytes(), kind
 
+    def test_pickle_round_trip_stays_read_only(self, rng):
+        # pickle hands back writeable arrays: a state's entries, spectrum and
+        # kept eigenvectors, and an operator's eigenpairs, are read-only again
+        read = random_density(4, rng)
+        read.eigenvectors
+        for state in (random_density(3, rng), read, tensor(read, random_density(2, rng))):
+            assert_read_only_eigenpairs(pickle.loads(pickle.dumps(state)))
+        op = pickle.loads(pickle.dumps(random_hamiltonian(3, rng)))
+        assert not any(array.flags.writeable
+                       for array in (op.entries, op.eigenvalues, op.eigenvectors))
+
 
 class TestMutualInformation:
     def test_product_state_zero(self, rng):

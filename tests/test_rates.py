@@ -313,6 +313,8 @@ class TestWallRunningRays:
         assert multi.phi_kind == kind
         tol = 1e-8 if beta is not None and math.isinf(beta) else 1e-12
         assert multi.r == pytest.approx(single.r, abs=tol)
+        if beta is not None and math.isinf(beta):  # up a wall: the face's limit, as a beta_vec
+            assert multi.phi_beta.tolist() == [beta]
 
 
 class TestSentinelEdges:
@@ -551,6 +553,10 @@ class TestRateProperties:
             return
         assert multi.phi_kind == single.phi_kind
         beta = single.phi_beta
+        if multi.phi_beta is not None and not np.isfinite(multi.phi_beta).all():
+            assert multi.phi_beta.tolist() == [beta]  # a wall exit: the face's limit
+        elif beta is not None and math.isinf(beta) and multi.phi_kind == "thermal":
+            assert multi.phi_beta is not None  # on the curve at the sentinel: a finite beta_vec
         if beta is None:
             tol = 1e-12
         elif math.isinf(beta):

@@ -13,7 +13,10 @@ The coincident and source-degenerate rules of a rate are read in
 tolerances of the dual ascent are read in `charges.py` alone, and its
 ascent takes them as numbers, not as stop callables. Every GGE exponent pass
 there is its kernel's, `_boltzmann_weights`, and the max-entropy state at
-a point's charges is reached through `_max_entropy` alone. Both joint beta
+a point's charges is reached through `_max_entropy` alone. The charge
+polytope's faces are met by one routine, `_face_exit`: it alone calls the
+simplex `_lp_face`, and no other function solves a least-squares system
+for an exit. Both joint beta
 solvers of `gibbs.py` take "at a sentinel" from one rounding rule, `_rounding`,
 and a single family's beta has one route: `intrinsic_beta` and
 `spontaneous_beta` alone reach the kept roots, `_solve`, and no caller
@@ -202,3 +205,18 @@ def test_a_state_runs_eigh_only_on_its_eigenvector_read():
 
     assert callers("eigh") == ["DensityMatrix.eigenvectors", "HermitianOperator.__post_init__"]
     assert callers("eigvalsh") == ["DensityMatrix.__post_init__", "DensityMatrix._derived"]
+
+
+def test_one_face_routine_for_the_charge_polytope():
+    # the rate's wall, its vertical-face gap and the LP floor all ask one
+    # exit LP: `_lp_face` has one caller in the package, and `lstsq` is
+    # called nowhere else, as the exit point is the LP's own vertex
+    def callers(name: str) -> list[str]:
+        return sorted(f"{path.name}:{fn.name}" for path in MODULES
+                      for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(fn, ast.FunctionDef) and fn.name != name
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1] == name)
+
+    assert callers("_lp_face") == ["charges.py:_face_exit"]
+    assert set(callers("lstsq")) <= {"charges.py:_face_exit"}
